@@ -44,7 +44,6 @@ from .evaluation import EvalReport, evaluate
 from .model import (
     ModelParams,
     ModelSpec,
-    forward,
     grad_wrt_latent,
     grad_wrt_params,
     init_params,

@@ -13,6 +13,10 @@ Two exact oracles validate the optimization machinery at toy scale:
   the risk of the worst same-size displacement of the empirical measure,
   which must coincide.
 
+For a binary affine output layer the ball supremum has a closed form,
+:func:`binary_robust_loss`; every exact robust loss in the package goes
+through it.
+
 Grid-based suprema use step ``eps / SUP_GRID_FRACTION`` (documented in every
 report).  Cross-entropy composed with an affine layer is convex in the
 latent, so ball suprema are attained on the sphere; boundary grids therefore
@@ -31,10 +35,6 @@ from . import model
 from .errors import ParameterError, UnsupportedInstanceError
 from .model import ModelParams
 
-# The inter-group radius is unconstrained: mixture weights range over the
-# whole simplex.
-RHO = math.inf
-
 SUP_GRID_FRACTION = 100
 ORACLE_MAX_SUPPORT = 8
 CHECK_MAX_SUPPORT = 6
@@ -52,24 +52,13 @@ def radius(epsilon: float, n_g: int) -> float:
 
 @dataclass(frozen=True)
 class AmbiguityConfig:
-    """Global radius scale plus inner-ascent settings.
-
-    ``eta_z=None`` selects the default ascent step ``10 * eps_g``, large
-    enough to reach the boundary whenever the loss is monotone along the
-    gradient direction.
-    """
+    """Global radius scale; group ``g`` gets the ball radius ``radius(epsilon, n_g)``."""
 
     epsilon: float
-    inner_steps: int = 1
-    eta_z: float | None = None
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise ParameterError("epsilon must be nonnegative")
-        if self.inner_steps < 1:
-            raise ParameterError("inner_steps must be at least 1")
-        if self.eta_z is not None and self.eta_z <= 0:
-            raise ParameterError("eta_z must be positive")
 
     def radii(self, n_g) -> np.ndarray:
         return np.array([radius(self.epsilon, int(v)) for v in np.asarray(n_g)])
@@ -134,6 +123,27 @@ def inner_maximize(
         best = np.where(improved[:, None], current, best)
         best_loss = np.maximum(loss, best_loss)
     return best[0] if single else best
+
+
+def binary_robust_loss(z, sign, v, c, eps_g, v_norm):
+    """Closed-form ball supremum of the loss for a binary affine output layer.
+
+    With ``v = w_1 - w_0``, ``c = b_1 - b_0`` and label sign ``s = 2y - 1``
+    the loss at latent ``z`` is ``logaddexp(0, -s (z . v + c))``, which grows
+    fastest along ``-s v``.  Over the ``eps_g`` ball it is therefore maximal
+    at ``z' = z - s eps_g v / ||v||`` (:func:`binary_ball_maximizer`), where
+    the slack is ``u = -s (z . v + c) + eps_g ||v||``.  ``v_norm`` is
+    ``||v||``, passed in so loops over groups compute it once; ``eps_g`` may
+    be a scalar or one radius per row.  Returns ``(loss, u)`` per example.
+    """
+    u = -sign * (z @ v + c) + eps_g * v_norm
+    return np.logaddexp(0.0, u), u
+
+
+def binary_ball_maximizer(z, sign, v, eps_g, v_norm):
+    """The rows ``z' = z - s eps_g v / ||v||`` at which :func:`binary_robust_loss` is attained."""
+    v_hat = v / v_norm if v_norm > 0 else np.zeros_like(v)
+    return z - (sign * eps_g)[:, None] * v_hat
 
 
 def _sphere_grid(center: np.ndarray, eps: float) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Experiments are described by a single JSON config with ``dataset``,
 ``solver``, ``ambiguity``, ``tuning`` and ``evaluation`` blocks plus a seed
-list and an output directory; scalar fields can be overridden by flags.
+list and an output directory; the output directory and the hierarchical
+radius can be overridden by flags.  A key the schema does not know is a
+validation error, and so is an output directory whose generated data came
+from another dataset block.
 Every artifact records the config hash and the seed list, and reruns with an
 identical hash produce byte-identical file bodies (no timestamps anywhere).
 
@@ -16,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import statistics
 import sys
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import datagen, solver, tuning, verification
-from .datagen import GroupedDataset, ShiftSpec, config_hash
+from .datagen import ShiftSpec, config_hash
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -71,10 +73,14 @@ class SolverBlock:
     checkpoint_every: int = 100
     decay_steps: bool = False
     backprop_through_feature: bool = False
-    eta_z: float | None = None
-    inner_steps: int = 1
     architecture: str = "linear"
     hidden_width: int = 32
+
+
+@dataclass
+class AmbiguityBlock:
+    inner_steps: int = 1
+    eta_z: float | None = None
 
 
 @dataclass
@@ -92,9 +98,8 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     dataset: DatasetBlock
     solver: SolverBlock
-    ambiguity: dict = field(default_factory=dict)
+    ambiguity: AmbiguityBlock = field(default_factory=AmbiguityBlock)
     tuning: TuningBlock = field(default_factory=TuningBlock)
-    evaluation: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
 
     @property
@@ -113,10 +118,26 @@ def _require(block: dict, key: str, kind, where: str):
     return value
 
 
+def _object(value, where: str, known) -> dict:
+    """``value`` as a JSON object whose keys all belong to ``known``: a tuple
+    of names, or a dataclass whose fields the keys name."""
+    if dataclasses.is_dataclass(known):
+        known = [f.name for f in dataclasses.fields(known)]
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object")
+    for key in value:
+        if key not in known:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+    return value
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
-    """Schema-check a raw JSON config before any computation."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    """Schema-check a raw JSON config before any computation.
+
+    The ``evaluation`` block has no settings yet and must be empty.
+    """
+    raw = _object(raw, "config", ("output_dir", "seeds", "dataset", "solver", "ambiguity",
+                                  "tuning", "evaluation"))
     seeds = raw.get("seeds")
     if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
         raise ConfigError("seeds: expected a nonempty list of integers")
@@ -124,11 +145,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir: expected a nonempty string")
 
-    ds_raw = raw.get("dataset")
-    if not isinstance(ds_raw, dict):
-        raise ConfigError("dataset: expected an object")
+    ds_raw = _object(raw.get("dataset"), "dataset", DatasetBlock)
     shifts = []
     for i, s in enumerate(ds_raw.get("shifts", [])):
+        _object(s, f"dataset.shifts[{i}]", ShiftSpec)
         try:
             shifts.append(ShiftSpec(
                 target_group=int(s["target_group"]),
@@ -140,6 +160,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"dataset.shifts[{i}]: {exc}") from exc
     csv_block = ds_raw.get("csv")
     if csv_block is not None:
+        _object(csv_block, "dataset.csv", ("train", "val", "test", "test_shifted"))
         for split in ("train", "val", "test"):
             path = csv_block.get(split)
             if not isinstance(path, str) or not os.path.exists(path):
@@ -156,9 +177,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         csv=csv_block,
     )
 
-    sv = raw.get("solver")
-    if not isinstance(sv, dict):
-        raise ConfigError("solver: expected an object")
+    sv = _object(raw.get("solver"), "solver", SolverBlock)
     modes = tuple(sv.get("modes", list(MODES)))
     for mode in modes:
         if mode not in MODES:
@@ -175,15 +194,18 @@ def validate_config(raw: dict) -> ExperimentConfig:
         checkpoint_every=int(sv.get("checkpoint_every", 100)),
         decay_steps=bool(sv.get("decay_steps", False)),
         backprop_through_feature=bool(sv.get("backprop_through_feature", False)),
-        eta_z=sv.get("eta_z"),
-        inner_steps=int(sv.get("inner_steps", 1)),
         architecture=str(sv.get("architecture", "linear")),
         hidden_width=int(sv.get("hidden_width", 32)),
     )
 
-    tn = raw.get("tuning", {})
-    if not isinstance(tn, dict):
-        raise ConfigError("tuning: expected an object")
+    am = _object(raw.get("ambiguity", {}), "ambiguity", AmbiguityBlock)
+    ambiguity_block = AmbiguityBlock(
+        inner_steps=_require(am, "inner_steps", int, "ambiguity") if "inner_steps" in am else 1,
+        eta_z=None if am.get("eta_z") is None else _require(am, "eta_z", float, "ambiguity"),
+    )
+
+    tn = _object(raw.get("tuning", {}), "tuning", TuningBlock)
+    _object(raw.get("evaluation", {}), "evaluation", ())
     tuning_block = TuningBlock(
         grid_scale=tuple(float(v) for v in tn.get("grid_scale", DEFAULT_GRID_SCALE)),
         aggregation=str(tn.get("aggregation", "mean")),
@@ -197,9 +219,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
         seeds=tuple(seeds),
         dataset=dataset,
         solver=solver_block,
-        ambiguity=dict(raw.get("ambiguity", {})),
+        ambiguity=ambiguity_block,
         tuning=tuning_block,
-        evaluation=dict(raw.get("evaluation", {})),
         raw=raw,
     )
     # Exercise the dataclass validators now rather than mid-run.
@@ -245,8 +266,8 @@ def _solver_config(config: ExperimentConfig, mode: str, seed: int,
         adjustment=sv.adjustment,
         iterations=sv.iterations if iterations is None else iterations,
         batch_size=sv.batch_size,
-        eta_z=sv.eta_z,
-        inner_steps=sv.inner_steps,
+        eta_z=config.ambiguity.eta_z,
+        inner_steps=config.ambiguity.inner_steps,
         sampling=sv.sampling,
         seed=seed,
         checkpoint_every=sv.checkpoint_every,
@@ -284,6 +305,24 @@ def _generate_datasets(config: ExperimentConfig):
     return splits
 
 
+def _manifest(config: ExperimentConfig, splits: dict) -> dict:
+    """The generator manifest for this config's dataset block and ``splits``."""
+    ds_block = config.dataset
+    return datagen.generator_manifest(
+        params={
+            "n_per_group_train": list(ds_block.n_per_group_train),
+            "n_per_group_val": list(ds_block.n_per_group_val),
+            "n_per_group_test": list(ds_block.n_per_group_test),
+            "spurious_strength": ds_block.spurious_strength,
+            "noise_sd": ds_block.noise_sd,
+            "label_flip_p": ds_block.label_flip_p,
+            "seed": ds_block.seed,
+        },
+        splits=splits,
+        shifts=list(ds_block.shifts),
+    )
+
+
 def cmd_generate(config: ExperimentConfig, output_dir: str) -> dict:
     splits = _generate_datasets(config)
     summaries = {}
@@ -292,19 +331,7 @@ def cmd_generate(config: ExperimentConfig, output_dir: str) -> dict:
         path = os.path.join(output_dir, filename)
         datagen.save_csv(ds, path)
         summaries[name] = datagen.split_summary(ds, filename, path)
-    manifest = datagen.generator_manifest(
-        params={
-            "n_per_group_train": list(config.dataset.n_per_group_train),
-            "n_per_group_val": list(config.dataset.n_per_group_val),
-            "n_per_group_test": list(config.dataset.n_per_group_test),
-            "spurious_strength": config.dataset.spurious_strength,
-            "noise_sd": config.dataset.noise_sd,
-            "label_flip_p": config.dataset.label_flip_p,
-            "seed": config.dataset.seed,
-        },
-        splits=summaries,
-        shifts=list(config.dataset.shifts),
-    )
+    manifest = _manifest(config, summaries)
     manifest["config_hash"] = config.hash
     manifest["seeds"] = list(config.seeds)
     manifest_path = os.path.join(output_dir, "manifest.json")
@@ -325,9 +352,31 @@ def _load_datasets(config: ExperimentConfig, output_dir: str):
         }
     expected = os.path.join(output_dir, "train.csv")
     if os.path.exists(expected):
+        _require_same_generator(config, output_dir)
         return {name: datagen.load_csv(os.path.join(output_dir, f"{name}.csv"))
                 for name in ("train", "val", "test", "test_shifted")}
     return _generate_datasets(config)
+
+
+def _require_same_generator(config: ExperimentConfig, output_dir: str) -> None:
+    """Refuse data in ``output_dir`` that ``generate`` wrote for another dataset block."""
+    path = os.path.join(output_dir, "manifest.json")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            found = json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{output_dir} holds train.csv but no manifest.json; "
+                          "run generate again or use another output directory") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    want = _manifest(config, {})
+    fields = [("generator." + key, want["generator"][key], found.get("generator", {}).get(key))
+              for key in want["generator"]]
+    fields.append(("shifts", want["shifts"], found.get("shifts")))
+    for name, expected, actual in fields:
+        if actual != expected:
+            raise ConfigError(f"{path}: {name} is {actual!r} but the config gives {expected!r}; "
+                              "run generate again or use another output directory")
 
 
 # -------------------------------------------------------------------- run

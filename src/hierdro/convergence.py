@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, solver
-from .ambiguity import AmbiguityConfig, radius
+from .ambiguity import AmbiguityConfig, binary_ball_maximizer, binary_robust_loss, radius
 from .datagen import GroupedDataset, make_spurious
 from .errors import UnsupportedDiagnosticError
 from .model import LINEAR, ModelParams, ModelSpec, init_params
@@ -45,32 +45,11 @@ def _require_convex(theta: ModelParams) -> None:
         )
 
 
-def _margin_terms(theta: ModelParams, ds: GroupedDataset):
-    """Signed margins and the weight-difference vector for the binary model."""
-    v = theta.w_out[1] - theta.w_out[0]
-    c = theta.b_out[1] - theta.b_out[0]
-    sign = 2.0 * ds.labels.astype(np.float64) - 1.0
-    margin = sign * (ds.features @ v + c)
-    return v, c, sign, margin
-
-
-def robust_group_losses(theta: ModelParams, ds: GroupedDataset, ambiguity: AmbiguityConfig) -> np.ndarray:
-    """Closed-form ``f_g`` for the linear binary model (nan for empty groups)."""
-    _require_convex(theta)
-    v, _, _, margin = _margin_terms(theta, ds)
-    v_norm = float(np.linalg.norm(v))
-    out = np.full(ds.num_groups, np.nan)
-    for g in range(ds.num_groups):
-        rows = ds.group_rows(g)
-        if rows.size == 0:
-            continue
-        eps_g = radius(ambiguity.epsilon, rows.size) if ambiguity.epsilon > 0 else 0.0
-        out[g] = float(np.mean(np.logaddexp(0.0, -margin[rows] + eps_g * v_norm)))
-    return out
-
-
 def worst_robust_loss(theta: ModelParams, ds: GroupedDataset, ambiguity: AmbiguityConfig) -> float:
-    return float(np.nanmax(robust_group_losses(theta, ds, ambiguity)))
+    """``max_g f_g(theta)`` by the closed form of :func:`solver.objective_value`."""
+    _require_convex(theta)
+    _, worst = solver.objective_value(theta, ds, ambiguity)
+    return worst
 
 
 class _ConvexProblem:
@@ -93,8 +72,8 @@ class _ConvexProblem:
         best = -math.inf
         best_parts = None
         for feats, sign, eps_g in self.groups:
-            u = -sign * (feats @ v + c) + eps_g * v_norm
-            value = float(np.mean(np.logaddexp(0.0, u)))
+            losses, u = binary_robust_loss(feats, sign, v, c, eps_g, v_norm)
+            value = float(np.mean(losses))
             if value > best:
                 best = value
                 best_parts = (feats, sign, eps_g, u)
@@ -104,19 +83,6 @@ class _ConvexProblem:
         d_v = coeff @ feats / feats.shape[0] + sig.mean() * eps_g * v_hat
         d_c = float(coeff.mean())
         return best, d_v, d_c
-
-
-def _worst_group_subgradient(theta: ModelParams, ds: GroupedDataset, ambiguity: AmbiguityConfig):
-    """Value and a subgradient of ``max_g f_g`` at ``theta``."""
-    problem = _ConvexProblem(ds, ambiguity)
-    v = theta.w_out[1] - theta.w_out[0]
-    c = float(theta.b_out[1] - theta.b_out[0])
-    value, d_v, d_c = problem.value_and_subgrad(v, c)
-    grads = model.ParamGrads(
-        w_out=np.stack([-d_v, d_v]),
-        b_out=np.array([-d_c, d_c]),
-    )
-    return value, grads
 
 
 @dataclass(frozen=True)
@@ -186,6 +152,7 @@ def bound_constants(
     """Empirical maxima of parameter norm, per-example gradient norm at the
     ball maximizer, and per-example robust loss over a parameter trajectory."""
     b_theta = b_grad = b_loss = 0.0
+    sign = 2.0 * ds.labels.astype(np.float64) - 1.0
     radii = np.zeros(ds.n)
     for g in range(ds.num_groups):
         rows = ds.group_rows(g)
@@ -193,15 +160,14 @@ def bound_constants(
             radii[rows] = radius(ambiguity.epsilon, rows.size) if ambiguity.epsilon > 0 else 0.0
     for theta in thetas:
         _require_convex(theta)
-        v, _, sign, margin = _margin_terms(theta, ds)
+        v = theta.w_out[1] - theta.w_out[0]
+        c = theta.b_out[1] - theta.b_out[0]
         v_norm = float(np.linalg.norm(v))
-        v_hat = v / v_norm if v_norm > 0 else np.zeros_like(v)
-        u = -margin + radii * v_norm
-        losses = np.logaddexp(0.0, u)
-        # Per-example gradient at the maximizing latent z' = z - sign*eps*v_hat:
-        # dlogits has norm sqrt(2)*sigma(u), so the (W, b) gradient norm is
+        losses, u = binary_robust_loss(ds.features, sign, v, c, radii, v_norm)
+        # Per-example gradient at the maximizing latent z': dlogits has norm
+        # sqrt(2)*sigma(u), so the (W, b) gradient norm is
         # sqrt(2)*sigma(u)*sqrt(||z'||^2 + 1).
-        z_prime = ds.features - (sign * radii)[:, None] * v_hat[None, :]
+        z_prime = binary_ball_maximizer(ds.features, sign, v, radii, v_norm)
         sig = 1.0 / (1.0 + np.exp(-u))
         grad_norms = np.sqrt(2.0) * sig * np.sqrt((z_prime ** 2).sum(axis=1) + 1.0)
         b_theta = max(b_theta, model.params_norm(theta))
@@ -290,7 +256,6 @@ def canonical_instance():
         batch_size=8,
         sampling=solver.GROUP_UNIFORM,
         seed=7,
-        average_iterates=True,
         checkpoint_every=20_000,
         decay_steps=True,
     )

@@ -10,13 +10,17 @@ Two architectures:
 All gradients are closed-form.  The loss is softmax cross-entropy computed
 through log-sum-exp, so it stays finite for logit magnitudes far beyond 1e3.
 
-Gradient semantics for perturbed latents: when the caller evaluates the loss
-at some ``z'`` other than ``z(x)``, the parameter gradient treats ``z'`` as a
-constant input to the output layer, so hidden-layer parameters receive no
-gradient.  Passing ``backprop_through_feature=True`` adds the hidden-layer
+Gradient semantics: :func:`grad_wrt_params` evaluates the loss at a latent
+``z'`` supplied by the caller.  By default it treats ``z'`` as a constant
+input to the output layer, so hidden-layer parameters receive a zero
+gradient.  With ``backprop_through_feature=True`` it adds the hidden-layer
 gradient obtained by routing the latent gradient at ``z'`` through the
-unperturbed forward pass at ``x`` (useful for ablations).  When ``z'`` equals
-``z(x)`` exactly the result is ordinary backpropagation either way.
+unperturbed forward pass at ``x``; for ``z' = z(x)`` that is ordinary
+backpropagation.  The caller decides, not a comparison of ``z'`` with
+``z(x)``: the solver sets the flag for every step with a zero radius (ERM,
+group DRO), so those modes train the whole network, while a hierarchical
+``mlp1`` model trains only its output layer unless the run sets
+``backprop_through_feature``.
 """
 
 from __future__ import annotations
@@ -65,15 +69,6 @@ class ParamGrads:
     b_out: np.ndarray
     w_hidden: np.ndarray | None = None
     b_hidden: np.ndarray | None = None
-
-
-@dataclass
-class ForwardRecord:
-    z: np.ndarray
-    logits: np.ndarray
-    loss: float | np.ndarray
-    grad_z: np.ndarray | None = None
-    grad_theta: ParamGrads | None = None
 
 
 @dataclass(frozen=True)
@@ -147,18 +142,6 @@ def cross_entropy(logits: np.ndarray, y) -> float | np.ndarray:
     return -ls[np.arange(ls.shape[0]), y]
 
 
-def forward(theta: ModelParams, x: np.ndarray, y, with_grads: bool = False) -> ForwardRecord:
-    """Full forward pass; gradients are filled in only on request."""
-    z = latent(theta, x)
-    logits = logits_from_latent(theta, z)
-    loss = cross_entropy(logits, y)
-    rec = ForwardRecord(z=z, logits=logits, loss=loss)
-    if with_grads:
-        rec.grad_z = grad_wrt_latent(theta, z, y)
-        rec.grad_theta = grad_wrt_params(theta, z, x, y)
-    return rec
-
-
 def _dlogits(theta: ModelParams, z: np.ndarray, y) -> np.ndarray:
     """softmax(logits) - onehot(y), batched or single."""
     p = softmax(logits_from_latent(theta, z))
@@ -186,8 +169,8 @@ def grad_wrt_params(
     """Gradient of the loss at ``z_prime`` with respect to the parameters.
 
     For batched inputs (2-D ``z_prime``/``x``) the batch-mean gradient is
-    returned.  See the module docstring for the treatment of hidden-layer
-    parameters when ``z_prime`` differs from ``z(x)``.
+    returned.  Hidden-layer parameters get a gradient only when
+    ``backprop_through_feature`` is set; see the module docstring.
     """
     z_prime = np.asarray(z_prime, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -204,8 +187,7 @@ def grad_wrt_params(
     if theta.w_hidden is None:
         return ParamGrads(w_out=g_w_out, b_out=g_b_out)
 
-    unperturbed = np.array_equal(z_prime, latent(theta, x))
-    if not (unperturbed or backprop_through_feature):
+    if not backprop_through_feature:
         return ParamGrads(
             w_out=g_w_out, b_out=g_b_out,
             w_hidden=np.zeros_like(theta.w_hidden),

@@ -17,13 +17,18 @@ stream: ``hierarchical`` runs everything; ``group_dro`` forces the radii to
 zero; ``erm`` additionally freezes ``beta`` at the empirical proportions
 ``alpha`` (every mode initializes ``beta = alpha``), which makes the ERM step
 plain stochastic descent on the batch loss scaled by the constant ``alpha_g``.
+
+The returned model is chosen among checkpoints of the last iterate; the
+running average of the iterates is kept beside it for the convergence
+diagnostics.  A step with a zero radius backpropagates through the hidden
+layer of an ``mlp1`` model; a step at perturbed latents trains only the
+output layer unless ``backprop_through_feature`` is set (see :mod:`model`).
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +53,13 @@ MODE_LABELS = {ERM: "ERM", GROUP_DRO: "GroupDRO", HIERARCHICAL: "Hierarchical"}
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """One training run.
+
+    ``inner_steps`` and ``eta_z`` set the latent ascent; ``eta_z=None``
+    selects the step ``10 * eps_g``, which reaches the ball boundary whenever
+    the latent gradient has norm at least 0.1.
+    """
+
     mode: str
     eta_beta: float
     eta_theta: float
@@ -59,7 +71,6 @@ class SolverConfig:
     inner_steps: int = 1
     sampling: str = GROUP_UNIFORM
     seed: int = 0
-    average_iterates: bool = True
     checkpoint_every: int = 100
     decay_steps: bool = False
     backprop_through_feature: bool = False
@@ -75,6 +86,10 @@ class SolverConfig:
             raise ParameterError("epsilon and adjustment must be nonnegative")
         if self.iterations < 0 or self.batch_size < 1 or self.checkpoint_every < 1:
             raise ParameterError("iterations/batch_size/checkpoint_every out of range")
+        if self.inner_steps < 1:
+            raise ParameterError("inner_steps must be at least 1")
+        if self.eta_z is not None and self.eta_z <= 0:
+            raise ParameterError("eta_z must be positive")
 
     @property
     def effective_epsilon(self) -> float:
@@ -82,11 +97,7 @@ class SolverConfig:
         return self.epsilon if self.mode == HIERARCHICAL else 0.0
 
     def ambiguity(self) -> AmbiguityConfig:
-        return AmbiguityConfig(
-            epsilon=self.effective_epsilon,
-            inner_steps=self.inner_steps,
-            eta_z=self.eta_z,
-        )
+        return AmbiguityConfig(epsilon=self.effective_epsilon)
 
 
 @dataclass
@@ -105,9 +116,6 @@ class Checkpoint:
     avg_val_acc: float
     theta: ModelParams
     theta_bar: ModelParams
-    max_loss: float
-    max_grad_norm: float
-    max_theta_norm: float
 
 
 @dataclass
@@ -117,9 +125,6 @@ class TrainState:
     theta_bar: ModelParams
     t: int = 0
     history: list[Checkpoint] = field(default_factory=list)
-    max_loss: float = 0.0
-    max_grad_norm: float = 0.0
-    max_theta_norm: float = 0.0
 
 
 @dataclass
@@ -179,7 +184,6 @@ def train_step(
     state: TrainState,
     batch: Batch,
     config: SolverConfig,
-    ambiguity: AmbiguityConfig,
     n_per_group: np.ndarray,
 ) -> TrainState:
     """One iteration of the three-coordinate update; mutates and returns ``state``."""
@@ -189,11 +193,11 @@ def train_step(
     scale = 1.0 / math.sqrt(t_next) if config.decay_steps else 1.0
 
     z = model.latent(state.theta, batch.x)
-    eps_g = amb.radius(ambiguity.epsilon, n_g) if ambiguity.epsilon > 0 else 0.0
+    epsilon = config.effective_epsilon
+    eps_g = amb.radius(epsilon, n_g) if epsilon > 0 else 0.0
     if eps_g > 0:
         z_prime = amb.inner_maximize(
-            state.theta, z, batch.y, eps_g,
-            steps=ambiguity.inner_steps, eta_z=ambiguity.eta_z,
+            state.theta, z, batch.y, eps_g, steps=config.inner_steps, eta_z=config.eta_z,
         )
     else:
         z_prime = z
@@ -214,7 +218,7 @@ def train_step(
 
     grads = model.grad_wrt_params(
         state.theta, z_prime, batch.x, batch.y,
-        backprop_through_feature=config.backprop_through_feature,
+        backprop_through_feature=config.backprop_through_feature or eps_g == 0,
     )
     if not model.grads_finite(grads):
         raise DivergenceError(
@@ -222,19 +226,11 @@ def train_step(
             snapshot={"iteration": t_next, "group": g,
                       "theta_norm": model.params_norm(state.theta)},
         )
-    grad_norm = float(np.linalg.norm(model.flatten_grads(grads)))
     state.theta = model.sgd_step(
         state.theta, grads, config.eta_theta * scale * float(state.beta[g])
     )
     state.t = t_next
-    if config.average_iterates:
-        state.theta_bar = model.average_params(state.theta_bar, state.theta, t_next)
-    else:
-        state.theta_bar = state.theta
-
-    state.max_loss = max(state.max_loss, float(np.max(losses)))
-    state.max_grad_norm = max(state.max_grad_norm, grad_norm)
-    state.max_theta_norm = max(state.max_theta_norm, model.params_norm(state.theta))
+    state.theta_bar = model.average_params(state.theta_bar, state.theta, t_next)
     return state
 
 
@@ -265,21 +261,13 @@ def _record_checkpoint(
         avg_val_acc=report.avg_acc_weighted,
         theta=state.theta,
         theta_bar=state.theta_bar,
-        max_loss=state.max_loss,
-        max_grad_norm=state.max_grad_norm,
-        max_theta_norm=state.max_theta_norm,
     )
     state.history.append(cp)
     return cp
 
 
 def init_state(model_init: ModelParams, ds_train: GroupedDataset) -> TrainState:
-    return TrainState(
-        theta=model_init,
-        beta=ds_train.alpha.copy(),
-        theta_bar=model_init,
-        max_theta_norm=model.params_norm(model_init),
-    )
+    return TrainState(theta=model_init, beta=ds_train.alpha.copy(), theta_bar=model_init)
 
 
 def train(
@@ -287,7 +275,6 @@ def train(
     ds_val: GroupedDataset,
     model_init: ModelParams,
     config: SolverConfig,
-    ambiguity: AmbiguityConfig | None = None,
 ) -> TrainResult:
     """Run ``config.iterations`` steps and select by worst-group validation accuracy.
 
@@ -299,10 +286,6 @@ def train(
     if np.any(ds_train.n_g == 0):
         empty = np.flatnonzero(ds_train.n_g == 0).tolist()
         raise InvalidDatasetError(f"training groups {empty} are empty")
-    if ambiguity is None:
-        ambiguity = config.ambiguity()
-    else:
-        ambiguity = replace(ambiguity, epsilon=0.0 if config.mode != HIERARCHICAL else ambiguity.epsilon)
 
     rng = np.random.default_rng(config.seed)
     sampler = GroupSampler(ds_train, config)
@@ -310,7 +293,7 @@ def train(
     weights = ds_train.alpha.copy()
 
     for _ in range(config.iterations):
-        state = train_step(state, sampler.draw(rng), config, ambiguity, ds_train.n_g)
+        state = train_step(state, sampler.draw(rng), config, ds_train.n_g)
         if state.t % config.checkpoint_every == 0 or state.t == config.iterations:
             _record_checkpoint(state, ds_train, ds_val, weights)
 
@@ -333,22 +316,27 @@ def objective_value(
 ):
     """Per-group ball-supremum risks and their maximum over the simplex.
 
-    For two classes the output layer is affine in the latent, so the
-    supremum has the closed form ``log(1 + exp(-margin + eps_g * ||v||))``
-    with ``v`` the difference of the output-weight rows.  Other class counts
-    fall back to multi-start latent ascent (approximate).
+    For two classes the supremum has a closed form
+    (:func:`ambiguity.binary_robust_loss`).  Other class counts fall back to
+    multi-start latent ascent (approximate).
 
     Returns ``(f_g, worst)`` where absent groups have ``f_g = nan``.
     """
     f_g = np.full(ds.num_groups, np.nan)
     z = model.latent(theta, ds.features)
+    if theta.num_classes == 2:
+        v = theta.w_out[1] - theta.w_out[0]
+        c = theta.b_out[1] - theta.b_out[0]
+        v_norm = np.linalg.norm(v)
+        sign = 2.0 * ds.labels.astype(np.float64) - 1.0
     for g in range(ds.num_groups):
         rows = ds.group_rows(g)
         if rows.size == 0:
             continue
         eps_g = amb.radius(ambiguity.epsilon, rows.size) if ambiguity.epsilon > 0 else 0.0
         if theta.num_classes == 2:
-            f_g[g] = _binary_robust_group_loss(theta, z[rows], ds.labels[rows], eps_g)
+            losses, _ = amb.binary_robust_loss(z[rows], sign[rows], v, c, eps_g, v_norm)
+            f_g[g] = float(np.mean(losses))
         else:
             total = 0.0
             for i in rows:
@@ -356,15 +344,6 @@ def objective_value(
             f_g[g] = total / rows.size
     worst = float(np.nanmax(f_g))
     return f_g, worst
-
-
-def _binary_robust_group_loss(theta: ModelParams, z: np.ndarray, y: np.ndarray, eps_g: float) -> float:
-    v = theta.w_out[1] - theta.w_out[0]
-    c = theta.b_out[1] - theta.b_out[0]
-    sign = 2.0 * np.asarray(y, dtype=np.float64) - 1.0
-    margin = sign * (z @ v + c)
-    u = -margin + eps_g * np.linalg.norm(v)
-    return float(np.mean(np.logaddexp(0.0, u)))
 
 
 def write_history_csv(history: list[Checkpoint], num_groups: int, path, header_comment: str = "") -> None:
@@ -384,8 +363,3 @@ def write_history_csv(history: list[Checkpoint], num_groups: int, path, header_c
             cells.append("%.10g" % cp.worst_val_acc)
             cells.append("%.10g" % cp.avg_val_acc)
             fh.write(",".join(cells) + "\n")
-
-
-def clone_state(state: TrainState) -> TrainState:
-    """Deep copy for side-by-side trajectory comparisons."""
-    return copy.deepcopy(state)

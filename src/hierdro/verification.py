@@ -19,10 +19,10 @@ import numpy as np
 
 from . import ambiguity as amb
 from . import convergence, model, solver
-from .ambiguity import AmbiguityConfig, DiscreteDist, uniform_dist
+from .ambiguity import DiscreteDist, uniform_dist
 from .datagen import make_spurious
 from .model import LINEAR, MLP1, ModelParams, ModelSpec, init_params
-from .solver import ERM, GROUP_DRO, HIERARCHICAL, Batch, GroupSampler, SolverConfig
+from .solver import ERM, GROUP_DRO, HIERARCHICAL, GroupSampler, SolverConfig
 
 FD_STEP = 1e-5
 GRADIENT_TOLERANCE = 1e-4
@@ -146,7 +146,8 @@ def check_gradients(n_cases: int = 100, seed: int = 0, tolerance: float = GRADIE
                         model.grad_wrt_params(theta, zp, x, y, backprop_through_feature=flag))
                     want = fd_param_gradient(theta, zp, x, y, backprop_through_feature=flag)
                     worst = max(worst, _relative_error(got, want))
-                got = model.flatten_grads(model.grad_wrt_params(theta, z, x, y))
+                got = model.flatten_grads(
+                    model.grad_wrt_params(theta, z, x, y, backprop_through_feature=True))
                 want = fd_param_gradient(theta, z, x, y, backprop_through_feature=True)
                 worst = max(worst, _relative_error(got, want))
     return CheckResult(
@@ -240,11 +241,10 @@ def check_simplex_and_degeneracy(steps: int = 10_000, tolerance: float = SIMPLEX
         rng = np.random.default_rng(config.seed)
         sampler = GroupSampler(ds, config)
         state = solver.init_state(init, ds)
-        ambiguity = config.ambiguity()
         max_residual = 0.0
         thetas = []
         for _ in range(steps):
-            state = solver.train_step(state, sampler.draw(rng), config, ambiguity, ds.n_g)
+            state = solver.train_step(state, sampler.draw(rng), config, ds.n_g)
             max_residual = max(max_residual, abs(float(state.beta.sum()) - 1.0))
             if np.any(state.beta < 0):
                 max_residual = math.inf

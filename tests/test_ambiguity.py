@@ -150,6 +150,44 @@ def test_inner_maximize_batched_matches_loop():
         np.testing.assert_allclose(batch[i], single, atol=1e-14)
 
 
+# ------------------------------------------------ binary closed form
+
+
+def random_binary_head(rng):
+    theta = ModelParams(w_out=rng.normal(size=(2, 2)), b_out=rng.normal(size=2))
+    v = theta.w_out[1] - theta.w_out[0]
+    return theta, v, theta.b_out[1] - theta.b_out[0], float(np.linalg.norm(v))
+
+
+def test_binary_robust_loss_matches_grid_supremum():
+    rng = np.random.default_rng(10)
+    for _ in range(25):
+        theta, v, c, v_norm = random_binary_head(rng)
+        z = rng.normal(size=2)
+        y = int(rng.integers(2))
+        eps = float(rng.uniform(0.1, 1.0))
+        loss, u = amb.binary_robust_loss(z, 2.0 * y - 1.0, v, c, eps, v_norm)
+        assert loss == np.logaddexp(0.0, u)
+        grid = amb.ball_supremum(theta, z, y, eps)
+        assert grid - 1e-12 <= loss <= grid + 1e-3
+
+
+def test_binary_ball_maximizer_matches_one_step_ascent():
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        theta, v, c, v_norm = random_binary_head(rng)
+        zs = rng.normal(size=(8, 2))
+        ys = rng.integers(0, 2, size=8)
+        sign = 2.0 * ys - 1.0
+        eps = float(rng.uniform(0.1, 1.0))
+        z_prime = amb.binary_ball_maximizer(zs, sign, v, eps, v_norm)
+        ascent = inner_maximize(theta, zs, ys, eps, steps=1, eta_z=1e6)
+        np.testing.assert_allclose(z_prime, ascent, rtol=0.0, atol=1e-9)
+        loss, _ = amb.binary_robust_loss(zs, sign, v, c, eps, v_norm)
+        at_maximizer = model.cross_entropy(model.logits_from_latent(theta, z_prime), ys)
+        np.testing.assert_allclose(at_maximizer, loss, rtol=0.0, atol=1e-12)
+
+
 # ------------------------------------------------------------- taylor gap
 
 

@@ -205,6 +205,56 @@ def test_config_validation_errors():
                              "solver": {}})
 
 
+@pytest.mark.parametrize("block", [None, "dataset", "solver", "ambiguity", "tuning",
+                                   "evaluation", "shift"])
+def test_unknown_config_key_is_an_error(tmp_path, block):
+    raw = base_config(tmp_path, ambiguity={}, evaluation={})
+    if block is None:
+        target = raw
+    elif block == "shift":
+        target = raw["dataset"]["shifts"][0]
+    else:
+        target = raw[block]
+    target["bogus"] = 1
+    with pytest.raises(ConfigError, match="bogus"):
+        cli.validate_config(raw)
+    assert cli.main(["generate", "--config", write_config(tmp_path, raw)]) == 1
+
+
+def test_ambiguity_block_sets_the_latent_ascent(tmp_path):
+    raw = base_config(tmp_path, ambiguity={"inner_steps": 5, "eta_z": 123})
+    run_cfg = cli._solver_config(cli.validate_config(raw), mode="hierarchical", seed=0)
+    assert (run_cfg.inner_steps, run_cfg.eta_z) == (5, 123)
+    for bad in ({"inner_steps": 0}, {"inner_steps": "x"}, {"eta_z": 0}, {"eta_z": "fast"}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            cli.validate_config(base_config(tmp_path, ambiguity=bad))
+    raw = base_config(tmp_path)
+    raw["solver"]["inner_steps"] = 5
+    with pytest.raises(ConfigError, match="inner_steps"):
+        cli.validate_config(raw)
+
+
+def test_shipped_benchmark_config_validates():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    config = cli.load_config(os.path.join(root, "configs", "benchmark.json"))
+    assert config.ambiguity.inner_steps == 1 and config.ambiguity.eta_z is None
+
+
+def test_stale_data_in_output_dir_is_an_error(tmp_path):
+    raw = base_config(tmp_path)
+    raw["dataset"]["seed"] = 100
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["generate", "--config", cfg]) == 0
+    other = base_config(tmp_path)
+    other["dataset"]["seed"] = 101
+    assert cli.main(["tune", "--config", write_config(tmp_path, other, "other.json")]) == 1
+    with pytest.raises(ConfigError, match="generator.seed"):
+        cli._load_datasets(cli.validate_config(other), str(tmp_path / "out"))
+    assert cli.main(["tune", "--config", cfg]) == 0
+    (tmp_path / "out" / "manifest.json").unlink()
+    assert cli.main(["run", "--config", cfg]) == 1
+
+
 def test_invalid_shift_in_config(tmp_path):
     raw = base_config(tmp_path)
     raw["dataset"]["shifts"] = [{"target_group": 0, "kind": "rotation", "magnitude": 9.0}]

@@ -12,7 +12,6 @@ from hierdro.convergence import (
     expected_error_bound,
     rate_study,
     reference_optimum,
-    robust_group_losses,
     worst_robust_loss,
 )
 from hierdro.datagen import GroupedDataset, make_spurious
@@ -64,24 +63,13 @@ def test_single_effective_group_matches_direct_convex_solve():
     assert gap == pytest.approx(math.log(2.0) - direct, abs=1.5e-4)
 
 
-def test_robust_group_losses_closed_form():
-    ds = make_spurious((10, 10, 10, 10), 0.5, 0.5, 0.1, seed=1)
-    theta = init_params(ModelSpec("linear"), ds.d, 2, seed=2)
-    ambiguity = AmbiguityConfig(epsilon=0.8)
-    f_g = robust_group_losses(theta, ds, ambiguity)
-    from hierdro.solver import objective_value
-    expected, worst = objective_value(theta, ds, ambiguity)
-    np.testing.assert_allclose(f_g, expected, atol=1e-14)
-    assert worst_robust_loss(theta, ds, ambiguity) == pytest.approx(worst)
-
-
 def test_diagnostics_reject_nonconvex_models():
     ds = make_spurious((8, 8, 8, 8), 0.5, 0.5, 0.1, seed=3)
     mlp = init_params(ModelSpec(MLP1, hidden_width=4), ds.d, 2, seed=0)
     with pytest.raises(UnsupportedDiagnosticError):
         duality_gap(mlp, ds, AmbiguityConfig(epsilon=0.0), 0.0)
     with pytest.raises(UnsupportedDiagnosticError):
-        robust_group_losses(mlp, ds, AmbiguityConfig(epsilon=0.0))
+        worst_robust_loss(mlp, ds, AmbiguityConfig(epsilon=0.0))
 
 
 def test_bound_constants_zero_model():

@@ -10,7 +10,6 @@ from hierdro.model import (
     MLP1,
     ModelParams,
     ModelSpec,
-    forward,
     grad_wrt_latent,
     grad_wrt_params,
     init_params,
@@ -35,6 +34,10 @@ def scalar_reference_loss(theta, x, y):
     return -(logits[y] - m - math.log(total))
 
 
+def loss_of(theta, x, y):
+    return model.cross_entropy(model.logits_from_latent(theta, model.latent(theta, x)), y)
+
+
 def random_theta(rng, architecture, d=6, k=3, h=5):
     return init_params(ModelSpec(architecture, hidden_width=h), d, k, seed=int(rng.integers(2**31)))
 
@@ -42,8 +45,7 @@ def random_theta(rng, architecture, d=6, k=3, h=5):
 def test_zero_linear_model_gives_log2():
     theta = ModelParams(w_out=np.zeros((2, 4)), b_out=np.zeros(2))
     for y in (0, 1):
-        rec = forward(theta, np.array([3.0, -1.0, 0.5, 2.0]), y)
-        assert abs(rec.loss - math.log(2)) < 1e-15
+        assert abs(loss_of(theta, np.array([3.0, -1.0, 0.5, 2.0]), y) - math.log(2)) < 1e-15
 
 
 def test_zero_hidden_layer_kills_latent():
@@ -51,8 +53,8 @@ def test_zero_hidden_layer_kills_latent():
         w_out=np.ones((2, 3)), b_out=np.zeros(2),
         w_hidden=np.zeros((3, 4)), b_hidden=np.zeros(3),
     )
-    rec = forward(theta, np.array([5.0, -2.0, 1.0, 9.0]), 0)
-    np.testing.assert_array_equal(rec.z, np.zeros(3))
+    z = model.latent(theta, np.array([5.0, -2.0, 1.0, 9.0]))
+    np.testing.assert_array_equal(z, np.zeros(3))
 
 
 def test_loss_matches_scalar_reference():
@@ -62,8 +64,7 @@ def test_loss_matches_scalar_reference():
             theta = random_theta(rng, arch)
             x = rng.normal(size=6)
             y = int(rng.integers(3))
-            rec = forward(theta, x, y)
-            assert abs(rec.loss - scalar_reference_loss(theta, x, y)) < 1e-12
+            assert abs(loss_of(theta, x, y) - scalar_reference_loss(theta, x, y)) < 1e-12
 
 
 def test_uniform_logits_latent_gradient():
@@ -99,12 +100,16 @@ def test_param_gradient_matches_backprop_when_unperturbed():
     x = rng.normal(size=6)
     y = 1
     z = model.latent(theta, x)
-    grads = grad_wrt_params(theta, z, x, y)
+    grads = grad_wrt_params(theta, z, x, y, backprop_through_feature=True)
     fd = fd_param_gradient(theta, z, x, y, backprop_through_feature=True)
     got = model.flatten_grads(grads)
     assert np.linalg.norm(got - fd) / np.linalg.norm(fd) <= 1e-4
-    # Hidden gradients are populated in the unperturbed case.
     assert np.linalg.norm(grads.w_hidden) > 0
+    # The flag alone decides: an unperturbed latent without it trains only
+    # the output layer.
+    detached = grad_wrt_params(theta, z, x, y)
+    np.testing.assert_array_equal(detached.w_hidden, np.zeros_like(theta.w_hidden))
+    np.testing.assert_array_equal(detached.w_out, grads.w_out)
 
 
 def test_param_gradient_detaches_hidden_on_perturbed_latent():
@@ -135,10 +140,9 @@ def test_param_gradient_feature_path_flag():
 def test_saturated_loss_has_vanishing_gradient():
     theta = ModelParams(w_out=np.array([[100.0, 0.0], [-100.0, 0.0]]), b_out=np.zeros(2))
     z = np.array([10.0, 0.0])
-    rec = forward(theta, z, 0, with_grads=True)
-    assert rec.loss < 1e-12
-    assert np.linalg.norm(rec.grad_z) < 1e-10
-    assert np.linalg.norm(model.flatten_grads(rec.grad_theta)) < 1e-10
+    assert loss_of(theta, z, 0) < 1e-12
+    assert np.linalg.norm(grad_wrt_latent(theta, z, 0)) < 1e-10
+    assert np.linalg.norm(model.flatten_grads(grad_wrt_params(theta, z, z, 0))) < 1e-10
 
 
 def test_loss_finite_for_huge_logits():
@@ -157,8 +161,8 @@ def test_linear_loss_midpoint_convexity():
         b = init_params(ModelSpec(LINEAR), 4, 3, seed=int(rng.integers(2**31)))
         mid = model.unflatten_params(
             (model.flatten_params(a) + model.flatten_params(b)) / 2.0, a)
-        f_mid = forward(mid, x, y).loss
-        f_avg = (forward(a, x, y).loss + forward(b, x, y).loss) / 2.0
+        f_mid = loss_of(mid, x, y)
+        f_avg = (loss_of(a, x, y) + loss_of(b, x, y)) / 2.0
         assert f_mid <= f_avg + 1e-9
 
 
@@ -170,7 +174,7 @@ def test_batched_forward_matches_per_example():
     batch_losses = model.cross_entropy(
         model.logits_from_latent(theta, model.latent(theta, xs)), ys)
     for i in range(7):
-        assert abs(batch_losses[i] - forward(theta, xs[i], int(ys[i])).loss) < 1e-14
+        assert abs(batch_losses[i] - loss_of(theta, xs[i], int(ys[i]))) < 1e-14
 
 
 def test_batched_param_gradient_is_mean():

@@ -9,7 +9,7 @@ from hierdro import model, solver
 from hierdro.ambiguity import AmbiguityConfig
 from hierdro.datagen import make_spurious
 from hierdro.errors import DivergenceError, InvalidDatasetError, ParameterError
-from hierdro.model import LINEAR, ModelParams, ModelSpec, init_params
+from hierdro.model import LINEAR, MLP1, ModelParams, ModelSpec, init_params
 from hierdro.solver import (
     ERM,
     GROUP_DRO,
@@ -110,14 +110,13 @@ def test_update_beta_share_increases_iff_adjusted_loss_positive():
 def test_single_step_matches_hand_composition():
     ds = small_ds()
     config = base_config(batch_size=3)
-    ambiguity = config.ambiguity()
     theta0 = init_params(ModelSpec(LINEAR), ds.d, 2, seed=1)
     state = init_state(theta0, ds)
     g = 1
     rows = ds.group_rows(g)[:3]
     batch = Batch(group=g, x=ds.features[rows], y=ds.labels[rows])
 
-    state = train_step(state, batch, config, ambiguity, ds.n_g)
+    state = train_step(state, batch, config, ds.n_g)
 
     # Reference composition from the three documented sub-updates.
     eps_g = amb.radius(config.epsilon, int(ds.n_g[g]))
@@ -138,13 +137,12 @@ def test_single_step_matches_hand_composition():
 def test_erm_step_is_plain_sgd_on_batch_loss():
     ds = small_ds()
     config = base_config(mode=ERM)
-    ambiguity = config.ambiguity()
     theta0 = init_params(ModelSpec(LINEAR), ds.d, 2, seed=2)
     state = init_state(theta0, ds)
     g = 0
     rows = ds.group_rows(g)[:4]
     batch = Batch(group=g, x=ds.features[rows], y=ds.labels[rows])
-    state = train_step(state, batch, config, ambiguity, ds.n_g)
+    state = train_step(state, batch, config, ds.n_g)
 
     np.testing.assert_array_equal(state.beta, ds.alpha)  # frozen
     grads = model.grad_wrt_params(theta0, model.latent(theta0, batch.x), batch.x, batch.y)
@@ -160,7 +158,7 @@ def test_divergence_error_carries_snapshot():
     rows = ds.group_rows(0)[:2]
     batch = Batch(group=0, x=ds.features[rows], y=ds.labels[rows])
     with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
-        train_step(state, batch, config, config.ambiguity(), ds.n_g)
+        train_step(state, batch, config, ds.n_g)
     assert "iteration" in err.value.snapshot
 
 
@@ -220,6 +218,18 @@ def test_erm_equals_frozen_beta_hierarchical_bitwise():
         theta = model.sgd_step(theta, grads, config.eta_theta * float(ds.alpha[batch.group]))
     assert model.params_equal(erm.final.theta, theta)
     np.testing.assert_array_equal(erm.final.beta, ds.alpha)
+
+
+def test_hidden_layer_trains_unless_latents_are_perturbed():
+    ds = small_ds()
+    theta0 = init_params(ModelSpec(MLP1, hidden_width=6), ds.d, 2, seed=14)
+    moved = {}
+    for mode, flag in ((ERM, False), (GROUP_DRO, False), (HIERARCHICAL, False), (HIERARCHICAL, True)):
+        result = train(ds, ds, theta0, base_config(mode=mode, iterations=100,
+                                                   backprop_through_feature=flag))
+        moved[mode, flag] = not np.array_equal(result.final.theta.w_hidden, theta0.w_hidden)
+    assert moved == {(ERM, False): True, (GROUP_DRO, False): True,
+                     (HIERARCHICAL, False): False, (HIERARCHICAL, True): True}
 
 
 def test_beta_simplex_all_modes():
@@ -324,5 +334,9 @@ def test_config_validation():
         SolverConfig(mode=ERM, eta_beta=0.1, eta_theta=0.1, epsilon=-1.0)
     with pytest.raises(ParameterError):
         SolverConfig(mode=ERM, eta_beta=0.1, eta_theta=0.1, batch_size=0)
+    with pytest.raises(ParameterError):
+        SolverConfig(mode=ERM, eta_beta=0.1, eta_theta=0.1, inner_steps=0)
+    with pytest.raises(ParameterError):
+        SolverConfig(mode=ERM, eta_beta=0.1, eta_theta=0.1, eta_z=0.0)
     assert SolverConfig(mode=GROUP_DRO, eta_beta=0.1, eta_theta=0.1,
                         epsilon=5.0).effective_epsilon == 0.0
