@@ -5,58 +5,53 @@ For each candidate setting this trains ERM / plain worst-group / hierarchical
 across seeds on the synthetic spurious benchmark with the minority group
 rotated at test time, then prints mean worst-group accuracy on the shifted
 test set with the margins of interest (hierarchical minus worst-group, and
-worst-group minus ERM). Used to choose the defaults frozen into
-configs/benchmark.json; run it after changing the generator or solver if the
-benchmark margins need re-validating.
+worst-group minus ERM). The data, the shift and the solver settings are
+those of configs/benchmark.json; the grid below sweeps the generator settings
+and the radius scale around them. Run it after changing the generator or
+solver if the benchmark margins need re-validating.
 """
 
 import argparse
+import dataclasses
 import itertools
 import math
+import os
 import sys
 import time
 
 import numpy as np
 
-from hierdro.datagen import ShiftSpec, apply_shift, make_spurious
+from hierdro import cli
 from hierdro.evaluation import evaluate
-from hierdro.model import ModelSpec, init_params
-from hierdro.solver import ERM, GROUP_DRO, HIERARCHICAL, SolverConfig, train
+from hierdro.model import init_params
+from hierdro.solver import ERM, GROUP_DRO, HIERARCHICAL, train
 
-COUNTS = {
-    "train": (3800, 200, 190, 3800),
-    "val": (400, 400, 400, 400),
-    "test": (1000, 1000, 1000, 1000),
-}
-TARGET_GROUP = 2
+CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.json")
 
 
-def build_datasets(counts, s, sd, flip, rot, seed):
-    train_ds = make_spurious(counts["train"], s, sd, flip, seed=seed)
-    val_ds = make_spurious(counts["val"], s, sd, flip, seed=seed + 1)
-    test_ds = make_spurious(counts["test"], s, sd, flip, seed=seed + 2)
-    shifted = apply_shift(test_ds, ShiftSpec(TARGET_GROUP, "rotation", rot)).dataset
-    return train_ds, val_ds, test_ds, shifted
-
-
-def bench(s, sd, flip, rot, eps_scale, hp, seeds, data_seed=100):
-    train_ds, val_ds, test_ds, shifted = build_datasets(COUNTS, s, sd, flip, rot, data_seed)
+def bench(config, s, sd, flip, rot, eps_scale, iterations, seeds):
+    """The config's dataset with the given generator settings and rotation of
+    its shift, trained with its solver settings for ``iterations`` steps."""
+    shift = dataclasses.replace(config.dataset.shifts[0], magnitude=rot)
+    dataset = dataclasses.replace(config.dataset, spurious_strength=s, noise_sd=sd,
+                                  label_flip_p=flip, shifts=(shift,))
+    data = cli._generate_datasets(dataclasses.replace(config, dataset=dataset))
+    train_ds, val_ds = data["train"], data["val"]
     eps = eps_scale * math.sqrt(int(train_ds.n_g.min()))
-    spec = ModelSpec("linear")
     rows = {}
     for mode in (ERM, GROUP_DRO, HIERARCHICAL):
         shift_accs, orig_accs = [], []
         for seed in seeds:
-            cfg = SolverConfig(
-                mode=mode, eta_beta=hp["eta_beta"], eta_theta=hp["eta_theta"],
+            cfg = dataclasses.replace(
+                config.solver, mode=mode, seed=seed,
                 epsilon=eps if mode == HIERARCHICAL else 0.0,
-                adjustment=hp["C"], iterations=hp["T"], batch_size=hp["batch"],
-                seed=seed, checkpoint_every=hp["ckpt"], decay_steps=hp["decay"],
+                iterations=iterations, checkpoint_every=max(1, iterations // 10),
             )
-            init = init_params(spec, train_ds.d, 2, seed=seed)
+            init = init_params(config.model, train_ds.d, 2, seed=seed)
             result = train(train_ds, val_ds, init, cfg)
-            orig_accs.append(evaluate(result.best, test_ds, train_ds.alpha).worst_group_acc)
-            shift_accs.append(evaluate(result.best, shifted, train_ds.alpha).worst_group_acc)
+            orig_accs.append(evaluate(result.best, data["test"], train_ds.alpha).worst_group_acc)
+            shift_accs.append(
+                evaluate(result.best, data["test_shifted"], train_ds.alpha).worst_group_acc)
         rows[mode] = (np.mean(orig_accs), np.mean(shift_accs), np.std(shift_accs))
     return rows
 
@@ -69,20 +64,20 @@ def main():
                         help="one setting, short horizon")
     args = parser.parse_args()
     seeds = list(range(args.seeds))
+    config = cli.load_config(CONFIG)
 
-    hp = {"eta_beta": 0.6, "eta_theta": 0.6, "C": 0.0, "T": args.iterations,
-          "batch": 64, "ckpt": max(1, args.iterations // 10), "decay": True}
+    iterations = args.iterations
+    ds = config.dataset
     grid = {
-        "s": [0.4],
-        "sd": [0.8],
-        "flip": [0.1],
-        "rot": [-math.pi / 2],
+        "s": [ds.spurious_strength],
+        "sd": [ds.noise_sd],
+        "flip": [ds.label_flip_p],
+        "rot": [ds.shifts[0].magnitude],
         "eps_scale": [48 / 255, 96 / 255],
     }
     if args.quick:
         grid["eps_scale"] = [96 / 255]
-        hp["T"] = min(hp["T"], 20_000)
-        hp["ckpt"] = hp["T"] // 10
+        iterations = min(iterations, 20_000)
 
     print(f"{'s':>5} {'sd':>5} {'flip':>5} {'rot':>6} {'eps':>6} | "
           f"{'E_shift':>8} {'G_shift':>8} {'H_shift':>8} | {'H-G':>7} {'G-E':>7} | "
@@ -90,7 +85,7 @@ def main():
     for s, sd, flip, rot, eps_scale in itertools.product(
             grid["s"], grid["sd"], grid["flip"], grid["rot"], grid["eps_scale"]):
         t0 = time.time()
-        rows = bench(s, sd, flip, rot, eps_scale, hp, seeds)
+        rows = bench(config, s, sd, flip, rot, eps_scale, iterations, seeds)
         e, g, h = rows[ERM], rows[GROUP_DRO], rows[HIERARCHICAL]
         print(f"{s:5.2f} {sd:5.2f} {flip:5.2f} {rot:6.2f} {eps_scale:6.3f} | "
               f"{e[1]:8.3f} {g[1]:8.3f} {h[1]:8.3f} | {h[1]-g[1]:+7.3f} {g[1]-e[1]:+7.3f} | "

@@ -60,9 +60,6 @@ class AmbiguityConfig:
         if self.epsilon < 0:
             raise ParameterError("epsilon must be nonnegative")
 
-    def radii(self, n_g) -> np.ndarray:
-        return np.array([radius(self.epsilon, int(v)) for v in np.asarray(n_g)])
-
 
 def project_ball(z_prime: np.ndarray, z_center: np.ndarray, eps: float) -> np.ndarray:
     """Euclidean projection of ``z_prime`` onto the ball around ``z_center``.

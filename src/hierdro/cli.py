@@ -3,9 +3,9 @@
 Experiments are described by a single JSON config with ``dataset``,
 ``solver``, ``ambiguity``, ``tuning`` and ``evaluation`` blocks plus a seed
 list and an output directory; the output directory and the hierarchical
-radius can be overridden by flags.  A key the schema does not know is a
-validation error, and so is an output directory whose generated data came
-from another dataset block.
+radius can be overridden by flags.  A key the schema does not know or a
+value of the wrong type is a validation error, and so is an output
+directory whose generated data came from another dataset block.
 Every artifact records the config hash and the seed list, and reruns with an
 identical hash produce byte-identical file bodies (no timestamps anywhere).
 
@@ -22,6 +22,8 @@ import json
 import os
 import statistics
 import sys
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,21 @@ RESULTS_COLUMNS = (
 )
 
 
+@dataclass(frozen=True)
+class CsvFiles:
+    """Pre-generated split files, read instead of generated data."""
+
+    train: str
+    val: str
+    test: str
+    test_shifted: str | None = None    # the unshifted test file when absent
+
+    def __post_init__(self):
+        for path in (self.train, self.val, self.test):
+            if not os.path.exists(path):
+                raise ParameterError(f"file not found: {path!r}")
+
+
 @dataclass
 class DatasetBlock:
     n_per_group_train: tuple[int, ...]
@@ -57,49 +74,23 @@ class DatasetBlock:
     label_flip_p: float
     seed: int
     shifts: tuple[ShiftSpec, ...] = ()
-    csv: dict | None = None           # optional pre-generated files
-
-
-@dataclass
-class SolverBlock:
-    modes: tuple[str, ...]
-    eta_beta: float
-    eta_theta: float
-    epsilon: float
-    adjustment: float
-    iterations: int
-    batch_size: int
-    sampling: str = solver.GROUP_UNIFORM
-    checkpoint_every: int = 100
-    decay_steps: bool = False
-    backprop_through_feature: bool = False
-    architecture: str = "linear"
-    hidden_width: int = 32
-
-
-@dataclass
-class AmbiguityBlock:
-    inner_steps: int = 1
-    eta_z: float | None = None
-
-
-@dataclass
-class TuningBlock:
-    grid_scale: tuple[float, ...] = DEFAULT_GRID_SCALE
-    aggregation: str = "mean"
-    order_on: str = "latents"
-    warmup_iterations: int = 500
-    iterations: int | None = None      # shorter horizon for tuning runs
+    csv: CsvFiles | None = None
 
 
 @dataclass
 class ExperimentConfig:
+    """A validated config.  ``solver`` is the template of every training run:
+    each command replaces its mode, seed and radius.  ``tune`` holds the
+    tuning runs' horizon, which falls back to the solver's."""
+
     output_dir: str
     seeds: tuple[int, ...]
     dataset: DatasetBlock
-    solver: SolverBlock
-    ambiguity: AmbiguityBlock = field(default_factory=AmbiguityBlock)
-    tuning: TuningBlock = field(default_factory=TuningBlock)
+    solver: SolverConfig
+    model: ModelSpec
+    tune: TuneConfig
+    modes: tuple[str, ...]
+    grid_scale: tuple[float, ...]
     raw: dict = field(default_factory=dict)
 
     @property
@@ -107,129 +98,130 @@ class ExperimentConfig:
         return config_hash(self.raw)
 
 
-def _require(block: dict, key: str, kind, where: str):
-    if key not in block:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    value = block[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(f"{where}.{key}: expected {kind}, got {type(value).__name__}")
+def _types(cls, *names) -> dict:
+    """Field name -> annotated type, for ``names`` or every field of ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return {name: hints[name] for name in names or hints}
+
+
+def _only(cls, values: dict) -> dict:
+    """The entries of ``values`` that name a field of ``cls``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {key: value for key, value in values.items() if key in names}
+
+
+# The keys of each block, typed by the fields they fill.
+CONFIG_KEYS = {**_types(ExperimentConfig, "output_dir", "seeds", "dataset"),
+               "solver": dict, "ambiguity": dict, "tuning": dict, "evaluation": dict}
+SOLVER_KEYS = {
+    **_types(SolverConfig, "eta_beta", "eta_theta", "epsilon", "adjustment", "iterations",
+             "batch_size", "sampling", "checkpoint_every", "decay_steps",
+             "backprop_through_feature"),
+    **_types(ModelSpec),
+    **_types(ExperimentConfig, "modes"),
+}
+AMBIGUITY_KEYS = _types(SolverConfig, "inner_steps", "eta_z")
+TUNING_KEYS = {
+    **_types(TuneConfig, "aggregation", "order_on", "warmup_iterations"),
+    **_types(ExperimentConfig, "grid_scale"),
+    "iterations": SOLVER_KEYS["iterations"] | None,
+}
+
+
+def _read(value, kind, where: str):
+    """The JSON ``value`` as the annotated type ``kind``; ``where`` names it in errors.
+
+    A float accepts an integer and converts it; no other type converts, so an
+    int rejects ``true`` and ``1.5``.  ``X | None`` accepts null,
+    ``tuple[T, ...]`` a list of ``T``, and a dataclass an object holding its
+    fields, built from the keys present so that it fills in its own defaults.
+    """
+    if isinstance(kind, types.UnionType):
+        if value is None:
+            return None
+        kind = typing.get_args(kind)[0]
+    if dataclasses.is_dataclass(kind):
+        required = [f.name for f in dataclasses.fields(kind)
+                    if f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING]
+        return _build(kind, where, **_block(value, where, _types(kind), required))
+    if typing.get_origin(kind) is tuple:
+        if type(value) is not list:
+            raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+        item = typing.get_args(kind)[0]
+        return tuple(_read(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
-def _object(value, where: str, known) -> dict:
-    """``value`` as a JSON object whose keys all belong to ``known``: a tuple
-    of names, or a dataclass whose fields the keys name."""
-    if dataclasses.is_dataclass(known):
-        known = [f.name for f in dataclasses.fields(known)]
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected an object")
+def _block(value, where: str, schema: dict, required=()) -> dict:
+    """The keys present in the JSON object ``value``, each read as ``schema``
+    types it; an unknown or a missing required key is an error.  ``where`` is
+    the block's name, empty for the top level."""
+    name = where or "config"
+    if type(value) is not dict:
+        raise ConfigError(f"{name}: expected an object, got {type(value).__name__}")
     for key in value:
-        if key not in known:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-    return value
+        if key not in schema:
+            raise ConfigError(f"{name}: unknown key {key!r}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{name}: missing required field {key!r}")
+    return {key: _read(v, schema[key], f"{where}.{key}" if where else key)
+            for key, v in value.items()}
+
+
+def _build(make, where: str, *args, **kwargs):
+    """``make(*args, **kwargs)``; a value it refuses is a ``ConfigError`` naming ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except ParameterError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
-    """Schema-check a raw JSON config before any computation.
+    """Read a raw JSON config into the library's dataclasses before any computation.
 
-    The ``evaluation`` block has no settings yet and must be empty.
+    Each key takes its type from the field it fills, in ``SolverConfig``,
+    ``ModelSpec``, ``TuneConfig``, ``ShiftSpec`` or ``DatasetBlock``, and an
+    absent key takes that field's default, which is written there and
+    nowhere else.  A wrong type, an unknown key or a value those dataclasses
+    refuse is a ``ConfigError`` here, so the CLI exits 1 before it computes
+    anything.  The ``evaluation`` block has no settings yet and must be empty.
     """
-    raw = _object(raw, "config", ("output_dir", "seeds", "dataset", "solver", "ambiguity",
-                                  "tuning", "evaluation"))
-    seeds = raw.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    top = _block(raw, "", CONFIG_KEYS, required=("output_dir", "seeds", "dataset", "solver"))
+    if not top["seeds"]:
         raise ConfigError("seeds: expected a nonempty list of integers")
-    output_dir = raw.get("output_dir")
-    if not isinstance(output_dir, str) or not output_dir:
+    if not top["output_dir"]:
         raise ConfigError("output_dir: expected a nonempty string")
-
-    ds_raw = _object(raw.get("dataset"), "dataset", DatasetBlock)
-    shifts = []
-    for i, s in enumerate(ds_raw.get("shifts", [])):
-        _object(s, f"dataset.shifts[{i}]", ShiftSpec)
-        try:
-            shifts.append(ShiftSpec(
-                target_group=int(s["target_group"]),
-                kind=str(s["kind"]),
-                magnitude=float(s["magnitude"]),
-                applies_to=str(s.get("applies_to", "test")),
-            ))
-        except (KeyError, ParameterError, TypeError, ValueError) as exc:
-            raise ConfigError(f"dataset.shifts[{i}]: {exc}") from exc
-    csv_block = ds_raw.get("csv")
-    if csv_block is not None:
-        _object(csv_block, "dataset.csv", ("train", "val", "test", "test_shifted"))
-        for split in ("train", "val", "test"):
-            path = csv_block.get(split)
-            if not isinstance(path, str) or not os.path.exists(path):
-                raise ConfigError(f"dataset.csv.{split}: file not found: {path!r}")
-    dataset = DatasetBlock(
-        n_per_group_train=tuple(_require(ds_raw, "n_per_group_train", list, "dataset")),
-        n_per_group_val=tuple(_require(ds_raw, "n_per_group_val", list, "dataset")),
-        n_per_group_test=tuple(_require(ds_raw, "n_per_group_test", list, "dataset")),
-        spurious_strength=_require(ds_raw, "spurious_strength", float, "dataset"),
-        noise_sd=_require(ds_raw, "noise_sd", float, "dataset"),
-        label_flip_p=_require(ds_raw, "label_flip_p", float, "dataset"),
-        seed=_require(ds_raw, "seed", int, "dataset"),
-        shifts=tuple(shifts),
-        csv=csv_block,
-    )
-
-    sv = _object(raw.get("solver"), "solver", SolverBlock)
-    modes = tuple(sv.get("modes", list(MODES)))
+    sv = _block(top["solver"], "solver", SOLVER_KEYS,
+                required=("eta_beta", "eta_theta", "iterations", "batch_size"))
+    am = _block(top.get("ambiguity", {}), "ambiguity", AMBIGUITY_KEYS)
+    tn = _block(top.get("tuning", {}), "tuning", TUNING_KEYS)
+    _block(top.get("evaluation", {}), "evaluation", {})
+    modes = sv.get("modes", MODES)
+    if not modes:
+        raise ConfigError("solver.modes: expected a nonempty list")
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"solver.modes: unknown mode {mode!r}")
-    solver_block = SolverBlock(
-        modes=modes,
-        eta_beta=_require(sv, "eta_beta", float, "solver"),
-        eta_theta=_require(sv, "eta_theta", float, "solver"),
-        epsilon=float(sv.get("epsilon", 0.0)),
-        adjustment=float(sv.get("adjustment", 0.0)),
-        iterations=_require(sv, "iterations", int, "solver"),
-        batch_size=_require(sv, "batch_size", int, "solver"),
-        sampling=str(sv.get("sampling", solver.GROUP_UNIFORM)),
-        checkpoint_every=int(sv.get("checkpoint_every", 100)),
-        decay_steps=bool(sv.get("decay_steps", False)),
-        backprop_through_feature=bool(sv.get("backprop_through_feature", False)),
-        architecture=str(sv.get("architecture", "linear")),
-        hidden_width=int(sv.get("hidden_width", 32)),
+    seeds = top["seeds"]
+    template = _build(SolverConfig, "solver", mode=HIERARCHICAL, seed=seeds[0],
+                      **_only(SolverConfig, sv))
+    template = _build(dataclasses.replace, "ambiguity", template, **am)
+    model = _build(ModelSpec, "solver", **_only(ModelSpec, sv))
+    tune_solver = _build(dataclasses.replace, "tuning", template,
+                         iterations=tn.get("iterations") or template.iterations)
+    tune = _build(TuneConfig, "tuning", solver=tune_solver, model=model, ordering_seed=seeds[0],
+                  **_only(TuneConfig, tn))
+    return ExperimentConfig(
+        output_dir=top["output_dir"], seeds=seeds, dataset=top["dataset"], solver=template,
+        model=model, tune=tune, modes=modes,
+        grid_scale=tn.get("grid_scale", DEFAULT_GRID_SCALE), raw=raw,
     )
-
-    am = _object(raw.get("ambiguity", {}), "ambiguity", AmbiguityBlock)
-    ambiguity_block = AmbiguityBlock(
-        inner_steps=_require(am, "inner_steps", int, "ambiguity") if "inner_steps" in am else 1,
-        eta_z=None if am.get("eta_z") is None else _require(am, "eta_z", float, "ambiguity"),
-    )
-
-    tn = _object(raw.get("tuning", {}), "tuning", TuningBlock)
-    _object(raw.get("evaluation", {}), "evaluation", ())
-    tuning_block = TuningBlock(
-        grid_scale=tuple(float(v) for v in tn.get("grid_scale", DEFAULT_GRID_SCALE)),
-        aggregation=str(tn.get("aggregation", "mean")),
-        order_on=str(tn.get("order_on", "latents")),
-        warmup_iterations=int(tn.get("warmup_iterations", 500)),
-        iterations=tn.get("iterations"),
-    )
-
-    config = ExperimentConfig(
-        output_dir=output_dir,
-        seeds=tuple(seeds),
-        dataset=dataset,
-        solver=solver_block,
-        ambiguity=ambiguity_block,
-        tuning=tuning_block,
-        raw=raw,
-    )
-    # Exercise the dataclass validators now rather than mid-run.
-    try:
-        _solver_config(config, mode=modes[0], seed=seeds[0])
-        ModelSpec(solver_block.architecture, solver_block.hidden_width)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -253,31 +245,6 @@ def resolve_output_dir(config: ExperimentConfig, override: str | None = None) ->
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
-
-
-def _solver_config(config: ExperimentConfig, mode: str, seed: int,
-                   epsilon: float | None = None, iterations: int | None = None) -> SolverConfig:
-    sv = config.solver
-    return SolverConfig(
-        mode=mode,
-        eta_beta=sv.eta_beta,
-        eta_theta=sv.eta_theta,
-        epsilon=sv.epsilon if epsilon is None else epsilon,
-        adjustment=sv.adjustment,
-        iterations=sv.iterations if iterations is None else iterations,
-        batch_size=sv.batch_size,
-        eta_z=config.ambiguity.eta_z,
-        inner_steps=config.ambiguity.inner_steps,
-        sampling=sv.sampling,
-        seed=seed,
-        checkpoint_every=sv.checkpoint_every,
-        decay_steps=sv.decay_steps,
-        backprop_through_feature=sv.backprop_through_feature,
-    )
-
-
-def _model_spec(config: ExperimentConfig) -> ModelSpec:
-    return ModelSpec(config.solver.architecture, config.solver.hidden_width)
 
 
 # ---------------------------------------------------------------- generate
@@ -345,10 +312,10 @@ def _load_datasets(config: ExperimentConfig, output_dir: str):
     if config.dataset.csv is not None:
         paths = config.dataset.csv
         return {
-            "train": datagen.load_csv(paths["train"]),
-            "val": datagen.load_csv(paths["val"]),
-            "test": datagen.load_csv(paths["test"]),
-            "test_shifted": datagen.load_csv(paths.get("test_shifted", paths["test"])),
+            "train": datagen.load_csv(paths.train),
+            "val": datagen.load_csv(paths.val),
+            "test": datagen.load_csv(paths.test),
+            "test_shifted": datagen.load_csv(paths.test_shifted or paths.test),
         }
     expected = os.path.join(output_dir, "train.csv")
     if os.path.exists(expected):
@@ -396,21 +363,20 @@ def cmd_run(config: ExperimentConfig, output_dir: str,
     data = _load_datasets(config, output_dir)
     ds_train, ds_val = data["train"], data["val"]
     ds_test, ds_test_shifted = data["test"], data["test_shifted"]
-    spec = _model_spec(config)
     weights = ds_train.alpha
+    if hierarchical_epsilon is None:
+        hierarchical_epsilon = config.solver.epsilon
+    mode_eps = [(mode, hierarchical_epsilon if mode == HIERARCHICAL else 0.0)
+                for mode in config.modes]
 
     rows = []
     by_mode: dict[str, list[tuple[float, float, float, float]]] = {}
     failures = []
-    for mode in config.solver.modes:
-        eps = 0.0
-        if mode == HIERARCHICAL:
-            eps = (hierarchical_epsilon if hierarchical_epsilon is not None
-                   else config.solver.epsilon)
+    for mode, eps in mode_eps:
         for seed in config.seeds:
-            run_cfg = _solver_config(config, mode=mode, seed=seed, epsilon=eps)
+            run_cfg = dataclasses.replace(config.solver, mode=mode, seed=seed, epsilon=eps)
             init_seed, _ = _derived_seeds(seed)
-            init = init_params(spec, ds_train.d, ds_train.num_labels, seed=init_seed)
+            init = init_params(config.model, ds_train.d, ds_train.num_labels, seed=init_seed)
             run_dir = os.path.join(output_dir, "runs", f"{mode}_seed{seed}")
             os.makedirs(run_dir, exist_ok=True)
             try:
@@ -439,14 +405,10 @@ def cmd_run(config: ExperimentConfig, output_dir: str,
                 header_comment=f"config_hash={config.hash} mode={mode} seed={seed}",
             )
 
-    for mode in config.solver.modes:
+    for mode, eps in mode_eps:
         cells = by_mode.get(mode, [])
         if not cells:
             continue
-        eps = 0.0
-        if mode == HIERARCHICAL:
-            eps = (hierarchical_epsilon if hierarchical_epsilon is not None
-                   else config.solver.epsilon)
         summary = []
         for j in range(4):
             values = [c[j] for c in cells]
@@ -478,18 +440,7 @@ def _derived_seeds(seed: int) -> tuple[int, int]:
 
 def cmd_tune(config: ExperimentConfig, output_dir: str) -> str:
     data = _load_datasets(config, output_dir)
-    ds_train = data["train"]
-    tune_iterations = config.tuning.iterations or config.solver.iterations
-    tune_cfg = TuneConfig(
-        solver=_solver_config(config, mode=HIERARCHICAL, seed=config.seeds[0],
-                              iterations=tune_iterations),
-        model=_model_spec(config),
-        aggregation=config.tuning.aggregation,
-        order_on=config.tuning.order_on,
-        warmup_iterations=config.tuning.warmup_iterations,
-        ordering_seed=config.seeds[0],
-    )
-    result = tuning.tune_epsilon(ds_train, config.tuning.grid_scale, tune_cfg)
+    result = tuning.tune_epsilon(data["train"], config.grid_scale, config.tune)
     payload = {
         "config_hash": config.hash,
         "seeds": list(config.seeds),
@@ -589,10 +540,12 @@ def main(argv=None) -> int:
         if args.command == "run":
             epsilon = args.epsilon
             if args.tuned_epsilon_from:
+                if epsilon is not None:
+                    raise ConfigError("give --epsilon or --tuned-epsilon-from, not both")
                 try:
                     with open(args.tuned_epsilon_from, "r", encoding="utf-8") as fh:
                         epsilon = float(json.load(fh)["chosen_epsilon"])
-                except (OSError, KeyError, ValueError) as exc:
+                except (OSError, KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"cannot read tuned epsilon: {exc}") from exc
             cmd_run(config, output_dir, hierarchical_epsilon=epsilon)
             return 0

@@ -61,7 +61,7 @@ class _ConvexProblem:
             rows = ds.group_rows(g)
             if rows.size == 0:
                 continue
-            eps_g = radius(ambiguity.epsilon, rows.size) if ambiguity.epsilon > 0 else 0.0
+            eps_g = radius(ambiguity.epsilon, rows.size)
             sign = 2.0 * ds.labels[rows].astype(np.float64) - 1.0
             self.groups.append((ds.features[rows], sign, eps_g))
 
@@ -157,7 +157,7 @@ def bound_constants(
     for g in range(ds.num_groups):
         rows = ds.group_rows(g)
         if rows.size:
-            radii[rows] = radius(ambiguity.epsilon, rows.size) if ambiguity.epsilon > 0 else 0.0
+            radii[rows] = radius(ambiguity.epsilon, rows.size)
     for theta in thetas:
         _require_convex(theta)
         v = theta.w_out[1] - theta.w_out[0]

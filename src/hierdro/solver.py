@@ -193,8 +193,7 @@ def train_step(
     scale = 1.0 / math.sqrt(t_next) if config.decay_steps else 1.0
 
     z = model.latent(state.theta, batch.x)
-    epsilon = config.effective_epsilon
-    eps_g = amb.radius(epsilon, n_g) if epsilon > 0 else 0.0
+    eps_g = amb.radius(config.effective_epsilon, n_g)
     if eps_g > 0:
         z_prime = amb.inner_maximize(
             state.theta, z, batch.y, eps_g, steps=config.inner_steps, eta_z=config.eta_z,
@@ -333,7 +332,7 @@ def objective_value(
         rows = ds.group_rows(g)
         if rows.size == 0:
             continue
-        eps_g = amb.radius(ambiguity.epsilon, rows.size) if ambiguity.epsilon > 0 else 0.0
+        eps_g = amb.radius(ambiguity.epsilon, rows.size)
         if theta.num_classes == 2:
             losses, _ = amb.binary_robust_loss(z[rows], sign[rows], v, c, eps_g, v_norm)
             f_g[g] = float(np.mean(losses))

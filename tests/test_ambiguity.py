@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from hierdro import ambiguity as amb
 from hierdro import model
 from hierdro.ambiguity import (
-    AmbiguityConfig,
     DiscreteDist,
     inner_maximize,
     project_ball,
@@ -50,14 +49,6 @@ def test_radius_errors():
         radius(1.0, 0)
     with pytest.raises(ParameterError):
         radius(-0.1, 3)
-
-
-def test_ambiguity_config_radii_monotone():
-    cfg = AmbiguityConfig(epsilon=2.0)
-    radii = cfg.radii([100, 25, 4, 1])
-    np.testing.assert_allclose(radii, [0.2, 0.4, 1.0, 2.0])
-    assert np.all(np.diff(radii) > 0)
-    assert np.all(AmbiguityConfig(epsilon=0.0).radii([5, 9]) == 0.0)
 
 
 # ------------------------------------------------------------- projection

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from hierdro import cli, model, verification
-from hierdro.datagen import load_csv
+from hierdro.datagen import ShiftSpec, load_csv
 from hierdro.errors import ConfigError
 
 
@@ -185,7 +187,7 @@ def test_default_tuning_grid_in_config(tmp_path):
     raw = base_config(tmp_path)
     del raw["tuning"]["grid_scale"]
     cfg_obj = cli.validate_config(raw)
-    assert cfg_obj.tuning.grid_scale == tuple(
+    assert cfg_obj.grid_scale == tuple(
         k / 255 for k in (12, 24, 36, 48, 60, 72, 84, 96))
 
 
@@ -221,10 +223,142 @@ def test_unknown_config_key_is_an_error(tmp_path, block):
     assert cli.main(["generate", "--config", write_config(tmp_path, raw)]) == 1
 
 
+# Every key the config reader accepts, as (block, key, JSON type).  "" is the
+# top level, "shift" an entry of dataset.shifts and "csv" the dataset.csv block.
+CONFIG_KEYS = [
+    ("", "output_dir", "string"), ("", "seeds", "int list"), ("", "dataset", "object"),
+    ("", "solver", "object"), ("", "ambiguity", "object"), ("", "tuning", "object"),
+    ("", "evaluation", "object"),
+    ("dataset", "n_per_group_train", "int list"), ("dataset", "n_per_group_val", "int list"),
+    ("dataset", "n_per_group_test", "int list"), ("dataset", "spurious_strength", "number"),
+    ("dataset", "noise_sd", "number"), ("dataset", "label_flip_p", "number"),
+    ("dataset", "seed", "int"), ("dataset", "shifts", "object list"),
+    ("dataset", "csv", "object"),
+    ("shift", "target_group", "int"), ("shift", "kind", "string"),
+    ("shift", "magnitude", "number"), ("shift", "applies_to", "string"),
+    ("csv", "train", "string"), ("csv", "val", "string"), ("csv", "test", "string"),
+    ("csv", "test_shifted", "string"),
+    ("solver", "modes", "string list"), ("solver", "eta_beta", "number"),
+    ("solver", "eta_theta", "number"), ("solver", "epsilon", "number"),
+    ("solver", "adjustment", "number"), ("solver", "iterations", "int"),
+    ("solver", "batch_size", "int"), ("solver", "sampling", "string"),
+    ("solver", "checkpoint_every", "int"), ("solver", "decay_steps", "bool"),
+    ("solver", "backprop_through_feature", "bool"), ("solver", "architecture", "string"),
+    ("solver", "hidden_width", "int"),
+    ("ambiguity", "inner_steps", "int"), ("ambiguity", "eta_z", "number"),
+    ("tuning", "grid_scale", "number list"), ("tuning", "aggregation", "string"),
+    ("tuning", "order_on", "string"), ("tuning", "warmup_iterations", "int"),
+    ("tuning", "iterations", "int"),
+]
+WRONG_TYPE = {"string": 5, "int": "7", "number": "x", "bool": "no", "object": [],
+              "int list": ["a"], "number list": ["ab"], "string list": [1],
+              "object list": ["x"]}
+
+
+def config_with(tmp_path, block, key, value):
+    """The base config, with an ``ambiguity``, ``evaluation`` and ``csv`` block,
+    and ``block.key`` set to ``value``; also its error name for the key."""
+    raw = base_config(tmp_path, ambiguity={}, evaluation={})
+    raw["dataset"]["csv"] = {}
+    for split in ("train", "val", "test", "test_shifted"):
+        (tmp_path / f"{split}.csv").write_text("")
+        raw["dataset"]["csv"][split] = str(tmp_path / f"{split}.csv")
+    target, name = {
+        "": (raw, key),
+        "shift": (raw["dataset"]["shifts"][0], f"dataset.shifts[0].{key}"),
+        "csv": (raw["dataset"]["csv"], f"dataset.csv.{key}"),
+    }.get(block, (raw.get(block), f"{block}.{key}"))
+    target[key] = value
+    return raw, name
+
+
+def assert_refused(tmp_path, capsys, raw, name):
+    """``raw`` is a ConfigError naming ``name``, and generate exits 1 with one
+    ``error:`` line and no traceback."""
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        cli.validate_config(raw)
+    capsys.readouterr()
+    assert cli.main(["generate", "--config", write_config(tmp_path, raw, "bad.json")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and name in err
+    assert "Traceback" not in err
+
+
+def test_config_keys_are_the_keys_the_reader_accepts():
+    fields = lambda cls: [f.name for f in dataclasses.fields(cls)]
+    accepted = {("", key) for key in cli.CONFIG_KEYS}
+    for block, keys in (("dataset", fields(cli.DatasetBlock)), ("shift", fields(ShiftSpec)),
+                        ("csv", fields(cli.CsvFiles)), ("solver", cli.SOLVER_KEYS),
+                        ("ambiguity", cli.AMBIGUITY_KEYS), ("tuning", cli.TUNING_KEYS)):
+        accepted |= {(block, key) for key in keys}
+    assert {(block, key) for block, key, _ in CONFIG_KEYS} == accepted
+    assert sum(block != "" or key in ("output_dir", "seeds") for block, key, _ in CONFIG_KEYS) == 39
+
+
+@pytest.mark.parametrize("block,key,kind", CONFIG_KEYS,
+                         ids=[f"{b or 'config'}.{k}" for b, k, _ in CONFIG_KEYS])
+def test_every_config_key_refuses_a_wrong_type(tmp_path, capsys, block, key, kind):
+    assert_refused(tmp_path, capsys, *config_with(tmp_path, block, key, WRONG_TYPE[kind]))
+    if kind in ("int", "int list"):
+        for value in (True, 1.5):
+            raw, name = config_with(tmp_path, block, key, [value] if kind == "int list" else value)
+            assert_refused(tmp_path, capsys, raw, name)
+
+
+@pytest.mark.parametrize("block,key,value", [
+    ("solver", "epsilon", "x"),
+    ("solver", "decay_steps", "no"),
+    ("solver", "checkpoint_every", 1.5),
+    ("solver", "hidden_width", "8"),
+    ("solver", "iterations", True),
+    ("tuning", "iterations", "20"),
+    ("tuning", "grid_scale", "ab"),
+    ("dataset", "n_per_group_train", ["a", 20, 15, 60]),
+    ("tuning", "aggregation", "median"),
+])
+def test_config_values_that_used_to_pass_or_crash(tmp_path, capsys, block, key, value):
+    raw = base_config(tmp_path)
+    raw[block][key] = value
+    name = "tuning: aggregation" if value == "median" else f"{block}.{key}"
+    assert_refused(tmp_path, capsys, raw, name)
+
+
+def test_integer_for_a_float_key_writes_the_same_data(tmp_path):
+    bodies = []
+    for noise_sd in (1, 1.0):
+        raw = base_config(tmp_path, output_dir=str(tmp_path / f"out{noise_sd!r}"))
+        raw["dataset"]["noise_sd"] = noise_sd
+        assert cli.main(["generate", "--config", write_config(tmp_path, raw)]) == 0
+        out = tmp_path / f"out{noise_sd!r}"
+        manifest = json.loads((out / "manifest.json").read_text())
+        # config_hash hashes the JSON as written, where 1 and 1.0 differ.
+        del manifest["config_hash"]
+        bodies.append((manifest, (out / "train.csv").read_bytes()))
+    assert bodies[0] == bodies[1]
+    assert bodies[0][0]["generator"]["noise_sd"] == 1.0
+
+
+def test_run_refuses_two_radius_flags_and_a_bad_tune_result(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config(tmp_path))
+    tune_path = tmp_path / "tune_result.json"
+    tune_path.write_text(json.dumps({"chosen_epsilon": 0.5}))
+    capsys.readouterr()
+    assert cli.main(["run", "--config", cfg, "--epsilon", "0.5",
+                     "--tuned-epsilon-from", str(tune_path)]) == 1
+    err = capsys.readouterr().err
+    assert "--epsilon" in err and "--tuned-epsilon-from" in err
+    for body in ([0.5], "0.5", None, {"chosen_epsilon": None}):
+        tune_path.write_text(json.dumps(body))
+        assert cli.main(["run", "--config", cfg, "--tuned-epsilon-from", str(tune_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read tuned epsilon") and "Traceback" not in err
+
+
 def test_ambiguity_block_sets_the_latent_ascent(tmp_path):
     raw = base_config(tmp_path, ambiguity={"inner_steps": 5, "eta_z": 123})
-    run_cfg = cli._solver_config(cli.validate_config(raw), mode="hierarchical", seed=0)
-    assert (run_cfg.inner_steps, run_cfg.eta_z) == (5, 123)
+    config = cli.validate_config(raw)
+    for run_cfg in (config.solver, config.tune.solver):
+        assert (run_cfg.inner_steps, run_cfg.eta_z) == (5, 123)
     for bad in ({"inner_steps": 0}, {"inner_steps": "x"}, {"eta_z": 0}, {"eta_z": "fast"}):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             cli.validate_config(base_config(tmp_path, ambiguity=bad))
@@ -237,7 +371,7 @@ def test_ambiguity_block_sets_the_latent_ascent(tmp_path):
 def test_shipped_benchmark_config_validates():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     config = cli.load_config(os.path.join(root, "configs", "benchmark.json"))
-    assert config.ambiguity.inner_steps == 1 and config.ambiguity.eta_z is None
+    assert config.solver.inner_steps == 1 and config.solver.eta_z is None
 
 
 def test_stale_data_in_output_dir_is_an_error(tmp_path):
