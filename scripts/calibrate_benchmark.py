@@ -22,36 +22,42 @@ import time
 import numpy as np
 
 from hierdro import cli
+from hierdro.errors import DivergenceError
 from hierdro.evaluation import evaluate
 from hierdro.model import init_params
-from hierdro.solver import ERM, GROUP_DRO, HIERARCHICAL, train
+from hierdro.solver import ERM, GROUP_DRO, HIERARCHICAL, train_lockstep
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.json")
 
 
 def bench(config, s, sd, flip, rot, eps_scale, iterations, seeds):
     """The config's dataset with the given generator settings and rotation of
-    its shift, trained with its solver settings for ``iterations`` steps."""
+    its shift, trained with its solver settings for ``iterations`` steps:
+    every mode x seed cell as one row of a single lockstep run."""
     shift = dataclasses.replace(config.dataset.shifts[0], magnitude=rot)
     dataset = dataclasses.replace(config.dataset, spurious_strength=s, noise_sd=sd,
                                   label_flip_p=flip, shifts=(shift,))
     data = cli._generate_datasets(dataclasses.replace(config, dataset=dataset))
     train_ds, val_ds = data["train"], data["val"]
     eps = eps_scale * math.sqrt(int(train_ds.n_g.min()))
+    modes = (ERM, GROUP_DRO, HIERARCHICAL)
+    cells = [(mode, seed) for mode in modes for seed in seeds]
+    inits = [init_params(config.model, train_ds.d, 2, seed=seed) for _, seed in cells]
+    results = train_lockstep(
+        train_ds, val_ds, inits,
+        [dataclasses.replace(config.solver, mode=mode, seed=seed,
+                             epsilon=eps if mode == HIERARCHICAL else 0.0,
+                             iterations=iterations, checkpoint_every=max(1, iterations // 10))
+         for mode, seed in cells])
+    for result in results:
+        if isinstance(result, DivergenceError):
+            raise result
     rows = {}
-    for mode in (ERM, GROUP_DRO, HIERARCHICAL):
-        shift_accs, orig_accs = [], []
-        for seed in seeds:
-            cfg = dataclasses.replace(
-                config.solver, mode=mode, seed=seed,
-                epsilon=eps if mode == HIERARCHICAL else 0.0,
-                iterations=iterations, checkpoint_every=max(1, iterations // 10),
-            )
-            init = init_params(config.model, train_ds.d, 2, seed=seed)
-            result = train(train_ds, val_ds, init, cfg)
-            orig_accs.append(evaluate(result.best, data["test"], train_ds.alpha).worst_group_acc)
-            shift_accs.append(
-                evaluate(result.best, data["test_shifted"], train_ds.alpha).worst_group_acc)
+    for mode in modes:
+        done = [r for (m, _), r in zip(cells, results) if m == mode]
+        orig_accs = [evaluate(r.best, data["test"], train_ds.alpha).worst_group_acc for r in done]
+        shift_accs = [evaluate(r.best, data["test_shifted"], train_ds.alpha).worst_group_acc
+                      for r in done]
         rows[mode] = (np.mean(orig_accs), np.mean(shift_accs), np.std(shift_accs))
     return rows
 

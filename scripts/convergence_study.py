@@ -23,7 +23,7 @@ def main() -> int:
     args = parser.parse_args()
 
     ds, config = convergence.canonical_instance()
-    print(f"instance: n={ds.n}, groups={list(ds.n_g)}, radius parameter "
+    print(f"instance: n={ds.n}, groups={ds.n_g.tolist()}, radius parameter "
           f"{config.epsilon:.3f}", flush=True)
     print(f"solving reference ({args.reference_iterations} subgradient steps)...",
           flush=True)

@@ -50,7 +50,16 @@ from .model import (
     load_params,
     save_params,
 )
-from .solver import SolverConfig, TrainResult, TrainState, objective_value, train, train_step, update_beta
+from .solver import (
+    SolverConfig,
+    TrainResult,
+    TrainState,
+    objective_value,
+    train,
+    train_lockstep,
+    train_step,
+    update_beta,
+)
 from .tuning import TuneConfig, TuneResult, order_1d, quantile_splits, tune_epsilon
 from .convergence import (
     BoundConstants,

@@ -41,13 +41,13 @@ CHECK_MAX_SUPPORT = 6
 DEFAULT_ETA_Z_FACTOR = 10.0
 
 
-def radius(epsilon: float, n_g: int) -> float:
-    """Per-group radius ``epsilon / sqrt(n_g)``."""
-    if epsilon < 0:
+def radius(epsilon, n_g):
+    """Per-group radius ``epsilon / sqrt(n_g)``; elementwise for arrays."""
+    if np.any(np.less(epsilon, 0)):
         raise ParameterError("epsilon must be nonnegative")
-    if n_g <= 0:
+    if np.any(np.less_equal(n_g, 0)):
         raise ParameterError("group size must be positive")
-    return epsilon / math.sqrt(n_g)
+    return epsilon / (np.sqrt(n_g) if np.ndim(n_g) else math.sqrt(n_g))
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,15 @@ def inner_maximize(
     z_mat = z[None, :] if single else z
     y_arr = np.atleast_1d(np.asarray(y, dtype=np.int64))
 
-    best = z_mat.copy()
-    best_loss = model.cross_entropy(model.logits_from_latent(theta, best), y_arr)
+    best = z_mat
+    best_loss, grad = model.loss_and_latent_grad(theta, z_mat, y_arr)
     current = z_mat
-    for _ in range(steps):
-        grad = model.grad_wrt_latent(theta, current, y_arr)
+    for k in range(steps):
         current = project_ball(current + eta_z * grad, z_mat, eps_g)
-        loss = model.cross_entropy(model.logits_from_latent(theta, current), y_arr)
+        if k + 1 < steps:
+            loss, grad = model.loss_and_latent_grad(theta, current, y_arr)
+        else:
+            loss = model.cross_entropy(model.logits_from_latent(theta, current), y_arr)
         improved = loss > best_loss
         best = np.where(improved[:, None], current, best)
         best_loss = np.maximum(loss, best_loss)

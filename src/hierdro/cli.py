@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import statistics
 import sys
@@ -209,6 +210,17 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if mode not in MODES:
             raise ConfigError(f"solver.modes: unknown mode {mode!r}")
     seeds = top["seeds"]
+    for key, values in (("solver.modes", modes), ("seeds", seeds)):
+        repeated = sorted({v for v in values if values.count(v) > 1}, key=str)
+        if repeated:
+            raise ConfigError(f"{key}: repeated entries {repeated}; each run cell must be unique")
+    grid_scale = tn.get("grid_scale", DEFAULT_GRID_SCALE)
+    if not grid_scale:
+        raise ConfigError("tuning.grid_scale: expected a nonempty list")
+    for scale in grid_scale:
+        if not math.isfinite(scale) or scale < 0:
+            raise ConfigError(
+                f"tuning.grid_scale: expected finite nonnegative scales, got {scale!r}")
     template = _build(SolverConfig, "solver", mode=HIERARCHICAL, seed=seeds[0],
                       **_only(SolverConfig, sv))
     template = _build(dataclasses.replace, "ambiguity", template, **am)
@@ -220,7 +232,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         output_dir=top["output_dir"], seeds=seeds, dataset=top["dataset"], solver=template,
         model=model, tune=tune, modes=modes,
-        grid_scale=tn.get("grid_scale", DEFAULT_GRID_SCALE), raw=raw,
+        grid_scale=grid_scale, raw=raw,
     )
 
 
@@ -355,9 +367,10 @@ def _fmt(value: float) -> str:
 
 def cmd_run(config: ExperimentConfig, output_dir: str,
             hierarchical_epsilon: float | None = None) -> str:
-    """Train every (mode, seed) cell and write the results table.
+    """Train every (mode, seed) cell in one lockstep run and write the results table.
 
-    Cells that diverge are recorded as failed rows instead of aborting the
+    Cells that diverge are recorded as failed rows, with their divergence
+    snapshot in the cell's ``divergence.json``, instead of aborting the
     whole table.
     """
     data = _load_datasets(config, output_dir)
@@ -369,49 +382,64 @@ def cmd_run(config: ExperimentConfig, output_dir: str,
     mode_eps = [(mode, hierarchical_epsilon if mode == HIERARCHICAL else 0.0)
                 for mode in config.modes]
 
+    cells = [(mode, eps, seed) for mode, eps in mode_eps for seed in config.seeds]
+    inits = {seed: init_params(config.model, ds_train.d, ds_train.num_labels,
+                               seed=_derived_seeds(seed)[0]) for seed in config.seeds}
+    results = solver.train_lockstep(
+        ds_train, ds_val, [inits[seed] for _, _, seed in cells],
+        [dataclasses.replace(config.solver, mode=mode, seed=seed, epsilon=eps)
+         for mode, eps, seed in cells])
+
     rows = []
     by_mode: dict[str, list[tuple[float, float, float, float]]] = {}
     failures = []
-    for mode, eps in mode_eps:
-        for seed in config.seeds:
-            run_cfg = dataclasses.replace(config.solver, mode=mode, seed=seed, epsilon=eps)
-            init_seed, _ = _derived_seeds(seed)
-            init = init_params(config.model, ds_train.d, ds_train.num_labels, seed=init_seed)
-            run_dir = os.path.join(output_dir, "runs", f"{mode}_seed{seed}")
-            os.makedirs(run_dir, exist_ok=True)
-            try:
-                result = solver.train(ds_train, ds_val, init, run_cfg)
-            except DivergenceError as exc:
-                failures.append((MODE_LABELS[mode], seed, str(exc)))
-                rows.append((MODE_LABELS[mode], str(seed), _fmt(eps),
-                             "failed", "failed", "failed", "failed"))
-                continue
-            orig = evaluate(result.best, ds_test, weights)
-            shift = evaluate(result.best, ds_test_shifted, weights)
-            rows.append((
-                MODE_LABELS[mode], str(seed), _fmt(eps),
-                _fmt(orig.worst_group_acc), _fmt(orig.avg_acc_weighted),
-                _fmt(shift.worst_group_acc), _fmt(shift.avg_acc_weighted),
-            ))
-            by_mode.setdefault(mode, []).append((
-                orig.worst_group_acc, orig.avg_acc_weighted,
-                shift.worst_group_acc, shift.avg_acc_weighted,
-            ))
-            save_params(result.best, os.path.join(run_dir, "checkpoint_best.json"))
-            save_params(result.final.theta, os.path.join(run_dir, "checkpoint_final.json"))
-            solver.write_history_csv(
-                result.history, ds_train.num_groups,
-                os.path.join(run_dir, "history.csv"),
-                header_comment=f"config_hash={config.hash} mode={mode} seed={seed}",
-            )
+    for (mode, eps, seed), result in zip(cells, results):
+        run_dir = os.path.join(output_dir, "runs", f"{mode}_seed{seed}")
+        os.makedirs(run_dir, exist_ok=True)
+        # A cell's directory holds this run's files only, not an earlier run's.
+        stale = (("checkpoint_best.json", "checkpoint_final.json", "history.csv")
+                 if isinstance(result, DivergenceError) else ("divergence.json",))
+        for name in stale:
+            if os.path.exists(os.path.join(run_dir, name)):
+                os.remove(os.path.join(run_dir, name))
+        if isinstance(result, DivergenceError):
+            failures.append((MODE_LABELS[mode], seed, str(result)))
+            rows.append((MODE_LABELS[mode], str(seed), _fmt(eps),
+                         "failed", "failed", "failed", "failed"))
+            # A diverged loss or norm is nan or inf, which JSON has no number for.
+            snapshot = {key: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                        for key, v in result.snapshot.items()}
+            with open(os.path.join(run_dir, "divergence.json"), "w", encoding="utf-8") as fh:
+                json.dump({"message": str(result), "snapshot": snapshot}, fh,
+                          indent=2, sort_keys=True, allow_nan=False)
+                fh.write("\n")
+            continue
+        orig = evaluate(result.best, ds_test, weights)
+        shift = evaluate(result.best, ds_test_shifted, weights)
+        rows.append((
+            MODE_LABELS[mode], str(seed), _fmt(eps),
+            _fmt(orig.worst_group_acc), _fmt(orig.avg_acc_weighted),
+            _fmt(shift.worst_group_acc), _fmt(shift.avg_acc_weighted),
+        ))
+        by_mode.setdefault(mode, []).append((
+            orig.worst_group_acc, orig.avg_acc_weighted,
+            shift.worst_group_acc, shift.avg_acc_weighted,
+        ))
+        save_params(result.best, os.path.join(run_dir, "checkpoint_best.json"))
+        save_params(result.final.theta, os.path.join(run_dir, "checkpoint_final.json"))
+        solver.write_history_csv(
+            result.history, ds_train.num_groups,
+            os.path.join(run_dir, "history.csv"),
+            header_comment=f"config_hash={config.hash} mode={mode} seed={seed}",
+        )
 
     for mode, eps in mode_eps:
-        cells = by_mode.get(mode, [])
-        if not cells:
+        scores = by_mode.get(mode, [])
+        if not scores:
             continue
         summary = []
         for j in range(4):
-            values = [c[j] for c in cells]
+            values = [c[j] for c in scores]
             mean = statistics.fmean(values)
             sd = statistics.stdev(values) if len(values) > 1 else 0.0
             summary.append(f"{mean:.4f}±{sd:.4f}")

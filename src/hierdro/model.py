@@ -21,6 +21,13 @@ backpropagation.  The caller decides, not a comparison of ``z'`` with
 group DRO), so those modes train the whole network, while a hierarchical
 ``mlp1`` model trains only its output layer unless the run sets
 ``backprop_through_feature``.
+
+Row-stacked parameters: every array of a :class:`ModelParams` may carry a
+leading row axis, ``(R, K, d)`` for ``w_out``, so that one call evaluates R
+models of one shape (:func:`stack_params`, :func:`row_params`).  The
+forward pass, the loss, the gradients and the update then take inputs with
+the same leading axis, or with a leading axis of 1 that every row shares, and
+each row's result is bitwise the result of the unstacked call on that row.
 """
 
 from __future__ import annotations
@@ -52,15 +59,18 @@ class ModelParams:
 
     @property
     def num_classes(self) -> int:
-        return self.w_out.shape[0]
+        return self.w_out.shape[-2]
 
     @property
     def latent_dim(self) -> int:
-        return self.w_out.shape[1]
+        return self.w_out.shape[-1]
 
     @property
     def input_dim(self) -> int:
-        return self.latent_dim if self.w_hidden is None else self.w_hidden.shape[1]
+        return self.latent_dim if self.w_hidden is None else self.w_hidden.shape[-1]
+
+    def arrays(self) -> tuple:
+        return self.w_out, self.b_out, self.w_hidden, self.b_hidden
 
 
 @dataclass(frozen=True)
@@ -107,6 +117,42 @@ def init_params(spec: ModelSpec, input_dim: int, num_classes: int, seed: int = 0
     )
 
 
+def stack_params(thetas) -> ModelParams:
+    """R models of one shape as one row-stacked :class:`ModelParams`."""
+    thetas = list(thetas)
+    shapes = {tuple(None if a is None else a.shape for a in t.arrays()) for t in thetas}
+    if len(shapes) != 1:
+        raise ParameterError(f"models to stack differ in shape: {sorted(map(str, shapes))}")
+    return ModelParams(*(None if parts[0] is None else np.stack(parts)
+                         for parts in zip(*(t.arrays() for t in thetas))))
+
+
+def row_params(theta: ModelParams, rows) -> ModelParams:
+    """Row ``rows`` of a row-stacked model: one model for an int, a stack for an index array."""
+    return ModelParams(*(None if a is None else a[rows] for a in theta.arrays()))
+
+
+def _mT(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes (the plain transpose of a matrix)."""
+    return a.swapaxes(-1, -2)
+
+
+def _bias(b: np.ndarray) -> np.ndarray:
+    """A bias ready to add to a batch: stacked ``(R, k)`` biases get a batch axis."""
+    return b if b.ndim == 1 else b[:, None, :]
+
+
+def _label_index(shape: tuple, y):
+    """Index of each example's label entry in scores of ``shape``: one
+    example, a batch, or a batch per row."""
+    if len(shape) == 1:
+        return int(y)
+    y = np.asarray(y, dtype=np.int64)
+    if len(shape) == 2:
+        return np.arange(shape[0]), y
+    return np.arange(shape[0])[:, None], np.arange(shape[1]), y
+
+
 def latent(theta: ModelParams, x: np.ndarray) -> np.ndarray:
     """The representation fed to the output layer; identity for linear models."""
     x = np.asarray(x, dtype=np.float64)
@@ -114,14 +160,14 @@ def latent(theta: ModelParams, x: np.ndarray) -> np.ndarray:
         raise ParameterError(f"expected input dim {theta.input_dim}, got {x.shape[-1]}")
     if theta.w_hidden is None:
         return x
-    return np.maximum(0.0, x @ theta.w_hidden.T + theta.b_hidden)
+    return np.maximum(0.0, x @ _mT(theta.w_hidden) + _bias(theta.b_hidden))
 
 
 def logits_from_latent(theta: ModelParams, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] != theta.latent_dim:
         raise ParameterError(f"expected latent dim {theta.latent_dim}, got {z.shape[-1]}")
-    return z @ theta.w_out.T + theta.b_out
+    return z @ _mT(theta.w_out) + _bias(theta.b_out)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -129,34 +175,33 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
-
-
 def cross_entropy(logits: np.ndarray, y) -> float | np.ndarray:
     """-log softmax(logits)[y]; scalar for a single example, vector for a batch."""
     ls = log_softmax(logits)
-    if ls.ndim == 1:
-        return float(-ls[int(y)])
-    y = np.asarray(y, dtype=np.int64)
-    return -ls[np.arange(ls.shape[0]), y]
+    loss = -ls[_label_index(ls.shape, y)]
+    return float(loss) if ls.ndim == 1 else loss
 
 
-def _dlogits(theta: ModelParams, z: np.ndarray, y) -> np.ndarray:
-    """softmax(logits) - onehot(y), batched or single."""
-    p = softmax(logits_from_latent(theta, z))
-    if p.ndim == 1:
-        p[int(y)] -= 1.0
-        return p
-    y = np.asarray(y, dtype=np.int64)
-    p[np.arange(p.shape[0]), y] -= 1.0
-    return p
+def _loss_and_dlogits(theta: ModelParams, z: np.ndarray, y):
+    """The loss at ``z`` and softmax(logits) - onehot(y), from one forward pass."""
+    ls = log_softmax(logits_from_latent(theta, z))
+    at = _label_index(ls.shape, y)
+    dlogits = np.exp(ls)
+    dlogits[at] -= 1.0
+    loss = -ls[at]
+    return (float(loss) if ls.ndim == 1 else loss), dlogits
+
+
+def loss_and_latent_grad(theta: ModelParams, z: np.ndarray, y):
+    """The loss at ``z`` and :func:`grad_wrt_latent`, from one forward pass."""
+    z = np.asarray(z, dtype=np.float64)
+    loss, dlogits = _loss_and_dlogits(theta, z, y)
+    return loss, dlogits @ theta.w_out
 
 
 def grad_wrt_latent(theta: ModelParams, z: np.ndarray, y) -> np.ndarray:
     """Exact gradient of the cross-entropy through the output layer at ``z``."""
-    z = np.asarray(z, dtype=np.float64)
-    return _dlogits(theta, z, y) @ theta.w_out
+    return loss_and_latent_grad(theta, z, y)[1]
 
 
 def grad_wrt_params(
@@ -168,49 +213,66 @@ def grad_wrt_params(
 ) -> ParamGrads:
     """Gradient of the loss at ``z_prime`` with respect to the parameters.
 
-    For batched inputs (2-D ``z_prime``/``x``) the batch-mean gradient is
-    returned.  Hidden-layer parameters get a gradient only when
-    ``backprop_through_feature`` is set; see the module docstring.
+    For batched inputs (2-D ``z_prime``/``x``, or 3-D with a row-stacked
+    ``theta``) the batch-mean gradient is returned.  Hidden-layer parameters
+    get a gradient only when ``backprop_through_feature`` is set; see the
+    module docstring.  For a row-stacked ``theta`` the flag may be one bool
+    per row.
     """
+    return loss_and_param_grads(theta, z_prime, x, y, backprop_through_feature)[1]
+
+
+def loss_and_param_grads(theta: ModelParams, z_prime: np.ndarray, x: np.ndarray, y,
+                         backprop_through_feature=False) -> tuple:
+    """The loss at ``z_prime`` and :func:`grad_wrt_params`, from one forward pass."""
     z_prime = np.asarray(z_prime, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    dlogits = _dlogits(theta, z_prime, y)
+    loss, dlogits = _loss_and_dlogits(theta, z_prime, y)
 
     if z_prime.ndim == 1:
         g_w_out = np.outer(dlogits, z_prime)
         g_b_out = dlogits
     else:
-        batch = z_prime.shape[0]
-        g_w_out = dlogits.T @ z_prime / batch
-        g_b_out = dlogits.mean(axis=0)
+        batch = z_prime.shape[-2]
+        g_w_out = _mT(dlogits) @ z_prime / batch
+        g_b_out = dlogits.mean(axis=-2)
 
     if theta.w_hidden is None:
-        return ParamGrads(w_out=g_w_out, b_out=g_b_out)
+        return loss, ParamGrads(w_out=g_w_out, b_out=g_b_out)
 
-    if not backprop_through_feature:
-        return ParamGrads(
+    flag = backprop_through_feature
+    if not (flag.any() if isinstance(flag, np.ndarray) else flag):
+        return loss, ParamGrads(
             w_out=g_w_out, b_out=g_b_out,
             w_hidden=np.zeros_like(theta.w_hidden),
             b_hidden=np.zeros_like(theta.b_hidden),
         )
 
-    pre = x @ theta.w_hidden.T + theta.b_hidden
+    pre = x @ _mT(theta.w_hidden) + _bias(theta.b_hidden)
     delta = (dlogits @ theta.w_out) * (pre > 0)
     if z_prime.ndim == 1:
         g_w_hidden = np.outer(delta, x)
         g_b_hidden = delta
     else:
-        g_w_hidden = delta.T @ x / z_prime.shape[0]
-        g_b_hidden = delta.mean(axis=0)
-    return ParamGrads(w_out=g_w_out, b_out=g_b_out, w_hidden=g_w_hidden, b_hidden=g_b_hidden)
+        g_w_hidden = _mT(delta) @ x / z_prime.shape[-2]
+        g_b_hidden = delta.mean(axis=-2)
+    if isinstance(flag, np.ndarray) and not flag.all():
+        g_w_hidden = np.where(flag[:, None, None], g_w_hidden, 0.0)
+        g_b_hidden = np.where(flag[:, None], g_b_hidden, 0.0)
+    return loss, ParamGrads(w_out=g_w_out, b_out=g_b_out, w_hidden=g_w_hidden,
+                            b_hidden=g_b_hidden)
 
 
-def sgd_step(theta: ModelParams, grads: ParamGrads, step: float) -> ModelParams:
+def sgd_step(theta: ModelParams, grads: ParamGrads, step) -> ModelParams:
+    """``theta - step * grads``; ``step`` is a scalar or, for stacked rows, one per row."""
+    w_step = b_step = step
+    if isinstance(step, np.ndarray):
+        w_step, b_step = step[:, None, None], step[:, None]
     return ModelParams(
-        w_out=theta.w_out - step * grads.w_out,
-        b_out=theta.b_out - step * grads.b_out,
-        w_hidden=None if theta.w_hidden is None else theta.w_hidden - step * grads.w_hidden,
-        b_hidden=None if theta.b_hidden is None else theta.b_hidden - step * grads.b_hidden,
+        w_out=theta.w_out - w_step * grads.w_out,
+        b_out=theta.b_out - b_step * grads.b_out,
+        w_hidden=None if theta.w_hidden is None else theta.w_hidden - w_step * grads.w_hidden,
+        b_hidden=None if theta.b_hidden is None else theta.b_hidden - b_step * grads.b_hidden,
     )
 
 
@@ -248,18 +310,22 @@ def unflatten_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
 
 
 def flatten_grads(grads: ParamGrads) -> np.ndarray:
-    parts = [grads.w_out.ravel(), grads.b_out.ravel()]
+    """The gradient as one vector, or one row per model for stacked rows."""
+    lead = grads.w_out.shape[:-2]
+    parts = [grads.w_out, grads.b_out]
     if grads.w_hidden is not None:
-        parts.extend([grads.w_hidden.ravel(), grads.b_hidden.ravel()])
-    return np.concatenate(parts)
+        parts.extend([grads.w_hidden, grads.b_hidden])
+    return np.concatenate([p.reshape(lead + (-1,)) for p in parts], axis=-1)
 
 
 def params_norm(theta: ModelParams) -> float:
     return float(np.linalg.norm(flatten_params(theta)))
 
 
-def grads_finite(grads: ParamGrads) -> bool:
-    return bool(np.all(np.isfinite(flatten_grads(grads))))
+def grads_finite(grads: ParamGrads):
+    """Whether every gradient entry is finite; one bool per row for stacked rows."""
+    finite = np.isfinite(flatten_grads(grads)).all(axis=-1)
+    return finite if finite.ndim else bool(finite)
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:

@@ -23,6 +23,20 @@ running average of the iterates is kept beside it for the convergence
 diagnostics.  A step with a zero radius backpropagates through the hidden
 layer of an ``mlp1`` model; a step at perturbed latents trains only the
 output layer unless ``backprop_through_feature`` is set (see :mod:`model`).
+
+Trajectories of one shape run in lockstep (:func:`train_lockstep`): their
+parameters are stacked as ``(R, K, d)``, ``beta`` as ``(R, m)``, and one
+:func:`train_step` advances all R rows with one set of numpy calls, apart
+from the latent ascent, which calls :func:`ambiguity.inner_maximize` once
+per row with a positive radius, as a lone run does.  Rows share the fields
+in ``SHARED`` and the architecture; mode, seed, radius, step sizes and
+initial model are set per row, and mode degeneracy becomes a per-row mask
+(a radius-0 row keeps ``z' = z``, an ERM row keeps ``beta``).
+Each row draws from its own ``Generator`` in the order a lone run does, and
+rows with equal seeds share one stream and one gather.  A row that diverges
+is retired with its ``DivergenceError`` while the others go on.  Every row's
+result is bitwise the result of training it alone; :func:`train` is the
+one-row case.
 """
 
 from __future__ import annotations
@@ -102,7 +116,12 @@ class SolverConfig:
 
 @dataclass
 class Batch:
-    group: int
+    """One minibatch per row: ``group`` holds a group per row; ``x`` and
+    ``y`` are ``(R, B, d)`` and ``(R, B)``, or ``(1, B, d)`` and ``(1, B)``
+    when every row shares them.  :meth:`GroupSampler.draw` returns the
+    unstacked form of one row: an int group, ``(B, d)`` and ``(B,)``."""
+
+    group: int | np.ndarray
     x: np.ndarray
     y: np.ndarray
 
@@ -120,6 +139,8 @@ class Checkpoint:
 
 @dataclass
 class TrainState:
+    """Where one trajectory ended: the last iterate, its ``beta``, the running average."""
+
     theta: ModelParams
     beta: np.ndarray
     theta_bar: ModelParams
@@ -134,6 +155,117 @@ class TrainResult:
     best_worst_val_acc: float
     final: TrainState
     history: list[Checkpoint]
+
+
+# The fields that set the shape of the loop: rows trained in lockstep share
+# them.  Every other field, and the initial model, may differ between rows.
+SHARED = ("iterations", "checkpoint_every", "batch_size", "decay_steps", "sampling", "inner_steps")
+
+
+@dataclass
+class Rows:
+    """The per-row settings of trajectories that advance in lockstep, as arrays.
+
+    ``radii[r, g]`` is row ``r``'s ball radius for group ``g`` (zero unless
+    hierarchical); ERM rows have ``learns_beta`` false.  ``backprop_flag``
+    is ``backprop`` as one bool when the rows agree.  The ``some_``/``all_`` flags say whether any or every row ascends
+    or learns ``beta``, so that a step skips a phase no row needs.
+    """
+
+    configs: tuple[SolverConfig, ...]
+    n_per_group: np.ndarray
+    radii: np.ndarray
+    eta_beta: np.ndarray
+    eta_theta: np.ndarray
+    adjustment: np.ndarray
+    learns_beta: np.ndarray
+    backprop: np.ndarray
+    backprop_flag: bool | np.ndarray
+    index: np.ndarray
+    some_ascent: bool
+    all_ascent: bool
+    some_learn: bool
+    all_learn: bool
+
+    @classmethod
+    def of(cls, configs, n_per_group: np.ndarray) -> Rows:
+        """Raises ``ParameterError`` unless the rows share the fields in ``SHARED``."""
+        configs = tuple(configs)
+        for name in SHARED:
+            values = {getattr(c, name) for c in configs}
+            if len(values) > 1:
+                raise ParameterError(
+                    f"rows trained in lockstep must share {name}, got {sorted(values, key=str)}")
+
+        def column(value, dtype=np.float64):
+            return np.array([value(c) for c in configs], dtype=dtype)
+
+        epsilon = column(lambda c: c.effective_epsilon)
+        radii = amb.radius(epsilon[:, None], np.asarray(n_per_group)[None, :])
+        learns_beta = column(lambda c: c.mode != ERM, bool)
+        backprop = column(lambda c: c.backprop_through_feature, bool)
+        return cls(
+            configs=configs, n_per_group=n_per_group, radii=radii,
+            eta_beta=column(lambda c: c.eta_beta),
+            eta_theta=column(lambda c: c.eta_theta),
+            adjustment=column(lambda c: c.adjustment),
+            learns_beta=learns_beta,
+            backprop=backprop,
+            backprop_flag=bool(backprop.all()) if backprop.all() == backprop.any() else backprop,
+            index=np.arange(len(configs)),
+            some_ascent=bool((radii > 0).any()), all_ascent=bool((radii > 0).all()),
+            some_learn=bool(learns_beta.any()), all_learn=bool(learns_beta.all()),
+        )
+
+    @property
+    def shared(self) -> SolverConfig:
+        return self.configs[0]
+
+    def take(self, keep: np.ndarray) -> Rows:
+        return Rows.of((self.configs[i] for i in keep), self.n_per_group)
+
+
+@dataclass
+class Lockstep:
+    """R trajectories of one shape advancing together, one row each.
+
+    Row ``i`` of ``theta``, ``beta`` and ``theta_bar`` (each with a leading
+    row axis) is trajectory ``ids[i]``, trained under ``rows.configs[i]``.
+    A row that diverges leaves every array, and its error goes to ``failed``
+    under its id.
+    """
+
+    theta: ModelParams
+    beta: np.ndarray
+    theta_bar: ModelParams
+    rows: Rows
+    ids: np.ndarray
+    t: int = 0
+    failed: dict[int, DivergenceError] = field(default_factory=dict)
+
+    @classmethod
+    def start(cls, inits, configs, ds_train: GroupedDataset) -> Lockstep:
+        """Row ``r`` starts from ``inits[r]`` with ``beta = alpha`` under ``configs[r]``.
+
+        Raises ``ParameterError`` unless the rows share the fields in ``SHARED``
+        and the models share one shape.
+        """
+        rows = Rows.of(configs, ds_train.n_g)
+        if not rows.configs:
+            raise ParameterError("lockstep training needs at least one row")
+        theta = model.stack_params(inits)
+        if theta.w_out.shape[0] != len(rows.configs):
+            raise ParameterError("lockstep training needs one initial model per row")
+        return cls(theta=theta, beta=np.tile(ds_train.alpha, (len(rows.configs), 1)),
+                   theta_bar=theta, rows=rows, ids=rows.index.copy())
+
+    def retire(self, keep: np.ndarray) -> None:
+        """Keep only the rows at positions ``keep``."""
+        self.theta = model.row_params(self.theta, keep)
+        self.theta_bar = model.row_params(self.theta_bar, keep)
+        self.beta = self.beta[keep]
+        self.ids = self.ids[keep]
+        self.rows = self.rows.take(keep)
 
 
 class GroupSampler:
@@ -154,82 +286,104 @@ class GroupSampler:
         return Batch(group=g, x=self.ds.features[idx], y=self.ds.labels[idx])
 
 
+def stack_batches(batches: list[Batch], pos: np.ndarray | None, num_rows: int) -> Batch:
+    """Row ``i`` takes ``batches[pos[i]]``; ``pos=None`` means every row
+    shares ``batches[0]``, which then keeps a leading axis of 1."""
+    if pos is None:
+        b = batches[0]
+        return Batch(group=np.array([b.group] * num_rows), x=b.x[None], y=b.y[None])
+    return Batch(group=np.array([b.group for b in batches])[pos],
+                 x=np.stack([b.x for b in batches])[pos],
+                 y=np.stack([b.y for b in batches])[pos])
+
+
 def update_beta(
     beta: np.ndarray,
-    g: int,
-    loss_value: float,
-    eta_beta: float,
-    adjustment: float,
-    n_g: int,
+    g,
+    loss_value,
+    eta_beta,
+    adjustment,
+    n_g,
 ) -> np.ndarray:
     """Exponentiated-gradient step on coordinate ``g``, then renormalize.
 
-    Computed in log space so large losses cannot overflow.
+    Computed in log space so large losses cannot overflow.  For row-stacked
+    ``beta`` of shape ``(R, m)`` every other argument holds one value per row.
     """
-    if not math.isfinite(loss_value):
+    if not np.isfinite(loss_value).all():
         raise DivergenceError(
             "non-finite loss in simplex update",
-            snapshot={"group": g, "loss": loss_value, "beta": np.asarray(beta).tolist()},
+            snapshot={"group": np.asarray(g).tolist(), "loss": np.asarray(loss_value).tolist(),
+                      "beta": np.asarray(beta).tolist()},
         )
     beta = np.asarray(beta, dtype=np.float64)
     with np.errstate(divide="ignore"):
         log_beta = np.log(beta)
-    log_beta[g] += eta_beta * (loss_value + adjustment / math.sqrt(n_g))
-    log_beta -= log_beta.max()
+    at = g if beta.ndim == 1 else (np.arange(beta.shape[0]), g)
+    log_beta[at] += eta_beta * (loss_value + adjustment / np.sqrt(n_g))
+    log_beta -= log_beta.max(axis=-1, keepdims=True)
     out = np.exp(log_beta)
-    return out / out.sum()
+    return out / out.sum(axis=-1, keepdims=True)
 
 
-def train_step(
-    state: TrainState,
-    batch: Batch,
-    config: SolverConfig,
-    n_per_group: np.ndarray,
-) -> TrainState:
-    """One iteration of the three-coordinate update; mutates and returns ``state``."""
+def train_step(state: Lockstep, batch: Batch) -> Lockstep:
+    """One iteration of the three-coordinate update for every row; mutates and returns ``state``.
+
+    A row whose batch loss or parameter gradient is not finite is retired
+    with the ``DivergenceError`` a one-row run raises; the other rows' results
+    do not depend on it.
+    """
+    rows = state.rows
     g = batch.group
-    n_g = int(n_per_group[g])
     t_next = state.t + 1
-    scale = 1.0 / math.sqrt(t_next) if config.decay_steps else 1.0
+    scale = 1.0 / math.sqrt(t_next) if rows.shared.decay_steps else 1.0
+    theta = state.theta
 
-    z = model.latent(state.theta, batch.x)
-    eps_g = amb.radius(config.effective_epsilon, n_g)
-    if eps_g > 0:
-        z_prime = amb.inner_maximize(
-            state.theta, z, batch.y, eps_g, steps=config.inner_steps, eta_z=config.eta_z,
-        )
-    else:
-        z_prime = z
+    z = model.latent(theta, batch.x)
+    z_prime = z
+    hidden = rows.backprop_flag if rows.all_ascent else True
+    if rows.some_ascent:
+        # Row by row, as a lone run ascends; a row with radius zero keeps z' = z.
+        # Row i of ``z`` and ``y`` is ``[i % len]``: they have R rows or one shared row.
+        eps_g = rows.radii[rows.index, g]
+        ascended = []
+        for i, eps in enumerate(eps_g.tolist()):
+            z_i, y_i = z[i % len(z)], batch.y[i % len(batch.y)]
+            ascended.append(z_i if eps == 0 else amb.inner_maximize(
+                model.row_params(theta, i), z_i, y_i, eps, steps=rows.shared.inner_steps,
+                eta_z=rows.configs[i].eta_z))
+        z_prime = np.stack(ascended)
+        if not rows.all_ascent:
+            hidden = rows.backprop | (eps_g == 0)
 
-    losses = model.cross_entropy(model.logits_from_latent(state.theta, z_prime), batch.y)
-    mean_loss = float(np.mean(losses))
-    if not math.isfinite(mean_loss):
-        raise DivergenceError(
-            "non-finite batch loss",
-            snapshot={"iteration": t_next, "group": g, "loss": mean_loss,
-                      "theta_norm": model.params_norm(state.theta)},
-        )
+    losses, grads = model.loss_and_param_grads(theta, z_prime, batch.x, batch.y,
+                                               backprop_through_feature=hidden)
+    mean_loss = losses.mean(axis=-1)
+    finite = np.isfinite(mean_loss)
+    all_finite = finite.all()
+    if rows.some_learn:
+        loss = mean_loss if all_finite else np.where(finite, mean_loss, 0.0)
+        beta = update_beta(state.beta, g, loss, rows.eta_beta * scale, rows.adjustment,
+                           rows.n_per_group[g])
+        state.beta = beta if rows.all_learn else np.where(
+            rows.learns_beta[:, None], beta, state.beta)
 
-    if config.mode != ERM:
-        state.beta = update_beta(
-            state.beta, g, mean_loss, config.eta_beta * scale, config.adjustment, n_g
-        )
-
-    grads = model.grad_wrt_params(
-        state.theta, z_prime, batch.x, batch.y,
-        backprop_through_feature=config.backprop_through_feature or eps_g == 0,
-    )
-    if not model.grads_finite(grads):
-        raise DivergenceError(
-            "non-finite parameter gradient",
-            snapshot={"iteration": t_next, "group": g,
-                      "theta_norm": model.params_norm(state.theta)},
-        )
-    state.theta = model.sgd_step(
-        state.theta, grads, config.eta_theta * scale * float(state.beta[g])
-    )
+    grads_finite = model.grads_finite(grads)
+    state.theta = model.sgd_step(theta, grads, rows.eta_theta * scale * state.beta[rows.index, g])
     state.t = t_next
     state.theta_bar = model.average_params(state.theta_bar, state.theta, t_next)
+    if not (all_finite and grads_finite.all()):
+        finite &= grads_finite
+        for i in np.flatnonzero(~finite):
+            snapshot = {"iteration": t_next, "group": int(g[i])}
+            if np.isfinite(mean_loss[i]):
+                message = "non-finite parameter gradient"
+            else:
+                message = "non-finite batch loss"
+                snapshot["loss"] = float(mean_loss[i])
+            snapshot["theta_norm"] = model.params_norm(model.row_params(theta, i))
+            state.failed[int(state.ids[i])] = DivergenceError(message, snapshot=snapshot)
+        state.retire(np.flatnonzero(finite))
     return state
 
 
@@ -246,27 +400,90 @@ def group_mean_losses(theta: ModelParams, ds: GroupedDataset) -> np.ndarray:
 
 
 def _record_checkpoint(
-    state: TrainState,
+    state: Lockstep,
+    i: int,
     ds_train: GroupedDataset,
     ds_val: GroupedDataset,
     weights: np.ndarray,
 ) -> Checkpoint:
-    report = evaluation.evaluate(state.theta, ds_val, weights)
-    cp = Checkpoint(
+    """The checkpoint of the row at position ``i``."""
+    theta = model.row_params(state.theta, i)
+    report = evaluation.evaluate(theta, ds_val, weights)
+    return Checkpoint(
         iteration=state.t,
-        group_losses=group_mean_losses(state.theta, ds_train),
-        beta=state.beta.copy(),
+        group_losses=group_mean_losses(theta, ds_train),
+        beta=state.beta[i].copy(),
         worst_val_acc=report.worst_group_acc,
         avg_val_acc=report.avg_acc_weighted,
-        theta=state.theta,
-        theta_bar=state.theta_bar,
+        theta=theta,
+        theta_bar=model.row_params(state.theta_bar, i),
     )
-    state.history.append(cp)
-    return cp
 
 
-def init_state(model_init: ModelParams, ds_train: GroupedDataset) -> TrainState:
-    return TrainState(theta=model_init, beta=ds_train.alpha.copy(), theta_bar=model_init)
+def _streams(rngs: dict, seeds: list[int], ids: np.ndarray):
+    """The random streams the live rows ``ids`` draw from, each once, and
+    each live row's position among them (``None`` when they all share one)."""
+    live = [seeds[i] for i in ids]
+    order = list(dict.fromkeys(live))
+    pos = None if len(order) == 1 else np.array([order.index(s) for s in live])
+    return [rngs[seed] for seed in order], pos
+
+
+def train_lockstep(
+    ds_train: GroupedDataset,
+    ds_val: GroupedDataset,
+    inits,
+    configs,
+) -> list[TrainResult | DivergenceError]:
+    """Train R trajectories of one shape in lockstep, row ``r`` from
+    ``inits[r]`` under ``configs[r]``.
+
+    Each step advances every row with one set of numpy calls (the latent
+    ascent apart, which runs row by row).  Rows must share
+    the fields in ``SHARED`` and the model shape (``ParameterError``
+    otherwise); rows with equal seeds share one random stream and one
+    minibatch gather.  Returns, in row order, each row's ``TrainResult``,
+    bitwise what :func:`train` returns for that row alone, or the
+    ``DivergenceError`` it would raise.
+    """
+    if np.any(ds_train.n_g == 0):
+        empty = np.flatnonzero(ds_train.n_g == 0).tolist()
+        raise InvalidDatasetError(f"training groups {empty} are empty")
+
+    state = Lockstep.start(inits, configs, ds_train)
+    shared = state.rows.shared
+    sampler = GroupSampler(ds_train, shared)
+    seeds = [c.seed for c in state.rows.configs]
+    rngs = {seed: np.random.default_rng(seed) for seed in seeds}
+    weights = ds_train.alpha.copy()
+    histories = [[] for _ in seeds]
+
+    streams, pos = _streams(rngs, seeds, state.ids)
+    for _ in range(shared.iterations):
+        live = state.ids.size
+        batch = stack_batches([sampler.draw(rng) for rng in streams], pos, live)
+        state = train_step(state, batch)
+        if state.ids.size != live:
+            if not state.ids.size:
+                break
+            streams, pos = _streams(rngs, seeds, state.ids)
+        if state.t % shared.checkpoint_every == 0 or state.t == shared.iterations:
+            for i, k in enumerate(state.ids):
+                histories[k].append(_record_checkpoint(state, i, ds_train, ds_val, weights))
+
+    results = [state.failed.get(k) for k in range(len(seeds))]
+    for i, k in enumerate(state.ids):
+        history = histories[k]
+        if not history:
+            history.append(_record_checkpoint(state, i, ds_train, ds_val, weights))
+        best = max(history, key=lambda cp: (cp.worst_val_acc, -cp.iteration))
+        final = TrainState(theta=model.row_params(state.theta, i), beta=state.beta[i],
+                           theta_bar=model.row_params(state.theta_bar, i), t=state.t,
+                           history=history)
+        results[k] = TrainResult(best=best.theta, best_iteration=best.iteration,
+                                 best_worst_val_acc=best.worst_val_acc, final=final,
+                                 history=history)
+    return results
 
 
 def train(
@@ -277,35 +494,16 @@ def train(
 ) -> TrainResult:
     """Run ``config.iterations`` steps and select by worst-group validation accuracy.
 
-    Checkpoints are taken every ``config.checkpoint_every`` iterations and at
-    the final iteration; the earliest checkpoint attaining the maximum
-    worst-group validation accuracy is returned as ``best``.  The whole run
-    is a pure function of (datasets, initial model, config).
+    The one-row case of :func:`train_lockstep`.  Checkpoints are taken every
+    ``config.checkpoint_every`` iterations and at the final iteration; the
+    earliest checkpoint attaining the maximum worst-group validation accuracy
+    is returned as ``best``.  The whole run is a pure function of (datasets,
+    initial model, config).  Raises ``DivergenceError`` if the run diverges.
     """
-    if np.any(ds_train.n_g == 0):
-        empty = np.flatnonzero(ds_train.n_g == 0).tolist()
-        raise InvalidDatasetError(f"training groups {empty} are empty")
-
-    rng = np.random.default_rng(config.seed)
-    sampler = GroupSampler(ds_train, config)
-    state = init_state(model_init, ds_train)
-    weights = ds_train.alpha.copy()
-
-    for _ in range(config.iterations):
-        state = train_step(state, sampler.draw(rng), config, ds_train.n_g)
-        if state.t % config.checkpoint_every == 0 or state.t == config.iterations:
-            _record_checkpoint(state, ds_train, ds_val, weights)
-
-    if not state.history:
-        _record_checkpoint(state, ds_train, ds_val, weights)
-    best = max(state.history, key=lambda cp: (cp.worst_val_acc, -cp.iteration))
-    return TrainResult(
-        best=best.theta,
-        best_iteration=best.iteration,
-        best_worst_val_acc=best.worst_val_acc,
-        final=state,
-        history=state.history,
-    )
+    (result,) = train_lockstep(ds_train, ds_val, [model_init], [config])
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
 
 
 def objective_value(

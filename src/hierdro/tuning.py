@@ -21,7 +21,7 @@ import numpy as np
 
 from . import evaluation, solver
 from .datagen import GroupedDataset
-from .errors import InvalidDatasetError, ParameterError, TuningInfeasibleError
+from .errors import DivergenceError, InvalidDatasetError, ParameterError, TuningInfeasibleError
 from .model import ModelSpec, init_params, latent
 from .solver import ERM, HIERARCHICAL, SolverConfig
 
@@ -164,9 +164,11 @@ def tune_epsilon(ds_train: GroupedDataset, grid_scale, config: TuneConfig) -> Tu
     """Pick the radius parameter maximizing minority-group holdout accuracy.
 
     Candidates are ``scale * sqrt(n_min)`` for each entry of ``grid_scale``.
-    Every candidate trains the hierarchical solver on both quantile splits;
-    selection within each run follows the usual worst-group-validation rule
-    with the holdout acting as the validation set.
+    Every candidate trains the hierarchical solver on both quantile splits,
+    all candidates of a split in one lockstep run; selection within each run
+    follows the usual worst-group-validation rule with the holdout acting as
+    the validation set.  A diverging candidate raises its ``DivergenceError``
+    (the first in candidate-then-split order).
     """
     grid_scale = tuple(float(s) for s in grid_scale)
     if not grid_scale:
@@ -181,12 +183,18 @@ def tune_epsilon(ds_train: GroupedDataset, grid_scale, config: TuneConfig) -> Tu
     ordering = order_1d(_ordering_features(ds_train, config), seed=config.ordering_seed)
     splits = quantile_splits(ds_train, ordering.ranks)
 
+    # One lockstep run per split, one row per candidate; all rows share the
+    # seed, so they share the initial model and the minibatch stream.
+    run_cfgs = [replace(config.solver, mode=HIERARCHICAL, epsilon=eps) for eps in candidates]
+    init = init_params(config.model, ds_train.d, ds_train.num_labels, seed=config.solver.seed)
+    runs = [solver.train_lockstep(split.train, split.holdout, [init] * len(run_cfgs), run_cfgs)
+            for split in splits]
     table = np.zeros((len(candidates), len(splits)))
-    for i, eps in enumerate(candidates):
-        run_cfg = replace(config.solver, mode=HIERARCHICAL, epsilon=eps)
+    for i in range(len(candidates)):
         for j, split in enumerate(splits):
-            init = init_params(config.model, ds_train.d, ds_train.num_labels, seed=run_cfg.seed)
-            result = solver.train(split.train, split.holdout, init, run_cfg)
+            result = runs[j][i]
+            if isinstance(result, DivergenceError):
+                raise result
             report = evaluation.evaluate(result.best, split.holdout, split.train.alpha)
             table[i, j] = report.per_group_acc[minority]
 

@@ -236,33 +236,33 @@ def _small_train_setup(seed: int = 3):
 def check_simplex_and_degeneracy(steps: int = 10_000, tolerance: float = SIMPLEX_TOLERANCE) -> CheckResult:
     """Simplex residuals over a long run plus the exact mode-degeneracy chain."""
     ds, base, init = _small_train_setup()
-
-    def run(config: SolverConfig):
-        rng = np.random.default_rng(config.seed)
-        sampler = GroupSampler(ds, config)
-        state = solver.init_state(init, ds)
-        max_residual = 0.0
-        thetas = []
-        for _ in range(steps):
-            state = solver.train_step(state, sampler.draw(rng), config, ds.n_g)
-            max_residual = max(max_residual, abs(float(state.beta.sum()) - 1.0))
-            if np.any(state.beta < 0):
-                max_residual = math.inf
-            thetas.append(state.theta)
-        return state, max_residual, thetas
-
-    hier_state, hier_res, _ = run(base)
-    hier0_state, hier0_res, hier0_traj = run(replace(base, epsilon=0.0))
-    dro_state, dro_res, dro_traj = run(replace(base, mode=GROUP_DRO))
-    residual = max(hier_res, hier0_res, dro_res)
+    # hierarchical, hierarchical at radius zero, group DRO and ERM as four
+    # rows of one lockstep run; they share the seed and so the batch stream.
+    configs = [base, replace(base, epsilon=0.0), replace(base, mode=GROUP_DRO),
+               replace(base, mode=ERM)]
+    rng = np.random.default_rng(base.seed)
+    sampler = GroupSampler(ds, base)
+    state = solver.Lockstep.start([init] * len(configs), configs, ds)
+    residual = 0.0
+    hier0_traj, dro_traj, erm_traj = [], [], []
+    for _ in range(steps):
+        batch = solver.stack_batches([sampler.draw(rng)], None, len(configs))
+        state = solver.train_step(state, batch)
+        if state.failed:
+            raise next(iter(state.failed.values()))
+        for row, trajectory in enumerate((hier0_traj, dro_traj, erm_traj), start=1):
+            trajectory.append(model.row_params(state.theta, row))
+        for beta in state.beta[:3]:     # ERM's beta is checked against alpha below
+            residual = max(residual, abs(float(beta.sum()) - 1.0))
+            if np.any(beta < 0):
+                residual = math.inf
 
     bitwise = all(
         model.params_equal(a, b) for a, b in zip(hier0_traj, dro_traj)
-    ) and np.array_equal(hier0_state.beta, dro_state.beta)
+    ) and np.array_equal(state.beta[1], state.beta[2])
 
     # ERM against an independent plain-SGD loop over the identical batch stream.
-    erm_cfg = replace(base, mode=ERM)
-    erm_state, _, erm_traj = run(erm_cfg)
+    erm_cfg = configs[3]
     rng = np.random.default_rng(erm_cfg.seed)
     sampler = GroupSampler(ds, erm_cfg)
     theta = init
@@ -273,7 +273,7 @@ def check_simplex_and_degeneracy(steps: int = 10_000, tolerance: float = SIMPLEX
         grads = model.grad_wrt_params(theta, model.latent(theta, batch.x), batch.x, batch.y)
         theta = model.sgd_step(theta, grads, erm_cfg.eta_theta * float(alpha[batch.group]))
         erm_matches = erm_matches and model.params_equal(theta, erm_traj[step_idx])
-    erm_matches = erm_matches and np.array_equal(erm_state.beta, alpha)
+    erm_matches = erm_matches and np.array_equal(state.beta[3], alpha)
 
     passed = residual <= tolerance and bitwise and erm_matches
     return CheckResult(

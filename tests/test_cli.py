@@ -121,6 +121,89 @@ def test_run_records_diverged_cells_and_continues(tmp_path):
     lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
     rows = [l.split(",") for l in lines[2:]]
     assert any("failed" in r for r in rows)
+    text = (tmp_path / "out" / "runs" / "erm_seed0" / "divergence.json").read_text()
+    record = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+    assert record["message"].startswith("non-finite")
+    assert {"iteration", "group", "theta_norm"} <= record["snapshot"].keys()
+
+
+def test_rerun_into_one_directory_keeps_only_the_last_runs_cell_files(tmp_path):
+    raw = base_config(tmp_path)
+    raw["seeds"] = [0]
+    raw["solver"]["modes"] = ["erm"]
+    run_dir = tmp_path / "out" / "runs" / "erm_seed0"
+    cell_files = lambda: sorted(p.name for p in run_dir.iterdir())
+    written = ["checkpoint_best.json", "checkpoint_final.json", "history.csv"]
+    for eta_theta, want in ((1e308, ["divergence.json"]), (0.5, written), (1e308, ["divergence.json"])):
+        raw["solver"]["eta_theta"] = eta_theta
+        cfg = write_config(tmp_path, raw)
+        cli.main(["generate", "--config", cfg])
+        with np.errstate(all="ignore"):
+            assert cli.main(["run", "--config", cfg]) == 0
+        assert cell_files() == want
+
+
+def test_one_diverged_cell_leaves_the_other_cells_as_their_solo_runs(tmp_path, monkeypatch):
+    """Force one row of the lockstep run to diverge; every other cell's
+    artifacts equal those of a run of that cell alone."""
+    raw = base_config(tmp_path)
+    cfg = write_config(tmp_path, raw)
+    cli.main(["generate", "--config", cfg])
+    train_lockstep = cli.solver.train_lockstep
+
+    def one_row_diverges(ds_train, ds_val, inits, configs):
+        configs = list(configs)
+        k = next(i for i, c in enumerate(configs) if c.mode == "group_dro" and c.seed == 1)
+        configs[k] = dataclasses.replace(configs[k], eta_theta=1e308)
+        return train_lockstep(ds_train, ds_val, inits, configs)
+
+    monkeypatch.setattr(cli.solver, "train_lockstep", one_row_diverges)
+    with np.errstate(all="ignore"):
+        assert cli.main(["run", "--config", cfg]) == 0
+    monkeypatch.undo()
+    out = tmp_path / "out"
+    failed = out / "runs" / "group_dro_seed1"
+    assert (failed / "divergence.json").exists()
+    assert not (failed / "checkpoint_best.json").exists()
+    rows = [l.split(",") for l in (out / "results.csv").read_text().splitlines()[2:]]
+    assert [r[:2] for r in rows if "failed" in r] == [["GroupDRO", "1"]]
+
+    for mode in raw["solver"]["modes"]:
+        for seed in raw["seeds"]:
+            if (mode, seed) == ("group_dro", 1):
+                continue
+            solo_raw = base_config(tmp_path, seeds=[seed], output_dir=str(tmp_path / "solo"))
+            solo_raw["solver"]["modes"] = [mode]
+            solo_cfg = write_config(tmp_path, solo_raw, "solo.json")
+            cli.main(["generate", "--config", solo_cfg])
+            assert cli.main(["run", "--config", solo_cfg]) == 0
+            cell = f"runs/{mode}_seed{seed}"
+            for name in ("checkpoint_best.json", "checkpoint_final.json"):
+                assert (out / cell / name).read_bytes() == (tmp_path / "solo" / cell / name).read_bytes()
+            history = lambda path: path.read_text().splitlines()[1:]   # line 0 names the config hash
+            assert history(out / cell / "history.csv") == history(tmp_path / "solo" / cell / "history.csv")
+            solo_rows = [l.split(",") for l in (tmp_path / "solo" / "results.csv").read_text().splitlines()[2:]]
+            assert solo_rows[0] in rows
+
+
+@pytest.mark.parametrize("key,raw_value", [
+    ("modes", ["erm", "hierarchical", "erm"]),
+    ("seeds", [0, 1, 0]),
+])
+def test_repeated_run_cells_are_refused(tmp_path, capsys, key, raw_value):
+    raw = base_config(tmp_path)
+    if key == "modes":
+        raw["solver"]["modes"] = raw_value
+    else:
+        raw["seeds"] = raw_value
+    assert_refused(tmp_path, capsys, raw, "solver.modes" if key == "modes" else "seeds")
+
+
+@pytest.mark.parametrize("grid_scale", [[], [-0.1], [0.1, float("inf")], [float("nan")]])
+def test_bad_grid_scale_is_refused_at_load(tmp_path, capsys, grid_scale):
+    raw = base_config(tmp_path)
+    raw["tuning"]["grid_scale"] = grid_scale
+    assert_refused(tmp_path, capsys, raw, "tuning.grid_scale")
 
 
 def test_run_group_dro_matches_hierarchical_zero_eps(tmp_path):

@@ -16,10 +16,12 @@ from hierdro.solver import (
     HIERARCHICAL,
     Batch,
     GroupSampler,
+    Lockstep,
     SolverConfig,
-    init_state,
     objective_value,
+    stack_batches,
     train,
+    train_lockstep,
     train_step,
     update_beta,
 )
@@ -111,12 +113,12 @@ def test_single_step_matches_hand_composition():
     ds = small_ds()
     config = base_config(batch_size=3)
     theta0 = init_params(ModelSpec(LINEAR), ds.d, 2, seed=1)
-    state = init_state(theta0, ds)
+    state = Lockstep.start([theta0], [config], ds)
     g = 1
     rows = ds.group_rows(g)[:3]
     batch = Batch(group=g, x=ds.features[rows], y=ds.labels[rows])
 
-    state = train_step(state, batch, config, ds.n_g)
+    state = train_step(state, stack_batches([batch], None, 1))
 
     # Reference composition from the three documented sub-updates.
     eps_g = amb.radius(config.epsilon, int(ds.n_g[g]))
@@ -128,38 +130,40 @@ def test_single_step_matches_hand_composition():
     grads = model.grad_wrt_params(theta0, z_prime, batch.x, batch.y)
     theta1 = model.sgd_step(theta0, grads, config.eta_theta * float(beta[g]))
 
-    assert model.params_equal(state.theta, theta1)
-    np.testing.assert_array_equal(state.beta, beta)
+    assert model.params_equal(model.row_params(state.theta, 0), theta1)
+    np.testing.assert_array_equal(state.beta[0], beta)
     assert state.t == 1
-    assert model.params_equal(state.theta_bar, theta1)
+    assert model.params_equal(model.row_params(state.theta_bar, 0), theta1)
 
 
 def test_erm_step_is_plain_sgd_on_batch_loss():
     ds = small_ds()
     config = base_config(mode=ERM)
     theta0 = init_params(ModelSpec(LINEAR), ds.d, 2, seed=2)
-    state = init_state(theta0, ds)
+    state = Lockstep.start([theta0], [config], ds)
     g = 0
     rows = ds.group_rows(g)[:4]
     batch = Batch(group=g, x=ds.features[rows], y=ds.labels[rows])
-    state = train_step(state, batch, config, ds.n_g)
+    state = train_step(state, stack_batches([batch], None, 1))
 
-    np.testing.assert_array_equal(state.beta, ds.alpha)  # frozen
+    np.testing.assert_array_equal(state.beta[0], ds.alpha)  # frozen
     grads = model.grad_wrt_params(theta0, model.latent(theta0, batch.x), batch.x, batch.y)
     expected = model.sgd_step(theta0, grads, config.eta_theta * float(ds.alpha[g]))
-    assert model.params_equal(state.theta, expected)
+    assert model.params_equal(model.row_params(state.theta, 0), expected)
 
 
 def test_divergence_error_carries_snapshot():
     ds = small_ds()
     config = base_config(mode=GROUP_DRO)
     theta = ModelParams(w_out=np.full((2, ds.d), 1e308), b_out=np.zeros(2))
-    state = init_state(theta, ds)
+    state = Lockstep.start([theta], [config], ds)
     rows = ds.group_rows(0)[:2]
     batch = Batch(group=0, x=ds.features[rows], y=ds.labels[rows])
-    with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
-        train_step(state, batch, config, ds.n_g)
-    assert "iteration" in err.value.snapshot
+    with np.errstate(all="ignore"):
+        state = train_step(state, stack_batches([batch], None, 1))
+    assert isinstance(state.failed[0], DivergenceError)
+    assert "iteration" in state.failed[0].snapshot
+    assert state.ids.size == 0 and state.beta.shape == (0, ds.num_groups)
 
 
 # ------------------------------------------------------------------- train
@@ -340,3 +344,141 @@ def test_config_validation():
         SolverConfig(mode=ERM, eta_beta=0.1, eta_theta=0.1, eta_z=0.0)
     assert SolverConfig(mode=GROUP_DRO, eta_beta=0.1, eta_theta=0.1,
                         epsilon=5.0).effective_epsilon == 0.0
+
+
+# ---------------------------------------------------------------- lockstep
+
+
+def grouped_ds(num_labels, seed, counts=(9, 4, 6, 3, 5, 7)):
+    """Random features with ``num_labels`` labels x 2 attributes, every group nonempty."""
+    from hierdro.datagen import GroupedDataset
+    rng = np.random.default_rng(seed)
+    groups = np.repeat(np.arange(2 * num_labels), counts[:2 * num_labels])
+    return GroupedDataset(rng.normal(size=(groups.size, 3)), groups // 2, groups % 2, num_labels, 2)
+
+
+def assert_same_result(a, b):
+    assert a.best_iteration == b.best_iteration
+    assert a.best_worst_val_acc == b.best_worst_val_acc
+    assert len(a.history) == len(b.history)
+    for cp_a, cp_b in zip(a.history, b.history):
+        assert cp_a.iteration == cp_b.iteration
+        np.testing.assert_array_equal(cp_a.group_losses, cp_b.group_losses)
+        np.testing.assert_array_equal(cp_a.beta, cp_b.beta)
+        assert cp_a.worst_val_acc == cp_b.worst_val_acc
+        assert cp_a.avg_val_acc == cp_b.avg_val_acc
+        assert model.params_equal(cp_a.theta, cp_b.theta)
+        assert model.params_equal(cp_a.theta_bar, cp_b.theta_bar)
+    assert model.params_equal(a.final.theta, b.final.theta)
+    np.testing.assert_array_equal(a.final.beta, b.final.beta)
+    assert a.final.t == b.final.t
+
+
+row_settings = st.fixed_dictionaries({
+    "mode": st.sampled_from(solver.MODES),
+    "seed": st.integers(0, 2),
+    "epsilon": st.sampled_from([0.0, 0.5, 2.0]),
+    "eta_beta": st.sampled_from([0.05, 0.5]),
+    "eta_theta": st.sampled_from([0.1, 0.4]),
+    "adjustment": st.sampled_from([0.0, 1.0]),
+    "eta_z": st.sampled_from([None, 0.3]),
+    "backprop_through_feature": st.booleans(),
+    "init_seed": st.integers(0, 3),
+})
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.lists(row_settings, min_size=1, max_size=6),
+    architecture=st.sampled_from([LINEAR, MLP1]),
+    num_labels=st.sampled_from([2, 3]),
+    inner_steps=st.sampled_from([1, 2]),
+    decay_steps=st.booleans(),
+    sampling=st.sampled_from(solver.SAMPLING),
+)
+def test_lockstep_rows_equal_solo_runs_bitwise(rows, architecture, num_labels, inner_steps,
+                                               decay_steps, sampling):
+    ds, ds_val = grouped_ds(num_labels, 0), grouped_ds(num_labels, 1)
+    spec = ModelSpec(architecture, hidden_width=4)
+    configs, inits = [], []
+    for row in rows:
+        settings_ = dict(row)
+        inits.append(init_params(spec, ds.d, num_labels, seed=settings_.pop("init_seed")))
+        configs.append(SolverConfig(iterations=25, batch_size=3, checkpoint_every=10,
+                                    inner_steps=inner_steps, decay_steps=decay_steps,
+                                    sampling=sampling, **settings_))
+    together = train_lockstep(ds, ds_val, inits, configs)
+    assert len(together) == len(rows)
+    for result, init, config in zip(together, inits, configs):
+        assert_same_result(result, train(ds, ds_val, init, config))
+
+
+def test_lockstep_retires_a_diverged_row_and_keeps_the_others():
+    ds = small_ds()
+    theta0 = init_params(ModelSpec(LINEAR), ds.d, 2, seed=3)
+    configs = [base_config(mode=ERM, iterations=60, checkpoint_every=20),
+               base_config(mode=ERM, iterations=60, checkpoint_every=20, eta_theta=1e308),
+               base_config(iterations=60, checkpoint_every=20)]
+    with np.errstate(all="ignore"):
+        together = train_lockstep(ds, ds, [theta0] * 3, configs)
+        with pytest.raises(DivergenceError) as solo_error:
+            train(ds, ds, theta0, configs[1])
+    assert isinstance(together[1], DivergenceError)
+    assert str(together[1]) == str(solo_error.value)
+    assert together[1].snapshot.keys() == solo_error.value.snapshot.keys()
+    for k in (0, 2):
+        assert_same_result(together[k], train(ds, ds, theta0, configs[k]))
+
+
+@pytest.mark.parametrize("field_name,value", [
+    ("iterations", 7), ("checkpoint_every", 3), ("batch_size", 2), ("decay_steps", True),
+    ("sampling", solver.EMPIRICAL), ("inner_steps", 2),
+])
+def test_lockstep_rows_must_share_the_shape_fields(field_name, value):
+    ds = small_ds()
+    theta0 = init_params(ModelSpec(LINEAR), ds.d, 2, seed=0)
+    configs = [base_config(iterations=5), base_config(**{"iterations": 5, field_name: value})]
+    with pytest.raises(ParameterError, match=field_name):
+        train_lockstep(ds, ds, [theta0, theta0], configs)
+
+
+def test_lockstep_rows_must_share_the_architecture():
+    ds = small_ds()
+    linear = init_params(ModelSpec(LINEAR), ds.d, 2, seed=0)
+    for other in (init_params(ModelSpec(MLP1, hidden_width=4), ds.d, 2, seed=0),
+                  init_params(ModelSpec(MLP1, hidden_width=5), ds.d, 2, seed=0)):
+        with pytest.raises(ParameterError):
+            train_lockstep(ds, ds, [linear, other], [base_config(), base_config()])
+    with pytest.raises(ParameterError):
+        train_lockstep(ds, ds, [], [])
+
+
+def test_lockstep_step_ascends_each_row_through_inner_maximize(monkeypatch):
+    """Every row with a positive radius gets one ``inner_maximize`` call on
+    its own unstacked model, batch and radius, as a lone run makes."""
+    ds = small_ds()
+    spec = ModelSpec(MLP1, hidden_width=4)
+    configs = [base_config(mode=ERM, seed=1), base_config(epsilon=2.0, seed=1),
+               base_config(mode=GROUP_DRO, seed=2), base_config(epsilon=0.5, seed=2, eta_z=0.3)]
+    inits = [init_params(spec, ds.d, 2, seed=k) for k in range(len(configs))]
+    state = solver.Lockstep.start(inits, configs, ds)
+    sampler = solver.GroupSampler(ds, configs[0])
+    draws = [sampler.draw(np.random.default_rng(seed)) for seed in (1, 2)]
+    batch = solver.stack_batches(draws, np.array([0, 0, 1, 1]), len(configs))
+    calls = []
+    inner_maximize = amb.inner_maximize
+
+    def spy(theta, z, y, eps_g, steps=1, eta_z=None):
+        calls.append((theta, z, y, eps_g, eta_z))
+        return inner_maximize(theta, z, y, eps_g, steps=steps, eta_z=eta_z)
+
+    monkeypatch.setattr(amb, "inner_maximize", spy)
+    solver.train_step(state, batch)
+    assert len(calls) == 2
+    for (theta, z, y, eps_g, eta_z), k in zip(calls, (1, 3)):
+        draw = draws[k // 2]
+        assert model.params_equal(theta, inits[k]) and theta.w_out.ndim == 2
+        np.testing.assert_array_equal(z, model.latent(inits[k], draw.x))
+        np.testing.assert_array_equal(y, draw.y)
+        assert eps_g == amb.radius(configs[k].epsilon, int(ds.n_g[draw.group]))
+        assert eta_z == configs[k].eta_z
