@@ -28,7 +28,7 @@ def main() -> int:
     print(f"solving reference ({args.reference_iterations} subgradient steps)...",
           flush=True)
     reference = convergence.reference_optimum(
-        ds, config.ambiguity(), iterations=args.reference_iterations)
+        ds, config.effective_epsilon, iterations=args.reference_iterations)
     print(f"reference min-max value: {reference.value:.6f} "
           f"(tolerance {reference.tolerance})")
 

@@ -11,7 +11,6 @@ small-instance transport oracles, and convergence diagnostics.
 """
 
 from .ambiguity import (
-    AmbiguityConfig,
     DiscreteDist,
     inner_maximize,
     project_ball,
@@ -54,7 +53,6 @@ from .solver import (
     SolverConfig,
     TrainResult,
     TrainState,
-    objective_value,
     train,
     train_lockstep,
     train_step,
@@ -66,6 +64,7 @@ from .convergence import (
     ConvergenceReport,
     bound_constants,
     duality_gap,
+    objective_value,
     rate_study,
     reference_optimum,
 )

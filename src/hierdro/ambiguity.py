@@ -15,12 +15,14 @@ Two exact oracles validate the optimization machinery at toy scale:
 
 For a binary affine output layer the ball supremum has a closed form,
 :func:`binary_robust_loss`; every exact robust loss in the package goes
-through it.
+through it, and :mod:`convergence` builds the robust objective from it.
 
 Grid-based suprema use step ``eps / SUP_GRID_FRACTION`` (documented in every
 report).  Cross-entropy composed with an affine layer is convex in the
 latent, so ball suprema are attained on the sphere; boundary grids therefore
-cover the maximizer.
+cover the maximizer.  The grid oracles (:func:`ball_supremum`,
+:func:`taylor_gap`, :func:`robust_risk_check`) are exact up to that step for
+latent dimension <= 2 and raise ``UnsupportedInstanceError`` above it.
 """
 
 from __future__ import annotations
@@ -42,23 +44,16 @@ DEFAULT_ETA_Z_FACTOR = 10.0
 
 
 def radius(epsilon, n_g):
-    """Per-group radius ``epsilon / sqrt(n_g)``; elementwise for arrays."""
-    if np.any(np.less(epsilon, 0)):
-        raise ParameterError("epsilon must be nonnegative")
+    """Per-group radius ``epsilon / sqrt(n_g)``; elementwise for arrays.
+
+    The one check on the radius scale: a negative, nan or infinite
+    ``epsilon`` is a ``ParameterError``.
+    """
+    if not np.all(np.isfinite(epsilon)) or np.any(np.less(epsilon, 0)):
+        raise ParameterError("epsilon must be finite and nonnegative")
     if np.any(np.less_equal(n_g, 0)):
         raise ParameterError("group size must be positive")
     return epsilon / (np.sqrt(n_g) if np.ndim(n_g) else math.sqrt(n_g))
-
-
-@dataclass(frozen=True)
-class AmbiguityConfig:
-    """Global radius scale; group ``g`` gets the ball radius ``radius(epsilon, n_g)``."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ParameterError("epsilon must be nonnegative")
 
 
 def project_ball(z_prime: np.ndarray, z_center: np.ndarray, eps: float) -> np.ndarray:
@@ -172,34 +167,16 @@ def _ball_grid(center: np.ndarray, eps: float) -> np.ndarray:
 def ball_supremum(theta: ModelParams, z: np.ndarray, y: int, eps: float) -> float:
     """Supremum of the loss over the ``eps`` ball around ``z``.
 
-    Dense boundary grid for latent dimension <= 2 (the loss is convex in the
-    latent, so the maximum lies on the sphere); multi-start projected ascent
-    plus a line search along the start gradient otherwise.
+    Exact up to the grid step: the centre and a dense boundary grid (the
+    loss is convex in the latent, so the maximum lies on the sphere).  Latent
+    dimension above 2 is an ``UnsupportedInstanceError``.
     """
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape[0] > 2:
+        raise UnsupportedInstanceError("ball supremum supports latent dimension <= 2")
     if eps == 0.0:
         return float(model.cross_entropy(model.logits_from_latent(theta, z), y))
-    z = np.asarray(z, dtype=np.float64)
-    dim = z.shape[0]
-    candidates = [z[None, :]]
-    if dim <= 2:
-        candidates.append(_sphere_grid(z, eps))
-    else:
-        grad = model.grad_wrt_latent(theta, z, y)
-        norm = np.linalg.norm(grad)
-        if norm > 0:
-            ts = np.linspace(-eps, eps, 2 * SUP_GRID_FRACTION + 1)
-            candidates.append(z + ts[:, None] * (grad / norm))
-        rng = np.random.default_rng(0)
-        dirs = rng.normal(size=(32, dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        starts = z + eps * dirs
-        y_arr = np.full(starts.shape[0], y, dtype=np.int64)
-        current = starts
-        for _ in range(200):
-            g = model.grad_wrt_latent(theta, current, y_arr)
-            current = project_ball(current + (eps / 10.0) * g, np.broadcast_to(z, current.shape), eps)
-        candidates.append(current)
-    points = np.concatenate(candidates)
+    points = np.concatenate([z[None, :], _sphere_grid(z, eps)])
     losses = model.cross_entropy(
         model.logits_from_latent(theta, points), np.full(points.shape[0], y, dtype=np.int64)
     )
@@ -356,7 +333,12 @@ def robust_risk_check(p: DiscreteDist, theta: ModelParams, eps: float):
 
 
 def all_label_matchings_finite(p: DiscreteDist, q: DiscreteDist) -> bool:
-    """True when some label-respecting perfect matching exists (test helper)."""
+    """True when some label-respecting perfect matching exists.
+
+    Brute force over permutations: the reference that
+    :func:`verification.check_wasserstein_axioms` holds the cross-label
+    infinities of :func:`w_infty_exact` against.
+    """
     if p.support_size != q.support_size:
         return False
     for perm in itertools.permutations(range(q.support_size)):

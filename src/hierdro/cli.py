@@ -514,6 +514,8 @@ def cmd_verify(level: str, output_path: str | None) -> int:
 def cmd_report(results_path: str) -> None:
     with open(results_path, "r", encoding="utf-8") as fh:
         lines = [l for l in fh.read().splitlines() if l and not l.startswith("#")]
+    if not lines:
+        raise ConfigError(f"{results_path} has no header line")
     header = lines[0].split(",")
     print("  ".join(f"{h:>16}" for h in header))
     for line in lines[1:]:
@@ -575,6 +577,10 @@ def main(argv=None) -> int:
                         epsilon = float(json.load(fh)["chosen_epsilon"])
                 except (OSError, KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"cannot read tuned epsilon: {exc}") from exc
+            if epsilon is not None:
+                # Refuse a bad radius scale here, before any data is loaded.
+                _build(dataclasses.replace, "--tuned-epsilon-from" if args.tuned_epsilon_from
+                       else "--epsilon", config.solver, epsilon=epsilon)
             cmd_run(config, output_dir, hierarchical_epsilon=epsilon)
             return 0
         raise ConfigError(f"unknown command {args.command!r}")

@@ -1,9 +1,13 @@
-"""Convergence diagnostics for the convex (linear, binary) setting.
+"""The robust objective and convergence diagnostics for the convex (linear, binary) setting.
 
 The saddle objective is ``L(theta, beta) = sum_g beta_g f_g(theta)`` with
 ``f_g`` the group's mean ball-supremum loss; its simplex maximum is simply
 ``max_g f_g``.  For a linear binary model each ``f_g`` has a closed form and
-is convex in the parameters, so the duality gap of the averaged iterate
+is convex in the parameters.  This module owns that objective: one
+precomputed problem per (dataset, epsilon) serves :func:`objective_value`,
+:func:`duality_gap`, :func:`reference_optimum` and :func:`bound_constants`,
+which take the radius scale ``epsilon`` as a float and refuse any other
+model.  The duality gap of the averaged iterate
 
     gap(T) = max_g f_g(theta_bar_T) - min_theta max_g f_g(theta)
 
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, solver
-from .ambiguity import AmbiguityConfig, binary_ball_maximizer, binary_robust_loss, radius
+from .ambiguity import binary_ball_maximizer, binary_robust_loss, radius
 from .datagen import GroupedDataset, make_spurious
 from .errors import UnsupportedDiagnosticError
 from .model import LINEAR, ModelParams, ModelSpec, init_params
@@ -38,32 +42,32 @@ REFERENCE_STEP0 = 0.5
 REFERENCE_TOLERANCE = 1e-4
 
 
-def _require_convex(theta: ModelParams) -> None:
+def _head(theta: ModelParams):
+    """The row difference ``v = w_1 - w_0`` and bias difference ``c`` of the
+    linear binary model; any other model is an ``UnsupportedDiagnosticError``."""
     if theta.architecture != LINEAR or theta.num_classes != 2:
         raise UnsupportedDiagnosticError(
             "convergence diagnostics require the linear binary model"
         )
+    return theta.w_out[1] - theta.w_out[0], theta.b_out[1] - theta.b_out[0]
 
 
-def worst_robust_loss(theta: ModelParams, ds: GroupedDataset, ambiguity: AmbiguityConfig) -> float:
-    """``max_g f_g(theta)`` by the closed form of :func:`solver.objective_value`."""
-    _require_convex(theta)
-    _, worst = solver.objective_value(theta, ds, ambiguity)
-    return worst
+class _RobustProblem:
+    """The robust objective of one (dataset, epsilon): ``groups`` holds each
+    present group's index, features, label signs ``s = 2y - 1`` and radius;
+    ``sign`` and ``radii`` hold the same per example.  A negative or
+    non-finite ``epsilon`` is a ``ParameterError`` (:func:`ambiguity.radius`)."""
 
-
-class _ConvexProblem:
-    """Precomputed per-group views for the fast subgradient loop."""
-
-    def __init__(self, ds: GroupedDataset, ambiguity: AmbiguityConfig):
+    def __init__(self, ds: GroupedDataset, epsilon: float):
+        present = np.flatnonzero(ds.n_g)
+        group_radius = np.zeros(ds.num_groups)
+        group_radius[present] = radius(epsilon, ds.n_g[present])
+        self.sign = 2.0 * ds.labels.astype(np.float64) - 1.0
+        self.radii = group_radius[ds.group_of]
         self.groups = []
-        for g in range(ds.num_groups):
+        for g in present.tolist():
             rows = ds.group_rows(g)
-            if rows.size == 0:
-                continue
-            eps_g = radius(ambiguity.epsilon, rows.size)
-            sign = 2.0 * ds.labels[rows].astype(np.float64) - 1.0
-            self.groups.append((ds.features[rows], sign, eps_g))
+            self.groups.append((g, ds.features[rows], self.sign[rows], float(group_radius[g])))
 
     def value_and_subgrad(self, v: np.ndarray, c: float):
         """``max_g f_g`` and its subgradient in the (v, c) parametrization."""
@@ -71,7 +75,7 @@ class _ConvexProblem:
         v_hat = v / v_norm if v_norm > 0 else np.zeros_like(v)
         best = -math.inf
         best_parts = None
-        for feats, sign, eps_g in self.groups:
+        for _, feats, sign, eps_g in self.groups:
             losses, u = binary_robust_loss(feats, sign, v, c, eps_g, v_norm)
             value = float(np.mean(losses))
             if value > best:
@@ -85,6 +89,24 @@ class _ConvexProblem:
         return best, d_v, d_c
 
 
+def objective_value(theta: ModelParams, ds: GroupedDataset, epsilon: float):
+    """Per-group ball-supremum risks ``f_g`` and their maximum over the simplex.
+
+    Exact, by the closed form :func:`ambiguity.binary_robust_loss`, for the
+    linear binary model; any other model is an ``UnsupportedDiagnosticError``.
+    Group ``g``'s radius is ``radius(epsilon, n_g)``.  Returns
+    ``(f_g, worst)`` where absent groups have ``f_g = nan``.
+    """
+    problem = _RobustProblem(ds, epsilon)
+    v, c = _head(theta)
+    v_norm = np.linalg.norm(v)
+    f_g = np.full(ds.num_groups, np.nan)
+    for g, feats, sign, eps_g in problem.groups:
+        losses, _ = binary_robust_loss(feats, sign, v, c, eps_g, v_norm)
+        f_g[g] = float(np.mean(losses))
+    return f_g, float(np.nanmax(f_g))
+
+
 @dataclass(frozen=True)
 class ReferenceSolution:
     value: float
@@ -95,7 +117,7 @@ class ReferenceSolution:
 
 def reference_optimum(
     ds: GroupedDataset,
-    ambiguity: AmbiguityConfig,
+    epsilon: float,
     iterations: int = REFERENCE_ITERATIONS,
     step0: float = REFERENCE_STEP0,
 ) -> ReferenceSolution:
@@ -104,7 +126,7 @@ def reference_optimum(
     The objective only depends on the output-row difference ``v = w1 - w0``
     and bias difference ``c``, so the descent runs in that reduced space.
     """
-    problem = _ConvexProblem(ds, ambiguity)
+    problem = _RobustProblem(ds, epsilon)
     v = np.zeros(ds.d)
     c = 0.0
     best_val = math.inf
@@ -129,12 +151,12 @@ def reference_optimum(
 def duality_gap(
     theta_bar: ModelParams,
     ds: GroupedDataset,
-    ambiguity: AmbiguityConfig,
+    epsilon: float,
     reference: float,
 ) -> float:
     """``max_g f_g(theta_bar) - reference``; may dip below zero by the reference error."""
-    _require_convex(theta_bar)
-    return worst_robust_loss(theta_bar, ds, ambiguity) - reference
+    _, worst = objective_value(theta_bar, ds, epsilon)
+    return worst - reference
 
 
 @dataclass(frozen=True)
@@ -147,27 +169,20 @@ class BoundConstants:
 def bound_constants(
     ds: GroupedDataset,
     thetas,
-    ambiguity: AmbiguityConfig,
+    epsilon: float,
 ) -> BoundConstants:
     """Empirical maxima of parameter norm, per-example gradient norm at the
     ball maximizer, and per-example robust loss over a parameter trajectory."""
+    problem = _RobustProblem(ds, epsilon)
     b_theta = b_grad = b_loss = 0.0
-    sign = 2.0 * ds.labels.astype(np.float64) - 1.0
-    radii = np.zeros(ds.n)
-    for g in range(ds.num_groups):
-        rows = ds.group_rows(g)
-        if rows.size:
-            radii[rows] = radius(ambiguity.epsilon, rows.size)
     for theta in thetas:
-        _require_convex(theta)
-        v = theta.w_out[1] - theta.w_out[0]
-        c = theta.b_out[1] - theta.b_out[0]
+        v, c = _head(theta)
         v_norm = float(np.linalg.norm(v))
-        losses, u = binary_robust_loss(ds.features, sign, v, c, radii, v_norm)
+        losses, u = binary_robust_loss(ds.features, problem.sign, v, c, problem.radii, v_norm)
         # Per-example gradient at the maximizing latent z': dlogits has norm
         # sqrt(2)*sigma(u), so the (W, b) gradient norm is
         # sqrt(2)*sigma(u)*sqrt(||z'||^2 + 1).
-        z_prime = binary_ball_maximizer(ds.features, sign, v, radii, v_norm)
+        z_prime = binary_ball_maximizer(ds.features, problem.sign, v, problem.radii, v_norm)
         sig = 1.0 / (1.0 + np.exp(-u))
         grad_norms = np.sqrt(2.0) * sig * np.sqrt((z_prime ** 2).sum(axis=1) + 1.0)
         b_theta = max(b_theta, model.params_norm(theta))
@@ -209,7 +224,7 @@ def rate_study(
                 f"horizon {h} is not a multiple of checkpoint_every={config.checkpoint_every}"
             )
     run_cfg = SolverConfig(**{**config.__dict__, "iterations": horizons[-1]})
-    ambiguity = run_cfg.ambiguity()
+    epsilon = run_cfg.effective_epsilon
     init = init_params(ModelSpec(LINEAR), ds.d, ds.num_labels, seed=run_cfg.seed)
     result = solver.train(ds, ds, init, run_cfg)
 
@@ -217,9 +232,9 @@ def rate_study(
     gaps, bounds, constants = [], [], []
     for h in horizons:
         cp = by_iteration[h]
-        gaps.append(duality_gap(cp.theta_bar, ds, ambiguity, reference.value))
+        gaps.append(duality_gap(cp.theta_bar, ds, epsilon, reference.value))
         trajectory = [c.theta for c in result.history if c.iteration <= h]
-        consts = bound_constants(ds, trajectory, ambiguity)
+        consts = bound_constants(ds, trajectory, epsilon)
         constants.append(consts)
         bounds.append(expected_error_bound(ds.num_groups, consts, h))
     return ConvergenceReport(

@@ -93,9 +93,6 @@ class GroupedDataset:
     def num_groups(self) -> int:
         return self.num_labels * self.num_attributes
 
-    def group_index(self, label: int, attribute: int) -> int:
-        return label * self.num_attributes + attribute
-
     def group_rows(self, g: int) -> np.ndarray:
         return np.flatnonzero(self.group_of == g)
 

@@ -20,7 +20,8 @@ plain stochastic descent on the batch loss scaled by the constant ``alpha_g``.
 
 The returned model is chosen among checkpoints of the last iterate; the
 running average of the iterates is kept beside it for the convergence
-diagnostics.  A step with a zero radius backpropagates through the hidden
+diagnostics, which measure it against the robust objective in
+:mod:`convergence`.  A step with a zero radius backpropagates through the hidden
 layer of an ``mlp1`` model; a step at perturbed latents trains only the
 output layer unless ``backprop_through_feature`` is set (see :mod:`model`).
 
@@ -48,7 +49,6 @@ import numpy as np
 
 from . import ambiguity as amb
 from . import evaluation, model
-from .ambiguity import AmbiguityConfig
 from .datagen import GroupedDataset
 from .errors import DivergenceError, InvalidDatasetError, ParameterError
 from .model import ModelParams
@@ -94,6 +94,10 @@ class SolverConfig:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.sampling not in SAMPLING:
             raise ParameterError(f"sampling must be one of {SAMPLING}")
+        for name in ("epsilon", "eta_beta", "eta_theta", "adjustment", "eta_z"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if self.eta_beta <= 0 or self.eta_theta <= 0:
             raise ParameterError("step sizes must be positive")
         if self.epsilon < 0 or self.adjustment < 0:
@@ -109,9 +113,6 @@ class SolverConfig:
     def effective_epsilon(self) -> float:
         """Radius scale actually used: only the hierarchical mode perturbs."""
         return self.epsilon if self.mode == HIERARCHICAL else 0.0
-
-    def ambiguity(self) -> AmbiguityConfig:
-        return AmbiguityConfig(epsilon=self.effective_epsilon)
 
 
 @dataclass
@@ -504,43 +505,6 @@ def train(
     if isinstance(result, DivergenceError):
         raise result
     return result
-
-
-def objective_value(
-    theta: ModelParams,
-    ds: GroupedDataset,
-    ambiguity: AmbiguityConfig,
-):
-    """Per-group ball-supremum risks and their maximum over the simplex.
-
-    For two classes the supremum has a closed form
-    (:func:`ambiguity.binary_robust_loss`).  Other class counts fall back to
-    multi-start latent ascent (approximate).
-
-    Returns ``(f_g, worst)`` where absent groups have ``f_g = nan``.
-    """
-    f_g = np.full(ds.num_groups, np.nan)
-    z = model.latent(theta, ds.features)
-    if theta.num_classes == 2:
-        v = theta.w_out[1] - theta.w_out[0]
-        c = theta.b_out[1] - theta.b_out[0]
-        v_norm = np.linalg.norm(v)
-        sign = 2.0 * ds.labels.astype(np.float64) - 1.0
-    for g in range(ds.num_groups):
-        rows = ds.group_rows(g)
-        if rows.size == 0:
-            continue
-        eps_g = amb.radius(ambiguity.epsilon, rows.size)
-        if theta.num_classes == 2:
-            losses, _ = amb.binary_robust_loss(z[rows], sign[rows], v, c, eps_g, v_norm)
-            f_g[g] = float(np.mean(losses))
-        else:
-            total = 0.0
-            for i in rows:
-                total += amb.ball_supremum(theta, z[i], int(ds.labels[i]), eps_g)
-            f_g[g] = total / rows.size
-    worst = float(np.nanmax(f_g))
-    return f_g, worst
 
 
 def write_history_csv(history: list[Checkpoint], num_groups: int, path, header_comment: str = "") -> None:

@@ -7,9 +7,9 @@ bottom quantile of every group as validation sets.  The candidate scale that
 maximizes the smallest group's holdout accuracy (aggregated over the two
 setups) wins; ties go to the smaller scale.
 
-The default projector is the leading principal component by power iteration.
-Any map from a feature matrix to ranks can be plugged in instead via the
-``projector`` argument of :func:`tune_epsilon`.
+The projection is the leading principal component, by power iteration, of
+what ``TuneConfig.order_on`` names: the latents of a short ERM warm-up model
+(``"latents"``, the default) or the raw features (``"raw"``).
 """
 
 from __future__ import annotations

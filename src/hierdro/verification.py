@@ -381,7 +381,7 @@ def check_convergence_rate(
     """Gap contraction and the measured-constant bound on the canonical instance."""
     ds, config = convergence.canonical_instance()
     reference = convergence.reference_optimum(
-        ds, config.ambiguity(), iterations=reference_iterations)
+        ds, config.effective_epsilon, iterations=reference_iterations)
     report = convergence.rate_study(ds, config, horizons, reference)
     ratios = [report.gaps[i + 1] / report.gaps[i] for i in range(len(horizons) - 1)]
     within_bound = all(g <= b for g, b in zip(report.gaps, report.bounds))

@@ -49,6 +49,9 @@ def test_radius_errors():
         radius(1.0, 0)
     with pytest.raises(ParameterError):
         radius(-0.1, 3)
+    for bad in (math.nan, math.inf, np.array([0.5, math.nan])):
+        with pytest.raises(ParameterError):
+            radius(bad, 3)
 
 
 # ------------------------------------------------------------- projection
@@ -226,6 +229,13 @@ def test_taylor_gap_halving_ratio_quadratic():
         if small > 1e-12:
             ratios.append(big / small)
     assert ratios and all(2.5 <= r <= 6.0 for r in ratios)
+
+
+def test_ball_supremum_refuses_latent_dimension_above_two():
+    theta = binary_theta([1.0, -0.5, 0.25])
+    for eps in (0.0, 0.3):
+        with pytest.raises(UnsupportedInstanceError):
+            amb.ball_supremum(theta, np.zeros(3), 1, eps)
 
 
 def test_taylor_gap_requires_positive_eps():

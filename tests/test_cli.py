@@ -437,6 +437,35 @@ def test_run_refuses_two_radius_flags_and_a_bad_tune_result(tmp_path, capsys):
         assert err.startswith("error: cannot read tuned epsilon") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_radius_or_step_is_refused_at_load(tmp_path, capsys, value):
+    # Each of these used to train the hierarchical rows bitwise as group DRO.
+    raw = base_config(tmp_path)
+    raw["solver"]["epsilon"] = value
+    assert_refused(tmp_path, capsys, raw, "solver: epsilon must be finite")
+    for key in ("eta_beta", "eta_theta", "adjustment"):
+        raw = base_config(tmp_path)
+        raw["solver"][key] = value
+        assert_refused(tmp_path, capsys, raw, f"solver: {key} must be finite")
+    raw = base_config(tmp_path, ambiguity={"eta_z": value})
+    assert_refused(tmp_path, capsys, raw, "ambiguity: eta_z must be finite")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_run_refuses_a_non_finite_epsilon_before_training(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["generate", "--config", cfg]) == 0
+    tune_path = tmp_path / "tune_result.json"
+    tune_path.write_text(json.dumps({"chosen_epsilon": float(value)}))
+    capsys.readouterr()
+    for flags in (["--epsilon", value], ["--tuned-epsilon-from", str(tune_path)]):
+        assert cli.main(["run", "--config", cfg, *flags]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {flags[0]}: epsilon")
+        assert not (tmp_path / "out" / "runs").exists()
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+
 def test_ambiguity_block_sets_the_latent_ascent(tmp_path):
     raw = base_config(tmp_path, ambiguity={"inner_steps": 5, "eta_z": 123})
     config = cli.validate_config(raw)
@@ -496,6 +525,18 @@ def test_report_prints_table(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "method" in captured and "Hierarchical" in captured
     assert cli.main(["report", "--results", str(tmp_path / "missing.csv")]) == 1
+
+
+@pytest.mark.parametrize("body", ["", "# config_hash=x\n#\n"])
+def test_report_refuses_a_file_without_a_header(tmp_path, capsys, body):
+    path = tmp_path / "results.csv"
+    path.write_text(body)
+    with pytest.raises(ConfigError, match="no header line"):
+        cli.cmd_report(str(path))
+    capsys.readouterr()
+    assert cli.main(["report", "--results", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "Traceback" not in err
 
 
 def test_verify_fast_passes(tmp_path, capsys):

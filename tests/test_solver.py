@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from hierdro import ambiguity as amb
 from hierdro import model, solver
-from hierdro.ambiguity import AmbiguityConfig
 from hierdro.datagen import make_spurious
 from hierdro.errors import DivergenceError, InvalidDatasetError, ParameterError
 from hierdro.model import LINEAR, MLP1, ModelParams, ModelSpec, init_params
@@ -18,7 +17,6 @@ from hierdro.solver import (
     GroupSampler,
     Lockstep,
     SolverConfig,
-    objective_value,
     stack_batches,
     train,
     train_lockstep,
@@ -272,63 +270,6 @@ def test_history_records_requested_fields(tmp_path):
     assert len(lines) == 2 + len(result.history)
 
 
-# --------------------------------------------------------- objective_value
-
-
-def test_objective_zero_radius_is_group_mean_loss():
-    ds = small_ds()
-    theta = init_params(ModelSpec(LINEAR), ds.d, 2, seed=11)
-    f_g, worst = objective_value(theta, ds, AmbiguityConfig(epsilon=0.0))
-    np.testing.assert_allclose(f_g, solver.group_mean_losses(theta, ds), atol=1e-12)
-    assert worst == pytest.approx(np.max(f_g))
-
-
-def test_objective_closed_form_single_point():
-    v = np.array([0.8, -0.6, 0.0])
-    theta = ModelParams(w_out=np.stack([np.zeros(3), v]), b_out=np.array([0.0, 0.25]))
-    from hierdro.datagen import GroupedDataset
-    z = np.array([[1.0, 0.5, 2.0]])
-    ds = GroupedDataset(z, np.array([1]), np.array([0]), 2, 2)
-    eps = 0.7
-    f_g, worst = objective_value(theta, ds, AmbiguityConfig(epsilon=eps * math.sqrt(1)))
-    margin = v @ z[0] + 0.25
-    expected = math.log1p(math.exp(-margin + eps * np.linalg.norm(v)))
-    assert f_g[2] == pytest.approx(expected, abs=1e-12)
-    assert worst == pytest.approx(expected, abs=1e-12)
-
-
-def test_objective_zero_weights_insensitive_to_radius():
-    ds = small_ds()
-    theta = ModelParams(w_out=np.zeros((2, ds.d)), b_out=np.zeros(2))
-    for eps in (0.0, 1.0, 10.0):
-        f_g, worst = objective_value(theta, ds, AmbiguityConfig(epsilon=eps))
-        np.testing.assert_allclose(f_g[np.isfinite(f_g)], math.log(2.0), atol=1e-15)
-        assert worst == pytest.approx(math.log(2.0))
-
-
-def test_objective_multistart_close_to_closed_form():
-    # The K>2 fallback path, exercised on a binary instance for comparison.
-    rng = np.random.default_rng(12)
-    theta3 = ModelParams(w_out=rng.normal(size=(3, 2)), b_out=rng.normal(size=3))
-    from hierdro.datagen import GroupedDataset
-    feats = rng.normal(size=(4, 2))
-    ds = GroupedDataset(feats, np.array([0, 1, 2, 0]), np.zeros(4, dtype=np.int64), 3, 1)
-    f_g, worst = objective_value(theta3, ds, AmbiguityConfig(epsilon=0.5))
-    plain, _ = objective_value(theta3, ds, AmbiguityConfig(epsilon=0.0))
-    valid = np.isfinite(f_g)
-    assert np.all(f_g[valid] >= plain[valid] - 1e-12)
-
-
-def test_perturbation_dominance_along_training():
-    ds = small_ds()
-    theta0 = init_params(ModelSpec(LINEAR), ds.d, 2, seed=13)
-    result = train(ds, ds, theta0, base_config(iterations=200, checkpoint_every=50))
-    for cp in result.history:
-        _, with_ball = objective_value(cp.theta, ds, AmbiguityConfig(epsilon=1.0))
-        _, without = objective_value(cp.theta, ds, AmbiguityConfig(epsilon=0.0))
-        assert with_ball >= without - 1e-12
-
-
 def test_config_validation():
     with pytest.raises(ParameterError):
         SolverConfig(mode="bogus", eta_beta=0.1, eta_theta=0.1)
@@ -342,6 +283,10 @@ def test_config_validation():
         SolverConfig(mode=ERM, eta_beta=0.1, eta_theta=0.1, inner_steps=0)
     with pytest.raises(ParameterError):
         SolverConfig(mode=ERM, eta_beta=0.1, eta_theta=0.1, eta_z=0.0)
+    for name in ("epsilon", "eta_beta", "eta_theta", "adjustment", "eta_z"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match=name):
+                SolverConfig(**{"mode": ERM, "eta_beta": 0.1, "eta_theta": 0.1, name: value})
     assert SolverConfig(mode=GROUP_DRO, eta_beta=0.1, eta_theta=0.1,
                         epsilon=5.0).effective_epsilon == 0.0
 
