@@ -116,8 +116,7 @@ CONFIG_KEYS = {**_types(ExperimentConfig, "output_dir", "seeds", "dataset"),
                "solver": dict, "ambiguity": dict, "tuning": dict, "evaluation": dict}
 SOLVER_KEYS = {
     **_types(SolverConfig, "eta_beta", "eta_theta", "epsilon", "adjustment", "iterations",
-             "batch_size", "sampling", "checkpoint_every", "decay_steps",
-             "backprop_through_feature"),
+             "batch_size", "sampling", "checkpoint_every", "decay_steps"),
     **_types(ModelSpec),
     **_types(ExperimentConfig, "modes"),
 }
@@ -217,10 +216,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
     grid_scale = tn.get("grid_scale", DEFAULT_GRID_SCALE)
     if not grid_scale:
         raise ConfigError("tuning.grid_scale: expected a nonempty list")
+    n_min = max(min(top["dataset"].n_per_group_train, default=0), 0)
     for scale in grid_scale:
         if not math.isfinite(scale) or scale < 0:
             raise ConfigError(
                 f"tuning.grid_scale: expected finite nonnegative scales, got {scale!r}")
+        if not math.isfinite(scale * math.sqrt(n_min)):
+            raise ConfigError(f"tuning.grid_scale: scale {scale!r} times sqrt({n_min}), the "
+                              "smallest training group, is not a finite epsilon")
     template = _build(SolverConfig, "solver", mode=HIERARCHICAL, seed=seeds[0],
                       **_only(SolverConfig, sv))
     template = _build(dataclasses.replace, "ambiguity", template, **am)

@@ -11,16 +11,12 @@ All gradients are closed-form.  The loss is softmax cross-entropy computed
 through log-sum-exp, so it stays finite for logit magnitudes far beyond 1e3.
 
 Gradient semantics: :func:`grad_wrt_params` evaluates the loss at a latent
-``z'`` supplied by the caller.  By default it treats ``z'`` as a constant
-input to the output layer, so hidden-layer parameters receive a zero
-gradient.  With ``backprop_through_feature=True`` it adds the hidden-layer
-gradient obtained by routing the latent gradient at ``z'`` through the
-unperturbed forward pass at ``x``; for ``z' = z(x)`` that is ordinary
-backpropagation.  The caller decides, not a comparison of ``z'`` with
-``z(x)``: the solver sets the flag for every step with a zero radius (ERM,
-group DRO), so those modes train the whole network, while a hierarchical
-``mlp1`` model trains only its output layer unless the run sets
-``backprop_through_feature``.
+``z'`` supplied by the caller and routes the latent gradient at ``z'`` through
+the unperturbed forward pass at ``x``, holding the offset ``z' - z(x)``
+constant.  For ``z' = z(x)`` that is ordinary backpropagation; for ``z'`` the
+maximizer of the loss over a ball around ``z(x)`` it is, by Danskin's theorem,
+the gradient of the ball supremum (Madry et al., arXiv:1706.06083, App. A).
+Every training mode therefore trains the whole network.
 
 Row-stacked parameters: every array of a :class:`ModelParams` may carry a
 leading row axis, ``(R, K, d)`` for ``w_out``, so that one call evaluates R
@@ -204,26 +200,18 @@ def grad_wrt_latent(theta: ModelParams, z: np.ndarray, y) -> np.ndarray:
     return loss_and_latent_grad(theta, z, y)[1]
 
 
-def grad_wrt_params(
-    theta: ModelParams,
-    z_prime: np.ndarray,
-    x: np.ndarray,
-    y,
-    backprop_through_feature: bool = False,
-) -> ParamGrads:
+def grad_wrt_params(theta: ModelParams, z_prime: np.ndarray, x: np.ndarray, y) -> ParamGrads:
     """Gradient of the loss at ``z_prime`` with respect to the parameters.
 
     For batched inputs (2-D ``z_prime``/``x``, or 3-D with a row-stacked
     ``theta``) the batch-mean gradient is returned.  Hidden-layer parameters
-    get a gradient only when ``backprop_through_feature`` is set; see the
-    module docstring.  For a row-stacked ``theta`` the flag may be one bool
-    per row.
+    get the gradient through the forward pass at ``x``; see the module
+    docstring.
     """
-    return loss_and_param_grads(theta, z_prime, x, y, backprop_through_feature)[1]
+    return loss_and_param_grads(theta, z_prime, x, y)[1]
 
 
-def loss_and_param_grads(theta: ModelParams, z_prime: np.ndarray, x: np.ndarray, y,
-                         backprop_through_feature=False) -> tuple:
+def loss_and_param_grads(theta: ModelParams, z_prime: np.ndarray, x: np.ndarray, y) -> tuple:
     """The loss at ``z_prime`` and :func:`grad_wrt_params`, from one forward pass."""
     z_prime = np.asarray(z_prime, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -240,14 +228,6 @@ def loss_and_param_grads(theta: ModelParams, z_prime: np.ndarray, x: np.ndarray,
     if theta.w_hidden is None:
         return loss, ParamGrads(w_out=g_w_out, b_out=g_b_out)
 
-    flag = backprop_through_feature
-    if not (flag.any() if isinstance(flag, np.ndarray) else flag):
-        return loss, ParamGrads(
-            w_out=g_w_out, b_out=g_b_out,
-            w_hidden=np.zeros_like(theta.w_hidden),
-            b_hidden=np.zeros_like(theta.b_hidden),
-        )
-
     pre = x @ _mT(theta.w_hidden) + _bias(theta.b_hidden)
     delta = (dlogits @ theta.w_out) * (pre > 0)
     if z_prime.ndim == 1:
@@ -256,9 +236,6 @@ def loss_and_param_grads(theta: ModelParams, z_prime: np.ndarray, x: np.ndarray,
     else:
         g_w_hidden = _mT(delta) @ x / z_prime.shape[-2]
         g_b_hidden = delta.mean(axis=-2)
-    if isinstance(flag, np.ndarray) and not flag.all():
-        g_w_hidden = np.where(flag[:, None, None], g_w_hidden, 0.0)
-        g_b_hidden = np.where(flag[:, None], g_b_hidden, 0.0)
     return loss, ParamGrads(w_out=g_w_out, b_out=g_b_out, w_hidden=g_w_hidden,
                             b_hidden=g_b_hidden)
 

@@ -21,9 +21,10 @@ plain stochastic descent on the batch loss scaled by the constant ``alpha_g``.
 The returned model is chosen among checkpoints of the last iterate; the
 running average of the iterates is kept beside it for the convergence
 diagnostics, which measure it against the robust objective in
-:mod:`convergence`.  A step with a zero radius backpropagates through the hidden
-layer of an ``mlp1`` model; a step at perturbed latents trains only the
-output layer unless ``backprop_through_feature`` is set (see :mod:`model`).
+:mod:`convergence`.  Every step backpropagates the gradient at the
+perturbed latents through the hidden layer of an ``mlp1`` model, which is the
+gradient of the robust objective (see :mod:`model`); a step with a zero radius
+is ordinary backpropagation.
 
 Trajectories of one shape run in lockstep (:func:`train_lockstep`): their
 parameters are stacked as ``(R, K, d)``, ``beta`` as ``(R, m)``, and one
@@ -87,7 +88,6 @@ class SolverConfig:
     seed: int = 0
     checkpoint_every: int = 100
     decay_steps: bool = False
-    backprop_through_feature: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -168,9 +168,9 @@ class Rows:
     """The per-row settings of trajectories that advance in lockstep, as arrays.
 
     ``radii[r, g]`` is row ``r``'s ball radius for group ``g`` (zero unless
-    hierarchical); ERM rows have ``learns_beta`` false.  ``backprop_flag``
-    is ``backprop`` as one bool when the rows agree.  The ``some_``/``all_`` flags say whether any or every row ascends
-    or learns ``beta``, so that a step skips a phase no row needs.
+    hierarchical); ERM rows have ``learns_beta`` false.  ``some_ascent``
+    says whether any row ascends and ``some_``/``all_learn`` whether any or
+    every row learns ``beta``, so that a step skips a phase no row needs.
     """
 
     configs: tuple[SolverConfig, ...]
@@ -180,11 +180,8 @@ class Rows:
     eta_theta: np.ndarray
     adjustment: np.ndarray
     learns_beta: np.ndarray
-    backprop: np.ndarray
-    backprop_flag: bool | np.ndarray
     index: np.ndarray
     some_ascent: bool
-    all_ascent: bool
     some_learn: bool
     all_learn: bool
 
@@ -204,17 +201,14 @@ class Rows:
         epsilon = column(lambda c: c.effective_epsilon)
         radii = amb.radius(epsilon[:, None], np.asarray(n_per_group)[None, :])
         learns_beta = column(lambda c: c.mode != ERM, bool)
-        backprop = column(lambda c: c.backprop_through_feature, bool)
         return cls(
             configs=configs, n_per_group=n_per_group, radii=radii,
             eta_beta=column(lambda c: c.eta_beta),
             eta_theta=column(lambda c: c.eta_theta),
             adjustment=column(lambda c: c.adjustment),
             learns_beta=learns_beta,
-            backprop=backprop,
-            backprop_flag=bool(backprop.all()) if backprop.all() == backprop.any() else backprop,
             index=np.arange(len(configs)),
-            some_ascent=bool((radii > 0).any()), all_ascent=bool((radii > 0).all()),
+            some_ascent=bool((radii > 0).any()),
             some_learn=bool(learns_beta.any()), all_learn=bool(learns_beta.all()),
         )
 
@@ -342,7 +336,6 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
 
     z = model.latent(theta, batch.x)
     z_prime = z
-    hidden = rows.backprop_flag if rows.all_ascent else True
     if rows.some_ascent:
         # Row by row, as a lone run ascends; a row with radius zero keeps z' = z.
         # Row i of ``z`` and ``y`` is ``[i % len]``: they have R rows or one shared row.
@@ -354,11 +347,8 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
                 model.row_params(theta, i), z_i, y_i, eps, steps=rows.shared.inner_steps,
                 eta_z=rows.configs[i].eta_z))
         z_prime = np.stack(ascended)
-        if not rows.all_ascent:
-            hidden = rows.backprop | (eps_g == 0)
 
-    losses, grads = model.loss_and_param_grads(theta, z_prime, batch.x, batch.y,
-                                               backprop_through_feature=hidden)
+    losses, grads = model.loss_and_param_grads(theta, z_prime, batch.x, batch.y)
     mean_loss = losses.mean(axis=-1)
     finite = np.isfinite(mean_loss)
     all_finite = finite.all()

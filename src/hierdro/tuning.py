@@ -179,13 +179,14 @@ def tune_epsilon(ds_train: GroupedDataset, grid_scale, config: TuneConfig) -> Tu
     minority = minority_group(ds_train)
     n_min = int(ds_train.n_g[minority])
     candidates = tuple(s * math.sqrt(n_min) for s in grid_scale)
+    # Built first, so that a candidate the solver refuses fails before any training.
+    run_cfgs = [replace(config.solver, mode=HIERARCHICAL, epsilon=eps) for eps in candidates]
 
     ordering = order_1d(_ordering_features(ds_train, config), seed=config.ordering_seed)
     splits = quantile_splits(ds_train, ordering.ranks)
 
     # One lockstep run per split, one row per candidate; all rows share the
     # seed, so they share the initial model and the minibatch stream.
-    run_cfgs = [replace(config.solver, mode=HIERARCHICAL, epsilon=eps) for eps in candidates]
     init = init_params(config.model, ds_train.d, ds_train.num_labels, seed=config.solver.seed)
     runs = [solver.train_lockstep(split.train, split.holdout, [init] * len(run_cfgs), run_cfgs)
             for split in splits]

@@ -26,6 +26,7 @@ from .solver import ERM, GROUP_DRO, HIERARCHICAL, GroupSampler, SolverConfig
 
 FD_STEP = 1e-5
 GRADIENT_TOLERANCE = 1e-4
+ROBUST_RADIUS = 0.5
 INNER_MAX_TOLERANCE = 1e-9
 LEMMA_TOLERANCE = 1e-3
 SIMPLEX_TOLERANCE = 1e-12
@@ -70,49 +71,50 @@ def _timed(fn):
     return wrapper
 
 
-def fd_latent_gradient(theta: ModelParams, z: np.ndarray, y: int, step: float = FD_STEP) -> np.ndarray:
-    """Central finite differences of the loss through the output layer."""
-    out = np.zeros_like(z)
-    for i in range(z.size):
-        hi = z.copy(); hi[i] += step
-        lo = z.copy(); lo[i] -= step
-        f_hi = model.cross_entropy(model.logits_from_latent(theta, hi), y)
-        f_lo = model.cross_entropy(model.logits_from_latent(theta, lo), y)
-        out[i] = (f_hi - f_lo) / (2.0 * step)
+def _central_differences(value, vec: np.ndarray, step: float) -> np.ndarray:
+    """Central differences of the scalar function ``value`` at ``vec``."""
+    out = np.zeros_like(vec)
+    for i in range(vec.size):
+        hi = vec.copy(); hi[i] += step
+        lo = vec.copy(); lo[i] -= step
+        out[i] = (value(hi) - value(lo)) / (2.0 * step)
     return out
 
 
-def fd_param_gradient(
-    theta: ModelParams,
-    z_prime: np.ndarray,
-    x: np.ndarray,
-    y: int,
-    backprop_through_feature: bool = False,
-    step: float = FD_STEP,
-) -> np.ndarray:
-    """Central finite differences with respect to the flattened parameters.
+def fd_latent_gradient(theta: ModelParams, z: np.ndarray, y: int, step: float = FD_STEP) -> np.ndarray:
+    """Central finite differences of the loss through the output layer."""
+    return _central_differences(
+        lambda zz: model.cross_entropy(model.logits_from_latent(theta, zz), y), z, step)
 
-    With the feature path detached the probed function is the loss at the
-    constant latent ``z_prime``; with it enabled the latent offset
-    ``z_prime - z(x)`` is held constant while ``z(x)`` moves with the
-    parameters, matching the documented gradient semantics.
-    """
-    flat = model.flatten_params(theta)
-    delta = None
-    if backprop_through_feature:
-        delta = z_prime - model.latent(theta, x)
+
+def fd_param_gradient(theta: ModelParams, z_prime: np.ndarray, x: np.ndarray, y,
+                      step: float = FD_STEP) -> np.ndarray:
+    """Central finite differences of the (batch-mean) loss at ``z(x) + (z_prime - z(x))``
+    in the flattened parameters: the offset is held constant while ``z(x)``
+    moves with the parameters, matching the documented gradient semantics."""
+    offset = z_prime - model.latent(theta, x)
 
     def value(vec: np.ndarray) -> float:
         th = model.unflatten_params(vec, theta)
-        zp = z_prime if delta is None else model.latent(th, x) + delta
-        return float(model.cross_entropy(model.logits_from_latent(th, zp), y))
+        zp = model.latent(th, x) + offset
+        return float(np.mean(model.cross_entropy(model.logits_from_latent(th, zp), y)))
 
-    out = np.zeros_like(flat)
-    for i in range(flat.size):
-        hi = flat.copy(); hi[i] += step
-        lo = flat.copy(); lo[i] -= step
-        out[i] = (value(hi) - value(lo)) / (2.0 * step)
-    return out
+    return _central_differences(value, model.flatten_params(theta), step)
+
+
+def fd_robust_gradient(theta: ModelParams, x: np.ndarray, y: np.ndarray, eps_g: float,
+                       step: float = FD_STEP) -> np.ndarray:
+    """Central finite differences of the batch-mean closed-form ball supremum
+    ``binary_robust_loss(z(x))`` of a binary model in the flattened parameters."""
+    sign = 2.0 * np.asarray(y) - 1.0
+
+    def value(vec: np.ndarray) -> float:
+        th = model.unflatten_params(vec, theta)
+        v, c = th.w_out[1] - th.w_out[0], th.b_out[1] - th.b_out[0]
+        loss, _ = amb.binary_robust_loss(model.latent(th, x), sign, v, c, eps_g, np.linalg.norm(v))
+        return float(loss.mean())
+
+    return _central_differences(value, model.flatten_params(theta), step)
 
 
 def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -130,9 +132,15 @@ def _random_instance(rng, architecture: str, d: int = 6, k: int = 2, h: int = 8)
 
 @_timed
 def check_gradients(n_cases: int = 100, seed: int = 0, tolerance: float = GRADIENT_TOLERANCE) -> CheckResult:
-    """Latent and parameter gradients against central differences, both architectures."""
+    """Latent and parameter gradients against central differences, both architectures.
+
+    The parameter gradient is probed at the unperturbed latent, at a random
+    offset from it and, for binary heads, at the maximizer of the loss over
+    a ball, where it must be the gradient of the ball supremum that the
+    robust objective minimizes.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = robust = 0.0
     for arch in (LINEAR, MLP1):
         for k in (2, 3):
             for _ in range(n_cases // 2):
@@ -140,20 +148,23 @@ def check_gradients(n_cases: int = 100, seed: int = 0, tolerance: float = GRADIE
                 z = model.latent(theta, x)
                 worst = max(worst, _relative_error(
                     model.grad_wrt_latent(theta, z, y), fd_latent_gradient(theta, z, y)))
-                zp = z + 0.1 * rng.normal(size=z.shape)
-                for flag in (False, True):
-                    got = model.flatten_grads(
-                        model.grad_wrt_params(theta, zp, x, y, backprop_through_feature=flag))
-                    want = fd_param_gradient(theta, zp, x, y, backprop_through_feature=flag)
-                    worst = max(worst, _relative_error(got, want))
-                got = model.flatten_grads(
-                    model.grad_wrt_params(theta, z, x, y, backprop_through_feature=True))
-                want = fd_param_gradient(theta, z, x, y, backprop_through_feature=True)
-                worst = max(worst, _relative_error(got, want))
+                for zp in (z, z + 0.1 * rng.normal(size=z.shape)):
+                    got = model.flatten_grads(model.grad_wrt_params(theta, zp, x, y))
+                    worst = max(worst, _relative_error(got, fd_param_gradient(theta, zp, x, y)))
+                if k == 2:
+                    xs, ys = x[None], np.array([y])
+                    v = theta.w_out[1] - theta.w_out[0]
+                    zp = amb.binary_ball_maximizer(z[None], 2.0 * ys - 1.0, v, ROBUST_RADIUS,
+                                                   np.linalg.norm(v))
+                    got = model.flatten_grads(model.grad_wrt_params(theta, zp, xs, ys))
+                    want = fd_robust_gradient(theta, xs, ys, ROBUST_RADIUS)
+                    robust = max(robust, _relative_error(got, want))
+    worst = max(worst, robust)
     return CheckResult(
         name="gradient_finite_differences",
         passed=worst <= tolerance,
-        details={"max_relative_error": worst, "tolerance": tolerance, "cases": n_cases},
+        details={"max_relative_error": worst, "max_robust_relative_error": robust,
+                 "tolerance": tolerance, "cases": n_cases},
     )
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import filecmp
 import json
 import math
 import os
@@ -199,7 +200,8 @@ def test_repeated_run_cells_are_refused(tmp_path, capsys, key, raw_value):
     assert_refused(tmp_path, capsys, raw, "solver.modes" if key == "modes" else "seeds")
 
 
-@pytest.mark.parametrize("grid_scale", [[], [-0.1], [0.1, float("inf")], [float("nan")]])
+@pytest.mark.parametrize("grid_scale", [[], [-0.1], [0.1, float("inf")], [float("nan")],
+                                        [1e308]])
 def test_bad_grid_scale_is_refused_at_load(tmp_path, capsys, grid_scale):
     raw = base_config(tmp_path)
     raw["tuning"]["grid_scale"] = grid_scale
@@ -290,9 +292,13 @@ def test_config_validation_errors():
                              "solver": {}})
 
 
-@pytest.mark.parametrize("block", [None, "dataset", "solver", "ambiguity", "tuning",
-                                   "evaluation", "shift"])
-def test_unknown_config_key_is_an_error(tmp_path, block):
+@pytest.mark.parametrize("block,key", [
+    *(pytest.param(block, "bogus", id=str(block)) for block in
+      (None, "dataset", "solver", "ambiguity", "tuning", "evaluation", "shift")),
+    # A removed key is refused, not silently ignored.
+    pytest.param("solver", "backprop_through_feature", id="solver-removed"),
+])
+def test_unknown_config_key_is_an_error(tmp_path, block, key):
     raw = base_config(tmp_path, ambiguity={}, evaluation={})
     if block is None:
         target = raw
@@ -300,8 +306,8 @@ def test_unknown_config_key_is_an_error(tmp_path, block):
         target = raw["dataset"]["shifts"][0]
     else:
         target = raw[block]
-    target["bogus"] = 1
-    with pytest.raises(ConfigError, match="bogus"):
+    target[key] = 1
+    with pytest.raises(ConfigError, match=key):
         cli.validate_config(raw)
     assert cli.main(["generate", "--config", write_config(tmp_path, raw)]) == 1
 
@@ -326,7 +332,7 @@ CONFIG_KEYS = [
     ("solver", "adjustment", "number"), ("solver", "iterations", "int"),
     ("solver", "batch_size", "int"), ("solver", "sampling", "string"),
     ("solver", "checkpoint_every", "int"), ("solver", "decay_steps", "bool"),
-    ("solver", "backprop_through_feature", "bool"), ("solver", "architecture", "string"),
+    ("solver", "architecture", "string"),
     ("solver", "hidden_width", "int"),
     ("ambiguity", "inner_steps", "int"), ("ambiguity", "eta_z", "number"),
     ("tuning", "grid_scale", "number list"), ("tuning", "aggregation", "string"),
@@ -375,7 +381,7 @@ def test_config_keys_are_the_keys_the_reader_accepts():
                         ("ambiguity", cli.AMBIGUITY_KEYS), ("tuning", cli.TUNING_KEYS)):
         accepted |= {(block, key) for key in keys}
     assert {(block, key) for block, key, _ in CONFIG_KEYS} == accepted
-    assert sum(block != "" or key in ("output_dir", "seeds") for block, key, _ in CONFIG_KEYS) == 39
+    assert sum(block != "" or key in ("output_dir", "seeds") for block, key, _ in CONFIG_KEYS) == 38
 
 
 @pytest.mark.parametrize("block,key,kind", CONFIG_KEYS,
@@ -509,12 +515,24 @@ def test_invalid_shift_in_config(tmp_path):
 
 
 def test_output_root_env(tmp_path, monkeypatch):
+    """A relative ``output_dir`` resolves under the root, and generate -> tune
+    -> run there writes the same bytes as at an absolute ``--output-dir``."""
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
     raw = base_config(tmp_path)
     raw["output_dir"] = "nested/exp"
     cfg = write_config(tmp_path, raw)
-    assert cli.main(["generate", "--config", cfg]) == 0
-    assert (tmp_path / "root" / "nested" / "exp" / "train.csv").exists()
+    under_root, absolute = tmp_path / "root" / "nested" / "exp", tmp_path / "absolute"
+    for out, override in ((under_root, []), (absolute, ["--output-dir", str(absolute)])):
+        assert cli.main(["generate", "--config", cfg, *override]) == 0
+        assert cli.main(["tune", "--config", cfg, *override]) == 0
+        assert cli.main(["run", "--config", cfg, *override,
+                         "--tuned-epsilon-from", str(out / "tune_result.json")]) == 0
+    assert (under_root / "train.csv").exists()
+    files = sorted(p.relative_to(under_root) for p in under_root.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(absolute) for p in absolute.rglob("*") if p.is_file())
+    assert {"tune_result.json", "results.csv"} <= {str(name) for name in files}
+    for name in files:
+        assert filecmp.cmp(under_root / name, absolute / name, shallow=False), name
 
 
 def test_report_prints_table(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hierdro import ambiguity as amb
 from hierdro import model
 from hierdro.errors import ParameterError
 from hierdro.model import (
@@ -14,7 +15,7 @@ from hierdro.model import (
     grad_wrt_params,
     init_params,
 )
-from hierdro.verification import fd_latent_gradient, fd_param_gradient
+from hierdro.verification import fd_latent_gradient, fd_param_gradient, fd_robust_gradient
 
 
 def scalar_reference_loss(theta, x, y):
@@ -94,47 +95,42 @@ def test_latent_gradient_parallel_to_weight_difference():
         assert np.linalg.norm(cross) < 1e-12
 
 
-def test_param_gradient_matches_backprop_when_unperturbed():
+def test_param_gradient_backprops_through_the_hidden_layer():
+    """At ``z(x)`` and at an offset from it, the gradient is the derivative of
+    the loss at ``z(x; theta) + (z' - z(x))``, hidden layer included."""
     rng = np.random.default_rng(2)
     theta = random_theta(rng, MLP1)
     x = rng.normal(size=6)
-    y = 1
     z = model.latent(theta, x)
-    grads = grad_wrt_params(theta, z, x, y, backprop_through_feature=True)
-    fd = fd_param_gradient(theta, z, x, y, backprop_through_feature=True)
-    got = model.flatten_grads(grads)
-    assert np.linalg.norm(got - fd) / np.linalg.norm(fd) <= 1e-4
-    assert np.linalg.norm(grads.w_hidden) > 0
-    # The flag alone decides: an unperturbed latent without it trains only
-    # the output layer.
-    detached = grad_wrt_params(theta, z, x, y)
-    np.testing.assert_array_equal(detached.w_hidden, np.zeros_like(theta.w_hidden))
-    np.testing.assert_array_equal(detached.w_out, grads.w_out)
+    for zp, y in ((z, 1), (z + rng.normal(scale=0.2, size=5), 2)):
+        grads = grad_wrt_params(theta, zp, x, y)
+        fd = fd_param_gradient(theta, zp, x, y)
+        got = model.flatten_grads(grads)
+        assert np.linalg.norm(got - fd) / np.linalg.norm(fd) <= 1e-4
+        assert np.linalg.norm(grads.w_hidden) > 0
 
 
-def test_param_gradient_detaches_hidden_on_perturbed_latent():
+def test_param_gradient_is_the_robust_loss_gradient():
+    """Danskin: the batch gradient at the ball maximizer ``z'`` is the gradient
+    of the mean closed-form ball supremum of the loss at ``z(x; theta)``."""
     rng = np.random.default_rng(3)
-    theta = random_theta(rng, MLP1)
-    x = rng.normal(size=6)
-    z = model.latent(theta, x) + 0.3
-    grads = grad_wrt_params(theta, z, x, 0)
-    np.testing.assert_array_equal(grads.w_hidden, np.zeros_like(theta.w_hidden))
-    np.testing.assert_array_equal(grads.b_hidden, np.zeros_like(theta.b_hidden))
-    fd = fd_param_gradient(theta, z, x, 0, backprop_through_feature=False)
-    got = model.flatten_grads(grads)
-    assert np.linalg.norm(got - fd) / np.linalg.norm(fd) <= 1e-4
-
-
-def test_param_gradient_feature_path_flag():
-    rng = np.random.default_rng(4)
-    theta = random_theta(rng, MLP1)
-    x = rng.normal(size=6)
-    z = model.latent(theta, x) + rng.normal(scale=0.2, size=5)
-    grads = grad_wrt_params(theta, z, x, 2, backprop_through_feature=True)
-    fd = fd_param_gradient(theta, z, x, 2, backprop_through_feature=True)
-    got = model.flatten_grads(grads)
-    assert np.linalg.norm(got - fd) / np.linalg.norm(fd) <= 1e-4
-    assert np.linalg.norm(grads.w_hidden) > 0
+    eps_g = 0.5
+    cases = 0
+    while cases < 5:
+        theta = random_theta(rng, MLP1, k=2, h=8)
+        xs = rng.normal(size=(16, 6))
+        ys = rng.integers(0, 2, size=16)
+        if np.abs(xs @ theta.w_hidden.T + theta.b_hidden).min() < 1e-3:
+            continue    # a ReLU kink within reach of the finite-difference step
+        cases += 1
+        v = theta.w_out[1] - theta.w_out[0]
+        zp = amb.binary_ball_maximizer(model.latent(theta, xs), 2.0 * ys - 1.0, v, eps_g,
+                                       np.linalg.norm(v))
+        grads = grad_wrt_params(theta, zp, xs, ys)
+        fd = fd_robust_gradient(theta, xs, ys, eps_g)
+        got = model.flatten_grads(grads)
+        assert np.linalg.norm(got - fd) / np.linalg.norm(fd) <= 1e-6
+        assert np.linalg.norm(grads.w_hidden) > 0
 
 
 def test_saturated_loss_has_vanishing_gradient():

@@ -222,16 +222,13 @@ def test_erm_equals_frozen_beta_hierarchical_bitwise():
     np.testing.assert_array_equal(erm.final.beta, ds.alpha)
 
 
-def test_hidden_layer_trains_unless_latents_are_perturbed():
+def test_hidden_layer_trains_in_every_mode():
     ds = small_ds()
     theta0 = init_params(ModelSpec(MLP1, hidden_width=6), ds.d, 2, seed=14)
-    moved = {}
-    for mode, flag in ((ERM, False), (GROUP_DRO, False), (HIERARCHICAL, False), (HIERARCHICAL, True)):
-        result = train(ds, ds, theta0, base_config(mode=mode, iterations=100,
-                                                   backprop_through_feature=flag))
-        moved[mode, flag] = not np.array_equal(result.final.theta.w_hidden, theta0.w_hidden)
-    assert moved == {(ERM, False): True, (GROUP_DRO, False): True,
-                     (HIERARCHICAL, False): False, (HIERARCHICAL, True): True}
+    for mode in (ERM, GROUP_DRO, HIERARCHICAL):
+        result = train(ds, ds, theta0, base_config(mode=mode, iterations=100))
+        assert not np.array_equal(result.final.theta.w_hidden, theta0.w_hidden), mode
+        assert not np.array_equal(result.final.theta.b_hidden, theta0.b_hidden), mode
 
 
 def test_beta_simplex_all_modes():
@@ -327,7 +324,6 @@ row_settings = st.fixed_dictionaries({
     "eta_theta": st.sampled_from([0.1, 0.4]),
     "adjustment": st.sampled_from([0.0, 1.0]),
     "eta_z": st.sampled_from([None, 0.3]),
-    "backprop_through_feature": st.booleans(),
     "init_seed": st.integers(0, 3),
 })
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hierdro import solver
 from hierdro.datagen import GroupedDataset, make_spurious
 from hierdro.errors import ParameterError, TuningInfeasibleError
 from hierdro.model import ModelSpec
@@ -179,6 +180,17 @@ def test_tune_empty_grid_rejected():
     ds = make_spurious((10, 10, 10, 10), 0.5, 0.5, 0.1, seed=11)
     with pytest.raises(ParameterError):
         tune_epsilon(ds, [], tune_config())
+
+
+def test_tune_refuses_an_overflowing_candidate_before_training(monkeypatch):
+    ds = make_spurious((10, 10, 10, 10), 0.5, 0.5, 0.1, seed=11)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("tuning trained before it checked its candidates")
+
+    monkeypatch.setattr(solver, "train_lockstep", no_training)
+    with pytest.raises(ParameterError, match="epsilon must be finite"):
+        tune_epsilon(ds, [0.1, 1e308], tune_config())
 
 
 def test_tune_raw_ordering_flag():
