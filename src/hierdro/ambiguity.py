@@ -16,6 +16,8 @@ Two exact oracles validate the optimization machinery at toy scale:
 For a binary affine output layer the ball supremum has a closed form,
 :func:`binary_robust_loss`; every exact robust loss in the package goes
 through it, and :mod:`convergence` builds the robust objective from it.
+:func:`inner_maximize` returns its maximizer, :func:`binary_ball_maximizer`,
+so training ascends to the exact ball supremum for binary heads.
 
 Grid-based suprema use step ``eps / SUP_GRID_FRACTION`` (documented in every
 report).  Cross-entropy composed with an affine layer is convex in the
@@ -83,12 +85,15 @@ def inner_maximize(
     steps: int = 1,
     eta_z: float | None = None,
 ) -> np.ndarray:
-    """Projected gradient ascent on the loss inside the ``eps_g`` ball.
+    """The loss maximizer inside the ``eps_g`` ball around each row of ``z``.
 
-    Returns the best iterate encountered (the start point included), so the
-    result never decreases the loss and never leaves the ball.  For a binary
-    affine output layer the ascent direction is constant, so a single step
-    with a boundary-reaching ``eta_z`` lands on the exact ball maximizer.
+    For a binary head (``theta`` unstacked, two classes, linear or ``mlp1``)
+    the maximizer has a closed form, :func:`binary_ball_maximizer`, which is
+    returned for every ``steps`` and ``eta_z``.  A head with more classes
+    runs ``steps`` of projected gradient ascent with step ``eta_z`` (default
+    ``DEFAULT_ETA_Z_FACTOR * eps_g``) and returns the best iterate
+    encountered, the start point included.  Either way the result never
+    decreases the loss and never leaves the ball.
     """
     if eps_g < 0:
         raise ParameterError("eps_g must be nonnegative")
@@ -97,13 +102,17 @@ def inner_maximize(
     z = np.asarray(z, dtype=np.float64)
     if eps_g == 0.0:
         return z
-    if eta_z is None:
-        eta_z = DEFAULT_ETA_Z_FACTOR * eps_g
 
     single = z.ndim == 1
     z_mat = z[None, :] if single else z
     y_arr = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    if theta.num_classes == 2:
+        v = theta.w_out[1] - theta.w_out[0]
+        best = binary_ball_maximizer(z_mat, 2.0 * y_arr - 1.0, v, eps_g, np.linalg.norm(v))
+        return best[0] if single else best
 
+    if eta_z is None:
+        eta_z = DEFAULT_ETA_Z_FACTOR * eps_g
     best = z_mat
     best_loss, grad = model.loss_and_latent_grad(theta, z_mat, y_arr)
     current = z_mat

@@ -3,9 +3,11 @@
 Each iteration samples one group, draws a with-replacement minibatch from it,
 and then performs in order:
 
-1. latent ascent: every example's latent is pushed to (approximately) the
-   loss maximizer inside its group's perturbation ball (skipped when the
-   ball radius is zero);
+1. latent ascent: every example's latent is moved to the loss maximizer
+   inside its group's perturbation ball, exactly for a binary head (the
+   closed form :func:`ambiguity.binary_ball_maximizer`) and approximately,
+   by projected gradient ascent, for more classes (skipped when the ball
+   radius is zero);
 2. mixture ascent: the sampled group's simplex weight is scaled by
    ``exp(eta_beta * (batch loss + C / sqrt(n_g)))`` and the weights are
    renormalized (exponentiated-gradient / mirror ascent on the simplex);
@@ -70,9 +72,10 @@ MODE_LABELS = {ERM: "ERM", GROUP_DRO: "GroupDRO", HIERARCHICAL: "Hierarchical"}
 class SolverConfig:
     """One training run.
 
-    ``inner_steps`` and ``eta_z`` set the latent ascent; ``eta_z=None``
-    selects the step ``10 * eps_g``, which reaches the ball boundary whenever
-    the latent gradient has norm at least 0.1.
+    ``inner_steps`` and ``eta_z`` set the projected gradient ascent of a
+    head with more than two classes; ``eta_z=None`` selects the step
+    ``10 * eps_g``.  A binary head ignores both: its ascent is the exact
+    closed-form ball maximizer (:func:`ambiguity.inner_maximize`).
     """
 
     mode: str

@@ -25,6 +25,7 @@ from .model import LINEAR, MLP1, ModelParams, ModelSpec, init_params
 from .solver import ERM, GROUP_DRO, HIERARCHICAL, GroupSampler, SolverConfig
 
 FD_STEP = 1e-5
+KINK_MARGIN = 1e-3
 GRADIENT_TOLERANCE = 1e-4
 ROBUST_RADIUS = 0.5
 INNER_MAX_TOLERANCE = 1e-9
@@ -123,11 +124,16 @@ def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def _random_instance(rng, architecture: str, d: int = 6, k: int = 2, h: int = 8):
+    """A model, an input and a label; an ``mlp1`` draw with a hidden
+    pre-activation within ``KINK_MARGIN`` of zero is redrawn, since a central
+    difference across a ReLU kink is no derivative."""
     spec = ModelSpec(architecture, hidden_width=h)
-    theta = init_params(spec, d, k, seed=int(rng.integers(2 ** 31)))
-    x = rng.normal(size=d)
-    y = int(rng.integers(k))
-    return theta, x, y
+    while True:
+        theta = init_params(spec, d, k, seed=int(rng.integers(2 ** 31)))
+        x = rng.normal(size=d)
+        y = int(rng.integers(k))
+        if architecture == LINEAR or np.abs(theta.w_hidden @ x + theta.b_hidden).min() >= KINK_MARGIN:
+            return theta, x, y
 
 
 @_timed
@@ -182,32 +188,41 @@ def _random_binary_linear(rng, dim: int = 2):
 def check_inner_maximization(
     n_cases: int = 50, seed: int = 1, tolerance: float = INNER_MAX_TOLERANCE
 ) -> CheckResult:
-    """One ascent step vs. a dense angular grid on binary linear instances."""
+    """The latent ascent vs. a dense angular grid on binary linear instances.
+
+    Two ascents are held against the grid supremum: one step with a
+    boundary-reaching ``eta_z``, and the trainer's own call with default
+    arguments (``max_loss_gap_default``).
+    """
     rng = np.random.default_rng(seed)
     angles = np.linspace(0.0, 2.0 * math.pi, 200_000, endpoint=False)
     ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    worst = 0.0
+    worst = worst_default = 0.0
     monotone = True
     inside = True
     for _ in range(n_cases):
         theta, z, y = _random_binary_linear(rng)
         eps = float(rng.uniform(0.1, 0.8))
         base = model.cross_entropy(model.logits_from_latent(theta, z), y)
-        z_prime = amb.inner_maximize(theta, z, y, eps, steps=1, eta_z=1e6)
-        got = model.cross_entropy(model.logits_from_latent(theta, z_prime), y)
         grid = z + eps * ring
         brute = float(model.cross_entropy(
             model.logits_from_latent(theta, grid),
             np.full(grid.shape[0], y, dtype=np.int64)).max())
         brute = max(brute, float(base))
-        worst = max(worst, abs(got - brute))
-        monotone = monotone and got >= base - 1e-12
-        inside = inside and np.linalg.norm(z_prime - z) <= eps + 1e-12
+        gaps = []
+        for z_prime in (amb.inner_maximize(theta, z, y, eps, steps=1, eta_z=1e6),
+                        amb.inner_maximize(theta, z, y, eps)):
+            got = model.cross_entropy(model.logits_from_latent(theta, z_prime), y)
+            gaps.append(abs(got - brute))
+            monotone = monotone and got >= base - 1e-12
+            inside = inside and np.linalg.norm(z_prime - z) <= eps + 1e-12
+        worst = max(worst, gaps[0])
+        worst_default = max(worst_default, gaps[1])
     return CheckResult(
         name="inner_maximization_exact",
-        passed=worst <= tolerance and monotone and inside,
-        details={"max_loss_gap": worst, "tolerance": tolerance,
-                 "monotone": monotone, "stayed_in_ball": inside},
+        passed=max(worst, worst_default) <= tolerance and monotone and inside,
+        details={"max_loss_gap": worst, "max_loss_gap_default": worst_default,
+                 "tolerance": tolerance, "monotone": monotone, "stayed_in_ball": inside},
     )
 
 

@@ -134,14 +134,43 @@ def test_one_step_attains_ball_maximum_binary_linear():
 
 
 def test_inner_maximize_batched_matches_loop():
+    """Projected ascent on a three-class head: a batch is its rows one by one."""
     rng = np.random.default_rng(2)
-    theta = ModelParams(w_out=rng.normal(size=(2, 3)), b_out=rng.normal(size=2))
+    theta = ModelParams(w_out=rng.normal(size=(3, 3)), b_out=rng.normal(size=3))
     zs = rng.normal(size=(6, 3))
-    ys = rng.integers(0, 2, size=6)
+    ys = rng.integers(0, 3, size=6)
     batch = inner_maximize(theta, zs, ys, 0.4, steps=2, eta_z=1.0)
     for i in range(6):
         single = inner_maximize(theta, zs[i], int(ys[i]), 0.4, steps=2, eta_z=1.0)
         np.testing.assert_allclose(batch[i], single, atol=1e-14)
+
+
+@pytest.mark.parametrize("architecture", [model.LINEAR, model.MLP1])
+def test_inner_maximize_binary_head_is_the_closed_form(architecture):
+    """On a binary head the ascent is bitwise the closed-form ball maximizer,
+    whatever ``steps`` and ``eta_z`` say, for single rows and batches."""
+    rng = np.random.default_rng(12)
+    spec = model.ModelSpec(architecture, hidden_width=5)
+    for case in range(10):
+        theta = model.init_params(spec, 4, 2, seed=case)
+        zs = model.latent(theta, rng.normal(size=(7, 4)))
+        ys = rng.integers(0, 2, size=7)
+        v = theta.w_out[1] - theta.w_out[0]
+        eps = float(rng.uniform(0.05, 2.0))
+        want = amb.binary_ball_maximizer(zs, 2.0 * ys - 1.0, v, eps, np.linalg.norm(v))
+        for steps, eta_z in itertools.product((1, 3), (None, 1e-3, 1e6)):
+            np.testing.assert_array_equal(inner_maximize(theta, zs, ys, eps, steps, eta_z), want)
+            for i in (0, 6):
+                single = inner_maximize(theta, zs[i], int(ys[i]), eps, steps, eta_z)
+                assert single.shape == zs[i].shape
+                np.testing.assert_array_equal(single, want[i])
+
+
+def test_inner_maximize_binary_head_with_zero_weight_difference_keeps_z():
+    theta = ModelParams(w_out=np.array([[0.5, -1.0], [0.5, -1.0]]), b_out=np.array([0.2, -0.1]))
+    zs = np.array([[0.3, -0.7], [1.5, 2.0]])
+    np.testing.assert_array_equal(inner_maximize(theta, zs, np.array([0, 1]), 0.8), zs)
+    np.testing.assert_array_equal(inner_maximize(theta, zs[0], 1, 0.8), zs[0])
 
 
 # ------------------------------------------------ binary closed form
@@ -175,7 +204,8 @@ def test_binary_ball_maximizer_matches_one_step_ascent():
         sign = 2.0 * ys - 1.0
         eps = float(rng.uniform(0.1, 1.0))
         z_prime = amb.binary_ball_maximizer(zs, sign, v, eps, v_norm)
-        ascent = inner_maximize(theta, zs, ys, eps, steps=1, eta_z=1e6)
+        _, grad = model.loss_and_latent_grad(theta, zs, ys)
+        ascent = project_ball(zs + 1e6 * grad, zs, eps)
         np.testing.assert_allclose(z_prime, ascent, rtol=0.0, atol=1e-9)
         loss, _ = amb.binary_robust_loss(zs, sign, v, c, eps, v_norm)
         at_maximizer = model.cross_entropy(model.logits_from_latent(theta, z_prime), ys)

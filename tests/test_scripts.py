@@ -1,5 +1,7 @@
-"""Smoke test: each script in scripts/ runs to exit 0 on a tiny horizon."""
+"""Each script in scripts/ runs to exit 0 on a tiny horizon; bench_pair.py is
+checked on canned run lines and does not run the benchmark here."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -35,3 +37,40 @@ def test_run_benchmark_script_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Hierarchical" in proc.stdout
     assert json.loads((tmp_path / "out" / "tune_result.json").read_text())["chosen_epsilon"] > 0
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_line(setup_s, round_s, peak_rss_mb, correct=True, failed=0):
+    """The last stdout line of an untraced ``perfbench/run.py`` run."""
+    metrics = {"setup_s": {"value": setup_s, "unit": "s"},
+               "round_s": {"value": round_s, "unit": "s"},
+               "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}}
+    return json.dumps({"correct": correct, "attempted": 10, "failed": failed,
+                       "metrics": metrics})
+
+
+def test_bench_pair_writes_medians_of_canned_runs(tmp_path):
+    bench_pair = load_script("bench_pair")
+    runs = [("train", run_line(0.5, 0.40, 80.0)), ("pipeline", run_line(1.0, 4.0, 100.0)),
+            ("train", run_line(0.7, 0.44, 81.0)), ("train", run_line(0.6, 0.50, 79.0)),
+            ("pipeline", run_line(2.0, 5.0, 102.0, correct=False, failed=1))]
+    summary = bench_pair.summarize(runs)
+    assert summary["train"]["median"] == {"setup_s": 0.6, "round_s": 0.44, "peak_rss_mb": 80.0}
+    assert summary["train"]["values"]["round_s"] == [0.40, 0.44, 0.50]
+    assert (summary["train"]["runs"], summary["train"]["correct"]) == (3, True)
+    assert summary["pipeline"]["median"] == {"setup_s": 1.5, "round_s": 4.5, "peak_rss_mb": 101.0}
+    assert (summary["pipeline"]["correct"], summary["pipeline"]["failed"]) == (False, 1)
+    assert summary["pipeline"]["attempted"] == 20
+
+    path = tmp_path / "BENCH_x.json"
+    environment = {"cpu_model": "cpu", "nproc": 2, "python": "3", "numpy": "2",
+                   "seconds": 20.0, "seeds": [1, 2, 3]}
+    bench_pair.write_bench(path, "x", "abc123", summary, environment)
+    written = json.loads(path.read_text())
+    assert written == {"label": "x", "revision": "abc123", **environment, "workloads": summary}

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hierdro import ambiguity as amb
 from hierdro import model, solver
-from hierdro.datagen import make_spurious
+from hierdro.datagen import GroupedDataset, make_spurious
 from hierdro.errors import DivergenceError, InvalidDatasetError, ParameterError
 from hierdro.model import LINEAR, MLP1, ModelParams, ModelSpec, init_params
 from hierdro.solver import (
@@ -392,6 +392,43 @@ def test_lockstep_rows_must_share_the_architecture():
             train_lockstep(ds, ds, [linear, other], [base_config(), base_config()])
     with pytest.raises(ParameterError):
         train_lockstep(ds, ds, [], [])
+
+
+@pytest.mark.parametrize("architecture", [LINEAR, MLP1])
+def test_train_step_lands_every_ascending_row_on_the_grid_supremum(monkeypatch, architecture):
+    """One step on 2-D binary latents: every row with a positive radius, at
+    the default ascent step or a small one, ends on the supremum of the loss
+    over its ball, as a 200k-point boundary grid measures it."""
+    full = small_ds()
+    ds = GroupedDataset(full.features[:, :2], full.labels, full.attributes, 2, 2)
+    init = init_params(ModelSpec(architecture, hidden_width=2), 2, 2, seed=4)
+    configs = [base_config(mode=ERM), base_config(mode=GROUP_DRO), base_config(epsilon=2.0),
+               base_config(epsilon=0.5, eta_z=1e-3)]
+    state = Lockstep.start([init] * len(configs), configs, ds)
+    batch = stack_batches([GroupSampler(ds, configs[0]).draw(np.random.default_rng(0))],
+                          None, len(configs))
+    endpoints = []
+    inner_maximize = amb.inner_maximize
+
+    def spy(theta, z, y, eps_g, steps=1, eta_z=None):
+        z_prime = inner_maximize(theta, z, y, eps_g, steps=steps, eta_z=eta_z)
+        endpoints.append((theta, z, y, eps_g, z_prime))
+        return z_prime
+
+    monkeypatch.setattr(amb, "inner_maximize", spy)
+    train_step(state, batch)
+    assert len(endpoints) == 2
+    angles = np.linspace(0.0, 2.0 * math.pi, 200_000, endpoint=False)
+    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    for theta, z, y, eps_g, z_prime in endpoints:
+        assert eps_g > 0
+        for z_i, y_i, zp_i in zip(z, y, z_prime):
+            grid = z_i + eps_g * ring
+            brute = model.cross_entropy(model.logits_from_latent(theta, grid),
+                                        np.full(ring.shape[0], y_i)).max()
+            got = model.cross_entropy(model.logits_from_latent(theta, zp_i), y_i)
+            assert abs(got - brute) <= 1e-9
+            assert np.linalg.norm(zp_i - z_i) <= eps_g * (1 + 1e-12)
 
 
 def test_lockstep_step_ascends_each_row_through_inner_maximize(monkeypatch):
