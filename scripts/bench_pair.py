@@ -88,7 +88,7 @@ def git(*args) -> str:
                           check=True).stdout.strip()
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float) -> str:
+def run_once(side: str, root: str, workload: str, seed: int, seconds: float) -> str:
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=1800)
@@ -96,7 +96,7 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> str:
         raise SystemExit(f"{' '.join(cmd)} failed in {root}:\n{done.stderr}")
     line = done.stdout.strip().splitlines()[-1]
     record = json.loads(line)
-    print(f"{os.path.basename(root) or root} {workload} seed {seed}: "
+    print(f"{side} {workload} seed {seed}: "
           + ", ".join(f"{m} {record['metrics'][m]['value']:.4g}" for m in END_TO_END)
           + f", correct {record['correct']}, failed {record['failed']}", file=sys.stderr)
     return line
@@ -122,8 +122,8 @@ def main(argv=None) -> int:
         for workload in args.workloads:
             for k, seed in enumerate(args.seeds):
                 for side in (("parent", "tree") if k % 2 == 0 else ("tree", "parent")):
-                    runs[side].append((workload, run_once(roots[side], workload, seed,
-                                                          args.seconds)))
+                    runs[side].append((workload, run_once(side, roots[side], workload,
+                                                          seed, args.seconds)))
     for side, label, revision in (("parent", args.parent_label, parent_rev),
                                   ("tree", args.label, tree_rev)):
         path = os.path.join(args.out_dir, f"BENCH_{label}.json")

@@ -132,7 +132,9 @@ def _random_instance(rng, architecture: str, d: int = 6, k: int = 2, h: int = 8)
         theta = init_params(spec, d, k, seed=int(rng.integers(2 ** 31)))
         x = rng.normal(size=d)
         y = int(rng.integers(k))
-        if architecture == LINEAR or np.abs(theta.w_hidden @ x + theta.b_hidden).min() >= KINK_MARGIN:
+        if architecture == LINEAR:
+            return theta, x, y
+        if np.abs(theta.w_hidden @ x + theta.b_hidden).min() >= KINK_MARGIN:
             return theta, x, y
 
 
