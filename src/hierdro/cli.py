@@ -323,21 +323,23 @@ def cmd_generate(config: ExperimentConfig, output_dir: str) -> dict:
     return manifest
 
 
-def _load_datasets(config: ExperimentConfig, output_dir: str):
+SPLITS = ("train", "val", "test", "test_shifted")
+
+
+def _load_datasets(config: ExperimentConfig, output_dir: str, splits=SPLITS):
+    """The datasets named in ``splits``, each read only if it is asked for."""
     if config.dataset.csv is not None:
         paths = config.dataset.csv
-        return {
-            "train": datagen.load_csv(paths.train),
-            "val": datagen.load_csv(paths.val),
-            "test": datagen.load_csv(paths.test),
-            "test_shifted": datagen.load_csv(paths.test_shifted or paths.test),
-        }
+        where = {"train": paths.train, "val": paths.val, "test": paths.test,
+                 "test_shifted": paths.test_shifted or paths.test}
+        return {name: datagen.load_csv(where[name]) for name in splits}
     expected = os.path.join(output_dir, "train.csv")
     if os.path.exists(expected):
         _require_same_generator(config, output_dir)
         return {name: datagen.load_csv(os.path.join(output_dir, f"{name}.csv"))
-                for name in ("train", "val", "test", "test_shifted")}
-    return _generate_datasets(config)
+                for name in splits}
+    generated = _generate_datasets(config)
+    return {name: generated[name] for name in splits}
 
 
 def _require_same_generator(config: ExperimentConfig, output_dir: str) -> None:
@@ -470,7 +472,7 @@ def _derived_seeds(seed: int) -> tuple[int, int]:
 
 
 def cmd_tune(config: ExperimentConfig, output_dir: str) -> str:
-    data = _load_datasets(config, output_dir)
+    data = _load_datasets(config, output_dir, ("train",))
     result = tuning.tune_epsilon(data["train"], config.grid_scale, config.tune)
     payload = {
         "config_hash": config.hash,

@@ -238,13 +238,17 @@ def _expected_header(d: int) -> list[str]:
 
 
 def save_csv(ds: GroupedDataset, path) -> None:
-    """Write the dataset with header ``y,a,g,x0..x{d-1}``."""
+    """Write the dataset with header ``y,a,g,x0..x{d-1}``.
+
+    The body is one ``%`` operation on a row format repeated ``n`` times.
+    Labels, attributes and groups pass through float64 on the way, which is
+    exact for any integer below 2**53.
+    """
+    row = "%d,%d,%d," + ",".join([CSV_FLOAT_FORMAT] * ds.d) + "\n"
+    cells = np.column_stack([ds.labels, ds.attributes, ds.group_of, ds.features])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_expected_header(ds.d)) + "\n")
-        for i in range(ds.n):
-            cells = [str(ds.labels[i]), str(ds.attributes[i]), str(ds.group_of[i])]
-            cells.extend(CSV_FLOAT_FORMAT % v for v in ds.features[i])
-            fh.write(",".join(cells) + "\n")
+        fh.write(row * ds.n % tuple(cells.ravel().tolist()))
 
 
 def load_csv(path, num_labels: int | None = None, num_attributes: int | None = None) -> GroupedDataset:

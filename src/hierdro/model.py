@@ -167,8 +167,27 @@ def logits_from_latent(theta: ModelParams, z: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """``s - log(exp(s).sum(-1))`` with ``s = logits - logits.max(-1)``, over the last axis.
+
+    The maximum and the sum run one class at a time, each numpy call covering
+    every example and row at once: a reduction along the short class axis
+    runs one numpy inner loop per example, which on a ``(7990, 2)`` matrix
+    costs 20 to 50 times the elementwise work.  The result is bitwise the
+    reduction's for up to 7 classes, where numpy sums left to right as this
+    loop does; from 8 classes on numpy sums pairwise and the two differ in
+    the last bits.
+    """
+    top = logits[..., 0]
+    for j in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., j])
+    shifted = logits - top[..., None]
+    e = np.exp(shifted)
+    total = e[..., 0]
+    for j in range(1, e.shape[-1]):
+        total = total + e[..., j]
+    del e    # peak memory: callers pass 200k-row grids
+    shifted -= np.log(total)[..., None]
+    return shifted
 
 
 def cross_entropy(logits: np.ndarray, y) -> float | np.ndarray:

@@ -245,6 +245,33 @@ def test_tune_writes_table_and_is_deterministic(tmp_path):
     assert (tmp_path / "out" / "tune_result.json").read_bytes() == first
 
 
+def test_tune_reads_only_the_training_split(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config(tmp_path))
+    out = tmp_path / "out"
+    cli.main(["generate", "--config", cfg])
+    assert cli.main(["tune", "--config", cfg]) == 0
+    first = (out / "tune_result.json").read_bytes()
+    for split in ("val", "test", "test_shifted"):
+        (out / f"{split}.csv").unlink()
+    assert cli.main(["tune", "--config", cfg]) == 0
+    assert (out / "tune_result.json").read_bytes() == first
+    capsys.readouterr()
+    assert cli.main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "val.csv" in err
+
+    # A csv dataset: tune never parses the other splits, run does.
+    raw = base_config(tmp_path, output_dir=str(tmp_path / "csv_out"))
+    raw["dataset"]["csv"] = {"train": str(out / "train.csv")}
+    for split in ("val", "test"):
+        (tmp_path / f"{split}.csv").write_text("not,a,dataset\n")
+        raw["dataset"]["csv"][split] = str(tmp_path / f"{split}.csv")
+    cfg = write_config(tmp_path, raw, "csv.json")
+    assert cli.main(["tune", "--config", cfg]) == 0
+    assert cli.main(["run", "--config", cfg]) == 1
+    assert "bad header" in capsys.readouterr().err
+
+
 def test_tune_single_candidate_passthrough(tmp_path):
     raw = base_config(tmp_path)
     raw["tuning"]["grid_scale"] = [0.15]

@@ -196,6 +196,29 @@ def test_csv_empty_roundtrip(tmp_path):
     assert loaded.n == 0 and loaded.d == 10
 
 
+def _save_csv_per_row(ds, path):
+    """The per-row writer that ``save_csv`` replaced, kept as its reference."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(["y", "a", "g"] + [f"x{i}" for i in range(ds.d)]) + "\n")
+        for i in range(ds.n):
+            cells = [str(ds.labels[i]), str(ds.attributes[i]), str(ds.group_of[i])]
+            cells.extend("%.17g" % v for v in ds.features[i])
+            fh.write(",".join(cells) + "\n")
+
+
+@pytest.mark.parametrize("ds", [
+    GroupedDataset(np.array([[-0.0, 1e-300, 5e-324, 1e300], [0.0, -1e-300, -5e-324, -1e300],
+                             [0.1, 1.0 / 3.0, 2.0 ** 52, -7.0]]),
+                   np.array([1, 0, 2]), np.array([0, 2, 1]), 3, 3),
+    GroupedDataset(np.zeros((0, 10)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 2, 2),
+    make_spurious((40, 10, 9, 40), 0.6, 0.5, 0.2, seed=3),
+], ids=["extremes", "empty", "generated"])
+def test_save_csv_writes_the_per_row_writers_bytes(tmp_path, ds):
+    save_csv(ds, tmp_path / "new.csv")
+    _save_csv_per_row(ds, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_csv_parse_error_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("y,a,g,x0,x1\n0,0,0,1.0,2.0\n1,0,2,3.0\n")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hierdro import ambiguity as amb
 from hierdro import model
@@ -159,6 +160,54 @@ def test_loss_finite_for_huge_logits():
     for y in (0, 1):
         loss = model.cross_entropy(model.logits_from_latent(theta, np.array([1.0, 0.0])), y)
         assert math.isfinite(loss)
+
+
+def _reduced_log_softmax(logits):
+    """log_softmax by numpy reductions along the class axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _logits(seed, k, leading, log_magnitude, ties, neg_inf):
+    """Logits of shape ``leading + (k,)`` with some entries tied to column 0 and
+    some set to -inf, leaving one finite entry per example."""
+    rng = np.random.default_rng(seed)
+    shape = leading + (k,)
+    logits = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** log_magnitude
+    if ties:
+        tied = rng.random(shape) < 0.5
+        logits[tied] = np.broadcast_to(logits[..., :1], shape)[tied]
+    if neg_inf:
+        dropped = rng.random(shape) < 0.3
+        np.put_along_axis(dropped, rng.integers(0, k, size=leading + (1,)), False, axis=-1)
+        logits[dropped] = -np.inf
+    return logits
+
+
+_LEADING = st.sampled_from([(), (5,), (64,), (3, 8), (15, 64)])
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 7), leading=_LEADING,
+       log_magnitude=st.floats(-3.0, 3.0), ties=st.booleans(), neg_inf=st.booleans())
+def test_log_softmax_is_bitwise_the_class_axis_reduction(seed, k, leading, log_magnitude,
+                                                         ties, neg_inf):
+    logits = _logits(seed, k, leading, log_magnitude, ties, neg_inf)
+    got = model.log_softmax(logits)
+    assert got.shape == logits.shape
+    assert got.view(np.uint64).tolist() == _reduced_log_softmax(logits).view(np.uint64).tolist()
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(8, 10), leading=_LEADING,
+       log_magnitude=st.floats(-3.0, 3.0), ties=st.booleans(), neg_inf=st.booleans())
+def test_log_softmax_from_eight_classes_agrees_with_the_pairwise_sum(seed, k, leading,
+                                                                     log_magnitude, ties, neg_inf):
+    # numpy sums 8 or more terms pairwise; both sums of k terms in (0, 1]
+    # are within k ulp of a total in [1, k], so log(total) agrees to ~2e-15.
+    logits = _logits(seed, k, leading, log_magnitude, ties, neg_inf)
+    np.testing.assert_allclose(model.log_softmax(logits), _reduced_log_softmax(logits),
+                               rtol=1e-14, atol=1e-14)
 
 
 def test_linear_loss_midpoint_convexity():
