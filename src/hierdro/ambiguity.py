@@ -42,7 +42,6 @@ from .model import ModelParams
 SUP_GRID_FRACTION = 100
 ORACLE_MAX_SUPPORT = 8
 CHECK_MAX_SUPPORT = 6
-DEFAULT_ETA_Z_FACTOR = 10.0
 
 
 def radius(epsilon, n_g):
@@ -77,28 +76,18 @@ def project_ball(z_prime: np.ndarray, z_center: np.ndarray, eps: float) -> np.nd
     return np.where(outside, z_center + scale * diff, z_prime)
 
 
-def inner_maximize(
-    theta: ModelParams,
-    z: np.ndarray,
-    y,
-    eps_g: float,
-    steps: int = 1,
-    eta_z: float | None = None,
-) -> np.ndarray:
-    """The loss maximizer inside the ``eps_g`` ball around each row of ``z``.
+def inner_maximize(theta: ModelParams, z: np.ndarray, y, eps_g: float) -> np.ndarray:
+    """The loss ascent inside the ``eps_g`` ball around each row of ``z``.
 
     For a binary head (``theta`` unstacked, two classes, linear or ``mlp1``)
-    the maximizer has a closed form, :func:`binary_ball_maximizer`, which is
-    returned for every ``steps`` and ``eta_z``.  A head with more classes
-    runs ``steps`` of projected gradient ascent with step ``eta_z`` (default
-    ``DEFAULT_ETA_Z_FACTOR * eps_g``) and returns the best iterate
-    encountered, the start point included.  Either way the result never
-    decreases the loss and never leaves the ball.
+    this is the exact maximizer, the closed form :func:`binary_ball_maximizer`.
+    A head with more classes takes one normalized gradient step to the
+    sphere, ``z + eps_g * g / ||g||``, the first-order maximizer (a row with
+    a zero gradient keeps ``z``).  The loss is convex in the latent, so
+    neither ever decreases it, and neither leaves the ball.
     """
     if eps_g < 0:
         raise ParameterError("eps_g must be nonnegative")
-    if steps < 1:
-        raise ParameterError("steps must be at least 1")
     z = np.asarray(z, dtype=np.float64)
     if eps_g == 0.0:
         return z
@@ -111,20 +100,15 @@ def inner_maximize(
         best = binary_ball_maximizer(z_mat, 2.0 * y_arr - 1.0, v, eps_g, np.linalg.norm(v))
         return best[0] if single else best
 
-    if eta_z is None:
-        eta_z = DEFAULT_ETA_Z_FACTOR * eps_g
-    best = z_mat
-    best_loss, grad = model.loss_and_latent_grad(theta, z_mat, y_arr)
-    current = z_mat
-    for k in range(steps):
-        current = project_ball(current + eta_z * grad, z_mat, eps_g)
-        if k + 1 < steps:
-            loss, grad = model.loss_and_latent_grad(theta, current, y_arr)
-        else:
-            loss = model.cross_entropy(model.logits_from_latent(theta, current), y_arr)
-        improved = loss > best_loss
-        best = np.where(improved[:, None], current, best)
-        best_loss = np.maximum(loss, best_loss)
+    # Dividing by the largest entry first keeps the squared norm from
+    # underflowing when the gradient is tiny.
+    grad = model.grad_wrt_latent(theta, z_mat, y_arr)
+    step = np.zeros_like(grad)
+    top = np.abs(grad).max(axis=-1, keepdims=True)
+    np.divide(grad, top, out=step, where=top > 0)
+    norm = np.linalg.norm(step, axis=-1, keepdims=True)
+    np.divide(step, norm, out=step, where=norm > 0)
+    best = z_mat + eps_g * step
     return best[0] if single else best
 
 

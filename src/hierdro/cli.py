@@ -120,7 +120,6 @@ SOLVER_KEYS = {
     **_types(ModelSpec),
     **_types(ExperimentConfig, "modes"),
 }
-AMBIGUITY_KEYS = _types(SolverConfig, "inner_steps", "eta_z")
 TUNING_KEYS = {
     **_types(TuneConfig, "aggregation", "order_on", "warmup_iterations"),
     **_types(ExperimentConfig, "grid_scale"),
@@ -151,7 +150,10 @@ def _read(value, kind, where: str):
         item = typing.get_args(kind)[0]
         return tuple(_read(v, item, f"{where}[{i}]") for i, v in enumerate(value))
     if kind is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"{where}: integer too large for a float") from exc
     if type(value) is not kind:
         raise ConfigError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
     return value
@@ -190,7 +192,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     absent key takes that field's default, which is written there and
     nowhere else.  A wrong type, an unknown key or a value those dataclasses
     refuse is a ``ConfigError`` here, so the CLI exits 1 before it computes
-    anything.  The ``evaluation`` block has no settings yet and must be empty.
+    anything.  The ``ambiguity`` and ``evaluation`` blocks have no settings
+    and must be empty.
     """
     top = _block(raw, "", CONFIG_KEYS, required=("output_dir", "seeds", "dataset", "solver"))
     if not top["seeds"]:
@@ -199,9 +202,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("output_dir: expected a nonempty string")
     sv = _block(top["solver"], "solver", SOLVER_KEYS,
                 required=("eta_beta", "eta_theta", "iterations", "batch_size"))
-    am = _block(top.get("ambiguity", {}), "ambiguity", AMBIGUITY_KEYS)
     tn = _block(top.get("tuning", {}), "tuning", TUNING_KEYS)
-    _block(top.get("evaluation", {}), "evaluation", {})
+    for name in ("ambiguity", "evaluation"):
+        _block(top.get(name, {}), name, {})
     modes = sv.get("modes", MODES)
     if not modes:
         raise ConfigError("solver.modes: expected a nonempty list")
@@ -209,6 +212,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if mode not in MODES:
             raise ConfigError(f"solver.modes: unknown mode {mode!r}")
     seeds = top["seeds"]
+    for key, seed in [*(("seeds", s) for s in seeds), ("dataset.seed", top["dataset"].seed)]:
+        if seed < 0:
+            raise ConfigError(f"{key}: expected nonnegative integers, got {seed}")
     for key, values in (("solver.modes", modes), ("seeds", seeds)):
         repeated = sorted({v for v in values if values.count(v) > 1}, key=str)
         if repeated:
@@ -226,7 +232,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
                               "smallest training group, is not a finite epsilon")
     template = _build(SolverConfig, "solver", mode=HIERARCHICAL, seed=seeds[0],
                       **_only(SolverConfig, sv))
-    template = _build(dataclasses.replace, "ambiguity", template, **am)
     model = _build(ModelSpec, "solver", **_only(ModelSpec, sv))
     tune_solver = _build(dataclasses.replace, "tuning", template,
                          iterations=tn.get("iterations") or template.iterations)
@@ -245,7 +250,7 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:    # invalid JSON, or an integer past Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return validate_config(raw)
 

@@ -5,9 +5,9 @@ and then performs in order:
 
 1. latent ascent: every example's latent is moved to the loss maximizer
    inside its group's perturbation ball, exactly for a binary head (the
-   closed form :func:`ambiguity.binary_ball_maximizer`) and approximately,
-   by projected gradient ascent, for more classes (skipped when the ball
-   radius is zero);
+   closed form :func:`ambiguity.binary_ball_maximizer`) and to first order,
+   by one normalized gradient step to the sphere, for more classes (skipped
+   when the ball radius is zero);
 2. mixture ascent: the sampled group's simplex weight is scaled by
    ``exp(eta_beta * (batch loss + C / sqrt(n_g)))`` and the weights are
    renormalized (exponentiated-gradient / mirror ascent on the simplex);
@@ -72,10 +72,8 @@ MODE_LABELS = {ERM: "ERM", GROUP_DRO: "GroupDRO", HIERARCHICAL: "Hierarchical"}
 class SolverConfig:
     """One training run.
 
-    ``inner_steps`` and ``eta_z`` set the projected gradient ascent of a
-    head with more than two classes; ``eta_z=None`` selects the step
-    ``10 * eps_g``.  A binary head ignores both: its ascent is the exact
-    closed-form ball maximizer (:func:`ambiguity.inner_maximize`).
+    The latent ascent has no settings: :func:`ambiguity.inner_maximize`
+    fixes it by the number of classes.
     """
 
     mode: str
@@ -85,8 +83,6 @@ class SolverConfig:
     adjustment: float = 0.0
     iterations: int = 0
     batch_size: int = 1
-    eta_z: float | None = None
-    inner_steps: int = 1
     sampling: str = GROUP_UNIFORM
     seed: int = 0
     checkpoint_every: int = 100
@@ -97,9 +93,9 @@ class SolverConfig:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.sampling not in SAMPLING:
             raise ParameterError(f"sampling must be one of {SAMPLING}")
-        for name in ("epsilon", "eta_beta", "eta_theta", "adjustment", "eta_z"):
+        for name in ("epsilon", "eta_beta", "eta_theta", "adjustment"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
         if self.eta_beta <= 0 or self.eta_theta <= 0:
             raise ParameterError("step sizes must be positive")
@@ -107,10 +103,6 @@ class SolverConfig:
             raise ParameterError("epsilon and adjustment must be nonnegative")
         if self.iterations < 0 or self.batch_size < 1 or self.checkpoint_every < 1:
             raise ParameterError("iterations/batch_size/checkpoint_every out of range")
-        if self.inner_steps < 1:
-            raise ParameterError("inner_steps must be at least 1")
-        if self.eta_z is not None and self.eta_z <= 0:
-            raise ParameterError("eta_z must be positive")
 
     @property
     def effective_epsilon(self) -> float:
@@ -163,7 +155,7 @@ class TrainResult:
 
 # The fields that set the shape of the loop: rows trained in lockstep share
 # them.  Every other field, and the initial model, may differ between rows.
-SHARED = ("iterations", "checkpoint_every", "batch_size", "decay_steps", "sampling", "inner_steps")
+SHARED = ("iterations", "checkpoint_every", "batch_size", "decay_steps", "sampling")
 
 
 @dataclass
@@ -347,8 +339,7 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
         for i, eps in enumerate(eps_g.tolist()):
             z_i, y_i = z[i % len(z)], batch.y[i % len(batch.y)]
             ascended.append(z_i if eps == 0 else amb.inner_maximize(
-                model.row_params(theta, i), z_i, y_i, eps, steps=rows.shared.inner_steps,
-                eta_z=rows.configs[i].eta_z))
+                model.row_params(theta, i), z_i, y_i, eps))
         z_prime = np.stack(ascended)
 
     losses, grads = model.loss_and_param_grads(theta, z_prime, batch.x, batch.y)

@@ -98,22 +98,70 @@ def test_inner_maximize_known_maximizer():
     # Output difference (1, 0), y = 1: the loss decreases in z0, so the ball
     # maximizer sits at the boundary opposite the weight vector.
     theta = binary_theta([1.0, 0.0])
-    z_prime = inner_maximize(theta, np.zeros(2), 1, eps_g=0.5, steps=1, eta_z=100.0)
+    z_prime = inner_maximize(theta, np.zeros(2), 1, eps_g=0.5)
     np.testing.assert_allclose(z_prime, [-0.5, 0.0], atol=1e-12)
 
 
+def random_head(rng, num_classes, weight_scale, rows=200):
+    """A head with ``num_classes`` classes, weights times ``weight_scale``,
+    and ``rows`` latents, labels and one radius to ascend them in."""
+    dim = int(rng.integers(1, 5))
+    theta = ModelParams(w_out=weight_scale * rng.normal(size=(num_classes, dim)),
+                        b_out=weight_scale * rng.normal(size=num_classes))
+    z = rng.normal(size=(rows, dim))
+    return theta, z, rng.integers(0, num_classes, size=rows), float(rng.uniform(0.05, 1.0))
+
+
+def projected_default_step(theta, z, y, eps):
+    """The earlier default ascent for more than two classes: one projected
+    step of size ``10 * eps`` along the gradient, kept only if it raises the
+    loss.  The reference the normalized step must not fall below."""
+    loss, grad = model.loss_and_latent_grad(theta, z, y)
+    end = project_ball(z + 10.0 * eps * grad, z, eps)
+    raised = model.cross_entropy(model.logits_from_latent(theta, end), y) > loss
+    return np.where(raised[:, None], end, z)
+
+
+MANY_CLASSES = list(itertools.product((3, 5, 10), (1.0, 100.0)))
+
+
 def test_inner_maximize_never_decreases_and_stays_in_ball():
+    """With 3, 5 or 10 classes every row with a nonzero gradient ends on the
+    sphere, and no row leaves the ball or loses loss.  Weights times 100 give
+    gradients whose squared norm underflows."""
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        dim = int(rng.integers(1, 5))
-        theta = ModelParams(w_out=rng.normal(size=(3, dim)), b_out=rng.normal(size=3))
-        z = rng.normal(size=dim)
-        y = int(rng.integers(3))
-        eps = float(rng.uniform(0.0, 1.0))
-        steps = int(rng.integers(1, 4))
-        z_prime = inner_maximize(theta, z, y, eps, steps=steps)
-        assert loss_at(theta, z_prime, y) >= loss_at(theta, z, y) - 1e-12
-        assert np.linalg.norm(z_prime - z) <= eps + 1e-12
+    for num_classes, weight_scale in MANY_CLASSES:
+        tiny = 0
+        for _ in range(30):
+            theta, z, y, eps = random_head(rng, num_classes, weight_scale)
+            z_prime = inner_maximize(theta, z, y, eps)
+            grad = model.grad_wrt_latent(theta, z, y)
+            moved = np.abs(grad).max(axis=1) > 0
+            with np.errstate(under="ignore"):
+                tiny += int(np.sum(moved & (np.sum(grad * grad, axis=1) == 0)))
+            dist = np.linalg.norm(z_prime - z, axis=1)
+            np.testing.assert_allclose(dist[moved], eps, rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(z_prime[~moved], z[~moved])
+            assert np.all(dist <= eps + 1e-12)
+            before = model.cross_entropy(model.logits_from_latent(theta, z), y)
+            after = model.cross_entropy(model.logits_from_latent(theta, z_prime), y)
+            assert np.all(after >= before - 1e-12)
+        assert tiny > 0 or weight_scale == 1.0, (num_classes, weight_scale)
+
+
+def test_inner_maximize_many_classes_is_not_below_the_projected_default():
+    """The normalized step ends where the projected ``10 * eps`` step did, or
+    further along the same ray, so its loss is never lower, up to rounding
+    at the loss's magnitude."""
+    rng = np.random.default_rng(1)
+    for num_classes, weight_scale in MANY_CLASSES:
+        for _ in range(30):
+            theta, z, y, eps = random_head(rng, num_classes, weight_scale)
+            got = model.cross_entropy(
+                model.logits_from_latent(theta, inner_maximize(theta, z, y, eps)), y)
+            want = model.cross_entropy(
+                model.logits_from_latent(theta, projected_default_step(theta, z, y, eps)), y)
+            assert np.all(got >= want - 1e-12 * np.maximum(1.0, want))
 
 
 def test_one_step_attains_ball_maximum_binary_linear():
@@ -125,7 +173,7 @@ def test_one_step_attains_ball_maximum_binary_linear():
         z = rng.normal(size=2)
         y = int(rng.integers(2))
         eps = float(rng.uniform(0.1, 1.0))
-        z_prime = inner_maximize(theta, z, y, eps, steps=1, eta_z=1e7)
+        z_prime = inner_maximize(theta, z, y, eps)
         grid_losses = model.cross_entropy(
             model.logits_from_latent(theta, z + eps * ring),
             np.full(ring.shape[0], y, dtype=np.int64))
@@ -134,21 +182,21 @@ def test_one_step_attains_ball_maximum_binary_linear():
 
 
 def test_inner_maximize_batched_matches_loop():
-    """Projected ascent on a three-class head: a batch is its rows one by one."""
+    """The normalized step on a three-class head: a batch is its rows one by one."""
     rng = np.random.default_rng(2)
     theta = ModelParams(w_out=rng.normal(size=(3, 3)), b_out=rng.normal(size=3))
     zs = rng.normal(size=(6, 3))
     ys = rng.integers(0, 3, size=6)
-    batch = inner_maximize(theta, zs, ys, 0.4, steps=2, eta_z=1.0)
+    batch = inner_maximize(theta, zs, ys, 0.4)
     for i in range(6):
-        single = inner_maximize(theta, zs[i], int(ys[i]), 0.4, steps=2, eta_z=1.0)
+        single = inner_maximize(theta, zs[i], int(ys[i]), 0.4)
         np.testing.assert_allclose(batch[i], single, atol=1e-14)
 
 
 @pytest.mark.parametrize("architecture", [model.LINEAR, model.MLP1])
 def test_inner_maximize_binary_head_is_the_closed_form(architecture):
     """On a binary head the ascent is bitwise the closed-form ball maximizer,
-    whatever ``steps`` and ``eta_z`` say, for single rows and batches."""
+    for single rows and batches."""
     rng = np.random.default_rng(12)
     spec = model.ModelSpec(architecture, hidden_width=5)
     for case in range(10):
@@ -158,12 +206,11 @@ def test_inner_maximize_binary_head_is_the_closed_form(architecture):
         v = theta.w_out[1] - theta.w_out[0]
         eps = float(rng.uniform(0.05, 2.0))
         want = amb.binary_ball_maximizer(zs, 2.0 * ys - 1.0, v, eps, np.linalg.norm(v))
-        for steps, eta_z in itertools.product((1, 3), (None, 1e-3, 1e6)):
-            np.testing.assert_array_equal(inner_maximize(theta, zs, ys, eps, steps, eta_z), want)
-            for i in (0, 6):
-                single = inner_maximize(theta, zs[i], int(ys[i]), eps, steps, eta_z)
-                assert single.shape == zs[i].shape
-                np.testing.assert_array_equal(single, want[i])
+        np.testing.assert_array_equal(inner_maximize(theta, zs, ys, eps), want)
+        for i in (0, 6):
+            single = inner_maximize(theta, zs[i], int(ys[i]), eps)
+            assert single.shape == zs[i].shape
+            np.testing.assert_array_equal(single, want[i])
 
 
 def test_inner_maximize_binary_head_with_zero_weight_difference_keeps_z():

@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import glob
 import json
 import math
 import os
@@ -324,6 +325,10 @@ def test_config_validation_errors():
       (None, "dataset", "solver", "ambiguity", "tuning", "evaluation", "shift")),
     # A removed key is refused, not silently ignored.
     pytest.param("solver", "backprop_through_feature", id="solver-removed"),
+    pytest.param("ambiguity", "inner_steps", id="ambiguity-removed-inner_steps"),
+    pytest.param("ambiguity", "eta_z", id="ambiguity-removed-eta_z"),
+    # A key in the wrong block is refused too.
+    pytest.param("solver", "inner_steps", id="solver-misplaced"),
 ])
 def test_unknown_config_key_is_an_error(tmp_path, block, key):
     raw = base_config(tmp_path, ambiguity={}, evaluation={})
@@ -361,7 +366,6 @@ CONFIG_KEYS = [
     ("solver", "checkpoint_every", "int"), ("solver", "decay_steps", "bool"),
     ("solver", "architecture", "string"),
     ("solver", "hidden_width", "int"),
-    ("ambiguity", "inner_steps", "int"), ("ambiguity", "eta_z", "number"),
     ("tuning", "grid_scale", "number list"), ("tuning", "aggregation", "string"),
     ("tuning", "order_on", "string"), ("tuning", "warmup_iterations", "int"),
     ("tuning", "iterations", "int"),
@@ -405,20 +409,23 @@ def test_config_keys_are_the_keys_the_reader_accepts():
     accepted = {("", key) for key in cli.CONFIG_KEYS}
     for block, keys in (("dataset", fields(cli.DatasetBlock)), ("shift", fields(ShiftSpec)),
                         ("csv", fields(cli.CsvFiles)), ("solver", cli.SOLVER_KEYS),
-                        ("ambiguity", cli.AMBIGUITY_KEYS), ("tuning", cli.TUNING_KEYS)):
+                        ("tuning", cli.TUNING_KEYS)):
         accepted |= {(block, key) for key in keys}
     assert {(block, key) for block, key, _ in CONFIG_KEYS} == accepted
-    assert sum(block != "" or key in ("output_dir", "seeds") for block, key, _ in CONFIG_KEYS) == 38
+    assert sum(block != "" or key in ("output_dir", "seeds") for block, key, _ in CONFIG_KEYS) == 36
 
 
 @pytest.mark.parametrize("block,key,kind", CONFIG_KEYS,
                          ids=[f"{b or 'config'}.{k}" for b, k, _ in CONFIG_KEYS])
 def test_every_config_key_refuses_a_wrong_type(tmp_path, capsys, block, key, kind):
     assert_refused(tmp_path, capsys, *config_with(tmp_path, block, key, WRONG_TYPE[kind]))
-    if kind in ("int", "int list"):
-        for value in (True, 1.5):
-            raw, name = config_with(tmp_path, block, key, [value] if kind == "int list" else value)
-            assert_refused(tmp_path, capsys, raw, name)
+    listed = kind.endswith(" list")
+    # A float key takes an integer, but not one beyond the float range.
+    values = {"int": (True, 1.5), "int list": (True, 1.5),
+              "number": (10 ** 400,), "number list": (10 ** 400,)}
+    for value in values.get(kind, ()):
+        raw, name = config_with(tmp_path, block, key, [value] if listed else value)
+        assert_refused(tmp_path, capsys, raw, name)
 
 
 @pytest.mark.parametrize("block,key,value", [
@@ -437,6 +444,32 @@ def test_config_values_that_used_to_pass_or_crash(tmp_path, capsys, block, key, 
     raw[block][key] = value
     name = "tuning: aggregation" if value == "median" else f"{block}.{key}"
     assert_refused(tmp_path, capsys, raw, name)
+
+
+@pytest.mark.parametrize("block,key,value", [
+    pytest.param("", "seeds", [0, -1], id="seeds"),
+    pytest.param("dataset", "seed", -5, id="dataset.seed"),
+])
+def test_negative_seeds_are_refused_at_load(tmp_path, capsys, block, key, value):
+    # Each used to die in numpy's seeding with a traceback, in generate or in tune and run.
+    raw = base_config(tmp_path)
+    (raw[block] if block else raw)[key] = value
+    name = f"{block}.{key}" if block else key
+    assert_refused(tmp_path, capsys, raw, name)
+    for command in ("tune", "run"):
+        assert cli.main([command, "--config", write_config(tmp_path, raw, "bad.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}:") and "Traceback" not in err
+
+
+def test_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(base_config(tmp_path)).replace('"seed": 5', '"seed": ' + "9" * 5000))
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        cli.load_config(str(path))
+    assert cli.main(["generate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: config is not valid JSON")
 
 
 def test_integer_for_a_float_key_writes_the_same_data(tmp_path):
@@ -480,8 +513,6 @@ def test_non_finite_radius_or_step_is_refused_at_load(tmp_path, capsys, value):
         raw = base_config(tmp_path)
         raw["solver"][key] = value
         assert_refused(tmp_path, capsys, raw, f"solver: {key} must be finite")
-    raw = base_config(tmp_path, ambiguity={"eta_z": value})
-    assert_refused(tmp_path, capsys, raw, "ambiguity: eta_z must be finite")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -499,24 +530,13 @@ def test_run_refuses_a_non_finite_epsilon_before_training(tmp_path, capsys, valu
         assert not (tmp_path / "out" / "results.csv").exists()
 
 
-def test_ambiguity_block_sets_the_latent_ascent(tmp_path):
-    raw = base_config(tmp_path, ambiguity={"inner_steps": 5, "eta_z": 123})
-    config = cli.validate_config(raw)
-    for run_cfg in (config.solver, config.tune.solver):
-        assert (run_cfg.inner_steps, run_cfg.eta_z) == (5, 123)
-    for bad in ({"inner_steps": 0}, {"inner_steps": "x"}, {"eta_z": 0}, {"eta_z": "fast"}):
-        with pytest.raises(ConfigError, match=next(iter(bad))):
-            cli.validate_config(base_config(tmp_path, ambiguity=bad))
-    raw = base_config(tmp_path)
-    raw["solver"]["inner_steps"] = 5
-    with pytest.raises(ConfigError, match="inner_steps"):
-        cli.validate_config(raw)
-
-
 def test_shipped_benchmark_config_validates():
+    """Every shipped config loads, ``configs/benchmark.json`` among them."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    config = cli.load_config(os.path.join(root, "configs", "benchmark.json"))
-    assert config.solver.inner_steps == 1 and config.solver.eta_z is None
+    paths = sorted(glob.glob(os.path.join(root, "configs", "*.json")))
+    assert "benchmark.json" in map(os.path.basename, paths)
+    for path in paths:
+        cli.load_config(path)
 
 
 def test_stale_data_in_output_dir_is_an_error(tmp_path):

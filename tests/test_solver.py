@@ -276,11 +276,7 @@ def test_config_validation():
         SolverConfig(mode=ERM, eta_beta=0.1, eta_theta=0.1, epsilon=-1.0)
     with pytest.raises(ParameterError):
         SolverConfig(mode=ERM, eta_beta=0.1, eta_theta=0.1, batch_size=0)
-    with pytest.raises(ParameterError):
-        SolverConfig(mode=ERM, eta_beta=0.1, eta_theta=0.1, inner_steps=0)
-    with pytest.raises(ParameterError):
-        SolverConfig(mode=ERM, eta_beta=0.1, eta_theta=0.1, eta_z=0.0)
-    for name in ("epsilon", "eta_beta", "eta_theta", "adjustment", "eta_z"):
+    for name in ("epsilon", "eta_beta", "eta_theta", "adjustment"):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ParameterError, match=name):
                 SolverConfig(**{"mode": ERM, "eta_beta": 0.1, "eta_theta": 0.1, name: value})
@@ -323,7 +319,6 @@ row_settings = st.fixed_dictionaries({
     "eta_beta": st.sampled_from([0.05, 0.5]),
     "eta_theta": st.sampled_from([0.1, 0.4]),
     "adjustment": st.sampled_from([0.0, 1.0]),
-    "eta_z": st.sampled_from([None, 0.3]),
     "init_seed": st.integers(0, 3),
 })
 
@@ -333,12 +328,11 @@ row_settings = st.fixed_dictionaries({
     rows=st.lists(row_settings, min_size=1, max_size=6),
     architecture=st.sampled_from([LINEAR, MLP1]),
     num_labels=st.sampled_from([2, 3]),
-    inner_steps=st.sampled_from([1, 2]),
     decay_steps=st.booleans(),
     sampling=st.sampled_from(solver.SAMPLING),
 )
-def test_lockstep_rows_equal_solo_runs_bitwise(rows, architecture, num_labels, inner_steps,
-                                               decay_steps, sampling):
+def test_lockstep_rows_equal_solo_runs_bitwise(rows, architecture, num_labels, decay_steps,
+                                               sampling):
     ds, ds_val = grouped_ds(num_labels, 0), grouped_ds(num_labels, 1)
     spec = ModelSpec(architecture, hidden_width=4)
     configs, inits = [], []
@@ -346,7 +340,7 @@ def test_lockstep_rows_equal_solo_runs_bitwise(rows, architecture, num_labels, i
         settings_ = dict(row)
         inits.append(init_params(spec, ds.d, num_labels, seed=settings_.pop("init_seed")))
         configs.append(SolverConfig(iterations=25, batch_size=3, checkpoint_every=10,
-                                    inner_steps=inner_steps, decay_steps=decay_steps,
+                                    decay_steps=decay_steps,
                                     sampling=sampling, **settings_))
     together = train_lockstep(ds, ds_val, inits, configs)
     assert len(together) == len(rows)
@@ -373,7 +367,7 @@ def test_lockstep_retires_a_diverged_row_and_keeps_the_others():
 
 @pytest.mark.parametrize("field_name,value", [
     ("iterations", 7), ("checkpoint_every", 3), ("batch_size", 2), ("decay_steps", True),
-    ("sampling", solver.EMPIRICAL), ("inner_steps", 2),
+    ("sampling", solver.EMPIRICAL),
 ])
 def test_lockstep_rows_must_share_the_shape_fields(field_name, value):
     ds = small_ds()
@@ -396,22 +390,22 @@ def test_lockstep_rows_must_share_the_architecture():
 
 @pytest.mark.parametrize("architecture", [LINEAR, MLP1])
 def test_train_step_lands_every_ascending_row_on_the_grid_supremum(monkeypatch, architecture):
-    """One step on 2-D binary latents: every row with a positive radius, at
-    the default ascent step or a small one, ends on the supremum of the loss
-    over its ball, as a 200k-point boundary grid measures it."""
+    """One step on 2-D binary latents: every row with a positive radius, a
+    large one or a small one, ends on the supremum of the loss over its
+    ball, as a 200k-point boundary grid measures it."""
     full = small_ds()
     ds = GroupedDataset(full.features[:, :2], full.labels, full.attributes, 2, 2)
     init = init_params(ModelSpec(architecture, hidden_width=2), 2, 2, seed=4)
     configs = [base_config(mode=ERM), base_config(mode=GROUP_DRO), base_config(epsilon=2.0),
-               base_config(epsilon=0.5, eta_z=1e-3)]
+               base_config(epsilon=0.5)]
     state = Lockstep.start([init] * len(configs), configs, ds)
     batch = stack_batches([GroupSampler(ds, configs[0]).draw(np.random.default_rng(0))],
                           None, len(configs))
     endpoints = []
     inner_maximize = amb.inner_maximize
 
-    def spy(theta, z, y, eps_g, steps=1, eta_z=None):
-        z_prime = inner_maximize(theta, z, y, eps_g, steps=steps, eta_z=eta_z)
+    def spy(theta, z, y, eps_g):
+        z_prime = inner_maximize(theta, z, y, eps_g)
         endpoints.append((theta, z, y, eps_g, z_prime))
         return z_prime
 
@@ -437,7 +431,7 @@ def test_lockstep_step_ascends_each_row_through_inner_maximize(monkeypatch):
     ds = small_ds()
     spec = ModelSpec(MLP1, hidden_width=4)
     configs = [base_config(mode=ERM, seed=1), base_config(epsilon=2.0, seed=1),
-               base_config(mode=GROUP_DRO, seed=2), base_config(epsilon=0.5, seed=2, eta_z=0.3)]
+               base_config(mode=GROUP_DRO, seed=2), base_config(epsilon=0.5, seed=2)]
     inits = [init_params(spec, ds.d, 2, seed=k) for k in range(len(configs))]
     state = solver.Lockstep.start(inits, configs, ds)
     sampler = solver.GroupSampler(ds, configs[0])
@@ -446,17 +440,16 @@ def test_lockstep_step_ascends_each_row_through_inner_maximize(monkeypatch):
     calls = []
     inner_maximize = amb.inner_maximize
 
-    def spy(theta, z, y, eps_g, steps=1, eta_z=None):
-        calls.append((theta, z, y, eps_g, eta_z))
-        return inner_maximize(theta, z, y, eps_g, steps=steps, eta_z=eta_z)
+    def spy(theta, z, y, eps_g):
+        calls.append((theta, z, y, eps_g))
+        return inner_maximize(theta, z, y, eps_g)
 
     monkeypatch.setattr(amb, "inner_maximize", spy)
     solver.train_step(state, batch)
     assert len(calls) == 2
-    for (theta, z, y, eps_g, eta_z), k in zip(calls, (1, 3)):
+    for (theta, z, y, eps_g), k in zip(calls, (1, 3)):
         draw = draws[k // 2]
         assert model.params_equal(theta, inits[k]) and theta.w_out.ndim == 2
         np.testing.assert_array_equal(z, model.latent(inits[k], draw.x))
         np.testing.assert_array_equal(y, draw.y)
         assert eps_g == amb.radius(configs[k].epsilon, int(ds.n_g[draw.group]))
-        assert eta_z == configs[k].eta_z

@@ -15,4 +15,4 @@ def test_check_gradients_redraws_instances_at_a_relu_kink():
 def test_check_inner_maximization_holds_the_default_ascent_to_the_grid():
     result = verification.check_inner_maximization()
     assert result.passed, result.details
-    assert 0.0 <= result.details["max_loss_gap_default"] <= result.details["tolerance"]
+    assert 0.0 <= result.details["max_loss_gap"] <= result.details["tolerance"]
