@@ -97,7 +97,8 @@ def inner_maximize(theta: ModelParams, z: np.ndarray, y, eps_g: float) -> np.nda
     y_arr = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if theta.num_classes == 2:
         v = theta.w_out[1] - theta.w_out[0]
-        best = binary_ball_maximizer(z_mat, 2.0 * y_arr - 1.0, v, eps_g, np.linalg.norm(v))
+        # ``np.linalg.norm(v)`` of a vector is this sqrt of the same dot product.
+        best = binary_ball_maximizer(z_mat, 2.0 * y_arr - 1.0, v, eps_g, math.sqrt(v.dot(v)))
         return best[0] if single else best
 
     # Dividing by the largest entry first keeps the squared norm from

@@ -9,9 +9,9 @@ directory whose generated data came from another dataset block.
 Every artifact records the config hash and the seed list, and reruns with an
 identical hash produce byte-identical file bodies (no timestamps anywhere).
 
-Exit codes: 0 success, 1 validation error, 2 verification failure,
-3 runtime divergence.  The environment variable ``HIERDRO_OUT`` provides a
-root under which relative output directories are resolved.
+Exit codes: 0 success, 1 validation error or out of memory, 2 verification
+failure, 3 runtime divergence.  The environment variable ``HIERDRO_OUT``
+provides a root under which relative output directories are resolved.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ from .solver import HIERARCHICAL, MODE_LABELS, MODES, SolverConfig
 from .tuning import DEFAULT_GRID_SCALE, TuneConfig
 
 OUTPUT_ROOT_ENV = "HIERDRO_OUT"
+# The most entries a numpy array can hold; keys that size arrays stay at or below it.
+MAX_ARRAY_SIZE = int(np.iinfo(np.intp).max)
 
 RESULTS_COLUMNS = (
     "method", "seed", "eps",
@@ -212,6 +214,15 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if mode not in MODES:
             raise ConfigError(f"solver.modes: unknown mode {mode!r}")
     seeds = top["seeds"]
+    sizes = [("solver.batch_size", sv["batch_size"]),
+             ("solver.hidden_width", sv.get("hidden_width", 0)),
+             *((f"dataset.{name}", n)
+               for name in ("n_per_group_train", "n_per_group_val", "n_per_group_test")
+               for n in getattr(top["dataset"], name))]
+    for key, size in sizes:
+        if size > MAX_ARRAY_SIZE:
+            raise ConfigError(f"{key}: {size} is more entries than an array can hold "
+                              f"({MAX_ARRAY_SIZE})")
     for key, seed in [*(("seeds", s) for s in seeds), ("dataset.seed", top["dataset"].seed)]:
         if seed < 0:
             raise ConfigError(f"{key}: expected nonnegative integers, got {seed}")
@@ -599,6 +610,9 @@ def main(argv=None) -> int:
         return 3
     except (HierdroError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -42,7 +42,8 @@ class GroupedDataset:
 
     ``group_of``, ``n_g`` and ``alpha`` are derived from (labels, attributes)
     at construction time and always satisfy ``alpha = n_g / n`` (``alpha`` is
-    all zeros for an empty dataset).
+    all zeros for an empty dataset).  Each group's row indices are found
+    once, there too, and :meth:`group_rows` returns them read-only.
     """
 
     features: np.ndarray
@@ -53,6 +54,7 @@ class GroupedDataset:
     group_of: np.ndarray = dataclasses.field(init=False)
     n_g: np.ndarray = dataclasses.field(init=False)
     alpha: np.ndarray = dataclasses.field(init=False)
+    _group_rows: tuple = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
@@ -80,6 +82,10 @@ class GroupedDataset:
         object.__setattr__(self, "group_of", group_of)
         object.__setattr__(self, "n_g", n_g)
         object.__setattr__(self, "alpha", alpha)
+        group_rows = tuple(np.flatnonzero(group_of == g) for g in range(self.num_groups))
+        for rows in group_rows:
+            rows.flags.writeable = False
+        object.__setattr__(self, "_group_rows", group_rows)
 
     @property
     def n(self) -> int:
@@ -94,7 +100,8 @@ class GroupedDataset:
         return self.num_labels * self.num_attributes
 
     def group_rows(self, g: int) -> np.ndarray:
-        return np.flatnonzero(self.group_of == g)
+        """The ascending row indices of group ``g``, a read-only array."""
+        return self._group_rows[g]
 
     def subset(self, rows) -> "GroupedDataset":
         rows = np.asarray(rows, dtype=np.int64)

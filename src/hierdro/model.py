@@ -24,11 +24,19 @@ models of one shape (:func:`stack_params`, :func:`row_params`).  The
 forward pass, the loss, the gradients and the update then take inputs with
 the same leading axis, or with a leading axis of 1 that every row shares, and
 each row's result is bitwise the result of the unstacked call on that row.
+
+Label indexing: the loss and ``softmax - onehot(y)`` find each example's
+label entry through one integer array of flat positions into the scores
+read with ``reshape(-1)``, ``K * (example number) + y`` for ``K`` classes,
+for one example, a batch and a batch per row alike.  A label must lie in
+``[0, K)``, as :class:`datagen.GroupedDataset` checks; an index past ``K``
+would read the next example's entry instead of raising.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,14 +147,16 @@ def _bias(b: np.ndarray) -> np.ndarray:
 
 
 def _label_index(shape: tuple, y):
-    """Index of each example's label entry in scores of ``shape``: one
-    example, a batch, or a batch per row."""
+    """Position of each example's label entry in scores of ``shape`` read
+    flat, through ``reshape(-1)``: one example, a batch, or a batch per row.
+
+    One integer array indexes in a fraction of the time that a tuple of
+    broadcast index arrays takes; see the module docstring.
+    """
     if len(shape) == 1:
         return int(y)
-    y = np.asarray(y, dtype=np.int64)
-    if len(shape) == 2:
-        return np.arange(shape[0]), y
-    return np.arange(shape[0])[:, None], np.arange(shape[1]), y
+    lead, k = shape[:-1], shape[-1]
+    return np.arange(0, math.prod(lead) * k, k).reshape(lead) + np.asarray(y, dtype=np.int64)
 
 
 def latent(theta: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -193,7 +203,7 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 def cross_entropy(logits: np.ndarray, y) -> float | np.ndarray:
     """-log softmax(logits)[y]; scalar for a single example, vector for a batch."""
     ls = log_softmax(logits)
-    loss = -ls[_label_index(ls.shape, y)]
+    loss = -ls.reshape(-1)[_label_index(ls.shape, y)]
     return float(loss) if ls.ndim == 1 else loss
 
 
@@ -201,10 +211,11 @@ def _loss_and_dlogits(theta: ModelParams, z: np.ndarray, y):
     """The loss at ``z`` and softmax(logits) - onehot(y), from one forward pass."""
     ls = log_softmax(logits_from_latent(theta, z))
     at = _label_index(ls.shape, y)
-    dlogits = np.exp(ls)
+    flat = ls.reshape(-1)
+    dlogits = np.exp(flat)
     dlogits[at] -= 1.0
-    loss = -ls[at]
-    return (float(loss) if ls.ndim == 1 else loss), dlogits
+    loss = -flat[at]
+    return (float(loss) if ls.ndim == 1 else loss), dlogits.reshape(ls.shape)
 
 
 def loss_and_latent_grad(theta: ModelParams, z: np.ndarray, y):
@@ -242,7 +253,8 @@ def loss_and_param_grads(theta: ModelParams, z_prime: np.ndarray, x: np.ndarray,
     else:
         batch = z_prime.shape[-2]
         g_w_out = _mT(dlogits) @ z_prime / batch
-        g_b_out = dlogits.mean(axis=-2)
+        # ``a.mean(axis)`` computes this sum and division behind a Python wrapper.
+        g_b_out = np.add.reduce(dlogits, -2) / batch
 
     if theta.w_hidden is None:
         return loss, ParamGrads(w_out=g_w_out, b_out=g_b_out)
@@ -253,8 +265,8 @@ def loss_and_param_grads(theta: ModelParams, z_prime: np.ndarray, x: np.ndarray,
         g_w_hidden = np.outer(delta, x)
         g_b_hidden = delta
     else:
-        g_w_hidden = _mT(delta) @ x / z_prime.shape[-2]
-        g_b_hidden = delta.mean(axis=-2)
+        g_w_hidden = _mT(delta) @ x / batch
+        g_b_hidden = np.add.reduce(delta, -2) / batch
     return loss, ParamGrads(w_out=g_w_out, b_out=g_b_out, w_hidden=g_w_hidden,
                             b_hidden=g_b_hidden)
 

@@ -259,21 +259,29 @@ class Lockstep:
 
 
 class GroupSampler:
-    """Draws (group, minibatch row indices) per the configured sampling mode."""
+    """Draws (group, minibatch row indices) per the configured sampling mode.
+
+    The sampling mode, the group count, the batch size and the arrays are
+    read once, here, since :meth:`draw` runs once per training step.
+    """
 
     def __init__(self, ds: GroupedDataset, config: SolverConfig):
-        self.ds = ds
-        self.config = config
+        self.uniform = config.sampling == GROUP_UNIFORM
+        self.num_groups = ds.num_groups
+        self.alpha = ds.alpha
+        self.batch_size = config.batch_size
+        self.features = ds.features
+        self.labels = ds.labels
         self.group_rows = [ds.group_rows(g) for g in range(ds.num_groups)]
 
     def draw(self, rng: np.random.Generator) -> Batch:
-        if self.config.sampling == GROUP_UNIFORM:
-            g = int(rng.integers(self.ds.num_groups))
+        if self.uniform:
+            g = int(rng.integers(self.num_groups))
         else:
-            g = int(rng.choice(self.ds.num_groups, p=self.ds.alpha))
+            g = int(rng.choice(self.num_groups, p=self.alpha))
         rows = self.group_rows[g]
-        idx = rows[rng.integers(0, rows.size, size=self.config.batch_size)]
-        return Batch(group=g, x=self.ds.features[idx], y=self.ds.labels[idx])
+        idx = rows[rng.integers(0, rows.size, size=self.batch_size)]
+        return Batch(group=g, x=self.features[idx], y=self.labels[idx])
 
 
 def stack_batches(batches: list[Batch], pos: np.ndarray | None, num_rows: int) -> Batch:
@@ -297,8 +305,9 @@ def update_beta(
 ) -> np.ndarray:
     """Exponentiated-gradient step on coordinate ``g``, then renormalize.
 
-    Computed in log space so large losses cannot overflow.  For row-stacked
-    ``beta`` of shape ``(R, m)`` every other argument holds one value per row.
+    Computed in log space so large losses cannot overflow, in a new array:
+    ``beta`` itself is left as it is.  For row-stacked ``beta`` of shape
+    ``(R, m)`` every other argument holds one value per row.
     """
     if not np.isfinite(loss_value).all():
         raise DivergenceError(
@@ -310,10 +319,12 @@ def update_beta(
     with np.errstate(divide="ignore"):
         log_beta = np.log(beta)
     at = g if beta.ndim == 1 else (np.arange(beta.shape[0]), g)
-    log_beta[at] += eta_beta * (loss_value + adjustment / np.sqrt(n_g))
-    log_beta -= log_beta.max(axis=-1, keepdims=True)
-    out = np.exp(log_beta)
-    return out / out.sum(axis=-1, keepdims=True)
+    # One entry per row: ``add.at`` adds as ``log_beta[at] +=`` does, at half its dispatch cost.
+    np.add.at(log_beta, at, eta_beta * (loss_value + adjustment / np.sqrt(n_g)))
+    log_beta -= np.maximum.reduce(log_beta, -1, keepdims=True)
+    out = np.exp(log_beta, out=log_beta)
+    out /= np.add.reduce(out, -1, keepdims=True)
+    return out
 
 
 def train_step(state: Lockstep, batch: Batch) -> Lockstep:
@@ -334,16 +345,15 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
     if rows.some_ascent:
         # Row by row, as a lone run ascends; a row with radius zero keeps z' = z.
         # Row i of ``z`` and ``y`` is ``[i % len]``: they have R rows or one shared row.
-        eps_g = rows.radii[rows.index, g]
-        ascended = []
-        for i, eps in enumerate(eps_g.tolist()):
+        eps_g = rows.radii[rows.index, g].tolist()
+        z_prime = np.empty((len(eps_g),) + z.shape[1:])
+        for i, eps in enumerate(eps_g):
             z_i, y_i = z[i % len(z)], batch.y[i % len(batch.y)]
-            ascended.append(z_i if eps == 0 else amb.inner_maximize(
-                model.row_params(theta, i), z_i, y_i, eps))
-        z_prime = np.stack(ascended)
+            z_prime[i] = z_i if eps == 0 else amb.inner_maximize(
+                model.row_params(theta, i), z_i, y_i, eps)
 
     losses, grads = model.loss_and_param_grads(theta, z_prime, batch.x, batch.y)
-    mean_loss = losses.mean(axis=-1)
+    mean_loss = np.add.reduce(losses, -1) / losses.shape[-1]    # losses.mean(-1), bitwise
     finite = np.isfinite(mean_loss)
     all_finite = finite.all()
     if rows.some_learn:
@@ -380,7 +390,7 @@ def group_mean_losses(theta: ModelParams, ds: GroupedDataset) -> np.ndarray:
     for g in range(ds.num_groups):
         rows = ds.group_rows(g)
         if rows.size:
-            out[g] = float(losses[rows].mean())
+            out[g] = np.add.reduce(losses[rows]) / rows.size
     return out
 
 

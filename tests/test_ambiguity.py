@@ -220,6 +220,24 @@ def test_inner_maximize_binary_head_with_zero_weight_difference_keeps_z():
     np.testing.assert_array_equal(inner_maximize(theta, zs[0], 1, 0.8), zs[0])
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-5, 1.0, 1e3, 1e155])
+def test_inner_maximize_binary_head_norm_is_numpys_vector_norm(scale):
+    """The ascent takes ``||v||`` as the sqrt of ``v . v``, which is what
+    ``np.linalg.norm`` computes for a vector: the same endpoints bitwise, also
+    where ``v . v`` is subnormal (1e-160) or overflows to inf (1e155)."""
+    rng = np.random.default_rng(3)
+    w_out = rng.normal(size=(2, 6))
+    w_out[1] = w_out[0] + scale * rng.normal(size=6)
+    theta = ModelParams(w_out=w_out, b_out=rng.normal(size=2))
+    zs = rng.normal(size=(9, 6))
+    ys = rng.integers(0, 2, size=9)
+    v = theta.w_out[1] - theta.w_out[0]
+    with np.errstate(over="ignore"):
+        want = amb.binary_ball_maximizer(zs, 2.0 * ys - 1.0, v, 0.7, np.linalg.norm(v))
+        assert inner_maximize(theta, zs, ys, 0.7).tobytes() == want.tobytes()
+        assert inner_maximize(theta, zs[4], int(ys[4]), 0.7).tobytes() == want[4].tobytes()
+
+
 # ------------------------------------------------ binary closed form
 
 

@@ -462,6 +462,43 @@ def test_negative_seeds_are_refused_at_load(tmp_path, capsys, block, key, value)
         assert err.startswith(f"error: {name}:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("block,key,index", [
+    ("solver", "batch_size", None),
+    ("solver", "hidden_width", None),
+    ("dataset", "n_per_group_train", 1),
+    ("dataset", "n_per_group_val", 0),
+    ("dataset", "n_per_group_test", 3),
+])
+def test_array_size_past_numpys_limit_is_refused_at_load(tmp_path, capsys, block, key, index):
+    # batch_size 10**20 used to pass generate and die in tune with a traceback
+    # from Generator.integers ("Maximum allowed dimension exceeded").
+    raw = base_config(tmp_path)
+    too_big = cli.MAX_ARRAY_SIZE + 1
+    if index is None:
+        raw[block][key] = too_big
+    else:
+        raw[block][key][index] = too_big
+    assert_refused(tmp_path, capsys, raw, f"{block}.{key}")
+    if index is None:
+        raw[block][key] = cli.MAX_ARRAY_SIZE
+    else:
+        raw[block][key][index] = cli.MAX_ARRAY_SIZE
+    cli.validate_config(raw)
+
+
+def test_a_batch_larger_than_memory_is_one_error_line(tmp_path, capsys):
+    # 2**50 draws of 8 bytes are 8 PiB: more than any address space, so the
+    # allocation fails at once.
+    raw = base_config(tmp_path)
+    raw["solver"]["batch_size"] = 2**50
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["generate", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert cli.main(["tune", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: out of memory")
+
+
 def test_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "long.json"
     path.write_text(json.dumps(base_config(tmp_path)).replace('"seed": 5', '"seed": ' + "9" * 5000))

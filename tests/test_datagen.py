@@ -58,6 +58,19 @@ def test_generator_rejects_bad_parameters():
         make_spurious((10, 10, 10, 10), 0.5, 0.5, 1.0, seed=0)
 
 
+def test_group_rows_are_found_once_and_read_only():
+    ds = make_spurious((30, 5, 4, 12), 0.5, 0.5, 0.1, seed=4)
+    ds = ds.subset(np.flatnonzero(ds.group_of != 2))
+    for g in range(ds.num_groups):
+        rows = ds.group_rows(g)
+        assert rows is ds.group_rows(g)
+        np.testing.assert_array_equal(rows, np.flatnonzero(ds.group_of == g))
+        assert rows.dtype == np.intp and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[:1] = 0
+    assert ds.group_rows(2).size == 0
+
+
 def test_flip_probability_changes_core_feature_law():
     ds = make_spurious((20000, 100, 100, 100), 0.0, 0.1, 0.25, seed=9)
     rows = ds.group_rows(0)

@@ -210,6 +210,47 @@ def test_log_softmax_from_eight_classes_agrees_with_the_pairwise_sum(seed, k, le
                                rtol=1e-14, atol=1e-14)
 
 
+def _fancy_label_index(shape, y):
+    """The label index as a tuple of broadcast index arrays, the form the
+    flat index replaced."""
+    if len(shape) == 1:
+        return int(y)
+    y = np.asarray(y, dtype=np.int64)
+    if len(shape) == 2:
+        return np.arange(shape[0]), y
+    return np.arange(shape[0])[:, None], np.arange(shape[1]), y
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+@pytest.mark.parametrize("case", ["one", "batch", "rows", "shared_rows"])
+def test_flat_label_index_is_bitwise_the_fancy_index(k, case):
+    rng = np.random.default_rng(k)
+    rows, batch, d = 3, 16, 4
+    stacked = case in ("rows", "shared_rows")
+    theta = model.stack_params([init_params(ModelSpec(LINEAR), d, k, seed=s) for s in range(rows)])
+    if not stacked:
+        theta = model.row_params(theta, 0)
+    shape = {"one": (d,), "batch": (batch, d), "rows": (rows, batch, d),
+             "shared_rows": (rows, batch, d)}[case]
+    z = rng.normal(scale=3.0, size=shape)
+    y = {"one": int(rng.integers(k)), "batch": rng.integers(0, k, size=batch),
+         "rows": rng.integers(0, k, size=(rows, batch)),
+         "shared_rows": rng.integers(0, k, size=(1, batch))}[case]
+
+    ls = model.log_softmax(model.logits_from_latent(theta, z))
+    at = _fancy_label_index(ls.shape, y)
+    want_dlogits = np.exp(ls)
+    want_dlogits[at] -= 1.0
+    want_loss = -ls[at]
+
+    loss, dlogits = model._loss_and_dlogits(theta, z, y)
+    assert np.shape(loss) == np.shape(want_loss) and dlogits.shape == ls.shape
+    assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
+    assert dlogits.tobytes() == want_dlogits.tobytes()
+    ce = model.cross_entropy(model.logits_from_latent(theta, z), y)
+    assert np.asarray(ce).tobytes() == np.asarray(want_loss).tobytes()
+
+
 def test_linear_loss_midpoint_convexity():
     rng = np.random.default_rng(5)
     x = rng.normal(size=4)

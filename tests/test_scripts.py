@@ -1,5 +1,6 @@
 """Each script in scripts/ runs to exit 0 on a tiny horizon; bench_pair.py is
-checked on canned run lines and does not run the benchmark here."""
+checked on canned run lines and does not run the benchmark here, and
+parity_pair.py's comparison on hand-made directories."""
 
 import importlib.util
 import json
@@ -74,3 +75,29 @@ def test_bench_pair_writes_medians_of_canned_runs(tmp_path):
     bench_pair.write_bench(path, "x", "abc123", summary, environment)
     written = json.loads(path.read_text())
     assert written == {"label": "x", "revision": "abc123", **environment, "workloads": summary}
+
+
+def test_parity_pair_finds_the_first_difference(tmp_path):
+    parity_pair = load_script("parity_pair")
+    report = '{\n  "checks": [\n    {\n      "name": "a",\n      "seconds": %s\n    }\n  ]\n}\n'
+    for side, seconds in (("left", "1.5"), ("right", "2.25")):
+        (tmp_path / side / "runs").mkdir(parents=True)
+        (tmp_path / side / "runs" / "history.csv").write_text("iteration,loss\n1,0.5\n")
+        (tmp_path / side / "verify.json").write_text(report % seconds)
+    left, right = str(tmp_path / "left"), str(tmp_path / "right")
+    assert parity_pair.first_difference(left, right) is None
+
+    (tmp_path / "right" / "runs" / "history.csv").write_text("iteration,loss\n1,0.50000001\n")
+    assert parity_pair.first_difference(left, right) == \
+        "runs/history.csv: line 2: '1,0.5' != '1,0.50000001'"
+    (tmp_path / "right" / "runs" / "history.csv").write_text("iteration,loss\n1,0.5\n2,0.4\n")
+    assert parity_pair.first_difference(left, right) == \
+        "runs/history.csv: line 3: '' != '2,0.4'"
+    (tmp_path / "right" / "runs" / "history.csv").write_text("iteration,loss\n1,0.5\n")
+
+    (tmp_path / "right" / "verify.json").write_text((report % "2.25").replace('"a"', '"b"'))
+    assert parity_pair.first_difference(left, right).startswith("verify.json: line 4:")
+    (tmp_path / "right" / "verify.json").write_text(report % "2.25")
+
+    (tmp_path / "right" / "results.csv").write_text("x\n")
+    assert parity_pair.first_difference(left, right) == "results.csv: only on the right side"

@@ -104,6 +104,36 @@ def test_update_beta_share_increases_iff_adjusted_loss_positive():
             assert abs(out[g] - beta[g]) <= 1e-15
 
 
+def reference_update_beta(beta, g, loss_value, eta_beta, adjustment, n_g):
+    """The row-stacked exponentiated-gradient step written out with
+    ``ndarray`` methods, as it was before the reductions were spelled as ufuncs."""
+    with np.errstate(divide="ignore"):
+        log_beta = np.log(np.asarray(beta, dtype=np.float64))
+    log_beta[np.arange(beta.shape[0]), g] += eta_beta * (loss_value + adjustment / np.sqrt(n_g))
+    log_beta -= log_beta.max(axis=-1, keepdims=True)
+    out = np.exp(log_beta)
+    return out / out.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_update_beta_rows_are_bitwise_the_reference_and_leave_beta_alone(seed):
+    rng = np.random.default_rng(seed)
+    rows, m = int(rng.integers(1, 6)), int(rng.integers(2, 7))
+    beta = rng.dirichlet(np.ones(m), size=rows)
+    if seed == 0:
+        beta[0, 1] = 0.0    # an entry that has underflowed: log gives -inf
+    g = rng.integers(0, m, size=rows)
+    args = (g, rng.uniform(0.0, 5.0, size=rows), rng.uniform(0.01, 2.0, size=rows),
+            rng.uniform(0.0, 2.0, size=rows), rng.integers(1, 4000, size=rows))
+    before = beta.copy()
+    out = update_beta(beta, *args)
+    assert beta.tobytes() == before.tobytes()
+    assert out is not beta
+    assert out.tobytes() == reference_update_beta(before, *args).tobytes()
+    if seed == 0 and g[0] != 1:
+        assert out[0, 1] == 0.0
+
+
 # -------------------------------------------------------------- train_step
 
 
