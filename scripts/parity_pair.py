@@ -16,11 +16,14 @@ each tree this runs, with that tree's ``src`` on ``PYTHONPATH``:
 Both sides read the same config files.  Every file the runs write is then
 compared byte for byte; the only bytes ignored are the ``"seconds"`` lines
 of a JSON file, the wall time of each verification check.  The first
-difference is printed and the exit code is 1; with none it is 0.
+difference is printed and the exit code is 1; with none it is 0.  Either
+way the final line also gives the line count of ``src/hierdro/*.py`` in the
+parent and in this tree, ``N -> M lines``.
 """
 
 import argparse
 import filecmp
+import glob
 import json
 import os
 import pathlib
@@ -73,6 +76,15 @@ def first_difference(left: str, right: str) -> str | None:
         if len(la) != len(lb):
             return f"{rel}: {len(la)} lines != {len(lb)} lines"
     return None
+
+
+def source_lines(tree: str) -> int:
+    """The number of lines of ``src/hierdro/*.py`` under ``tree``, as ``wc -l`` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "hierdro", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def configs(out: str) -> dict:
@@ -133,10 +145,11 @@ def main(argv=None) -> int:
             run_side(tree, config_paths, outs[side])
         difference = first_difference(outs["parent"], outs["tree"])
         count = sum(len(names) for _, _, names in os.walk(outs["tree"]))
+        lines = f"src/hierdro/*.py {source_lines(parent_root)} -> {source_lines(ROOT)} lines"
     if difference:
-        print(f"parent {revision[:12]} and this tree differ: {difference}")
+        print(f"parent {revision[:12]} and this tree differ: {difference}; {lines}")
         return 1
-    print(f"parent {revision[:12]} and this tree agree on all {count} files")
+    print(f"parent {revision[:12]} and this tree agree on all {count} files; {lines}")
     return 0
 
 

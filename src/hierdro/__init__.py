@@ -44,7 +44,6 @@ from .model import (
     ModelParams,
     ModelSpec,
     grad_wrt_latent,
-    grad_wrt_params,
     init_params,
     load_params,
     save_params,

@@ -43,8 +43,12 @@ from .solver import HIERARCHICAL, MODE_LABELS, MODES, SolverConfig
 from .tuning import DEFAULT_GRID_SCALE, TuneConfig
 
 OUTPUT_ROOT_ENV = "HIERDRO_OUT"
-# The most entries a numpy array can hold; keys that size arrays stay at or below it.
-MAX_ARRAY_SIZE = int(np.iinfo(np.intp).max)
+# numpy refuses an array of more bytes than this.  The keys that size arrays
+# are bounded so that the largest array each sizes, rows of ``FEATURE_DIM``
+# float64 features, stays within it: a batch of ``batch_size`` rows, a hidden
+# layer of ``hidden_width`` rows and a generated split of its total rows.
+MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
+MAX_FEATURE_ROWS = MAX_ARRAY_BYTES // (8 * datagen.FEATURE_DIM)
 
 RESULTS_COLUMNS = (
     "method", "seed", "eps",
@@ -216,13 +220,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
     seeds = top["seeds"]
     sizes = [("solver.batch_size", sv["batch_size"]),
              ("solver.hidden_width", sv.get("hidden_width", 0)),
-             *((f"dataset.{name}", n)
-               for name in ("n_per_group_train", "n_per_group_val", "n_per_group_test")
-               for n in getattr(top["dataset"], name))]
+             *((f"dataset.{name}", sum(n for n in getattr(top["dataset"], name) if n > 0))
+               for name in ("n_per_group_train", "n_per_group_val", "n_per_group_test"))]
     for key, size in sizes:
-        if size > MAX_ARRAY_SIZE:
-            raise ConfigError(f"{key}: {size} is more entries than an array can hold "
-                              f"({MAX_ARRAY_SIZE})")
+        if size > MAX_FEATURE_ROWS:
+            raise ConfigError(f"{key}: {size} rows of {datagen.FEATURE_DIM} float64 features "
+                              f"are more bytes than an array can hold ({MAX_ARRAY_BYTES})")
     for key, seed in [*(("seeds", s) for s in seeds), ("dataset.seed", top["dataset"].seed)]:
         if seed < 0:
             raise ConfigError(f"{key}: expected nonnegative integers, got {seed}")

@@ -103,6 +103,18 @@ class GroupedDataset:
         """The ascending row indices of group ``g``, a read-only array."""
         return self._group_rows[g]
 
+    def group_means(self, values) -> np.ndarray:
+        """The mean of ``values``, one entry or row per example, over each
+        group's rows, as ``np.add.reduce(values[rows], 0) / n_g``: the sum and
+        division ``ndarray.mean`` makes, and for bools exactly its result.
+        An absent group's mean is nan."""
+        values = np.asarray(values)
+        out = np.full((self.num_groups,) + values.shape[1:], np.nan)
+        for g, rows in enumerate(self._group_rows):
+            if rows.size:
+                out[g] = np.add.reduce(values[rows], 0) / rows.size
+        return out
+
     def subset(self, rows) -> "GroupedDataset":
         rows = np.asarray(rows, dtype=np.int64)
         return GroupedDataset(
@@ -341,11 +353,8 @@ def generator_manifest(params: dict, splits: dict, shifts: list) -> dict:
 
 def split_summary(ds: GroupedDataset, filename: str, path) -> dict:
     digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
-    means = {}
-    for g in range(ds.num_groups):
-        rows = ds.group_rows(g)
-        if rows.size:
-            means[str(g)] = [float(v) for v in ds.features[rows][:, :2].mean(axis=0)]
+    means = {str(g): [float(v) for v in m]
+             for g, m in enumerate(ds.group_means(ds.features[:, :2])) if ds.n_g[g]}
     return {
         "file": filename,
         "sha256": digest,

@@ -45,13 +45,7 @@ def evaluate(theta: ModelParams, ds: GroupedDataset, training_weights) -> EvalRe
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
         raise ParameterError("group weights must be nonnegative and sum to one")
 
-    preds = predictions(theta, ds)
-    correct = preds == ds.labels
-    acc = np.full(ds.num_groups, np.nan)
-    for g in range(ds.num_groups):
-        rows = ds.group_rows(g)
-        if rows.size:
-            acc[g] = float(correct[rows].mean())
+    acc = ds.group_means(predictions(theta, ds) == ds.labels)
 
     present = ~np.isnan(acc)
     missing = tuple(int(g) for g in np.flatnonzero(~present))

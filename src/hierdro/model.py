@@ -7,12 +7,17 @@ Two architectures:
 * ``mlp1`` -- one rectified hidden layer; ``z(x) = relu(W1 x + b1)`` followed
   by an affine output layer.
 
-All gradients are closed-form.  The loss is softmax cross-entropy computed
-through log-sum-exp, so it stays finite for logit magnitudes far beyond 1e3.
+The loss is softmax cross-entropy computed through log-sum-exp, so it stays
+finite for logit magnitudes far beyond 1e3.  Its two gradients are
+closed-form: :func:`grad_wrt_latent`, through the output layer, and
+:func:`loss_and_param_grads`, the loss of a batch with its batch-mean
+gradient in the parameters.  That gradient is a :class:`ModelParams`, the
+type of the parameters themselves, so :func:`sgd_step`,
+:func:`flatten_params` and :func:`grads_finite` take one of either.
 
-Gradient semantics: :func:`grad_wrt_params` evaluates the loss at a latent
-``z'`` supplied by the caller and routes the latent gradient at ``z'`` through
-the unperturbed forward pass at ``x``, holding the offset ``z' - z(x)``
+Gradient semantics: :func:`loss_and_param_grads` evaluates the loss at a
+latent ``z'`` supplied by the caller and routes the latent gradient at ``z'``
+through the unperturbed forward pass at ``x``, holding the offset ``z' - z(x)``
 constant.  For ``z' = z(x)`` that is ordinary backpropagation; for ``z'`` the
 maximizer of the loss over a ball around ``z(x)`` it is, by Danskin's theorem,
 the gradient of the ball supremum (Madry et al., arXiv:1706.06083, App. A).
@@ -50,7 +55,8 @@ DEFAULT_HIDDEN_WIDTH = 32
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Immutable parameter bundle; ``w_hidden is None`` marks the linear model."""
+    """Immutable parameter bundle, or a gradient in them; ``w_hidden is None``
+    marks the linear model."""
 
     w_out: np.ndarray
     b_out: np.ndarray
@@ -75,14 +81,6 @@ class ModelParams:
 
     def arrays(self) -> tuple:
         return self.w_out, self.b_out, self.w_hidden, self.b_hidden
-
-
-@dataclass(frozen=True)
-class ParamGrads:
-    w_out: np.ndarray
-    b_out: np.ndarray
-    w_hidden: np.ndarray | None = None
-    b_hidden: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -218,60 +216,36 @@ def _loss_and_dlogits(theta: ModelParams, z: np.ndarray, y):
     return (float(loss) if ls.ndim == 1 else loss), dlogits.reshape(ls.shape)
 
 
-def loss_and_latent_grad(theta: ModelParams, z: np.ndarray, y):
-    """The loss at ``z`` and :func:`grad_wrt_latent`, from one forward pass."""
-    z = np.asarray(z, dtype=np.float64)
-    loss, dlogits = _loss_and_dlogits(theta, z, y)
-    return loss, dlogits @ theta.w_out
-
-
 def grad_wrt_latent(theta: ModelParams, z: np.ndarray, y) -> np.ndarray:
     """Exact gradient of the cross-entropy through the output layer at ``z``."""
-    return loss_and_latent_grad(theta, z, y)[1]
-
-
-def grad_wrt_params(theta: ModelParams, z_prime: np.ndarray, x: np.ndarray, y) -> ParamGrads:
-    """Gradient of the loss at ``z_prime`` with respect to the parameters.
-
-    For batched inputs (2-D ``z_prime``/``x``, or 3-D with a row-stacked
-    ``theta``) the batch-mean gradient is returned.  Hidden-layer parameters
-    get the gradient through the forward pass at ``x``; see the module
-    docstring.
-    """
-    return loss_and_param_grads(theta, z_prime, x, y)[1]
+    return _loss_and_dlogits(theta, np.asarray(z, dtype=np.float64), y)[1] @ theta.w_out
 
 
 def loss_and_param_grads(theta: ModelParams, z_prime: np.ndarray, x: np.ndarray, y) -> tuple:
-    """The loss at ``z_prime`` and :func:`grad_wrt_params`, from one forward pass."""
+    """The loss at ``z_prime`` and the batch-mean gradient with respect to the
+    parameters, as a :class:`ModelParams`, from one forward pass.
+
+    ``z_prime`` and ``x`` are batches, 2-D, or 3-D with a row-stacked
+    ``theta``; one example is a batch of one.  Hidden-layer parameters get
+    the gradient through the forward pass at ``x``; see the module docstring.
+    """
     z_prime = np.asarray(z_prime, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     loss, dlogits = _loss_and_dlogits(theta, z_prime, y)
-
-    if z_prime.ndim == 1:
-        g_w_out = np.outer(dlogits, z_prime)
-        g_b_out = dlogits
-    else:
-        batch = z_prime.shape[-2]
-        g_w_out = _mT(dlogits) @ z_prime / batch
-        # ``a.mean(axis)`` computes this sum and division behind a Python wrapper.
-        g_b_out = np.add.reduce(dlogits, -2) / batch
-
+    batch = z_prime.shape[-2]
+    g_w_out = _mT(dlogits) @ z_prime / batch
+    # ``a.mean(axis)`` computes this sum and division behind a Python wrapper.
+    g_b_out = np.add.reduce(dlogits, -2) / batch
     if theta.w_hidden is None:
-        return loss, ParamGrads(w_out=g_w_out, b_out=g_b_out)
+        return loss, ModelParams(w_out=g_w_out, b_out=g_b_out)
 
     pre = x @ _mT(theta.w_hidden) + _bias(theta.b_hidden)
     delta = (dlogits @ theta.w_out) * (pre > 0)
-    if z_prime.ndim == 1:
-        g_w_hidden = np.outer(delta, x)
-        g_b_hidden = delta
-    else:
-        g_w_hidden = _mT(delta) @ x / batch
-        g_b_hidden = np.add.reduce(delta, -2) / batch
-    return loss, ParamGrads(w_out=g_w_out, b_out=g_b_out, w_hidden=g_w_hidden,
-                            b_hidden=g_b_hidden)
+    return loss, ModelParams(w_out=g_w_out, b_out=g_b_out, w_hidden=_mT(delta) @ x / batch,
+                             b_hidden=np.add.reduce(delta, -2) / batch)
 
 
-def sgd_step(theta: ModelParams, grads: ParamGrads, step) -> ModelParams:
+def sgd_step(theta: ModelParams, grads: ModelParams, step) -> ModelParams:
     """``theta - step * grads``; ``step`` is a scalar or, for stacked rows, one per row."""
     w_step = b_step = step
     if isinstance(step, np.ndarray):
@@ -296,10 +270,10 @@ def average_params(avg: ModelParams, new: ModelParams, count: int) -> ModelParam
 
 
 def flatten_params(theta: ModelParams) -> np.ndarray:
-    parts = [theta.w_out.ravel(), theta.b_out.ravel()]
-    if theta.w_hidden is not None:
-        parts.extend([theta.w_hidden.ravel(), theta.b_hidden.ravel()])
-    return np.concatenate(parts)
+    """The parameters, or a gradient, as one vector; one row per model for stacked rows."""
+    lead = theta.w_out.shape[:-2]
+    return np.concatenate([a.reshape(lead + (-1,)) for a in theta.arrays() if a is not None],
+                          axis=-1)
 
 
 def unflatten_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
@@ -317,22 +291,13 @@ def unflatten_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
     return ModelParams(**pieces)
 
 
-def flatten_grads(grads: ParamGrads) -> np.ndarray:
-    """The gradient as one vector, or one row per model for stacked rows."""
-    lead = grads.w_out.shape[:-2]
-    parts = [grads.w_out, grads.b_out]
-    if grads.w_hidden is not None:
-        parts.extend([grads.w_hidden, grads.b_hidden])
-    return np.concatenate([p.reshape(lead + (-1,)) for p in parts], axis=-1)
-
-
 def params_norm(theta: ModelParams) -> float:
     return float(np.linalg.norm(flatten_params(theta)))
 
 
-def grads_finite(grads: ParamGrads):
+def grads_finite(grads: ModelParams):
     """Whether every gradient entry is finite; one bool per row for stacked rows."""
-    finite = np.isfinite(flatten_grads(grads)).all(axis=-1)
+    finite = np.isfinite(flatten_params(grads)).all(axis=-1)
     return finite if finite.ndim else bool(finite)
 
 

@@ -385,13 +385,7 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
 def group_mean_losses(theta: ModelParams, ds: GroupedDataset) -> np.ndarray:
     """Unperturbed mean cross-entropy per group (nan for absent groups)."""
     z = model.latent(theta, ds.features)
-    losses = model.cross_entropy(model.logits_from_latent(theta, z), ds.labels)
-    out = np.full(ds.num_groups, np.nan)
-    for g in range(ds.num_groups):
-        rows = ds.group_rows(g)
-        if rows.size:
-            out[g] = np.add.reduce(losses[rows]) / rows.size
-    return out
+    return ds.group_means(model.cross_entropy(model.logits_from_latent(theta, z), ds.labels))
 
 
 def _record_checkpoint(

@@ -156,15 +156,16 @@ def check_gradients(n_cases: int = 100, seed: int = 0, tolerance: float = GRADIE
                 z = model.latent(theta, x)
                 worst = max(worst, _relative_error(
                     model.grad_wrt_latent(theta, z, y), fd_latent_gradient(theta, z, y)))
+                xs, ys = x[None], np.array([y])
                 for zp in (z, z + 0.1 * rng.normal(size=z.shape)):
-                    got = model.flatten_grads(model.grad_wrt_params(theta, zp, x, y))
+                    _, grads = model.loss_and_param_grads(theta, zp[None], xs, ys)
+                    got = model.flatten_params(grads)
                     worst = max(worst, _relative_error(got, fd_param_gradient(theta, zp, x, y)))
                 if k == 2:
-                    xs, ys = x[None], np.array([y])
                     v = theta.w_out[1] - theta.w_out[0]
                     zp = amb.binary_ball_maximizer(z[None], 2.0 * ys - 1.0, v, ROBUST_RADIUS,
                                                    np.linalg.norm(v))
-                    got = model.flatten_grads(model.grad_wrt_params(theta, zp, xs, ys))
+                    got = model.flatten_params(model.loss_and_param_grads(theta, zp, xs, ys)[1])
                     want = fd_robust_gradient(theta, xs, ys, ROBUST_RADIUS)
                     robust = max(robust, _relative_error(got, want))
     worst = max(worst, robust)
@@ -289,7 +290,7 @@ def check_simplex_and_degeneracy(steps: int = 10_000, tolerance: float = SIMPLEX
     erm_matches = True
     for step_idx in range(steps):
         batch = sampler.draw(rng)
-        grads = model.grad_wrt_params(theta, model.latent(theta, batch.x), batch.x, batch.y)
+        _, grads = model.loss_and_param_grads(theta, model.latent(theta, batch.x), batch.x, batch.y)
         theta = model.sgd_step(theta, grads, erm_cfg.eta_theta * float(alpha[batch.group]))
         erm_matches = erm_matches and model.params_equal(theta, erm_traj[step_idx])
     erm_matches = erm_matches and np.array_equal(state.beta[3], alpha)

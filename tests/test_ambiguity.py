@@ -116,7 +116,8 @@ def projected_default_step(theta, z, y, eps):
     """The earlier default ascent for more than two classes: one projected
     step of size ``10 * eps`` along the gradient, kept only if it raises the
     loss.  The reference the normalized step must not fall below."""
-    loss, grad = model.loss_and_latent_grad(theta, z, y)
+    loss = model.cross_entropy(model.logits_from_latent(theta, z), y)
+    grad = model.grad_wrt_latent(theta, z, y)
     end = project_ball(z + 10.0 * eps * grad, z, eps)
     raised = model.cross_entropy(model.logits_from_latent(theta, end), y) > loss
     return np.where(raised[:, None], end, z)
@@ -269,7 +270,7 @@ def test_binary_ball_maximizer_matches_one_step_ascent():
         sign = 2.0 * ys - 1.0
         eps = float(rng.uniform(0.1, 1.0))
         z_prime = amb.binary_ball_maximizer(zs, sign, v, eps, v_norm)
-        _, grad = model.loss_and_latent_grad(theta, zs, ys)
+        grad = model.grad_wrt_latent(theta, zs, ys)
         ascent = project_ball(zs + 1e6 * grad, zs, eps)
         np.testing.assert_allclose(z_prime, ascent, rtol=0.0, atol=1e-9)
         loss, _ = amb.binary_robust_loss(zs, sign, v, c, eps, v_norm)

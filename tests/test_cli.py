@@ -462,28 +462,38 @@ def test_negative_seeds_are_refused_at_load(tmp_path, capsys, block, key, value)
         assert err.startswith(f"error: {name}:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("block,key,index", [
-    ("solver", "batch_size", None),
-    ("solver", "hidden_width", None),
-    ("dataset", "n_per_group_train", 1),
-    ("dataset", "n_per_group_val", 0),
-    ("dataset", "n_per_group_test", 3),
+@pytest.mark.parametrize("block,key,index,value", [
+    pytest.param("solver", "batch_size", None, None, id="solver-batch_size-None"),
+    pytest.param("solver", "hidden_width", None, None, id="solver-hidden_width-None"),
+    pytest.param("dataset", "n_per_group_train", 1, None, id="dataset-n_per_group_train-1"),
+    pytest.param("dataset", "n_per_group_val", 0, None, id="dataset-n_per_group_val-0"),
+    pytest.param("dataset", "n_per_group_test", 3, None, id="dataset-n_per_group_test-3"),
+    # Within numpy's largest dimension but not its byte limit: batch_size 2**62
+    # passed generate and died in tune, and a 2**60-row group died in generate,
+    # each with an "array is too big" traceback.
+    pytest.param("solver", "batch_size", None, 2**62, id="solver-batch_size-2**62"),
+    pytest.param("dataset", "n_per_group_train", 0, 2**60, id="dataset-n_per_group_train-2**60"),
 ])
-def test_array_size_past_numpys_limit_is_refused_at_load(tmp_path, capsys, block, key, index):
-    # batch_size 10**20 used to pass generate and die in tune with a traceback
-    # from Generator.integers ("Maximum allowed dimension exceeded").
+def test_array_size_past_numpys_limit_is_refused_at_load(tmp_path, capsys, block, key, index,
+                                                         value):
+    """A key past the byte bound is refused; without a given ``value`` the
+    entry is set one past the bound and then at it, which loads."""
     raw = base_config(tmp_path)
-    too_big = cli.MAX_ARRAY_SIZE + 1
-    if index is None:
-        raw[block][key] = too_big
-    else:
-        raw[block][key][index] = too_big
+    entries = raw[block][key] if index is not None else None
+    # A split's entries share the bound: the largest entry is what the others leave.
+    largest = cli.MAX_FEATURE_ROWS - (sum(entries) - entries[index] if entries else 0)
+
+    def put(size):
+        if index is None:
+            raw[block][key] = size
+        else:
+            entries[index] = size
+
+    put(largest + 1 if value is None else value)
     assert_refused(tmp_path, capsys, raw, f"{block}.{key}")
-    if index is None:
-        raw[block][key] = cli.MAX_ARRAY_SIZE
-    else:
-        raw[block][key][index] = cli.MAX_ARRAY_SIZE
-    cli.validate_config(raw)
+    if value is None:
+        put(largest)
+        cli.validate_config(raw)
 
 
 def test_a_batch_larger_than_memory_is_one_error_line(tmp_path, capsys):

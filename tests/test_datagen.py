@@ -71,6 +71,22 @@ def test_group_rows_are_found_once_and_read_only():
     assert ds.group_rows(2).size == 0
 
 
+def test_group_means_are_nan_for_an_absent_group_and_bitwise_the_per_group_mean():
+    ds = make_spurious((300, 50, 40, 120), 0.5, 0.5, 0.1, seed=4)
+    ds = ds.subset(np.flatnonzero(ds.group_of != 2))
+    rng = np.random.default_rng(5)
+    correct = rng.random(ds.n) < 0.7
+    losses = rng.exponential(size=ds.n)
+    acc, mean_loss, means = (ds.group_means(v) for v in (correct, losses, ds.features[:, :2]))
+    assert acc.shape == mean_loss.shape == (4,) and means.shape == (4, 2)
+    assert np.isnan(acc[2]) and np.isnan(mean_loss[2]) and np.isnan(means[2]).all()
+    for g in (0, 1, 3):
+        rows = ds.group_rows(g)
+        assert acc[g].tobytes() == np.float64(correct[rows].mean()).tobytes()
+        assert mean_loss[g].tobytes() == (np.add.reduce(losses[rows]) / rows.size).tobytes()
+        assert means[g].tobytes() == ds.features[rows][:, :2].mean(axis=0).tobytes()
+
+
 def test_flip_probability_changes_core_feature_law():
     ds = make_spurious((20000, 100, 100, 100), 0.0, 0.1, 0.25, seed=9)
     rows = ds.group_rows(0)

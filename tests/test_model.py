@@ -13,8 +13,9 @@ from hierdro.model import (
     ModelParams,
     ModelSpec,
     grad_wrt_latent,
-    grad_wrt_params,
     init_params,
+    loss_and_param_grads,
+    stack_params,
 )
 from hierdro.verification import fd_latent_gradient, fd_param_gradient, fd_robust_gradient
 
@@ -103,9 +104,9 @@ def test_param_gradient_matches_backprop_when_unperturbed():
     x = rng.normal(size=6)
     y = 1
     z = model.latent(theta, x)
-    grads = grad_wrt_params(theta, z, x, y)
+    grads = loss_and_param_grads(theta, z[None], x[None], [y])[1]
     fd = fd_param_gradient(theta, z, x, y)
-    got = model.flatten_grads(grads)
+    got = model.flatten_params(grads)
     assert np.linalg.norm(got - fd) / np.linalg.norm(fd) <= 1e-4
     assert np.linalg.norm(grads.w_hidden) > 0
 
@@ -117,9 +118,9 @@ def test_param_gradient_feature_path_flag():
     theta = random_theta(rng, MLP1)
     x = rng.normal(size=6)
     z = model.latent(theta, x) + rng.normal(scale=0.2, size=5)
-    grads = grad_wrt_params(theta, z, x, 2)
+    grads = loss_and_param_grads(theta, z[None], x[None], [2])[1]
     fd = fd_param_gradient(theta, z, x, 2)
-    got = model.flatten_grads(grads)
+    got = model.flatten_params(grads)
     assert np.linalg.norm(got - fd) / np.linalg.norm(fd) <= 1e-4
     assert np.linalg.norm(grads.w_hidden) > 0
 
@@ -140,9 +141,9 @@ def test_param_gradient_is_the_robust_loss_gradient():
         v = theta.w_out[1] - theta.w_out[0]
         zp = amb.binary_ball_maximizer(model.latent(theta, xs), 2.0 * ys - 1.0, v, eps_g,
                                        np.linalg.norm(v))
-        grads = grad_wrt_params(theta, zp, xs, ys)
+        grads = loss_and_param_grads(theta, zp, xs, ys)[1]
         fd = fd_robust_gradient(theta, xs, ys, eps_g)
-        got = model.flatten_grads(grads)
+        got = model.flatten_params(grads)
         assert np.linalg.norm(got - fd) / np.linalg.norm(fd) <= 1e-6
         assert np.linalg.norm(grads.w_hidden) > 0
 
@@ -152,7 +153,8 @@ def test_saturated_loss_has_vanishing_gradient():
     z = np.array([10.0, 0.0])
     assert loss_of(theta, z, 0) < 1e-12
     assert np.linalg.norm(grad_wrt_latent(theta, z, 0)) < 1e-10
-    assert np.linalg.norm(model.flatten_grads(grad_wrt_params(theta, z, z, 0))) < 1e-10
+    grads = loss_and_param_grads(theta, z[None], z[None], [0])[1]
+    assert np.linalg.norm(model.flatten_params(grads)) < 1e-10
 
 
 def test_loss_finite_for_huge_logits():
@@ -281,9 +283,61 @@ def test_batched_param_gradient_is_mean():
     theta = random_theta(rng, LINEAR, k=2)
     xs = rng.normal(size=(5, 6))
     ys = rng.integers(0, 2, size=5)
-    batch = grad_wrt_params(theta, xs, xs, ys)
-    per = [model.flatten_grads(grad_wrt_params(theta, xs[i], xs[i], int(ys[i]))) for i in range(5)]
-    np.testing.assert_allclose(model.flatten_grads(batch), np.mean(per, axis=0), atol=1e-14)
+    batch = loss_and_param_grads(theta, xs, xs, ys)[1]
+    per = [model.flatten_params(loss_and_param_grads(theta, x, x, y)[1])
+           for x, y in zip(xs[:, None], ys[:, None])]
+    np.testing.assert_allclose(model.flatten_params(batch), np.mean(per, axis=0), atol=1e-14)
+
+
+@pytest.mark.parametrize("arch", [LINEAR, MLP1])
+@pytest.mark.parametrize("k", [2, 3])
+def test_one_example_batch_is_the_outer_product_form(arch, k):
+    """A batch of one gives the gradient that the one-example branch, since
+    removed, built with ``np.outer``, kept here as the reference.  The two
+    agree in every bit but the sign of a zero entry: the outer product writes
+    ``-0.0`` for a negative factor times zero where the matrix product and the
+    reduction write ``+0.0``; adding ``0.0`` to both maps ``-0.0`` to ``+0.0``
+    and leaves every other value's bits alone."""
+    rng = np.random.default_rng(11)
+    for case in range(40):
+        theta = random_theta(rng, arch, k=k)
+        x = rng.normal(size=6)
+        x[case % 6] = 0.0    # zero entries, so that the zero signs are exercised
+        y = int(rng.integers(k))
+        z = model.latent(theta, x)
+        zp = z if case % 2 else z + 0.1 * rng.normal(size=z.shape)
+        loss, dlogits = model._loss_and_dlogits(theta, zp, y)
+        want = [np.outer(dlogits, zp), dlogits]
+        if arch == MLP1:
+            delta = (dlogits @ theta.w_out) * (x @ theta.w_hidden.T + theta.b_hidden > 0)
+            want += [np.outer(delta, x), delta]
+        got_loss, grads = loss_and_param_grads(theta, zp[None], x[None], [y])
+        assert got_loss.shape == (1,) and got_loss[0] == loss
+        got = [a for a in grads.arrays() if a is not None]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and (g + 0.0).tobytes() == (w + 0.0).tobytes()
+
+
+def test_flatten_params_of_a_gradient_and_of_stacked_rows_round_trips():
+    rng = np.random.default_rng(12)
+    for arch in (LINEAR, MLP1):
+        thetas = [random_theta(rng, arch) for _ in range(3)]
+        xs = rng.normal(size=(4, 6))
+        ys = rng.integers(0, 3, size=4)
+        grads = [loss_and_param_grads(t, model.latent(t, xs), xs, ys)[1] for t in thetas]
+        for g in grads:
+            vec = model.flatten_params(g)
+            assert vec.ndim == 1
+            back = model.unflatten_params(vec, g)
+            assert model.params_equal(back, g)
+            np.testing.assert_array_equal(model.flatten_params(back), vec)
+        for parts in (thetas, grads):
+            rows = model.flatten_params(stack_params(parts))
+            assert rows.shape == (3, model.flatten_params(parts[0]).size)
+            for row, one in zip(rows, parts):
+                assert row.tobytes() == model.flatten_params(one).tobytes()
+                assert model.params_equal(model.unflatten_params(row, one), one)
 
 
 def test_init_is_seeded_and_bounded():

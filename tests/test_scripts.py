@@ -1,6 +1,6 @@
 """Each script in scripts/ runs to exit 0 on a tiny horizon; bench_pair.py is
 checked on canned run lines and does not run the benchmark here, and
-parity_pair.py's comparison on hand-made directories."""
+parity_pair.py's comparison and line count on hand-made directories."""
 
 import importlib.util
 import json
@@ -101,3 +101,9 @@ def test_parity_pair_finds_the_first_difference(tmp_path):
 
     (tmp_path / "right" / "results.csv").write_text("x\n")
     assert parity_pair.first_difference(left, right) == "results.csv: only on the right side"
+
+    (tmp_path / "left" / "src" / "hierdro").mkdir(parents=True)
+    for name, body in (("a.py", "x = 1\ny = 2\n"), ("b.py", "z = 3\n"), ("c.txt", "no\n")):
+        (tmp_path / "left" / "src" / "hierdro" / name).write_text(body)
+    assert parity_pair.source_lines(left) == 3
+    assert parity_pair.source_lines(right) == 0

@@ -155,7 +155,7 @@ def test_single_step_matches_hand_composition():
     losses = model.cross_entropy(model.logits_from_latent(theta0, z_prime), batch.y)
     beta = update_beta(ds.alpha, g, float(losses.mean()), config.eta_beta,
                        config.adjustment, int(ds.n_g[g]))
-    grads = model.grad_wrt_params(theta0, z_prime, batch.x, batch.y)
+    grads = model.loss_and_param_grads(theta0, z_prime, batch.x, batch.y)[1]
     theta1 = model.sgd_step(theta0, grads, config.eta_theta * float(beta[g]))
 
     assert model.params_equal(model.row_params(state.theta, 0), theta1)
@@ -175,7 +175,7 @@ def test_erm_step_is_plain_sgd_on_batch_loss():
     state = train_step(state, stack_batches([batch], None, 1))
 
     np.testing.assert_array_equal(state.beta[0], ds.alpha)  # frozen
-    grads = model.grad_wrt_params(theta0, model.latent(theta0, batch.x), batch.x, batch.y)
+    grads = model.loss_and_param_grads(theta0, model.latent(theta0, batch.x), batch.x, batch.y)[1]
     expected = model.sgd_step(theta0, grads, config.eta_theta * float(ds.alpha[g]))
     assert model.params_equal(model.row_params(state.theta, 0), expected)
 
@@ -246,7 +246,7 @@ def test_erm_equals_frozen_beta_hierarchical_bitwise():
     theta = theta0
     for _ in range(config.iterations):
         batch = sampler.draw(rng)
-        grads = model.grad_wrt_params(theta, model.latent(theta, batch.x), batch.x, batch.y)
+        grads = model.loss_and_param_grads(theta, model.latent(theta, batch.x), batch.x, batch.y)[1]
         theta = model.sgd_step(theta, grads, config.eta_theta * float(ds.alpha[batch.group]))
     assert model.params_equal(erm.final.theta, theta)
     np.testing.assert_array_equal(erm.final.beta, ds.alpha)
