@@ -4,8 +4,8 @@ Experiments are described by a single JSON config with ``dataset``,
 ``solver``, ``ambiguity``, ``tuning`` and ``evaluation`` blocks plus a seed
 list and an output directory; the output directory and the hierarchical
 radius can be overridden by flags.  A key the schema does not know or a
-value of the wrong type is a validation error, and so is an output
-directory whose generated data came from another dataset block.
+value of the wrong type is a validation error.  ``tune`` and ``run`` build
+their data from the config alone, never from files ``generate`` wrote.
 Every artifact records the config hash and the seed list, and reruns with an
 identical hash produce byte-identical file bodies (no timestamps anywhere).
 
@@ -299,17 +299,23 @@ def _generate_datasets(config: ExperimentConfig):
     shifted_test = splits["test"]
     for spec in ds_block.shifts:
         if spec.applies_to == "test":
-            shifted_test = datagen.apply_shift(shifted_test, spec).dataset
+            shifted_test = datagen.apply_shift(shifted_test, spec)
         else:
-            splits["train"] = datagen.apply_shift(splits["train"], spec).dataset
+            splits["train"] = datagen.apply_shift(splits["train"], spec)
     splits["test_shifted"] = shifted_test
     return splits
 
 
-def _manifest(config: ExperimentConfig, splits: dict) -> dict:
-    """The generator manifest for this config's dataset block and ``splits``."""
+def cmd_generate(config: ExperimentConfig, output_dir: str) -> dict:
+    """Write the four generated splits and their manifest; nothing reads them back."""
+    summaries = {}
+    for name, ds in _generate_datasets(config).items():
+        filename = f"{name}.csv"
+        path = os.path.join(output_dir, filename)
+        datagen.save_csv(ds, path)
+        summaries[name] = datagen.split_summary(ds, filename, path)
     ds_block = config.dataset
-    return datagen.generator_manifest(
+    manifest = datagen.generator_manifest(
         params={
             "n_per_group_train": list(ds_block.n_per_group_train),
             "n_per_group_val": list(ds_block.n_per_group_val),
@@ -319,20 +325,9 @@ def _manifest(config: ExperimentConfig, splits: dict) -> dict:
             "label_flip_p": ds_block.label_flip_p,
             "seed": ds_block.seed,
         },
-        splits=splits,
+        splits=summaries,
         shifts=list(ds_block.shifts),
     )
-
-
-def cmd_generate(config: ExperimentConfig, output_dir: str) -> dict:
-    splits = _generate_datasets(config)
-    summaries = {}
-    for name, ds in splits.items():
-        filename = f"{name}.csv"
-        path = os.path.join(output_dir, filename)
-        datagen.save_csv(ds, path)
-        summaries[name] = datagen.split_summary(ds, filename, path)
-    manifest = _manifest(config, summaries)
     manifest["config_hash"] = config.hash
     manifest["seeds"] = list(config.seeds)
     manifest_path = os.path.join(output_dir, "manifest.json")
@@ -345,41 +340,23 @@ def cmd_generate(config: ExperimentConfig, output_dir: str) -> dict:
 SPLITS = ("train", "val", "test", "test_shifted")
 
 
-def _load_datasets(config: ExperimentConfig, output_dir: str, splits=SPLITS):
-    """The datasets named in ``splits``, each read only if it is asked for."""
-    if config.dataset.csv is not None:
-        paths = config.dataset.csv
-        where = {"train": paths.train, "val": paths.val, "test": paths.test,
-                 "test_shifted": paths.test_shifted or paths.test}
-        return {name: datagen.load_csv(where[name]) for name in splits}
-    expected = os.path.join(output_dir, "train.csv")
-    if os.path.exists(expected):
-        _require_same_generator(config, output_dir)
-        return {name: datagen.load_csv(os.path.join(output_dir, f"{name}.csv"))
-                for name in splits}
-    generated = _generate_datasets(config)
-    return {name: generated[name] for name in splits}
-
-
-def _require_same_generator(config: ExperimentConfig, output_dir: str) -> None:
-    """Refuse data in ``output_dir`` that ``generate`` wrote for another dataset block."""
-    path = os.path.join(output_dir, "manifest.json")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            found = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{output_dir} holds train.csv but no manifest.json; "
-                          "run generate again or use another output directory") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    want = _manifest(config, {})
-    fields = [("generator." + key, want["generator"][key], found.get("generator", {}).get(key))
-              for key in want["generator"]]
-    fields.append(("shifts", want["shifts"], found.get("shifts")))
-    for name, expected, actual in fields:
-        if actual != expected:
-            raise ConfigError(f"{path}: {name} is {actual!r} but the config gives {expected!r}; "
-                              "run generate again or use another output directory")
+def _load_datasets(config: ExperimentConfig, splits=SPLITS):
+    """The datasets named in ``splits``, from the config alone: read from the
+    ``dataset.csv`` files when it names them, each only if it is asked for,
+    else generated from the ``dataset`` block.  The files ``generate`` writes
+    are never read back.  The training split fixes the number of labels and
+    attribute values of every split, so a group absent from another file is
+    an empty group there."""
+    paths = config.dataset.csv
+    if paths is None:
+        generated = _generate_datasets(config)
+        return {name: generated[name] for name in splits}
+    train = datagen.load_csv(paths.train)
+    where = {"val": paths.val, "test": paths.test,
+             "test_shifted": paths.test_shifted or paths.test}
+    return {name: train if name == "train"
+            else datagen.load_csv(where[name], train.num_labels, train.num_attributes)
+            for name in splits}
 
 
 # -------------------------------------------------------------------- run
@@ -397,7 +374,7 @@ def cmd_run(config: ExperimentConfig, output_dir: str,
     snapshot in the cell's ``divergence.json``, instead of aborting the
     whole table.
     """
-    data = _load_datasets(config, output_dir)
+    data = _load_datasets(config)
     ds_train, ds_val = data["train"], data["val"]
     ds_test, ds_test_shifted = data["test"], data["test_shifted"]
     weights = ds_train.alpha
@@ -408,7 +385,7 @@ def cmd_run(config: ExperimentConfig, output_dir: str,
 
     cells = [(mode, eps, seed) for mode, eps in mode_eps for seed in config.seeds]
     inits = {seed: init_params(config.model, ds_train.d, ds_train.num_labels,
-                               seed=_derived_seeds(seed)[0]) for seed in config.seeds}
+                               seed=_init_seed(seed)) for seed in config.seeds}
     results = solver.train_lockstep(
         ds_train, ds_val, [inits[seed] for _, _, seed in cells],
         [dataclasses.replace(config.solver, mode=mode, seed=seed, epsilon=eps)
@@ -480,18 +457,18 @@ def cmd_run(config: ExperimentConfig, output_dir: str,
     return results_path
 
 
-def _derived_seeds(seed: int) -> tuple[int, int]:
-    """Independent init/sampling seeds derived from one experiment seed."""
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(2)
-    return (int(children[0].generate_state(1)[0]), int(children[1].generate_state(1)[0]))
+def _init_seed(seed: int) -> int:
+    """The seed of a run cell's initial parameters, derived from its experiment
+    seed, which its minibatch draws use as it is."""
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    return int(child.generate_state(1)[0])
 
 
 # ------------------------------------------------------------------- tune
 
 
 def cmd_tune(config: ExperimentConfig, output_dir: str) -> str:
-    data = _load_datasets(config, output_dir, ("train",))
+    data = _load_datasets(config, ("train",))
     result = tuning.tune_epsilon(data["train"], config.grid_scale, config.tune)
     payload = {
         "config_hash": config.hash,

@@ -167,14 +167,6 @@ class ShiftSpec:
             raise ParameterError("offset magnitude must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ShiftResult:
-    dataset: GroupedDataset
-    applied: bool
-    rows_changed: int
-    warning: str | None = None
-
-
 def make_spurious(
     n_per_group,
     spurious_strength: float,
@@ -223,11 +215,10 @@ def make_spurious(
     return GroupedDataset(features, labels, attributes, num_labels, num_attributes)
 
 
-def apply_shift(ds: GroupedDataset, spec: ShiftSpec) -> ShiftResult:
-    """Transform rows of ``spec.target_group``; all other rows are untouched.
-
-    A target group absent from the dataset is a no-op flagged through
-    ``ShiftResult.warning``.
+def apply_shift(ds: GroupedDataset, spec: ShiftSpec) -> GroupedDataset:
+    """A copy of ``ds`` with the rows of ``spec.target_group`` transformed and
+    all other rows untouched.  A target group out of range or absent from the
+    dataset is a ``ParameterError``.
     """
     if spec.target_group >= ds.num_groups:
         raise ParameterError(
@@ -235,8 +226,7 @@ def apply_shift(ds: GroupedDataset, spec: ShiftSpec) -> ShiftResult:
         )
     rows = ds.group_rows(spec.target_group)
     if rows.size == 0:
-        return ShiftResult(ds, applied=False, rows_changed=0,
-                           warning=f"group {spec.target_group} absent; shift skipped")
+        raise ParameterError(f"target_group {spec.target_group} has no rows to shift")
     features = ds.features.copy()
     if spec.kind == "rotation":
         i, j = ROTATION_AXES
@@ -247,9 +237,8 @@ def apply_shift(ds: GroupedDataset, spec: ShiftSpec) -> ShiftResult:
         features[rows, j] = s * xi + c * xj
     else:
         features[rows, OFFSET_AXIS] += spec.magnitude
-    shifted = GroupedDataset(features, ds.labels.copy(), ds.attributes.copy(),
-                             ds.num_labels, ds.num_attributes)
-    return ShiftResult(shifted, applied=True, rows_changed=int(rows.size))
+    return GroupedDataset(features, ds.labels.copy(), ds.attributes.copy(),
+                          ds.num_labels, ds.num_attributes)
 
 
 def _expected_header(d: int) -> list[str]:
@@ -352,7 +341,8 @@ def generator_manifest(params: dict, splits: dict, shifts: list) -> dict:
 
 
 def split_summary(ds: GroupedDataset, filename: str, path) -> dict:
-    digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     means = {str(g): [float(v) for v in m]
              for g, m in enumerate(ds.group_means(ds.features[:, :2])) if ds.n_g[g]}
     return {

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from hierdro import cli, model, verification
-from hierdro.datagen import ShiftSpec, load_csv
+from hierdro.datagen import ShiftSpec, load_csv, save_csv
 from hierdro.errors import ConfigError
+from hierdro.evaluation import evaluate
 
 
 def base_config(tmp_path, **overrides):
@@ -247,21 +248,10 @@ def test_tune_writes_table_and_is_deterministic(tmp_path):
 
 
 def test_tune_reads_only_the_training_split(tmp_path, capsys):
+    """A csv dataset: tune never parses the other splits, run does."""
     cfg = write_config(tmp_path, base_config(tmp_path))
     out = tmp_path / "out"
     cli.main(["generate", "--config", cfg])
-    assert cli.main(["tune", "--config", cfg]) == 0
-    first = (out / "tune_result.json").read_bytes()
-    for split in ("val", "test", "test_shifted"):
-        (out / f"{split}.csv").unlink()
-    assert cli.main(["tune", "--config", cfg]) == 0
-    assert (out / "tune_result.json").read_bytes() == first
-    capsys.readouterr()
-    assert cli.main(["run", "--config", cfg]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "val.csv" in err
-
-    # A csv dataset: tune never parses the other splits, run does.
     raw = base_config(tmp_path, output_dir=str(tmp_path / "csv_out"))
     raw["dataset"]["csv"] = {"train": str(out / "train.csv")}
     for split in ("val", "test"):
@@ -271,6 +261,27 @@ def test_tune_reads_only_the_training_split(tmp_path, capsys):
     assert cli.main(["tune", "--config", cfg]) == 0
     assert cli.main(["run", "--config", cfg]) == 1
     assert "bad header" in capsys.readouterr().err
+
+
+def test_csv_splits_take_the_training_splits_groups(tmp_path, capsys):
+    """A val.csv with no y = 1 row still has the training split's four groups;
+    the two absent ones are left out of the validation accuracy."""
+    cfg = write_config(tmp_path, base_config(tmp_path))
+    out = tmp_path / "out"
+    cli.main(["generate", "--config", cfg])
+    val = load_csv(out / "val.csv")
+    save_csv(val.subset(np.flatnonzero(val.labels == 0)), tmp_path / "val_y0.csv")
+    assert load_csv(tmp_path / "val_y0.csv").num_groups == 2
+    raw = base_config(tmp_path, output_dir=str(tmp_path / "csv_out"))
+    raw["dataset"]["csv"] = {"train": str(out / "train.csv"), "val": str(tmp_path / "val_y0.csv"),
+                             "test": str(out / "test.csv")}
+    cfg = write_config(tmp_path, raw, "csv.json")
+    assert cli.main(["run", "--config", cfg]) == 0, capsys.readouterr().err
+    data = cli._load_datasets(cli.load_config(cfg))
+    assert [ds.num_groups for ds in data.values()] == [4, 4, 4, 4]
+    np.testing.assert_array_equal(data["val"].n_g, [20, 20, 0, 0])
+    theta = model.init_params(model.ModelSpec(), data["train"].d, 2, seed=0)
+    assert evaluate(theta, data["val"], data["train"].alpha).missing_groups == (2, 3)
 
 
 def test_tune_single_candidate_passthrough(tmp_path):
@@ -586,19 +597,27 @@ def test_shipped_benchmark_config_validates():
         cli.load_config(path)
 
 
-def test_stale_data_in_output_dir_is_an_error(tmp_path):
-    raw = base_config(tmp_path)
-    raw["dataset"]["seed"] = 100
-    cfg = write_config(tmp_path, raw)
-    assert cli.main(["generate", "--config", cfg]) == 0
+def test_tune_and_run_never_read_the_csvs_in_the_output_dir(tmp_path):
+    """tune and run build their data from the config alone: in a directory
+    holding another dataset seed's generate output, or a truncated train.csv,
+    they write the same bytes as in a fresh directory."""
+    cfg = write_config(tmp_path, base_config(tmp_path))
     other = base_config(tmp_path)
     other["dataset"]["seed"] = 101
-    assert cli.main(["tune", "--config", write_config(tmp_path, other, "other.json")]) == 1
-    with pytest.raises(ConfigError, match="generator.seed"):
-        cli._load_datasets(cli.validate_config(other), str(tmp_path / "out"))
-    assert cli.main(["tune", "--config", cfg]) == 0
-    (tmp_path / "out" / "manifest.json").unlink()
-    assert cli.main(["run", "--config", cfg]) == 1
+    stale, truncated, fresh = (tmp_path / name for name in ("stale", "truncated", "fresh"))
+    cli.main(["generate", "--config", write_config(tmp_path, other, "other.json"),
+              "--output-dir", str(stale)])
+    cli.main(["generate", "--config", cfg, "--output-dir", str(truncated)])
+    lines = (truncated / "train.csv").read_text().splitlines(keepends=True)
+    (truncated / "train.csv").write_text("".join(lines[:31]))
+    for out in (fresh, stale, truncated):
+        assert cli.main(["tune", "--config", cfg, "--output-dir", str(out)]) == 0
+        assert cli.main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+    written = [p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file()]
+    assert {"tune_result.json", "results.csv"} <= {str(name) for name in written}
+    for out in (stale, truncated):
+        for name in written:
+            assert filecmp.cmp(fresh / name, out / name, shallow=False), (out, name)
 
 
 def test_invalid_shift_in_config(tmp_path):

@@ -98,8 +98,7 @@ def test_flip_probability_changes_core_feature_law():
 
 def test_shift_identity_rotation():
     ds = make_spurious((10, 10, 10, 10), 0.5, 0.5, 0.1, seed=5)
-    out = apply_shift(ds, ShiftSpec(target_group=1, kind="rotation", magnitude=0.0))
-    assert out.applied and out.dataset == ds
+    assert apply_shift(ds, ShiftSpec(target_group=1, kind="rotation", magnitude=0.0)) == ds
 
 
 def test_shift_quarter_turn():
@@ -111,8 +110,8 @@ def test_shift_quarter_turn():
         num_attributes=2,
     )
     out = apply_shift(ds, ShiftSpec(target_group=0, kind="rotation", magnitude=math.pi / 2))
-    np.testing.assert_allclose(out.dataset.features[0], [0.0, 1.0, 3.0], atol=1e-15)
-    np.testing.assert_array_equal(out.dataset.features[1], ds.features[1])
+    np.testing.assert_allclose(out.features[0], [0.0, 1.0, 3.0], atol=1e-15)
+    np.testing.assert_array_equal(out.features[1], ds.features[1])
 
 
 def test_offset_moves_group_mean_by_magnitude():
@@ -121,13 +120,13 @@ def test_offset_moves_group_mean_by_magnitude():
     out = apply_shift(ds, ShiftSpec(target_group=2, kind="offset", magnitude=magnitude))
     rows = ds.group_rows(2)
     before = ds.features[rows].mean(axis=0)
-    after = out.dataset.features[rows].mean(axis=0)
+    after = out.features[rows].mean(axis=0)
     assert abs(np.linalg.norm(after - before) - magnitude) < 1e-12
     other = np.setdiff1d(np.arange(ds.n), rows)
-    np.testing.assert_array_equal(out.dataset.features[other], ds.features[other])
+    np.testing.assert_array_equal(out.features[other], ds.features[other])
 
 
-def test_shift_missing_group_warns():
+def test_shift_of_an_absent_group_is_an_error():
     ds = GroupedDataset(
         features=np.zeros((3, 4)),
         labels=np.array([0, 0, 1]),
@@ -135,10 +134,8 @@ def test_shift_missing_group_warns():
         num_labels=2,
         num_attributes=2,
     )
-    out = apply_shift(ds, ShiftSpec(target_group=1, kind="offset", magnitude=1.0))
-    assert not out.applied
-    assert out.warning is not None
-    assert out.dataset == ds
+    with pytest.raises(ParameterError, match="no rows"):
+        apply_shift(ds, ShiftSpec(target_group=1, kind="offset", magnitude=1.0))
 
 
 def test_shift_spec_validation():
@@ -162,8 +159,7 @@ def test_shift_spec_validation():
 )
 def test_shift_preserves_group_structure(kind, magnitude, target, seed):
     ds = make_spurious((12, 8, 6, 14), 0.7, 0.3, 0.2, seed=seed)
-    out = apply_shift(ds, ShiftSpec(target_group=target, kind=kind, magnitude=magnitude))
-    shifted = out.dataset
+    shifted = apply_shift(ds, ShiftSpec(target_group=target, kind=kind, magnitude=magnitude))
     assert shifted.n == ds.n
     np.testing.assert_array_equal(shifted.n_g, ds.n_g)
     np.testing.assert_array_equal(shifted.alpha, ds.alpha)
