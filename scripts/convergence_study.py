@@ -5,7 +5,9 @@ Trains the hierarchical solver once to the largest horizon, then prints the
 duality gap of the averaged iterate at each horizon next to the
 measured-constant error bound ``2 m sqrt(10 (B_theta^2 B_grad^2 + B_loss^2 log m) / T)``.
 The gap should contract by at least 4x every 4x horizon increase and stay
-under the bound.
+under the bound.  The reference value and the gaps are printed with
+``repr``, every bit of them, so that two trees' outputs can be compared byte
+for byte (``scripts/parity_pair.py``).
 """
 
 import argparse
@@ -29,14 +31,14 @@ def main() -> int:
           flush=True)
     reference = convergence.reference_optimum(
         ds, config.effective_epsilon, iterations=args.reference_iterations)
-    print(f"reference min-max value: {reference.value:.6f} "
+    print(f"reference min-max value: {reference.value!r} "
           f"(tolerance {reference.tolerance})")
 
     report = convergence.rate_study(ds, config, args.horizons, reference)
-    print(f"{'horizon':>9} {'gap':>10} {'bound':>10} {'B_theta':>8} {'B_grad':>8} {'B_loss':>8}")
+    print(f"{'horizon':>9} {'gap':>24} {'bound':>10} {'B_theta':>8} {'B_grad':>8} {'B_loss':>8}")
     for h, gap, bound, consts in zip(report.horizons, report.gaps,
                                      report.bounds, report.constants):
-        print(f"{h:>9} {gap:>10.5f} {bound:>10.4f} "
+        print(f"{h:>9} {gap!r:>24} {bound:>10.4f} "
               f"{consts.b_theta:>8.3f} {consts.b_grad:>8.3f} {consts.b_loss:>8.3f}")
     for i in range(1, len(report.horizons)):
         ratio = report.gaps[i] / report.gaps[i - 1]

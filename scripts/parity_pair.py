@@ -11,14 +11,18 @@ each tree this runs, with that tree's ``src`` on ``PYTHONPATH``:
 * the same on the ``configs/benchmark.json`` dataset block, shortened to
   1k tuning and warm-up steps and 500 run steps with a checkpoint every 50,
   seeds 11-15;
-* ``hierdro verify --level fast --output verify.json``.
+* ``hierdro verify --level fast --output verify.json``;
+* ``scripts/convergence_study.py --horizons 20000 40000
+  --reference-iterations 20000``, which prints the reference value and the
+  gaps with ``repr``; its output is kept as ``convergence_study.txt``.
 
-Both sides read the same config files.  Every file the runs write is then
-compared byte for byte; the only bytes ignored are the ``"seconds"`` lines
-of a JSON file, the wall time of each verification check.  The first
-difference is printed and the exit code is 1; with none it is 0.  Either
-way the final line also gives the line count of ``src/hierdro/*.py`` in the
-parent and in this tree, ``N -> M lines``.
+Both sides read the same config files and run this tree's copy of the
+study script.  Every file the runs write is then compared byte for byte;
+the only bytes ignored are the ``"seconds"`` lines of a JSON file, the
+wall time of each verification check.  The first difference is printed
+and the exit code is 1; with none it is 0.  Either way the final line also
+gives the line count of ``src/hierdro/*.py`` in the parent and in this
+tree, ``N -> M lines``.
 """
 
 import argparse
@@ -34,6 +38,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS_LINE = re.compile(rb'^\s*"seconds": [^,\n]*,?$')
+STUDY_ARGS = ("--horizons", "20000", "40000", "--reference-iterations", "20000")
 
 
 def parse_args(argv):
@@ -110,11 +115,15 @@ def run_side(tree: str, config_paths: dict, out: str) -> None:
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
     env.pop("HIERDRO_OUT", None)
 
-    def hierdro(*args):
-        cmd = [sys.executable, "-m", "hierdro", *args]
+    def python(*args) -> str:
+        cmd = [sys.executable, *args]
         done = subprocess.run(cmd, cwd=out, env=env, capture_output=True, text=True)
         if done.returncode != 0:
             raise SystemExit(f"{' '.join(cmd)} exited {done.returncode} in {tree}:\n{done.stderr}")
+        return done.stdout
+
+    def hierdro(*args):
+        python("-m", "hierdro", *args)
 
     for name, path in config_paths.items():
         common = ["--config", path, "--output-dir", os.path.join(out, name)]
@@ -123,6 +132,9 @@ def run_side(tree: str, config_paths: dict, out: str) -> None:
         hierdro("run", *common, "--tuned-epsilon-from",
                 os.path.join(out, name, "tune_result.json"))
     hierdro("verify", "--level", "fast", "--output", os.path.join(out, "verify.json"))
+    study = python(os.path.join(ROOT, "scripts", "convergence_study.py"), *STUDY_ARGS)
+    with open(os.path.join(out, "convergence_study.txt"), "w", encoding="utf-8") as fh:
+        fh.write(study)
 
 
 def main(argv=None) -> int:

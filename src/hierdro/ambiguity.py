@@ -113,18 +113,19 @@ def inner_maximize(theta: ModelParams, z: np.ndarray, y, eps_g: float) -> np.nda
     return best[0] if single else best
 
 
-def binary_robust_loss(z, sign, v, c, eps_g, v_norm):
+def binary_robust_loss(margin, sign, eps_g, v_norm):
     """Closed-form ball supremum of the loss for a binary affine output layer.
 
     With ``v = w_1 - w_0``, ``c = b_1 - b_0`` and label sign ``s = 2y - 1``
-    the loss at latent ``z`` is ``logaddexp(0, -s (z . v + c))``, which grows
-    fastest along ``-s v``.  Over the ``eps_g`` ball it is therefore maximal
-    at ``z' = z - s eps_g v / ||v||`` (:func:`binary_ball_maximizer`), where
-    the slack is ``u = -s (z . v + c) + eps_g ||v||``.  ``v_norm`` is
-    ``||v||``, passed in so loops over groups compute it once; ``eps_g`` may
-    be a scalar or one radius per row.  Returns ``(loss, u)`` per example.
+    the loss at latent ``z`` is ``logaddexp(0, -s m)`` in the margin
+    ``m = z . v + c``, and it grows fastest along ``-s v``.  Over the
+    ``eps_g`` ball it is therefore maximal at ``z' = z - s eps_g v / ||v||``
+    (:func:`binary_ball_maximizer`), where the slack is
+    ``u = -s m + eps_g ||v||``.  The caller passes the margin, taking the
+    product ``z . v`` as its rows need, and ``v_norm`` (``||v||``); ``eps_g``
+    may be a scalar or one radius per row.  Returns ``(loss, u)`` per example.
     """
-    u = -sign * (z @ v + c) + eps_g * v_norm
+    u = -sign * margin + eps_g * v_norm
     return np.logaddexp(0.0, u), u
 
 
@@ -134,27 +135,27 @@ def binary_ball_maximizer(z, sign, v, eps_g, v_norm):
     return z - (sign * eps_g)[:, None] * v_hat
 
 
-def _sphere_grid(center: np.ndarray, eps: float) -> np.ndarray:
-    """Boundary grid with arc step ``eps / SUP_GRID_FRACTION`` (dims 1-2)."""
-    dim = center.shape[0]
-    if dim == 1:
-        return np.array([center - eps, center + eps])
+def _ring() -> np.ndarray:
+    """Unit circle points at arc step ``1 / SUP_GRID_FRACTION``."""
     n_angles = int(math.ceil(2.0 * math.pi * SUP_GRID_FRACTION))
     angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
-    return center + eps * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+def _sphere_grid(center: np.ndarray, eps: float) -> np.ndarray:
+    """Boundary grid with arc step ``eps / SUP_GRID_FRACTION`` (dims 1-2)."""
+    if center.shape[0] == 1:
+        return np.array([center - eps, center + eps])
+    return center + eps * _ring()
 
 
 def _ball_grid(center: np.ndarray, eps: float) -> np.ndarray:
     """Polar/linear grid over the full ball at step ``eps / SUP_GRID_FRACTION``."""
-    dim = center.shape[0]
-    if dim == 1:
+    if center.shape[0] == 1:
         offsets = np.linspace(-eps, eps, 2 * SUP_GRID_FRACTION + 1)
         return center[None, :] + offsets[:, None]
     radii = np.linspace(0.0, eps, SUP_GRID_FRACTION + 1)[1:]
-    n_angles = int(math.ceil(2.0 * math.pi * SUP_GRID_FRACTION))
-    angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
-    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    pts = (radii[:, None, None] * ring[None, :, :]).reshape(-1, 2)
+    pts = (radii[:, None, None] * _ring()[None, :, :]).reshape(-1, 2)
     return np.concatenate([center[None, :], center + pts])
 
 
@@ -220,9 +221,8 @@ class DiscreteDist:
 
 
 def uniform_dist(points, labels) -> DiscreteDist:
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    return DiscreteDist(points, np.asarray(labels), np.full(n, 1.0 / n))
+    n = len(points)
+    return DiscreteDist(points, labels, np.full(n, 1.0 / n))
 
 
 def _require_equal_mass(dist: DiscreteDist, limit: int) -> None:
@@ -299,10 +299,7 @@ def robust_risk_check(p: DiscreteDist, theta: ModelParams, eps: float):
     for i in range(p.support_size):
         z = p.points[i]
         y = int(p.labels[i])
-        if eps == 0.0:
-            grid = z[None, :]
-        else:
-            grid = _ball_grid(z, eps)
+        grid = z[None, :] if eps == 0.0 else _ball_grid(z, eps)
         losses = model.cross_entropy(
             model.logits_from_latent(theta, grid), np.full(grid.shape[0], y, dtype=np.int64)
         )

@@ -52,11 +52,17 @@ def _head(theta: ModelParams):
     return theta.w_out[1] - theta.w_out[0], theta.b_out[1] - theta.b_out[0]
 
 
+def _mean(a: np.ndarray) -> np.float64:
+    """``np.mean`` of a vector, bitwise, without its Python wrapper."""
+    return np.add.reduce(a) / a.shape[0]
+
+
 class _RobustProblem:
-    """The robust objective of one (dataset, epsilon): ``groups`` holds each
-    present group's index, features, label signs ``s = 2y - 1`` and radius;
-    ``sign`` and ``radii`` hold the same per example.  A negative or
-    non-finite ``epsilon`` is a ``ParameterError`` (:func:`ambiguity.radius`)."""
+    """The robust objective of one (dataset, epsilon): each example's label
+    sign ``s = 2y - 1`` and radius, in dataset order and (``group_``) in group
+    order, and per present group its index, features, slice of the
+    group-ordered rows and radius.  A negative or non-finite ``epsilon`` is a
+    ``ParameterError`` (:func:`ambiguity.radius`)."""
 
     def __init__(self, ds: GroupedDataset, epsilon: float):
         present = np.flatnonzero(ds.n_g)
@@ -64,29 +70,35 @@ class _RobustProblem:
         group_radius[present] = radius(epsilon, ds.n_g[present])
         self.sign = 2.0 * ds.labels.astype(np.float64) - 1.0
         self.radii = group_radius[ds.group_of]
-        self.groups = []
-        for g in present.tolist():
-            rows = ds.group_rows(g)
-            self.groups.append((g, ds.features[rows], self.sign[rows], float(group_radius[g])))
+        rows = [ds.group_rows(g) for g in present.tolist()]
+        order = np.concatenate(rows)
+        self.group_sign, self.group_radii = self.sign[order], self.radii[order]
+        ends = np.cumsum([r.size for r in rows]).tolist()
+        self.groups = [(g, ds.features[r], slice(end - r.size, end), float(group_radius[g]))
+                       for g, r, end in zip(present.tolist(), rows, ends)]
+
+    def losses(self, v: np.ndarray, c: float, v_norm: float):
+        """The loss and slack of the group-ordered rows, in one closed-form call.
+        ``z . v`` is taken per group, since BLAS may compute the last rows of a
+        product by another kernel (OpenBLAS: the last ``n mod 4``, other bits)."""
+        margin = np.concatenate([feats @ v for _, feats, _, _ in self.groups]) + c
+        return binary_robust_loss(margin, self.group_sign, self.group_radii, v_norm)
 
     def value_and_subgrad(self, v: np.ndarray, c: float):
-        """``max_g f_g`` and its subgradient in the (v, c) parametrization."""
-        v_norm = float(np.linalg.norm(v))
+        """``max_g f_g`` and its subgradient in the (v, c) parametrization;
+        the first group attaining the maximum gives the subgradient."""
+        v_norm = math.sqrt(v.dot(v))
         v_hat = v / v_norm if v_norm > 0 else np.zeros_like(v)
+        losses, u = self.losses(v, c, v_norm)
         best = -math.inf
-        best_parts = None
-        for _, feats, sign, eps_g in self.groups:
-            losses, u = binary_robust_loss(feats, sign, v, c, eps_g, v_norm)
-            value = float(np.mean(losses))
+        for group in self.groups:
+            value = float(_mean(losses[group[2]]))
             if value > best:
-                best = value
-                best_parts = (feats, sign, eps_g, u)
-        feats, sign, eps_g, u = best_parts
-        sig = 1.0 / (1.0 + np.exp(-u))
-        coeff = sig * (-sign)
-        d_v = coeff @ feats / feats.shape[0] + sig.mean() * eps_g * v_hat
-        d_c = float(coeff.mean())
-        return best, d_v, d_c
+                best, (_, feats, rows, eps_g) = value, group
+        sig = 1.0 / (1.0 + np.exp(-u[rows]))
+        coeff = sig * (-self.group_sign[rows])
+        d_v = coeff @ feats / feats.shape[0] + _mean(sig) * eps_g * v_hat
+        return best, d_v, float(_mean(coeff))
 
 
 def objective_value(theta: ModelParams, ds: GroupedDataset, epsilon: float):
@@ -99,11 +111,10 @@ def objective_value(theta: ModelParams, ds: GroupedDataset, epsilon: float):
     """
     problem = _RobustProblem(ds, epsilon)
     v, c = _head(theta)
-    v_norm = np.linalg.norm(v)
+    losses, _ = problem.losses(v, c, np.linalg.norm(v))
     f_g = np.full(ds.num_groups, np.nan)
-    for g, feats, sign, eps_g in problem.groups:
-        losses, _ = binary_robust_loss(feats, sign, v, c, eps_g, v_norm)
-        f_g[g] = float(np.mean(losses))
+    for g, _, rows, _ in problem.groups:
+        f_g[g] = _mean(losses[rows])
     return f_g, float(np.nanmax(f_g))
 
 
@@ -127,20 +138,14 @@ def reference_optimum(
     and bias difference ``c``, so the descent runs in that reduced space.
     """
     problem = _RobustProblem(ds, epsilon)
-    v = np.zeros(ds.d)
-    c = 0.0
-    best_val = math.inf
-    best_v, best_c = v, c
-    for t in range(1, iterations + 1):
+    v, c = np.zeros(ds.d), 0.0
+    best_val, best_v, best_c = math.inf, v, c
+    for t in range(1, iterations + 2):     # the last pass only scores the last iterate
         value, d_v, d_c = problem.value_and_subgrad(v, c)
         if value < best_val:
             best_val, best_v, best_c = value, v, c
         step = step0 / math.sqrt(t)
-        v = v - step * d_v
-        c = c - step * d_c
-    value, _, _ = problem.value_and_subgrad(v, c)
-    if value < best_val:
-        best_val, best_v, best_c = value, v, c
+        v, c = v - step * d_v, c - step * d_c
     theta = ModelParams(
         w_out=np.stack([-best_v / 2.0, best_v / 2.0]),
         b_out=np.array([-best_c / 2.0, best_c / 2.0]),
@@ -178,7 +183,7 @@ def bound_constants(
     for theta in thetas:
         v, c = _head(theta)
         v_norm = float(np.linalg.norm(v))
-        losses, u = binary_robust_loss(ds.features, problem.sign, v, c, problem.radii, v_norm)
+        losses, u = binary_robust_loss(ds.features @ v + c, problem.sign, problem.radii, v_norm)
         # Per-example gradient at the maximizing latent z': dlogits has norm
         # sqrt(2)*sigma(u), so the (W, b) gradient norm is
         # sqrt(2)*sigma(u)*sqrt(||z'||^2 + 1).

@@ -277,18 +277,20 @@ def flatten_params(theta: ModelParams) -> np.ndarray:
 
 
 def unflatten_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
+    """The inverse of :func:`flatten_params` into the shapes of one model of
+    ``template``: a vector gives one model, a matrix one row-stacked model per row."""
     vec = np.asarray(vec, dtype=np.float64)
-    pieces = {}
+    lead, skip = vec.shape[:-1], template.w_out.ndim - 2
+    pieces = []
     offset = 0
-    for name in ("w_out", "b_out", "w_hidden", "b_hidden"):
-        arr = getattr(template, name)
+    for arr in template.arrays():
         if arr is None:
-            pieces[name] = None
+            pieces.append(None)
             continue
-        size = arr.size
-        pieces[name] = vec[offset:offset + size].reshape(arr.shape)
+        size = math.prod(arr.shape[skip:])
+        pieces.append(vec[..., offset:offset + size].reshape(lead + arr.shape[skip:]))
         offset += size
-    return ModelParams(**pieces)
+    return ModelParams(*pieces)
 
 
 def params_norm(theta: ModelParams) -> float:
@@ -302,13 +304,8 @@ def grads_finite(grads: ModelParams):
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
-    if (a.w_hidden is None) != (b.w_hidden is None):
-        return False
-    same = np.array_equal(a.w_out, b.w_out) and np.array_equal(a.b_out, b.b_out)
-    if a.w_hidden is not None:
-        same = same and np.array_equal(a.w_hidden, b.w_hidden)
-        same = same and np.array_equal(a.b_hidden, b.b_hidden)
-    return same
+    return all((x is None) == (y is None) and (x is None or np.array_equal(x, y))
+               for x, y in zip(a.arrays(), b.arrays()))
 
 
 def save_params(theta: ModelParams, path) -> None:

@@ -179,6 +179,10 @@ def tune_epsilon(ds_train: GroupedDataset, grid_scale, config: TuneConfig) -> Tu
     minority = minority_group(ds_train)
     n_min = int(ds_train.n_g[minority])
     candidates = tuple(s * math.sqrt(n_min) for s in grid_scale)
+    for scale, eps in zip(grid_scale, candidates):
+        if not math.isfinite(eps):
+            raise ParameterError(f"grid_scale: scale {scale!r} times sqrt({n_min}), the smallest "
+                                 f"training group: epsilon must be finite, got {eps}")
     # Built first, so that a candidate the solver refuses fails before any training.
     run_cfgs = [replace(config.solver, mode=HIERARCHICAL, epsilon=eps) for eps in candidates]
 

@@ -6,7 +6,8 @@ convergence-rate study, which only runs at the ``full`` level.
 
 The finite-difference oracles here are deliberately independent of the
 closed-form gradients in :mod:`hierdro.model`: they probe the loss through
-flattened parameter vectors with central differences.
+flattened parameter vectors with central differences, all 2n probes of one
+gradient in one stacked forward pass that uses only the loss.
 """
 
 from __future__ import annotations
@@ -72,50 +73,58 @@ def _timed(fn):
     return wrapper
 
 
-def _central_differences(value, vec: np.ndarray, step: float) -> np.ndarray:
-    """Central differences of the scalar function ``value`` at ``vec``."""
-    out = np.zeros_like(vec)
-    for i in range(vec.size):
-        hi = vec.copy(); hi[i] += step
-        lo = vec.copy(); lo[i] -= step
-        out[i] = (value(hi) - value(lo)) / (2.0 * step)
-    return out
+def _central_differences(values, vec: np.ndarray, step: float) -> np.ndarray:
+    """Central differences at ``vec`` of a scalar function that ``values``
+    takes on all 2n probes in one call, one probe per row: ``vec`` with
+    ``step`` added to entry ``i`` in row ``i``, subtracted in row ``n + i``."""
+    n = vec.size
+    probes = np.tile(vec, (2 * n, 1))
+    probes[np.arange(n), np.arange(n)] += step
+    probes[np.arange(n, 2 * n), np.arange(n)] -= step
+    f = values(probes)
+    return (f[:n] - f[n:]) / (2.0 * step)
 
 
 def fd_latent_gradient(theta: ModelParams, z: np.ndarray, y: int, step: float = FD_STEP) -> np.ndarray:
-    """Central finite differences of the loss through the output layer."""
+    """Central finite differences of the loss through the output layer; each
+    probe is a batch of one, whose logits are bitwise those of one latent."""
     return _central_differences(
-        lambda zz: model.cross_entropy(model.logits_from_latent(theta, zz), y), z, step)
+        lambda zz: model.cross_entropy(model.logits_from_latent(theta, zz[:, None, :]), y)[:, 0],
+        z, step)
 
 
 def fd_param_gradient(theta: ModelParams, z_prime: np.ndarray, x: np.ndarray, y,
                       step: float = FD_STEP) -> np.ndarray:
     """Central finite differences of the (batch-mean) loss at ``z(x) + (z_prime - z(x))``
     in the flattened parameters: the offset is held constant while ``z(x)``
-    moves with the parameters, matching the documented gradient semantics."""
+    moves with the parameters, matching the documented gradient semantics.
+    The probes run as one row-stacked model; ``x`` is one input or a batch."""
     offset = z_prime - model.latent(theta, x)
+    x_rows = np.reshape(x, (1, -1, np.shape(x)[-1]))
 
-    def value(vec: np.ndarray) -> float:
-        th = model.unflatten_params(vec, theta)
-        zp = model.latent(th, x) + offset
-        return float(np.mean(model.cross_entropy(model.logits_from_latent(th, zp), y)))
+    def values(rows: np.ndarray) -> np.ndarray:
+        th = model.unflatten_params(rows, theta)
+        zp = model.latent(th, x_rows) + offset
+        return np.mean(model.cross_entropy(model.logits_from_latent(th, zp), y), axis=-1)
 
-    return _central_differences(value, model.flatten_params(theta), step)
+    return _central_differences(values, model.flatten_params(theta), step)
 
 
 def fd_robust_gradient(theta: ModelParams, x: np.ndarray, y: np.ndarray, eps_g: float,
                        step: float = FD_STEP) -> np.ndarray:
     """Central finite differences of the batch-mean closed-form ball supremum
-    ``binary_robust_loss(z(x))`` of a binary model in the flattened parameters."""
+    ``binary_robust_loss`` at ``z(x)`` of a binary model in the flattened parameters,
+    the probes as one row-stacked model, each with its own ``||v||``."""
     sign = 2.0 * np.asarray(y) - 1.0
 
-    def value(vec: np.ndarray) -> float:
-        th = model.unflatten_params(vec, theta)
-        v, c = th.w_out[1] - th.w_out[0], th.b_out[1] - th.b_out[0]
-        loss, _ = amb.binary_robust_loss(model.latent(th, x), sign, v, c, eps_g, np.linalg.norm(v))
-        return float(loss.mean())
+    def values(rows: np.ndarray) -> np.ndarray:
+        th = model.unflatten_params(rows, theta)
+        v, c = th.w_out[:, 1] - th.w_out[:, 0], th.b_out[:, 1] - th.b_out[:, 0]
+        v_norm = np.array([math.sqrt(r.dot(r)) for r in v])
+        margin = (model.latent(th, x[None]) @ v[:, :, None])[..., 0] + c[:, None]
+        return np.mean(amb.binary_robust_loss(margin, sign, eps_g, v_norm[:, None])[0], axis=-1)
 
-    return _central_differences(value, model.flatten_params(theta), step)
+    return _central_differences(values, model.flatten_params(theta), step)
 
 
 def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -142,7 +151,9 @@ def _random_instance(rng, architecture: str, d: int = 6, k: int = 2, h: int = 8)
 def check_gradients(n_cases: int = 100, seed: int = 0, tolerance: float = GRADIENT_TOLERANCE) -> CheckResult:
     """Latent and parameter gradients against central differences, both architectures.
 
-    The parameter gradient is probed at the unperturbed latent, at a random
+    Draws ``n_cases // 2`` instances per architecture and class count, 200
+    in all at the default, where ``details["cases"]`` reports 100.  The
+    parameter gradient is probed at the unperturbed latent, at a random
     offset from it and, for binary heads, at the maximizer of the loss over
     a ball, where it must be the gradient of the ball supremum that the
     robust objective minimizes.
@@ -178,13 +189,9 @@ def check_gradients(n_cases: int = 100, seed: int = 0, tolerance: float = GRADIE
 
 
 def _random_binary_linear(rng, dim: int = 2):
-    theta = ModelParams(
-        w_out=rng.normal(scale=1.0, size=(2, dim)),
-        b_out=rng.normal(scale=0.5, size=2),
-    )
-    z = rng.normal(size=dim)
-    y = int(rng.integers(2))
-    return theta, z, y
+    theta = ModelParams(w_out=rng.normal(scale=1.0, size=(2, dim)),
+                        b_out=rng.normal(scale=0.5, size=2))
+    return theta, rng.normal(size=dim), int(rng.integers(2))
 
 
 @_timed
@@ -196,8 +203,7 @@ def check_inner_maximization(
     angles = np.linspace(0.0, 2.0 * math.pi, 200_000, endpoint=False)
     ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     worst = 0.0
-    monotone = True
-    inside = True
+    monotone = inside = True
     for _ in range(n_cases):
         theta, z, y = _random_binary_linear(rng)
         eps = float(rng.uniform(0.1, 0.8))
@@ -233,10 +239,8 @@ def check_projection(n_cases: int = 1000, seed: int = 2) -> CheckResult:
         proj = amb.project_ball(point, center, eps)
         ok = ok and np.linalg.norm(proj - center) <= eps + 1e-12
         ok = ok and np.allclose(amb.project_ball(proj, center, eps), proj, atol=1e-12)
-        if np.linalg.norm(point - center) <= eps:
-            ok = ok and np.array_equal(proj, point)
-        else:
-            ok = ok and not np.array_equal(proj, point)
+        # A point inside the ball is its own projection, and only such a point.
+        ok = ok and np.array_equal(proj, point) == (np.linalg.norm(point - center) <= eps)
     return CheckResult(name="ball_projection_invariants", passed=ok,
                        details={"cases": n_cases})
 
@@ -263,36 +267,28 @@ def check_simplex_and_degeneracy(steps: int = 10_000, tolerance: float = SIMPLEX
     rng = np.random.default_rng(base.seed)
     sampler = GroupSampler(ds, base)
     state = solver.Lockstep.start([init] * len(configs), configs, ds)
+    # ERM's row is held to an independent plain-SGD loop over the identical batch stream.
+    erm_cfg = configs[3]
+    erm_rng, erm_sampler, theta = np.random.default_rng(erm_cfg.seed), GroupSampler(ds, erm_cfg), init
+    alpha = ds.alpha
     residual = 0.0
-    hier0_traj, dro_traj, erm_traj = [], [], []
+    bitwise = erm_matches = True
     for _ in range(steps):
         batch = solver.stack_batches([sampler.draw(rng)], None, len(configs))
         state = solver.train_step(state, batch)
         if state.failed:
             raise next(iter(state.failed.values()))
-        for row, trajectory in enumerate((hier0_traj, dro_traj, erm_traj), start=1):
-            trajectory.append(model.row_params(state.theta, row))
         for beta in state.beta[:3]:     # ERM's beta is checked against alpha below
             residual = max(residual, abs(float(beta.sum()) - 1.0))
             if np.any(beta < 0):
                 residual = math.inf
-
-    bitwise = all(
-        model.params_equal(a, b) for a, b in zip(hier0_traj, dro_traj)
-    ) and np.array_equal(state.beta[1], state.beta[2])
-
-    # ERM against an independent plain-SGD loop over the identical batch stream.
-    erm_cfg = configs[3]
-    rng = np.random.default_rng(erm_cfg.seed)
-    sampler = GroupSampler(ds, erm_cfg)
-    theta = init
-    alpha = ds.alpha
-    erm_matches = True
-    for step_idx in range(steps):
-        batch = sampler.draw(rng)
-        _, grads = model.loss_and_param_grads(theta, model.latent(theta, batch.x), batch.x, batch.y)
-        theta = model.sgd_step(theta, grads, erm_cfg.eta_theta * float(alpha[batch.group]))
-        erm_matches = erm_matches and model.params_equal(theta, erm_traj[step_idx])
+        bitwise = bitwise and model.params_equal(model.row_params(state.theta, 1),
+                                                 model.row_params(state.theta, 2))
+        erm = erm_sampler.draw(erm_rng)
+        _, grads = model.loss_and_param_grads(theta, model.latent(theta, erm.x), erm.x, erm.y)
+        theta = model.sgd_step(theta, grads, erm_cfg.eta_theta * float(alpha[erm.group]))
+        erm_matches = erm_matches and model.params_equal(theta, model.row_params(state.theta, 3))
+    bitwise = bitwise and np.array_equal(state.beta[1], state.beta[2])
     erm_matches = erm_matches and np.array_equal(state.beta[3], alpha)
 
     passed = residual <= tolerance and bitwise and erm_matches

@@ -255,7 +255,7 @@ def test_binary_robust_loss_matches_grid_supremum():
         z = rng.normal(size=2)
         y = int(rng.integers(2))
         eps = float(rng.uniform(0.1, 1.0))
-        loss, u = amb.binary_robust_loss(z, 2.0 * y - 1.0, v, c, eps, v_norm)
+        loss, u = amb.binary_robust_loss(z @ v + c, 2.0 * y - 1.0, eps, v_norm)
         assert loss == np.logaddexp(0.0, u)
         grid = amb.ball_supremum(theta, z, y, eps)
         assert grid - 1e-12 <= loss <= grid + 1e-3
@@ -273,7 +273,7 @@ def test_binary_ball_maximizer_matches_one_step_ascent():
         grad = model.grad_wrt_latent(theta, zs, ys)
         ascent = project_ball(zs + 1e6 * grad, zs, eps)
         np.testing.assert_allclose(z_prime, ascent, rtol=0.0, atol=1e-9)
-        loss, _ = amb.binary_robust_loss(zs, sign, v, c, eps, v_norm)
+        loss, _ = amb.binary_robust_loss(zs @ v + c, sign, eps, v_norm)
         at_maximizer = model.cross_entropy(model.logits_from_latent(theta, z_prime), ys)
         np.testing.assert_allclose(at_maximizer, loss, rtol=0.0, atol=1e-12)
 

@@ -284,6 +284,27 @@ def test_csv_splits_take_the_training_splits_groups(tmp_path, capsys):
     assert evaluate(theta, data["val"], data["train"].alpha).missing_groups == (2, 3)
 
 
+def test_tune_refuses_a_scale_that_overflows_on_the_csv_training_groups(tmp_path, capsys,
+                                                                       monkeypatch):
+    """The load-time overflow check reads ``n_per_group_train``, which a
+    ``dataset.csv`` block overrides; tune refuses the scale on the file's
+    smallest group (15 rows) before any training, naming ``grid_scale``."""
+    cfg = write_config(tmp_path, base_config(tmp_path))
+    out = tmp_path / "out"
+    cli.main(["generate", "--config", cfg])
+    raw = base_config(tmp_path, output_dir=str(tmp_path / "csv_out"))
+    raw["dataset"]["n_per_group_train"] = [1, 1, 1, 1]
+    raw["dataset"]["csv"] = {split: str(out / f"{split}.csv") for split in ("train", "val", "test")}
+    raw["tuning"]["grid_scale"] = [1e308]
+    cfg = write_config(tmp_path, raw, "csv.json")
+    for name in ("train", "train_lockstep"):
+        monkeypatch.setattr(cli.tuning.solver, name, lambda *a, **k: pytest.fail("trained"))
+    capsys.readouterr()
+    assert cli.main(["tune", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid_scale: scale 1e+308 times sqrt(15)"), err
+
+
 def test_tune_single_candidate_passthrough(tmp_path):
     raw = base_config(tmp_path)
     raw["tuning"]["grid_scale"] = [0.15]

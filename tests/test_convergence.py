@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hierdro.ambiguity import binary_robust_loss
 from hierdro.convergence import (
     BoundConstants,
     bound_constants,
@@ -190,3 +191,68 @@ def test_diagnostics_refuse_a_bad_radius_scale(epsilon):
         reference_optimum(ds, epsilon, iterations=10)
     with pytest.raises(ParameterError):
         bound_constants(ds, [theta], epsilon)
+
+
+# ------------------------------------------------ reference solve, bitwise
+
+
+def per_group_reference(ds, epsilon, iterations):
+    """The reference loop: ``reference_optimum`` with one closed-form call,
+    one product and one ``np.mean`` per group and iteration."""
+    groups = []
+    for g in np.flatnonzero(ds.n_g).tolist():
+        rows = ds.group_rows(g)
+        groups.append((ds.features[rows], 2.0 * ds.labels[rows] - 1.0,
+                       epsilon / math.sqrt(int(ds.n_g[g]))))
+
+    def value_and_subgrad(v, c):
+        v_norm = float(np.linalg.norm(v))
+        v_hat = v / v_norm if v_norm > 0 else np.zeros_like(v)
+        best, best_parts = -math.inf, None
+        for feats, sign, eps_g in groups:
+            losses, u = binary_robust_loss(feats @ v + c, sign, eps_g, v_norm)
+            if float(np.mean(losses)) > best:
+                best, best_parts = float(np.mean(losses)), (feats, sign, eps_g, u)
+        feats, sign, eps_g, u = best_parts
+        sig = 1.0 / (1.0 + np.exp(-u))
+        coeff = sig * (-sign)
+        d_v = coeff @ feats / feats.shape[0] + sig.mean() * eps_g * v_hat
+        return best, d_v, float(coeff.mean())
+
+    v, c = np.zeros(ds.d), 0.0
+    best_val, best_v, best_c = math.inf, v, c
+    for t in range(1, iterations + 2):
+        value, d_v, d_c = value_and_subgrad(v, c)
+        if value < best_val:
+            best_val, best_v, best_c = value, v, c
+        step = 0.5 / math.sqrt(t)
+        v, c = v - step * d_v, c - step * d_c
+    return best_val, best_v, best_c
+
+
+def absent_group_ds():
+    """Groups of 40, 0, 10 and 38 rows: two sizes are no multiple of 4."""
+    ds = make_spurious((40, 7, 10, 38), 0.5, 0.5, 0.2, seed=1)
+    return ds.subset(np.flatnonzero(ds.group_of != 1))
+
+
+@pytest.mark.parametrize("instance", ["canonical", "absent_group", "zero_radius"])
+def test_reference_optimum_equals_the_per_group_loop_bitwise(instance):
+    if instance == "absent_group":
+        ds, epsilon = absent_group_ds(), 1.0
+    else:
+        ds, config = canonical_instance()
+        epsilon = config.effective_epsilon if instance == "canonical" else 0.0
+    ref = reference_optimum(ds, epsilon, iterations=2000)
+    value, v, c = per_group_reference(ds, epsilon, 2000)
+    assert ref.value == value
+    assert ref.theta.w_out.tobytes() == np.stack([-v / 2.0, v / 2.0]).tobytes()
+    assert ref.theta.b_out.tobytes() == np.array([-c / 2.0, c / 2.0]).tobytes()
+    v, c = ref.theta.w_out[1] - ref.theta.w_out[0], ref.theta.b_out[1] - ref.theta.b_out[0]
+    f_g, _ = objective_value(ref.theta, ds, epsilon)
+    for g in range(ds.num_groups):
+        rows = ds.group_rows(g)
+        if rows.size:
+            losses, _ = binary_robust_loss(ds.features[rows] @ v + c, 2.0 * ds.labels[rows] - 1.0,
+                                           epsilon / math.sqrt(rows.size), np.linalg.norm(v))
+            assert f_g[g] == np.mean(losses)

@@ -338,6 +338,9 @@ def test_flatten_params_of_a_gradient_and_of_stacked_rows_round_trips():
             for row, one in zip(rows, parts):
                 assert row.tobytes() == model.flatten_params(one).tobytes()
                 assert model.params_equal(model.unflatten_params(row, one), one)
+            for template in (parts[0], stack_params(parts)):
+                assert model.params_equal(model.unflatten_params(rows, template),
+                                          stack_params(parts))
 
 
 def test_init_is_seeded_and_bounded():

@@ -1,4 +1,5 @@
-"""Each script in scripts/ runs to exit 0 on a tiny horizon; bench_pair.py is
+"""Each script in scripts/ runs to exit 0 on a tiny horizon, convergence_study.py
+printing its reference value and gaps in full; bench_pair.py is
 checked on canned run lines and does not run the benchmark here, and
 parity_pair.py's comparison and line count on hand-made directories."""
 
@@ -10,6 +11,7 @@ import sys
 
 import pytest
 
+from hierdro import convergence
 from test_cli import base_config, write_config
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -30,6 +32,19 @@ def run_script(name, *args):
 def test_script_runs(name, args):
     proc = run_script(name, *args)
     assert proc.returncode == 0, proc.stderr
+    if name == "convergence_study.py":
+        assert_study_prints_every_bit(proc.stdout, reference_iterations=int(args[-1]))
+
+
+def assert_study_prints_every_bit(stdout, reference_iterations):
+    """The reference value and the gaps are printed with ``repr``, so that
+    parity_pair.py's byte comparison of two trees' outputs covers every bit."""
+    ds, config = convergence.canonical_instance()
+    reference = convergence.reference_optimum(ds, config.effective_epsilon,
+                                              iterations=reference_iterations)
+    assert f"reference min-max value: {reference.value!r} " in stdout
+    gaps = [line.split()[1] for line in stdout.splitlines() if line.split()[:1] == ["20000"]]
+    assert len(gaps) == 1 and repr(float(gaps[0])) == gaps[0]
 
 
 def test_run_benchmark_script_runs(tmp_path):

@@ -1,6 +1,11 @@
 """The self-checks behind ``hierdro verify`` on inputs that once fooled them."""
 
-from hierdro import verification
+import numpy as np
+import pytest
+
+from hierdro import ambiguity as amb
+from hierdro import model, verification
+from hierdro.model import LINEAR, MLP1
 
 
 def test_check_gradients_redraws_instances_at_a_relu_kink():
@@ -16,3 +21,73 @@ def test_check_inner_maximization_holds_the_default_ascent_to_the_grid():
     result = verification.check_inner_maximization()
     assert result.passed, result.details
     assert 0.0 <= result.details["max_loss_gap"] <= result.details["tolerance"]
+
+
+# ------------------------------------------- finite differences, bitwise
+
+
+def per_probe_differences(value, vec, step=verification.FD_STEP):
+    """The reference loop: one probe at a time, ``value`` a scalar function."""
+    out = np.zeros_like(vec)
+    for i in range(vec.size):
+        hi = vec.copy(); hi[i] += step
+        lo = vec.copy(); lo[i] -= step
+        out[i] = (value(hi) - value(lo)) / (2.0 * step)
+    return out
+
+
+def per_probe_latent(theta, z, y):
+    return per_probe_differences(
+        lambda zz: model.cross_entropy(model.logits_from_latent(theta, zz), y), z)
+
+
+def per_probe_param(theta, z_prime, x, y):
+    offset = z_prime - model.latent(theta, x)
+
+    def value(vec):
+        th = model.unflatten_params(vec, theta)
+        zp = model.latent(th, x) + offset
+        return float(np.mean(model.cross_entropy(model.logits_from_latent(th, zp), y)))
+
+    return per_probe_differences(value, model.flatten_params(theta))
+
+
+def per_probe_robust(theta, x, y, eps_g):
+    sign = 2.0 * np.asarray(y) - 1.0
+
+    def value(vec):
+        th = model.unflatten_params(vec, theta)
+        v, c = th.w_out[1] - th.w_out[0], th.b_out[1] - th.b_out[0]
+        z = model.latent(th, x)
+        return float(amb.binary_robust_loss(z @ v + c, sign, eps_g, np.linalg.norm(v))[0].mean())
+
+    return per_probe_differences(value, model.flatten_params(theta))
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("arch", [LINEAR, MLP1])
+@pytest.mark.parametrize("k", [2, 3])
+def test_stacked_finite_differences_equal_the_per_probe_loop_bitwise(arch, k):
+    """Every probe set runs as one stacked pass and gives the per-probe loop's
+    bits: for the latent gradient, for the parameter gradient of one input and
+    of a batch, and for the robust gradient of one input and of a batch of 16."""
+    rng = np.random.default_rng(100 + k)
+    for _ in range(10):
+        theta, x, y = verification._random_instance(rng, arch, k=k)
+        z = model.latent(theta, x)
+        assert same_bits(verification.fd_latent_gradient(theta, z, y),
+                         per_probe_latent(theta, z, y))
+        zp = z + 0.1 * rng.normal(size=z.shape)
+        assert same_bits(verification.fd_param_gradient(theta, zp, x, y),
+                         per_probe_param(theta, zp, x, y))
+        xb, yb = rng.normal(size=(16, x.size)), rng.integers(0, k, size=16)
+        zb = model.latent(theta, xb)
+        assert same_bits(verification.fd_param_gradient(theta, zb, xb, yb),
+                         per_probe_param(theta, zb, xb, yb))
+        if k == 2:
+            for xs, ys in ((x[None], np.array([y])), (xb, yb)):
+                assert same_bits(verification.fd_robust_gradient(theta, xs, ys, 0.5),
+                                 per_probe_robust(theta, xs, ys, 0.5))
