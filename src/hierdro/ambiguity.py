@@ -24,7 +24,11 @@ report).  Cross-entropy composed with an affine layer is convex in the
 latent, so ball suprema are attained on the sphere; boundary grids therefore
 cover the maximizer.  The grid oracles (:func:`ball_supremum`,
 :func:`taylor_gap`, :func:`robust_risk_check`) are exact up to that step for
-latent dimension <= 2 and raise ``UnsupportedInstanceError`` above it.
+latent dimension <= 2 and raise ``UnsupportedInstanceError`` above it.  Each
+grid, like the 200,000-point ring of
+:func:`verification.check_inner_maximization`, is built and evaluated in
+fixed-size chunks of rows: memory stays bounded by the chunk, never the grid,
+and the maximum and its first maximizer are bitwise those of the whole grid.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ from .model import ModelParams
 SUP_GRID_FRACTION = 100
 ORACLE_MAX_SUPPORT = 8
 CHECK_MAX_SUPPORT = 6
+# Grid rows per chunk.  A power of two, so every chunk boundary is a multiple
+# of BLAS's row block and each row's logits are bitwise the one-shot product's.
+_GRID_CHUNK = 8192
 
 
 def radius(epsilon, n_g):
@@ -149,14 +156,47 @@ def _sphere_grid(center: np.ndarray, eps: float) -> np.ndarray:
     return center + eps * _ring()
 
 
-def _ball_grid(center: np.ndarray, eps: float) -> np.ndarray:
-    """Polar/linear grid over the full ball at step ``eps / SUP_GRID_FRACTION``."""
+def _ball_grid(center: np.ndarray, eps: float):
+    """Polar/linear grid over the full ball at step ``eps / SUP_GRID_FRACTION``,
+    as ``(n, rows)``: its row count and ``rows(start, stop)``, which builds rows
+    ``start:stop``.  Row 0 is the centre, then each radius's circle in turn."""
     if center.shape[0] == 1:
         offsets = np.linspace(-eps, eps, 2 * SUP_GRID_FRACTION + 1)
-        return center[None, :] + offsets[:, None]
+        grid = center[None, :] + offsets[:, None]
+        return grid.shape[0], lambda start, stop: grid[start:stop]
     radii = np.linspace(0.0, eps, SUP_GRID_FRACTION + 1)[1:]
-    pts = (radii[:, None, None] * _ring()[None, :, :]).reshape(-1, 2)
-    return np.concatenate([center[None, :], center + pts])
+    ring = _ring()
+    m = ring.shape[0]
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        # Row r > 0 is point (r - 1) % m of circle (r - 1) // m: build the
+        # circles that rows start:stop touch, then slice them.
+        lo, hi = max(start, 1) - 1, stop - 1
+        first, last = lo // m, -(-hi // m)
+        circles = (radii[first:last, None, None] * ring).reshape(-1, 2)
+        pts = center + circles[lo - first * m:hi - first * m]
+        return pts if start else np.concatenate([center[None, :], pts])
+
+    return 1 + radii.size * m, rows
+
+
+def _grid_max_loss(theta: ModelParams, y: int, n: int, rows) -> tuple:
+    """The largest loss at label ``y`` over the ``n`` rows of a grid, and the
+    first row that attains it (a view: copy it to keep it).
+
+    ``rows(start, stop)`` builds grid rows ``start:stop``; they are built and
+    evaluated ``_GRID_CHUNK`` at a time, so the whole grid never exists.  A
+    later chunk wins only on a strictly greater loss, or on the first nan,
+    which gives ``np.max`` and ``np.argmax`` of the whole grid's losses.
+    """
+    best = best_row = None
+    for start in range(0, n, _GRID_CHUNK):
+        chunk = rows(start, min(start + _GRID_CHUNK, n))
+        losses = model.cross_entropy(model.logits_from_latent(theta, chunk), y)
+        k = int(np.argmax(losses))
+        if best_row is None or losses[k] > best or (np.isnan(losses[k]) and not np.isnan(best)):
+            best, best_row = float(losses[k]), chunk[k]
+    return best, best_row
 
 
 def ball_supremum(theta: ModelParams, z: np.ndarray, y: int, eps: float) -> float:
@@ -172,10 +212,7 @@ def ball_supremum(theta: ModelParams, z: np.ndarray, y: int, eps: float) -> floa
     if eps == 0.0:
         return float(model.cross_entropy(model.logits_from_latent(theta, z), y))
     points = np.concatenate([z[None, :], _sphere_grid(z, eps)])
-    losses = model.cross_entropy(
-        model.logits_from_latent(theta, points), np.full(points.shape[0], y, dtype=np.int64)
-    )
-    return float(losses.max())
+    return _grid_max_loss(theta, y, points.shape[0], lambda start, stop: points[start:stop])[0]
 
 
 def taylor_gap(theta: ModelParams, z: np.ndarray, y: int, eps: float) -> float:
@@ -298,14 +335,10 @@ def robust_risk_check(p: DiscreteDist, theta: ModelParams, eps: float):
     arg_points = []
     for i in range(p.support_size):
         z = p.points[i]
-        y = int(p.labels[i])
-        grid = z[None, :] if eps == 0.0 else _ball_grid(z, eps)
-        losses = model.cross_entropy(
-            model.logits_from_latent(theta, grid), np.full(grid.shape[0], y, dtype=np.int64)
-        )
-        k = int(np.argmax(losses))
-        sup_values.append(float(losses[k]))
-        arg_points.append(grid[k])
+        n, rows = (1, lambda start, stop: z[None, :]) if eps == 0.0 else _ball_grid(z, eps)
+        sup, point = _grid_max_loss(theta, int(p.labels[i]), n, rows)
+        sup_values.append(sup)
+        arg_points.append(point.copy())
 
     lhs = float(np.dot(p.masses, sup_values))
     displaced = DiscreteDist(np.asarray(arg_points), p.labels.copy(), p.masses.copy())

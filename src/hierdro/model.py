@@ -193,7 +193,7 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     total = e[..., 0]
     for j in range(1, e.shape[-1]):
         total = total + e[..., j]
-    del e    # peak memory: callers pass 200k-row grids
+    del e    # peak memory: callers pass batches of thousands of rows
     shifted -= np.log(total)[..., None]
     return shifted
 

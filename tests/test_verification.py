@@ -1,5 +1,7 @@
 """The self-checks behind ``hierdro verify`` on inputs that once fooled them."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,37 @@ def test_check_inner_maximization_holds_the_default_ascent_to_the_grid():
     result = verification.check_inner_maximization()
     assert result.passed, result.details
     assert 0.0 <= result.details["max_loss_gap"] <= result.details["tolerance"]
+
+
+# ------------------------------------------------ grid oracles, memory
+
+
+GRID_PEAK_BOUND = 4 * 2 ** 20
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the bytes allocated while it ran; numpy reports
+    its buffers to ``tracemalloc``, so the figure does not depend on the machine."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_oracles_run_in_bounded_memory():
+    """The 200,000-point ring and the 62,901-point ball grid are evaluated in
+    chunks: neither oracle's allocation peak grows with its grid (built
+    whole, the ring check peaked at 21 MB)."""
+    result, peak = traced_peak(lambda: verification.check_inner_maximization(n_cases=2))
+    assert result.passed and peak < GRID_PEAK_BOUND, peak
+    rng = np.random.default_rng(7)
+    theta = model.ModelParams(w_out=rng.normal(size=(2, 2)), b_out=rng.normal(size=2))
+    p = amb.uniform_dist(rng.normal(size=(amb.CHECK_MAX_SUPPORT, 2)),
+                         rng.integers(0, 2, size=amb.CHECK_MAX_SUPPORT))
+    (lhs, rhs), peak = traced_peak(lambda: amb.robust_risk_check(p, theta, 0.4))
+    assert abs(lhs - rhs) <= verification.LEMMA_TOLERANCE and peak < GRID_PEAK_BOUND, peak
 
 
 # ------------------------------------------- finite differences, bitwise
