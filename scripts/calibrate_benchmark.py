@@ -6,9 +6,10 @@ across seeds on the synthetic spurious benchmark with the minority group
 rotated at test time, then prints mean worst-group accuracy on the shifted
 test set with the margins of interest (hierarchical minus worst-group, and
 worst-group minus ERM). The data, the shift and the solver settings are
-those of configs/benchmark.json; the grid below sweeps the generator settings
-and the radius scale around them. Run it after changing the generator or
-solver if the benchmark margins need re-validating.
+those of configs/benchmark.json, and each cell is trained as `hierdro run`
+trains it; the grid below sweeps the generator settings and the radius scale
+around them. Run it after changing the generator or solver if the benchmark
+margins need re-validating.
 """
 
 import argparse
@@ -24,8 +25,7 @@ import numpy as np
 from hierdro import cli
 from hierdro.errors import DivergenceError
 from hierdro.evaluation import evaluate
-from hierdro.model import init_params
-from hierdro.solver import ERM, GROUP_DRO, HIERARCHICAL, train_lockstep
+from hierdro.solver import ERM, GROUP_DRO, HIERARCHICAL, MODES
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.json")
 
@@ -33,28 +33,24 @@ CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.jso
 def bench(config, s, sd, flip, rot, eps_scale, iterations, seeds):
     """The config's dataset with the given generator settings and rotation of
     its shift, trained with its solver settings for ``iterations`` steps:
-    every mode x seed cell as one row of a single lockstep run."""
+    every mode x seed cell trained as ``hierdro run`` trains it."""
     shift = dataclasses.replace(config.dataset.shifts[0], magnitude=rot)
     dataset = dataclasses.replace(config.dataset, spurious_strength=s, noise_sd=sd,
                                   label_flip_p=flip, shifts=(shift,))
-    data = cli._generate_datasets(dataclasses.replace(config, dataset=dataset))
-    train_ds, val_ds = data["train"], data["val"]
+    solver = dataclasses.replace(config.solver, iterations=iterations,
+                                 checkpoint_every=max(1, iterations // 10))
+    config = dataclasses.replace(config, dataset=dataset, solver=solver, modes=MODES,
+                                 seeds=tuple(seeds))
+    data = cli._generate_datasets(config)
+    train_ds = data["train"]
     eps = eps_scale * math.sqrt(int(train_ds.n_g.min()))
-    modes = (ERM, GROUP_DRO, HIERARCHICAL)
-    cells = [(mode, seed) for mode in modes for seed in seeds]
-    inits = [init_params(config.model, train_ds.d, 2, seed=seed) for _, seed in cells]
-    results = train_lockstep(
-        train_ds, val_ds, inits,
-        [dataclasses.replace(config.solver, mode=mode, seed=seed,
-                             epsilon=eps if mode == HIERARCHICAL else 0.0,
-                             iterations=iterations, checkpoint_every=max(1, iterations // 10))
-         for mode, seed in cells])
+    cells, results = cli.train_cells(config, train_ds, data["val"], eps)
     for result in results:
         if isinstance(result, DivergenceError):
             raise result
     rows = {}
-    for mode in modes:
-        done = [r for (m, _), r in zip(cells, results) if m == mode]
+    for mode in MODES:
+        done = [r for (m, _, _), r in zip(cells, results) if m == mode]
         orig_accs = [evaluate(r.best, data["test"], train_ds.alpha).worst_group_acc for r in done]
         shift_accs = [evaluate(r.best, data["test_shifted"], train_ds.alpha).worst_group_acc
                       for r in done]

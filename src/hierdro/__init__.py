@@ -51,7 +51,6 @@ from .model import (
 from .solver import (
     SolverConfig,
     TrainResult,
-    TrainState,
     train,
     train_lockstep,
     train_step,

@@ -281,6 +281,13 @@ def resolve_output_dir(config: ExperimentConfig, override: str | None = None) ->
     return out
 
 
+def _write_json(path: str, payload, allow_nan: bool = True) -> None:
+    """``payload`` as indented JSON with sorted keys and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=allow_nan)
+        fh.write("\n")
+
+
 # ---------------------------------------------------------------- generate
 
 
@@ -314,26 +321,12 @@ def cmd_generate(config: ExperimentConfig, output_dir: str) -> dict:
         path = os.path.join(output_dir, filename)
         datagen.save_csv(ds, path)
         summaries[name] = datagen.split_summary(ds, filename, path)
-    ds_block = config.dataset
-    manifest = datagen.generator_manifest(
-        params={
-            "n_per_group_train": list(ds_block.n_per_group_train),
-            "n_per_group_val": list(ds_block.n_per_group_val),
-            "n_per_group_test": list(ds_block.n_per_group_test),
-            "spurious_strength": ds_block.spurious_strength,
-            "noise_sd": ds_block.noise_sd,
-            "label_flip_p": ds_block.label_flip_p,
-            "seed": ds_block.seed,
-        },
-        splits=summaries,
-        shifts=list(ds_block.shifts),
-    )
+    params = dataclasses.asdict(config.dataset)
+    del params["shifts"], params["csv"]
+    manifest = datagen.generator_manifest(params, summaries, list(config.dataset.shifts))
     manifest["config_hash"] = config.hash
     manifest["seeds"] = list(config.seeds)
-    manifest_path = os.path.join(output_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(output_dir, "manifest.json"), manifest)
     return manifest
 
 
@@ -366,6 +359,23 @@ def _fmt(value: float) -> str:
     return "%.6f" % value
 
 
+def train_cells(config: ExperimentConfig, ds_train, ds_val, hierarchical_epsilon: float):
+    """Train every (mode, seed) cell of ``config`` in one lockstep run.
+
+    Returns the cells as ``(mode, eps, seed)``, mode by mode, and in the same
+    order each cell's ``TrainResult`` or the ``DivergenceError`` it raised.
+    """
+    cells = [(mode, hierarchical_epsilon if mode == HIERARCHICAL else 0.0, seed)
+             for mode in config.modes for seed in config.seeds]
+    inits = {seed: init_params(config.model, ds_train.d, ds_train.num_labels,
+                               seed=_init_seed(seed)) for seed in config.seeds}
+    results = solver.train_lockstep(
+        ds_train, ds_val, [inits[seed] for _, _, seed in cells],
+        [dataclasses.replace(config.solver, mode=mode, seed=seed, epsilon=eps)
+         for mode, eps, seed in cells])
+    return cells, results
+
+
 def cmd_run(config: ExperimentConfig, output_dir: str,
             hierarchical_epsilon: float | None = None) -> str:
     """Train every (mode, seed) cell in one lockstep run and write the results table.
@@ -375,24 +385,14 @@ def cmd_run(config: ExperimentConfig, output_dir: str,
     whole table.
     """
     data = _load_datasets(config)
-    ds_train, ds_val = data["train"], data["val"]
-    ds_test, ds_test_shifted = data["test"], data["test_shifted"]
+    ds_train = data["train"]
     weights = ds_train.alpha
     if hierarchical_epsilon is None:
         hierarchical_epsilon = config.solver.epsilon
-    mode_eps = [(mode, hierarchical_epsilon if mode == HIERARCHICAL else 0.0)
-                for mode in config.modes]
-
-    cells = [(mode, eps, seed) for mode, eps in mode_eps for seed in config.seeds]
-    inits = {seed: init_params(config.model, ds_train.d, ds_train.num_labels,
-                               seed=_init_seed(seed)) for seed in config.seeds}
-    results = solver.train_lockstep(
-        ds_train, ds_val, [inits[seed] for _, _, seed in cells],
-        [dataclasses.replace(config.solver, mode=mode, seed=seed, epsilon=eps)
-         for mode, eps, seed in cells])
+    cells, results = train_cells(config, ds_train, data["val"], hierarchical_epsilon)
 
     rows = []
-    by_mode: dict[str, list[tuple[float, float, float, float]]] = {}
+    by_mode: dict[tuple[str, float], list[tuple[float, float, float, float]]] = {}
     failures = []
     for (mode, eps, seed), result in zip(cells, results):
         run_dir = os.path.join(output_dir, "runs", f"{mode}_seed{seed}")
@@ -410,22 +410,15 @@ def cmd_run(config: ExperimentConfig, output_dir: str,
             # A diverged loss or norm is nan or inf, which JSON has no number for.
             snapshot = {key: str(v) if isinstance(v, float) and not math.isfinite(v) else v
                         for key, v in result.snapshot.items()}
-            with open(os.path.join(run_dir, "divergence.json"), "w", encoding="utf-8") as fh:
-                json.dump({"message": str(result), "snapshot": snapshot}, fh,
-                          indent=2, sort_keys=True, allow_nan=False)
-                fh.write("\n")
+            _write_json(os.path.join(run_dir, "divergence.json"),
+                        {"message": str(result), "snapshot": snapshot}, allow_nan=False)
             continue
-        orig = evaluate(result.best, ds_test, weights)
-        shift = evaluate(result.best, ds_test_shifted, weights)
-        rows.append((
-            MODE_LABELS[mode], str(seed), _fmt(eps),
-            _fmt(orig.worst_group_acc), _fmt(orig.avg_acc_weighted),
-            _fmt(shift.worst_group_acc), _fmt(shift.avg_acc_weighted),
-        ))
-        by_mode.setdefault(mode, []).append((
-            orig.worst_group_acc, orig.avg_acc_weighted,
-            shift.worst_group_acc, shift.avg_acc_weighted,
-        ))
+        orig = evaluate(result.best, data["test"], weights)
+        shift = evaluate(result.best, data["test_shifted"], weights)
+        scores = (orig.worst_group_acc, orig.avg_acc_weighted,
+                  shift.worst_group_acc, shift.avg_acc_weighted)
+        rows.append((MODE_LABELS[mode], str(seed), _fmt(eps), *map(_fmt, scores)))
+        by_mode.setdefault((mode, eps), []).append(scores)
         save_params(result.best, os.path.join(run_dir, "checkpoint_best.json"))
         save_params(result.final.theta, os.path.join(run_dir, "checkpoint_final.json"))
         solver.write_history_csv(
@@ -434,13 +427,9 @@ def cmd_run(config: ExperimentConfig, output_dir: str,
             header_comment=f"config_hash={config.hash} mode={mode} seed={seed}",
         )
 
-    for mode, eps in mode_eps:
-        scores = by_mode.get(mode, [])
-        if not scores:
-            continue
+    for (mode, eps), cell_scores in by_mode.items():
         summary = []
-        for j in range(4):
-            values = [c[j] for c in scores]
+        for values in zip(*cell_scores):
             mean = statistics.fmean(values)
             sd = statistics.stdev(values) if len(values) > 1 else 0.0
             summary.append(f"{mean:.4f}±{sd:.4f}")
@@ -483,9 +472,7 @@ def cmd_tune(config: ExperimentConfig, output_dir: str) -> str:
         "n_min": result.n_min,
     }
     path = os.path.join(output_dir, "tune_result.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
     return path
 
 
@@ -503,9 +490,7 @@ def cmd_verify(level: str, output_path: str | None) -> int:
         "checks": [r.as_dict() for r in results],
     }
     if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(output_path, report)
     return 0 if report["all_passed"] else 2
 
 
@@ -575,7 +560,7 @@ def main(argv=None) -> int:
                     raise ConfigError("give --epsilon or --tuned-epsilon-from, not both")
                 try:
                     with open(args.tuned_epsilon_from, "r", encoding="utf-8") as fh:
-                        epsilon = float(json.load(fh)["chosen_epsilon"])
+                        epsilon = _read(json.load(fh)["chosen_epsilon"], float, "chosen_epsilon")
                 except (OSError, KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"cannot read tuned epsilon: {exc}") from exc
             if epsilon is not None:

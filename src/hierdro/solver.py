@@ -28,19 +28,21 @@ perturbed latents through the hidden layer of an ``mlp1`` model, which is the
 gradient of the robust objective (see :mod:`model`); a step with a zero radius
 is ordinary backpropagation.
 
-Trajectories of one shape run in lockstep (:func:`train_lockstep`): their
-parameters are stacked as ``(R, K, d)``, ``beta`` as ``(R, m)``, and one
-:func:`train_step` advances all R rows with one set of numpy calls, apart
-from the latent ascent, which calls :func:`ambiguity.inner_maximize` once
-per row with a positive radius, as a lone run does.  Rows share the fields
-in ``SHARED`` and the architecture; mode, seed, radius, step sizes and
-initial model are set per row, and mode degeneracy becomes a per-row mask
-(a radius-0 row keeps ``z' = z``, an ERM row keeps ``beta``).
+Trajectories of one shape run in lockstep (:func:`train_lockstep`).  One
+:class:`Lockstep` holds their state: the parameters stacked as
+``(R, K, d)``, ``beta`` as ``(R, m)``, and each row's settings as arrays.
+One :func:`train_step` advances all R rows with one set of numpy calls,
+apart from the latent ascent, which calls :func:`ambiguity.inner_maximize`
+once per row with a positive radius, as a lone run does.  Rows share the
+fields in ``SHARED`` and the architecture; mode, seed, radius, step sizes
+and initial model are set per row, and mode degeneracy becomes a per-row
+mask (a radius-0 row keeps ``z' = z``, an ERM row keeps ``beta``).
 Each row draws from its own ``Generator`` in the order a lone run does, and
 rows with equal seeds share one stream and one gather.  A row that diverges
 is retired with its ``DivergenceError`` while the others go on.  Every row's
 result is bitwise the result of training it alone; :func:`train` is the
-one-row case.
+one-row case.  A result's ``final``, where its trajectory ended, is its
+last checkpoint.
 """
 
 from __future__ import annotations
@@ -134,23 +136,21 @@ class Checkpoint:
 
 
 @dataclass
-class TrainState:
-    """Where one trajectory ended: the last iterate, its ``beta``, the running average."""
-
-    theta: ModelParams
-    beta: np.ndarray
-    theta_bar: ModelParams
-    t: int = 0
-    history: list[Checkpoint] = field(default_factory=list)
-
-
-@dataclass
 class TrainResult:
+    """One trajectory's checkpoints and the one chosen among them.
+
+    ``final``, the last checkpoint, is where the trajectory ended: one is
+    always taken at the last iteration, or at ``t = 0`` when there are none.
+    """
+
     best: ModelParams
     best_iteration: int
     best_worst_val_acc: float
-    final: TrainState
     history: list[Checkpoint]
+
+    @property
+    def final(self) -> Checkpoint:
+        return self.history[-1]
 
 
 # The fields that set the shape of the loop: rows trained in lockstep share
@@ -159,15 +159,23 @@ SHARED = ("iterations", "checkpoint_every", "batch_size", "decay_steps", "sampli
 
 
 @dataclass
-class Rows:
-    """The per-row settings of trajectories that advance in lockstep, as arrays.
+class Lockstep:
+    """R trajectories of one shape advancing together, one row each, with their settings.
 
-    ``radii[r, g]`` is row ``r``'s ball radius for group ``g`` (zero unless
-    hierarchical); ERM rows have ``learns_beta`` false.  ``some_ascent``
-    says whether any row ascends and ``some_``/``all_learn`` whether any or
-    every row learns ``beta``, so that a step skips a phase no row needs.
+    Row ``i`` of ``theta``, ``beta`` and ``theta_bar`` (each with a leading
+    row axis) and of every per-row setting in ``ROWS`` is trajectory
+    ``ids[i]``, trained under ``configs[i]``.  ``radii[i, g]`` is its ball
+    radius for group ``g`` (zero unless hierarchical); ERM rows have
+    ``learns_beta`` false.  ``some_ascent`` says whether any row ascends and
+    ``some_``/``all_learn`` whether any or every row learns ``beta``, so that
+    a step skips a phase no row needs.  A row that diverges leaves every
+    array, and its error goes to ``failed`` under its id.
     """
 
+    theta: ModelParams
+    beta: np.ndarray
+    theta_bar: ModelParams
+    ids: np.ndarray
     configs: tuple[SolverConfig, ...]
     n_per_group: np.ndarray
     radii: np.ndarray
@@ -175,63 +183,21 @@ class Rows:
     eta_theta: np.ndarray
     adjustment: np.ndarray
     learns_beta: np.ndarray
-    index: np.ndarray
-    some_ascent: bool
-    some_learn: bool
-    all_learn: bool
-
-    @classmethod
-    def of(cls, configs, n_per_group: np.ndarray) -> Rows:
-        """Raises ``ParameterError`` unless the rows share the fields in ``SHARED``."""
-        configs = tuple(configs)
-        for name in SHARED:
-            values = {getattr(c, name) for c in configs}
-            if len(values) > 1:
-                raise ParameterError(
-                    f"rows trained in lockstep must share {name}, got {sorted(values, key=str)}")
-
-        def column(value, dtype=np.float64):
-            return np.array([value(c) for c in configs], dtype=dtype)
-
-        epsilon = column(lambda c: c.effective_epsilon)
-        radii = amb.radius(epsilon[:, None], np.asarray(n_per_group)[None, :])
-        learns_beta = column(lambda c: c.mode != ERM, bool)
-        return cls(
-            configs=configs, n_per_group=n_per_group, radii=radii,
-            eta_beta=column(lambda c: c.eta_beta),
-            eta_theta=column(lambda c: c.eta_theta),
-            adjustment=column(lambda c: c.adjustment),
-            learns_beta=learns_beta,
-            index=np.arange(len(configs)),
-            some_ascent=bool((radii > 0).any()),
-            some_learn=bool(learns_beta.any()), all_learn=bool(learns_beta.all()),
-        )
-
-    @property
-    def shared(self) -> SolverConfig:
-        return self.configs[0]
-
-    def take(self, keep: np.ndarray) -> Rows:
-        return Rows.of((self.configs[i] for i in keep), self.n_per_group)
-
-
-@dataclass
-class Lockstep:
-    """R trajectories of one shape advancing together, one row each.
-
-    Row ``i`` of ``theta``, ``beta`` and ``theta_bar`` (each with a leading
-    row axis) is trajectory ``ids[i]``, trained under ``rows.configs[i]``.
-    A row that diverges leaves every array, and its error goes to ``failed``
-    under its id.
-    """
-
-    theta: ModelParams
-    beta: np.ndarray
-    theta_bar: ModelParams
-    rows: Rows
-    ids: np.ndarray
     t: int = 0
     failed: dict[int, DivergenceError] = field(default_factory=dict)
+    index: np.ndarray = field(init=False)
+    some_ascent: bool = field(init=False)
+    some_learn: bool = field(init=False)
+    all_learn: bool = field(init=False)
+
+    # The arrays with one entry per row along their first axis, besides the models.
+    ROWS = ("beta", "ids", "radii", "eta_beta", "eta_theta", "adjustment", "learns_beta")
+
+    def __post_init__(self):
+        self.index = np.arange(self.ids.size)
+        self.some_ascent = bool((self.radii > 0).any())
+        self.some_learn = bool(self.learns_beta.any())
+        self.all_learn = bool(self.learns_beta.all())
 
     @classmethod
     def start(cls, inits, configs, ds_train: GroupedDataset) -> Lockstep:
@@ -240,22 +206,39 @@ class Lockstep:
         Raises ``ParameterError`` unless the rows share the fields in ``SHARED``
         and the models share one shape.
         """
-        rows = Rows.of(configs, ds_train.n_g)
-        if not rows.configs:
+        configs = tuple(configs)
+        for name in SHARED:
+            values = {getattr(c, name) for c in configs}
+            if len(values) > 1:
+                raise ParameterError(
+                    f"rows trained in lockstep must share {name}, got {sorted(values, key=str)}")
+        if not configs:
             raise ParameterError("lockstep training needs at least one row")
         theta = model.stack_params(inits)
-        if theta.w_out.shape[0] != len(rows.configs):
+        if theta.w_out.shape[0] != len(configs):
             raise ParameterError("lockstep training needs one initial model per row")
-        return cls(theta=theta, beta=np.tile(ds_train.alpha, (len(rows.configs), 1)),
-                   theta_bar=theta, rows=rows, ids=rows.index.copy())
+        epsilon = np.array([c.effective_epsilon for c in configs], float)
+        return cls(theta=theta, beta=np.tile(ds_train.alpha, (len(configs), 1)), theta_bar=theta,
+                   ids=np.arange(len(configs)), configs=configs, n_per_group=ds_train.n_g,
+                   radii=amb.radius(epsilon[:, None], ds_train.n_g[None, :]),
+                   eta_beta=np.array([c.eta_beta for c in configs], float),
+                   eta_theta=np.array([c.eta_theta for c in configs], float),
+                   adjustment=np.array([c.adjustment for c in configs], float),
+                   learns_beta=np.array([c.mode != ERM for c in configs]))
+
+    @property
+    def shared(self) -> SolverConfig:
+        """The config whose ``SHARED`` fields every row has."""
+        return self.configs[0]
 
     def retire(self, keep: np.ndarray) -> None:
-        """Keep only the rows at positions ``keep``."""
+        """Keep only the rows at positions ``keep``, in place."""
+        for name in self.ROWS:
+            setattr(self, name, getattr(self, name)[keep])
         self.theta = model.row_params(self.theta, keep)
         self.theta_bar = model.row_params(self.theta_bar, keep)
-        self.beta = self.beta[keep]
-        self.ids = self.ids[keep]
-        self.rows = self.rows.take(keep)
+        self.configs = tuple(self.configs[i] for i in keep)
+        self.__post_init__()
 
 
 class GroupSampler:
@@ -331,21 +314,20 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
     """One iteration of the three-coordinate update for every row; mutates and returns ``state``.
 
     A row whose batch loss or parameter gradient is not finite is retired
-    with the ``DivergenceError`` a one-row run raises; the other rows' results
-    do not depend on it.
+    from ``state`` with the ``DivergenceError`` a one-row run raises, in
+    ``state.failed``; the other rows' results do not depend on it.
     """
-    rows = state.rows
     g = batch.group
     t_next = state.t + 1
-    scale = 1.0 / math.sqrt(t_next) if rows.shared.decay_steps else 1.0
+    scale = 1.0 / math.sqrt(t_next) if state.shared.decay_steps else 1.0
     theta = state.theta
 
     z = model.latent(theta, batch.x)
     z_prime = z
-    if rows.some_ascent:
+    if state.some_ascent:
         # Row by row, as a lone run ascends; a row with radius zero keeps z' = z.
         # Row i of ``z`` and ``y`` is ``[i % len]``: they have R rows or one shared row.
-        eps_g = rows.radii[rows.index, g].tolist()
+        eps_g = state.radii[state.index, g].tolist()
         z_prime = np.empty((len(eps_g),) + z.shape[1:])
         for i, eps in enumerate(eps_g):
             z_i, y_i = z[i % len(z)], batch.y[i % len(batch.y)]
@@ -356,15 +338,15 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
     mean_loss = np.add.reduce(losses, -1) / losses.shape[-1]    # losses.mean(-1), bitwise
     finite = np.isfinite(mean_loss)
     all_finite = finite.all()
-    if rows.some_learn:
+    if state.some_learn:
         loss = mean_loss if all_finite else np.where(finite, mean_loss, 0.0)
-        beta = update_beta(state.beta, g, loss, rows.eta_beta * scale, rows.adjustment,
-                           rows.n_per_group[g])
-        state.beta = beta if rows.all_learn else np.where(
-            rows.learns_beta[:, None], beta, state.beta)
+        beta = update_beta(state.beta, g, loss, state.eta_beta * scale, state.adjustment,
+                           state.n_per_group[g])
+        state.beta = beta if state.all_learn else np.where(
+            state.learns_beta[:, None], beta, state.beta)
 
     grads_finite = model.grads_finite(grads)
-    state.theta = model.sgd_step(theta, grads, rows.eta_theta * scale * state.beta[rows.index, g])
+    state.theta = model.sgd_step(theta, grads, state.eta_theta * scale * state.beta[state.index, g])
     state.t = t_next
     state.theta_bar = model.average_params(state.theta_bar, state.theta, t_next)
     if not (all_finite and grads_finite.all()):
@@ -440,9 +422,9 @@ def train_lockstep(
         raise InvalidDatasetError(f"training groups {empty} are empty")
 
     state = Lockstep.start(inits, configs, ds_train)
-    shared = state.rows.shared
+    shared = state.shared
     sampler = GroupSampler(ds_train, shared)
-    seeds = [c.seed for c in state.rows.configs]
+    seeds = [c.seed for c in state.configs]
     rngs = {seed: np.random.default_rng(seed) for seed in seeds}
     weights = ds_train.alpha.copy()
     histories = [[] for _ in seeds]
@@ -462,16 +444,10 @@ def train_lockstep(
 
     results = [state.failed.get(k) for k in range(len(seeds))]
     for i, k in enumerate(state.ids):
-        history = histories[k]
-        if not history:
-            history.append(_record_checkpoint(state, i, ds_train, ds_val, weights))
+        history = histories[k] or [_record_checkpoint(state, i, ds_train, ds_val, weights)]
         best = max(history, key=lambda cp: (cp.worst_val_acc, -cp.iteration))
-        final = TrainState(theta=model.row_params(state.theta, i), beta=state.beta[i],
-                           theta_bar=model.row_params(state.theta_bar, i), t=state.t,
-                           history=history)
         results[k] = TrainResult(best=best.theta, best_iteration=best.iteration,
-                                 best_worst_val_acc=best.worst_val_acc, final=final,
-                                 history=history)
+                                 best_worst_val_acc=best.worst_val_acc, history=history)
     return results
 
 

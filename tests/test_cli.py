@@ -582,6 +582,20 @@ def test_run_refuses_two_radius_flags_and_a_bad_tune_result(tmp_path, capsys):
         assert err.startswith("error: cannot read tuned epsilon") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("chosen", [True, "0.5"])
+def test_run_refuses_a_tuned_epsilon_that_is_not_a_json_number(tmp_path, capsys, chosen):
+    # ``float()`` accepted both: ``true`` trained the hierarchical cells at 1.0.
+    cfg = write_config(tmp_path, base_config(tmp_path))
+    tune_path = tmp_path / "tune_result.json"
+    tune_path.write_text(json.dumps({"chosen_epsilon": chosen}))
+    capsys.readouterr()
+    assert cli.main(["run", "--config", cfg, "--tuned-epsilon-from", str(tune_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot read tuned epsilon: chosen_epsilon: expected float")
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_radius_or_step_is_refused_at_load(tmp_path, capsys, value):
     # Each of these used to train the hierarchical rows bitwise as group DRO.

@@ -5,13 +5,16 @@ parity_pair.py's comparison and line count on hand-made directories."""
 
 import importlib.util
 import json
+import math
 import os
+import statistics
 import subprocess
 import sys
 
 import pytest
 
-from hierdro import convergence
+from hierdro import cli, convergence
+from hierdro.solver import MODE_LABELS
 from test_cli import base_config, write_config
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -53,6 +56,30 @@ def test_run_benchmark_script_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Hierarchical" in proc.stdout
     assert json.loads((tmp_path / "out" / "tune_result.json").read_text())["chosen_epsilon"] > 0
+
+
+def test_calibrate_trains_the_cells_run_trains(tmp_path):
+    """calibrate_benchmark.py's worst-group means, shifted and not, are
+    those of the per-seed rows of ``results.csv`` for the same config."""
+    raw = base_config(tmp_path)
+    raw["solver"]["checkpoint_every"] = raw["solver"]["iterations"] // 10
+    cfg = write_config(tmp_path, raw)
+    config = cli.load_config(cfg)
+    eps_scale = 0.2
+    eps = eps_scale * math.sqrt(min(config.dataset.n_per_group_train))
+    assert cli.main(["run", "--config", cfg, "--epsilon", repr(eps)]) == 0
+    lines = (tmp_path / "out" / "results.csv").read_text().splitlines()[2:]
+    cells = [line.split(",") for line in lines if ",summary," not in line]
+    ds = config.dataset
+    means = load_script("calibrate_benchmark").bench(
+        config, ds.spurious_strength, ds.noise_sd, ds.label_flip_p, ds.shifts[0].magnitude,
+        eps_scale, config.solver.iterations, list(config.seeds))
+    for mode, label in MODE_LABELS.items():
+        rows = [cell for cell in cells if cell[0] == label]
+        assert len(rows) == len(config.seeds)
+        for column, mean in ((3, means[mode][0]), (5, means[mode][1])):
+            assert statistics.fmean(float(row[column]) for row in rows) == \
+                pytest.approx(mean, abs=1e-6)
 
 
 def load_script(name):

@@ -203,7 +203,7 @@ def test_train_zero_iterations_returns_initial_state():
     result = train(ds, ds, theta0, base_config(iterations=0))
     assert model.params_equal(result.final.theta, theta0)
     assert model.params_equal(result.best, theta0)
-    assert result.final.t == 0
+    assert result.final.iteration == 0
 
 
 def test_train_rejects_empty_groups():
@@ -339,7 +339,7 @@ def assert_same_result(a, b):
         assert model.params_equal(cp_a.theta_bar, cp_b.theta_bar)
     assert model.params_equal(a.final.theta, b.final.theta)
     np.testing.assert_array_equal(a.final.beta, b.final.beta)
-    assert a.final.t == b.final.t
+    assert a.final.iteration == b.final.iteration
 
 
 row_settings = st.fixed_dictionaries({
@@ -379,20 +379,44 @@ def test_lockstep_rows_equal_solo_runs_bitwise(rows, architecture, num_labels, d
 
 
 def test_lockstep_retires_a_diverged_row_and_keeps_the_others():
+    """The diverging row goes first, in the middle or last; every survivor
+    differs from the others in each per-row setting, so a setting that
+    retirement leaves unaligned changes some survivor's result.  With one
+    seed and one initial model for every row, the rows share one random
+    stream and one batch, and retirement keeps them sharing it."""
     ds = small_ds()
-    theta0 = init_params(ModelSpec(LINEAR), ds.d, 2, seed=3)
-    configs = [base_config(mode=ERM, iterations=60, checkpoint_every=20),
-               base_config(mode=ERM, iterations=60, checkpoint_every=20, eta_theta=1e308),
-               base_config(iterations=60, checkpoint_every=20)]
-    with np.errstate(all="ignore"):
-        together = train_lockstep(ds, ds, [theta0] * 3, configs)
-        with pytest.raises(DivergenceError) as solo_error:
-            train(ds, ds, theta0, configs[1])
-    assert isinstance(together[1], DivergenceError)
-    assert str(together[1]) == str(solo_error.value)
-    assert together[1].snapshot.keys() == solo_error.value.snapshot.keys()
-    for k in (0, 2):
-        assert_same_result(together[k], train(ds, ds, theta0, configs[k]))
+    shape = dict(iterations=60, checkpoint_every=20)
+    survivors = [
+        (dict(mode=ERM, eta_theta=0.2, seed=1), 3),
+        (dict(eta_beta=0.3, eta_theta=0.05, adjustment=0.0, epsilon=2.0, seed=2), 4),
+        (dict(mode=GROUP_DRO, eta_beta=0.05, adjustment=2.0, seed=3), 5),
+        (dict(epsilon=0.5, eta_beta=0.2, eta_theta=0.15, adjustment=0.5, seed=4), 6),
+    ]
+    diverging = (dict(mode=ERM, eta_theta=1e308, seed=5), 7)
+    for architecture, shared_stream in ((MLP1, False), (LINEAR, False), (MLP1, True),
+                                        (LINEAR, True)):
+        spec = ModelSpec(architecture, hidden_width=4)
+
+        def row(overrides, init_seed):
+            if shared_stream:
+                overrides, init_seed = dict(overrides, seed=3), 3
+            return base_config(**overrides, **shape), init_params(spec, ds.d, 2, seed=init_seed)
+
+        kept = [row(*s) for s in survivors]
+        bad_config, bad_init = row(*diverging)
+        solo = [train(ds, ds, init, config) for config, init in kept]
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as solo_error:
+            train(ds, ds, bad_init, bad_config)
+        for at in (0, 2, len(kept)):
+            rows = kept[:at] + [(bad_config, bad_init)] + kept[at:]
+            with np.errstate(all="ignore"):
+                together = train_lockstep(ds, ds, [init for _, init in rows],
+                                          [config for config, _ in rows])
+            assert isinstance(together[at], DivergenceError)
+            assert str(together[at]) == str(solo_error.value)
+            assert together[at].snapshot.keys() == solo_error.value.snapshot.keys()
+            for result, expected in zip(together[:at] + together[at + 1:], solo):
+                assert_same_result(result, expected)
 
 
 @pytest.mark.parametrize("field_name,value", [
