@@ -7,7 +7,9 @@ The parent is exported with ``git archive`` into a temporary directory.  In
 each tree this runs, with that tree's ``src`` on ``PYTHONPATH``:
 
 * ``generate -> tune -> run --tuned-epsilon-from`` on the base config of
-  ``tests/test_cli.py``;
+  ``tests/test_cli.py``, and on the same config with
+  ``solver.architecture: "mlp1"``, whose tuning trains the ERM warm-up
+  (a linear model's tuning orders on its raw features and trains none);
 * the same on the ``configs/benchmark.json`` dataset block, shortened to
   1k tuning and warm-up steps and 500 run steps with a checkpoint every 50,
   seeds 11-15;
@@ -93,7 +95,7 @@ def source_lines(tree: str) -> int:
 
 
 def configs(out: str) -> dict:
-    """The two pipeline configs, by name, written under ``out``."""
+    """The three pipeline configs, by name, written under ``out``."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
     from test_cli import base_config
 
@@ -102,8 +104,11 @@ def configs(out: str) -> dict:
     bench["seeds"] = [11, 12, 13, 14, 15]
     bench["solver"].update(iterations=500, checkpoint_every=50)
     bench["tuning"].update(iterations=1000, warmup_iterations=1000)
+    mlp1 = base_config(pathlib.Path(out))
+    mlp1["solver"]["architecture"] = "mlp1"
     paths = {}
-    for name, raw in (("test_cli", base_config(pathlib.Path(out))), ("benchmark", bench)):
+    for name, raw in (("test_cli", base_config(pathlib.Path(out))), ("test_cli_mlp1", mlp1),
+                      ("benchmark", bench)):
         raw["output_dir"] = name
         paths[name] = os.path.join(out, f"{name}.json")
         with open(paths[name], "w", encoding="utf-8") as fh:

@@ -232,42 +232,31 @@ def taylor_gap(theta: ModelParams, z: np.ndarray, y: int, eps: float) -> float:
 
 @dataclass(frozen=True)
 class DiscreteDist:
-    """Finite distribution over (latent point, label) atoms; oracle scale only."""
+    """Empirical distribution over (latent point, label) atoms, each of mass
+    ``1 / support_size``; oracle scale only."""
 
     points: np.ndarray
     labels: np.ndarray
-    masses: np.ndarray
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
-        masses = np.asarray(self.masses, dtype=np.float64)
         if points.ndim != 2 or points.shape[0] == 0:
             raise ParameterError("points must be a nonempty (N, dim) matrix")
-        if labels.shape != (points.shape[0],) or masses.shape != (points.shape[0],):
-            raise ParameterError("labels/masses must have one entry per atom")
-        if np.any(masses <= 0) or abs(masses.sum() - 1.0) > 1e-12:
-            raise ParameterError("masses must be positive and sum to one")
+        if labels.shape != (points.shape[0],):
+            raise ParameterError("labels must have one entry per atom")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "masses", masses)
 
     @property
     def support_size(self) -> int:
         return self.points.shape[0]
 
 
-def uniform_dist(points, labels) -> DiscreteDist:
-    n = len(points)
-    return DiscreteDist(points, labels, np.full(n, 1.0 / n))
-
-
-def _require_equal_mass(dist: DiscreteDist, limit: int) -> None:
+def _require_support_within(dist: DiscreteDist, limit: int) -> None:
     n = dist.support_size
     if n > limit:
         raise UnsupportedInstanceError(f"oracle supports at most {limit} atoms, got {n}")
-    if np.any(np.abs(dist.masses - 1.0 / n) > 1e-12):
-        raise UnsupportedInstanceError("oracle requires equal-mass empirical distributions")
 
 
 def _has_perfect_matching(adjacency: np.ndarray) -> bool:
@@ -295,8 +284,8 @@ def w_infty_exact(p: DiscreteDist, q: DiscreteDist) -> float:
     matching of atoms exists, found by binary search over the sorted distinct
     finite costs.  Returns ``inf`` when the label multisets differ.
     """
-    _require_equal_mass(p, ORACLE_MAX_SUPPORT)
-    _require_equal_mass(q, ORACLE_MAX_SUPPORT)
+    _require_support_within(p, ORACLE_MAX_SUPPORT)
+    _require_support_within(q, ORACLE_MAX_SUPPORT)
     if p.support_size != q.support_size:
         raise UnsupportedInstanceError("oracle requires equal support sizes")
 
@@ -327,7 +316,7 @@ def robust_risk_check(p: DiscreteDist, theta: ModelParams, eps: float):
     """
     if eps < 0:
         raise ParameterError("eps must be nonnegative")
-    _require_equal_mass(p, CHECK_MAX_SUPPORT)
+    _require_support_within(p, CHECK_MAX_SUPPORT)
     if p.points.shape[1] > 2:
         raise UnsupportedInstanceError("risk check supports latent dimension <= 2")
 
@@ -340,8 +329,8 @@ def robust_risk_check(p: DiscreteDist, theta: ModelParams, eps: float):
         sup_values.append(sup)
         arg_points.append(point.copy())
 
-    lhs = float(np.dot(p.masses, sup_values))
-    displaced = DiscreteDist(np.asarray(arg_points), p.labels.copy(), p.masses.copy())
+    lhs = float(np.mean(sup_values))
+    displaced = DiscreteDist(np.asarray(arg_points), p.labels.copy())
     transport = w_infty_exact(displaced, p)
     if transport > eps * (1.0 + 1e-9) + 1e-12:
         raise AssertionError(
@@ -352,7 +341,7 @@ def robust_risk_check(p: DiscreteDist, theta: ModelParams, eps: float):
                                   int(displaced.labels[i])))
         for i in range(displaced.support_size)
     ]
-    rhs = float(np.dot(displaced.masses, rhs_losses))
+    rhs = float(np.mean(rhs_losses))
     return lhs, rhs
 
 

@@ -66,8 +66,8 @@ class CsvFiles:
     test_shifted: str | None = None    # the unshifted test file when absent
 
     def __post_init__(self):
-        for path in (self.train, self.val, self.test):
-            if not os.path.exists(path):
+        for path in (self.train, self.val, self.test, self.test_shifted):
+            if path is not None and not os.path.exists(path):
                 raise ParameterError(f"file not found: {path!r}")
 
 
@@ -247,8 +247,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     template = _build(SolverConfig, "solver", mode=HIERARCHICAL, seed=seeds[0],
                       **_only(SolverConfig, sv))
     model = _build(ModelSpec, "solver", **_only(ModelSpec, sv))
-    tune_solver = _build(dataclasses.replace, "tuning", template,
-                         iterations=tn.get("iterations") or template.iterations)
+    tune_iterations = tn.get("iterations")
+    tune_solver = _build(dataclasses.replace, "tuning", template, iterations=(
+        template.iterations if tune_iterations is None else tune_iterations))
     tune = _build(TuneConfig, "tuning", solver=tune_solver, model=model, ordering_seed=seeds[0],
                   **_only(TuneConfig, tn))
     return ExperimentConfig(

@@ -9,7 +9,9 @@ setups) wins; ties go to the smaller scale.
 
 The projection is the leading principal component, by power iteration, of
 what ``TuneConfig.order_on`` names: the latents of a short ERM warm-up model
-(``"latents"``, the default) or the raw features (``"raw"``).
+(``"latents"``, the default) or the raw features (``"raw"``).  A linear
+model's latents are its raw features, so for ``linear`` the two agree and no
+warm-up trains: ``warmup_iterations`` matters only for ``mlp1``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from . import evaluation, solver
 from .datagen import GroupedDataset
 from .errors import DivergenceError, InvalidDatasetError, ParameterError, TuningInfeasibleError
-from .model import ModelSpec, init_params, latent
+from .model import LINEAR, ModelSpec, init_params, latent
 from .solver import ERM, HIERARCHICAL, SolverConfig
 
 # Candidate scales; each is multiplied by sqrt(min group size) to obtain the
@@ -129,6 +131,9 @@ class TuneConfig:
             raise ParameterError("aggregation must be 'mean' or 'min'")
         if self.order_on not in ("latents", "raw"):
             raise ParameterError("order_on must be 'latents' or 'raw'")
+        if self.warmup_iterations < 0:
+            raise ParameterError(
+                f"warmup_iterations must be nonnegative, got {self.warmup_iterations}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +154,7 @@ def minority_group(ds: GroupedDataset) -> int:
 
 
 def _ordering_features(ds: GroupedDataset, cfg: TuneConfig) -> np.ndarray:
-    if cfg.order_on == "raw":
+    if cfg.order_on == "raw" or cfg.model.architecture == LINEAR:
         return ds.features
     warm_cfg = replace(
         cfg.solver, mode=ERM, epsilon=0.0, iterations=cfg.warmup_iterations,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ambiguity as amb
 from . import convergence, model, solver
-from .ambiguity import DiscreteDist, uniform_dist
+from .ambiguity import DiscreteDist
 from .datagen import make_spurious
 from .model import LINEAR, MLP1, ModelParams, ModelSpec, init_params
 from .solver import ERM, GROUP_DRO, HIERARCHICAL, GroupSampler, SolverConfig
@@ -315,7 +315,7 @@ def check_lemma_oracle(n_cases: int = 20, seed: int = 4, tolerance: float = LEMM
         theta, _, _ = _random_binary_linear(rng)
         points = rng.normal(size=(4, 2))
         labels = rng.integers(0, 2, size=4)
-        dist = uniform_dist(points, labels)
+        dist = DiscreteDist(points, labels)
         eps = float(rng.uniform(0.1, 0.5))
         lhs, rhs = amb.robust_risk_check(dist, theta, eps)
         worst = max(worst, abs(lhs - rhs))
@@ -358,7 +358,7 @@ def check_taylor_scaling(
 
 def _random_same_label_dists(rng, n_atoms: int, dim: int = 2):
     labels = np.sort(rng.integers(0, 2, size=n_atoms))
-    make = lambda: uniform_dist(rng.normal(size=(n_atoms, dim)), labels)
+    make = lambda: DiscreteDist(rng.normal(size=(n_atoms, dim)), labels)
     return make(), make(), make()
 
 
@@ -380,7 +380,7 @@ def check_wasserstein_axioms(n_triples: int = 100, seed: int = 6,
         worst_symmetry = max(worst_symmetry, abs(d_pq - d_qp))
         worst_triangle = max(worst_triangle, d_pr - (d_pq + d_qr))
         ok = ok and amb.w_infty_exact(p, p) == 0.0
-        flipped = DiscreteDist(q.points, 1 - q.labels, q.masses)
+        flipped = DiscreteDist(q.points, 1 - q.labels)
         if not amb.all_label_matchings_finite(p, flipped):
             ok = ok and math.isinf(amb.w_infty_exact(p, flipped))
     ok = ok and worst_symmetry <= tolerance and worst_triangle <= tolerance

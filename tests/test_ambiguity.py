@@ -14,7 +14,6 @@ from hierdro.ambiguity import (
     radius,
     robust_risk_check,
     taylor_gap,
-    uniform_dist,
     w_infty_exact,
 )
 from hierdro.errors import ParameterError, UnsupportedInstanceError
@@ -359,19 +358,19 @@ def brute_force_bottleneck(p, q):
 
 def test_w_infty_identity():
     rng = np.random.default_rng(5)
-    p = uniform_dist(rng.normal(size=(4, 2)), [0, 0, 1, 1])
+    p = DiscreteDist(rng.normal(size=(4, 2)), [0, 0, 1, 1])
     assert w_infty_exact(p, p) == 0.0
 
 
 def test_w_infty_single_atoms():
-    p = uniform_dist(np.array([[0.0]]), [1])
-    q = uniform_dist(np.array([[1.0]]), [1])
+    p = DiscreteDist(np.array([[0.0]]), [1])
+    q = DiscreteDist(np.array([[1.0]]), [1])
     assert w_infty_exact(p, q) == 1.0
 
 
 def test_w_infty_disjoint_labels_infinite():
-    p = uniform_dist(np.zeros((2, 2)), [0, 0])
-    q = uniform_dist(np.zeros((2, 2)), [1, 1])
+    p = DiscreteDist(np.zeros((2, 2)), [0, 0])
+    q = DiscreteDist(np.zeros((2, 2)), [1, 1])
     assert math.isinf(w_infty_exact(p, q))
 
 
@@ -381,8 +380,8 @@ def test_w_infty_against_enumeration():
         n = int(rng.integers(1, 7))
         labels_p = rng.integers(0, 2, size=n)
         labels_q = rng.permutation(labels_p) if rng.random() < 0.8 else rng.integers(0, 2, size=n)
-        p = uniform_dist(rng.normal(size=(n, 2)), labels_p)
-        q = uniform_dist(rng.normal(size=(n, 2)), labels_q)
+        p = DiscreteDist(rng.normal(size=(n, 2)), labels_p)
+        q = DiscreteDist(rng.normal(size=(n, 2)), labels_q)
         got = w_infty_exact(p, q)
         want = brute_force_bottleneck(p, q)
         if math.isinf(want):
@@ -397,40 +396,37 @@ def test_w_infty_metric_axioms():
     for _ in range(100):
         n = int(rng.integers(2, 6))
         labels = np.sort(rng.integers(0, 2, size=n))
-        p = uniform_dist(rng.normal(size=(n, 2)), labels)
-        q = uniform_dist(rng.normal(size=(n, 2)), labels)
-        r = uniform_dist(rng.normal(size=(n, 2)), labels)
+        p = DiscreteDist(rng.normal(size=(n, 2)), labels)
+        q = DiscreteDist(rng.normal(size=(n, 2)), labels)
+        r = DiscreteDist(rng.normal(size=(n, 2)), labels)
         d_pq, d_qp = w_infty_exact(p, q), w_infty_exact(q, p)
         assert abs(d_pq - d_qp) <= 1e-12
         assert w_infty_exact(p, r) <= d_pq + w_infty_exact(q, r) + 1e-12
 
 
 def test_w_infty_zero_only_for_equal_multisets():
-    p = uniform_dist(np.array([[0.0, 0.0], [1.0, 1.0]]), [0, 1])
-    q = uniform_dist(np.array([[1.0, 1.0], [0.0, 0.0]]), [1, 0])
+    p = DiscreteDist(np.array([[0.0, 0.0], [1.0, 1.0]]), [0, 1])
+    q = DiscreteDist(np.array([[1.0, 1.0], [0.0, 0.0]]), [1, 0])
     assert w_infty_exact(p, q) == 0.0
-    shifted = uniform_dist(np.array([[0.0, 0.1], [1.0, 1.0]]), [0, 1])
+    shifted = DiscreteDist(np.array([[0.0, 0.1], [1.0, 1.0]]), [0, 1])
     assert w_infty_exact(p, shifted) > 0.0
 
 
 def test_w_infty_unsupported_instances():
-    p = uniform_dist(np.zeros((2, 2)), [0, 1])
-    q = uniform_dist(np.zeros((3, 2)), [0, 1, 1])
+    p = DiscreteDist(np.zeros((2, 2)), [0, 1])
+    q = DiscreteDist(np.zeros((3, 2)), [0, 1, 1])
     with pytest.raises(UnsupportedInstanceError):
         w_infty_exact(p, q)
-    unequal = DiscreteDist(np.zeros((2, 2)), np.array([0, 1]), np.array([0.3, 0.7]))
-    with pytest.raises(UnsupportedInstanceError):
-        w_infty_exact(unequal, p)
-    big = uniform_dist(np.zeros((9, 2)), np.zeros(9, dtype=int))
+    big = DiscreteDist(np.zeros((9, 2)), np.zeros(9, dtype=int))
     with pytest.raises(UnsupportedInstanceError):
         w_infty_exact(big, big)
 
 
 def test_discrete_dist_validation():
     with pytest.raises(ParameterError):
-        DiscreteDist(np.zeros((2, 2)), np.array([0, 1]), np.array([0.5, 0.6]))
-    with pytest.raises(ParameterError):
-        DiscreteDist(np.zeros((0, 2)), np.array([]), np.array([]))
+        DiscreteDist(np.zeros((0, 2)), np.array([]))
+    with pytest.raises(ParameterError, match="one entry per atom"):
+        DiscreteDist(np.zeros((3, 2)), np.array([0, 1]))
 
 
 # ------------------------------------------------------- robust risk check
@@ -439,7 +435,7 @@ def test_discrete_dist_validation():
 def test_robust_risk_check_zero_radius():
     rng = np.random.default_rng(8)
     theta = ModelParams(w_out=rng.normal(size=(2, 2)), b_out=rng.normal(size=2))
-    p = uniform_dist(rng.normal(size=(3, 2)), [0, 1, 1])
+    p = DiscreteDist(rng.normal(size=(3, 2)), [0, 1, 1])
     lhs, rhs = robust_risk_check(p, theta, 0.0)
     plain = np.mean([loss_at(theta, p.points[i], int(p.labels[i])) for i in range(3)])
     assert abs(lhs - plain) < 1e-12 and abs(rhs - plain) < 1e-12
@@ -448,7 +444,7 @@ def test_robust_risk_check_zero_radius():
 def test_robust_risk_check_single_atom_equals_ball_supremum():
     theta = binary_theta([1.0, -0.4], 0.2)
     z = np.array([0.5, 0.5])
-    p = uniform_dist(z[None, :], [1])
+    p = DiscreteDist(z[None, :], [1])
     eps = 0.3
     lhs, rhs = robust_risk_check(p, theta, eps)
     sup = amb.ball_supremum(theta, z, 1, eps)
@@ -459,7 +455,7 @@ def test_robust_risk_check_four_atoms_agrees():
     rng = np.random.default_rng(9)
     for _ in range(5):
         theta = ModelParams(w_out=rng.normal(size=(2, 2)), b_out=rng.normal(size=2))
-        p = uniform_dist(rng.normal(size=(4, 2)), rng.integers(0, 2, size=4))
+        p = DiscreteDist(rng.normal(size=(4, 2)), rng.integers(0, 2, size=4))
         eps = float(rng.uniform(0.1, 0.5))
         lhs, rhs = robust_risk_check(p, theta, eps)
         assert abs(lhs - rhs) <= 1e-3
@@ -476,10 +472,10 @@ def test_robust_risk_check_four_atoms_agrees():
 
 def test_robust_risk_check_rejects_big_instances():
     theta = binary_theta([1.0, 0.0])
-    big = uniform_dist(np.zeros((7, 2)), np.zeros(7, dtype=int))
+    big = DiscreteDist(np.zeros((7, 2)), np.zeros(7, dtype=int))
     with pytest.raises(UnsupportedInstanceError):
         robust_risk_check(big, theta, 0.1)
-    wide = uniform_dist(np.zeros((2, 3)), [0, 1])
+    wide = DiscreteDist(np.zeros((2, 3)), [0, 1])
     with pytest.raises(UnsupportedInstanceError):
         robust_risk_check(wide, ModelParams(w_out=np.zeros((2, 3)), b_out=np.zeros(2)), 0.1)
 

@@ -470,12 +470,37 @@ def test_every_config_key_refuses_a_wrong_type(tmp_path, capsys, block, key, kin
     ("tuning", "grid_scale", "ab"),
     ("dataset", "n_per_group_train", ["a", 20, 15, 60]),
     ("tuning", "aggregation", "median"),
+    # Read only for mlp1, so a linear config would accept it silently.
+    ("tuning", "warmup_iterations", -5),
 ])
 def test_config_values_that_used_to_pass_or_crash(tmp_path, capsys, block, key, value):
     raw = base_config(tmp_path)
     raw[block][key] = value
-    name = "tuning: aggregation" if value == "median" else f"{block}.{key}"
+    name = f"tuning: {key}" if key in ("aggregation", "warmup_iterations") else f"{block}.{key}"
     assert_refused(tmp_path, capsys, raw, name)
+
+
+@pytest.mark.parametrize("value,iterations", [(0, 0), (None, 150), ("absent", 150)])
+def test_tuning_iterations_fall_back_only_when_unset(tmp_path, value, iterations):
+    """``tuning.iterations: 0`` trains 0 steps; only null or an absent key
+    takes the solver's 150."""
+    raw = base_config(tmp_path)
+    if value == "absent":
+        del raw["tuning"]["iterations"]
+    else:
+        raw["tuning"]["iterations"] = value
+    assert cli.validate_config(raw).tune.solver.iterations == iterations
+
+
+def test_a_missing_shifted_test_file_is_refused_at_load(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config(tmp_path))
+    out = tmp_path / "out"
+    cli.main(["generate", "--config", cfg])
+    raw = base_config(tmp_path, output_dir=str(tmp_path / "csv_out"))
+    raw["dataset"]["csv"] = {split: str(out / f"{split}.csv") for split in ("train", "val", "test")}
+    raw["dataset"]["csv"]["test_shifted"] = str(tmp_path / "missing.csv")
+    assert_refused(tmp_path, capsys, raw, "dataset.csv: file not found")
+    assert cli.main(["tune", "--config", write_config(tmp_path, raw, "csv.json")]) == 1
 
 
 @pytest.mark.parametrize("block,key,value", [

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,9 +195,26 @@ def test_tune_refuses_an_overflowing_candidate_before_training(monkeypatch):
 
 
 def test_tune_raw_ordering_flag():
+    """A linear model's latents are its raw features: both orderings tune
+    bitwise alike."""
     ds = make_spurious((40, 20, 15, 40), 0.6, 0.5, 0.15, seed=12)
     cfg = tune_config()
-    raw_cfg = TuneConfig(solver=cfg.solver, model=cfg.model, order_on="raw",
-                         warmup_iterations=cfg.warmup_iterations)
-    result = tune_epsilon(ds, [0.2], raw_cfg)
-    assert result.chosen_scale == 0.2
+    latents = tune_epsilon(ds, [0.1, 0.3], cfg)
+    raw = tune_epsilon(ds, [0.1, 0.3], replace(cfg, order_on="raw"))
+    assert cfg.order_on == "latents"
+    np.testing.assert_array_equal(latents.table, raw.table)
+    assert latents.chosen_epsilon == raw.chosen_epsilon
+
+
+@pytest.mark.parametrize("architecture,warmups", [("linear", 0), ("mlp1", 1)])
+def test_only_an_mlp1_ordering_trains_a_warmup(monkeypatch, architecture, warmups):
+    """A linear model's latents are its raw features, so ordering on them
+    trains nothing; an ``mlp1`` ordering trains one ERM warm-up."""
+    ds = make_spurious((40, 20, 15, 40), 0.6, 0.5, 0.15, seed=13)
+    cfg = tune_config()
+    calls = []
+    train = solver.train
+    monkeypatch.setattr(solver, "train", lambda *a, **k: calls.append(a) or train(*a, **k))
+    tune_epsilon(ds, [0.2], replace(cfg, model=ModelSpec(architecture, hidden_width=4)))
+    assert len(calls) == warmups
+

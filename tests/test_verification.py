@@ -50,7 +50,7 @@ def test_grid_oracles_run_in_bounded_memory():
     assert result.passed and peak < GRID_PEAK_BOUND, peak
     rng = np.random.default_rng(7)
     theta = model.ModelParams(w_out=rng.normal(size=(2, 2)), b_out=rng.normal(size=2))
-    p = amb.uniform_dist(rng.normal(size=(amb.CHECK_MAX_SUPPORT, 2)),
+    p = amb.DiscreteDist(rng.normal(size=(amb.CHECK_MAX_SUPPORT, 2)),
                          rng.integers(0, 2, size=amb.CHECK_MAX_SUPPORT))
     (lhs, rhs), peak = traced_peak(lambda: amb.robust_risk_check(p, theta, 0.4))
     assert abs(lhs - rhs) <= verification.LEMMA_TOLERANCE and peak < GRID_PEAK_BOUND, peak
