@@ -11,10 +11,11 @@ both sides alike.  The parent is exported with ``git archive`` into a
 temporary directory, which is removed afterwards.  Each side gets one
 ``BENCH_<label>.json`` in ``--out-dir``: per workload, the median of
 ``setup_s``, ``round_s`` and ``peak_rss_mb`` over the seeds, every run's
-value, whether every run was correct and how many operations failed, plus
-the CPU model, ``nproc``, the Python and numpy versions and the git
-revision.  Compare two such files only when they were measured on the same
-machine.
+value, whether every run was correct and how many operations failed, and
+the same median and values of each phase that ``run.py`` prints to stderr
+(``tune_s`` and ``run_s`` of a pipeline round, for one), plus the CPU
+model, ``nproc``, the Python and numpy versions and the git revision.
+Compare two such files only when they were measured on the same machine.
 """
 
 import argparse
@@ -45,22 +46,37 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
+def parse_phases(stderr: str) -> dict:
+    """The phase medians of the ``phases: <name> <value> <unit>, ...`` line
+    that an untraced ``run.py`` run prints to stderr, by name."""
+    for line in stderr.splitlines():
+        if line.startswith("phases:"):
+            items = line[len("phases:"):].strip()
+            return {name: float(value) for name, value, _ in
+                    (item.split(" ") for item in items.split(", ") if item)}
+    return {}
+
+
 def summarize(runs) -> dict:
-    """Per-workload summary of ``(workload, last stdout line of run.py)`` pairs,
-    in the order the runs were made."""
+    """Per-workload summary of ``(workload, last stdout line of run.py, its
+    stderr)`` triples, in the order the runs were made."""
     out = {}
-    for workload, line in runs:
+    for workload, line, stderr in runs:
         record = json.loads(line)
         entry = out.setdefault(workload, {"runs": 0, "correct": True, "attempted": 0,
-                                          "failed": 0, "values": {m: [] for m in END_TO_END}})
+                                          "failed": 0, "values": {m: [] for m in END_TO_END},
+                                          "phase_values": {}})
         entry["runs"] += 1
         entry["correct"] = entry["correct"] and bool(record["correct"])
         entry["attempted"] += record["attempted"]
         entry["failed"] += record["failed"]
         for metric in END_TO_END:
             entry["values"][metric].append(record["metrics"][metric]["value"])
+        for name, value in parse_phases(stderr).items():
+            entry["phase_values"].setdefault(name, []).append(value)
     for entry in out.values():
         entry["median"] = {m: statistics.median(v) for m, v in entry["values"].items()}
+        entry["phase_median"] = {m: statistics.median(v) for m, v in entry["phase_values"].items()}
     return out
 
 
@@ -88,7 +104,8 @@ def git(*args) -> str:
                           check=True).stdout.strip()
 
 
-def run_once(side: str, root: str, workload: str, seed: int, seconds: float) -> str:
+def run_once(side: str, root: str, workload: str, seed: int, seconds: float) -> tuple:
+    """One run's ``(workload, last stdout line, stderr)``."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=1800)
@@ -99,7 +116,7 @@ def run_once(side: str, root: str, workload: str, seed: int, seconds: float) -> 
     print(f"{side} {workload} seed {seed}: "
           + ", ".join(f"{m} {record['metrics'][m]['value']:.4g}" for m in END_TO_END)
           + f", correct {record['correct']}, failed {record['failed']}", file=sys.stderr)
-    return line
+    return workload, line, done.stderr
 
 
 def main(argv=None) -> int:
@@ -122,8 +139,8 @@ def main(argv=None) -> int:
         for workload in args.workloads:
             for k, seed in enumerate(args.seeds):
                 for side in (("parent", "tree") if k % 2 == 0 else ("tree", "parent")):
-                    runs[side].append((workload, run_once(side, roots[side], workload,
-                                                          seed, args.seconds)))
+                    runs[side].append(run_once(side, roots[side], workload, seed,
+                                               args.seconds))
     for side, label, revision in (("parent", args.parent_label, parent_rev),
                                   ("tree", args.label, tree_rev)):
         path = os.path.join(args.out_dir, f"BENCH_{label}.json")

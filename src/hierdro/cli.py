@@ -561,8 +561,12 @@ def main(argv=None) -> int:
                     raise ConfigError("give --epsilon or --tuned-epsilon-from, not both")
                 try:
                     with open(args.tuned_epsilon_from, "r", encoding="utf-8") as fh:
-                        epsilon = _read(json.load(fh)["chosen_epsilon"], float, "chosen_epsilon")
-                except (OSError, KeyError, TypeError, ValueError) as exc:
+                        body = json.load(fh)
+                    if type(body) is not dict or "chosen_epsilon" not in body:
+                        raise ConfigError("the file must hold a JSON object with a numeric "
+                                          "chosen_epsilon")
+                    epsilon = _read(body["chosen_epsilon"], float, "chosen_epsilon")
+                except (OSError, ValueError) as exc:
                     raise ConfigError(f"cannot read tuned epsilon: {exc}") from exc
             if epsilon is not None:
                 # Refuse a bad radius scale here, before any data is loaded.

@@ -221,13 +221,16 @@ def grad_wrt_latent(theta: ModelParams, z: np.ndarray, y) -> np.ndarray:
     return _loss_and_dlogits(theta, np.asarray(z, dtype=np.float64), y)[1] @ theta.w_out
 
 
-def loss_and_param_grads(theta: ModelParams, z_prime: np.ndarray, x: np.ndarray, y) -> tuple:
+def loss_and_param_grads(theta: ModelParams, z_prime: np.ndarray, z: np.ndarray,
+                         x: np.ndarray, y) -> tuple:
     """The loss at ``z_prime`` and the batch-mean gradient with respect to the
     parameters, as a :class:`ModelParams`, from one forward pass.
 
-    ``z_prime`` and ``x`` are batches, 2-D, or 3-D with a row-stacked
-    ``theta``; one example is a batch of one.  Hidden-layer parameters get
-    the gradient through the forward pass at ``x``; see the module docstring.
+    ``z_prime``, ``z`` and ``x`` are batches, 2-D, or 3-D with a row-stacked
+    ``theta``; one example is a batch of one.  ``z`` is the unperturbed
+    latent ``latent(theta, x)``, which the caller already holds.  Hidden-layer
+    parameters get the gradient through the forward pass at ``x``, whose
+    rectifier passes where ``z > 0``; see the module docstring.
     """
     z_prime = np.asarray(z_prime, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -239,8 +242,7 @@ def loss_and_param_grads(theta: ModelParams, z_prime: np.ndarray, x: np.ndarray,
     if theta.w_hidden is None:
         return loss, ModelParams(w_out=g_w_out, b_out=g_b_out)
 
-    pre = x @ _mT(theta.w_hidden) + _bias(theta.b_hidden)
-    delta = (dlogits @ theta.w_out) * (pre > 0)
+    delta = (dlogits @ theta.w_out) * (z > 0)
     return loss, ModelParams(w_out=g_w_out, b_out=g_b_out, w_hidden=_mT(delta) @ x / batch,
                              b_hidden=np.add.reduce(delta, -2) / batch)
 

@@ -42,11 +42,15 @@ rows with equal seeds share one stream and one gather.  A row that diverges
 is retired with its ``DivergenceError`` while the others go on.  Every row's
 result is bitwise the result of training it alone; :func:`train` is the
 one-row case.  A result's ``final``, where its trajectory ended, is its
-last checkpoint.
+last checkpoint.  A checkpoint computes its per-group training losses when
+they are first read (:attr:`Checkpoint.group_losses`): ``run`` writes them
+to ``history.csv``, and tuning, which selects on holdout accuracy, never
+reads them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -126,13 +130,23 @@ class Batch:
 
 @dataclass
 class Checkpoint:
+    """One row's state at one iteration, with its validation accuracies.
+
+    ``group_losses``, the per-group mean losses on ``train``, the training
+    split the checkpoint was taken on, are computed when first read.
+    """
+
     iteration: int
-    group_losses: np.ndarray
     beta: np.ndarray
     worst_val_acc: float
     avg_val_acc: float
     theta: ModelParams
     theta_bar: ModelParams
+    train: GroupedDataset = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def group_losses(self) -> np.ndarray:
+        return group_mean_losses(self.theta, self.train)
 
 
 @dataclass
@@ -334,7 +348,7 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
             z_prime[i] = z_i if eps == 0 else amb.inner_maximize(
                 model.row_params(theta, i), z_i, y_i, eps)
 
-    losses, grads = model.loss_and_param_grads(theta, z_prime, batch.x, batch.y)
+    losses, grads = model.loss_and_param_grads(theta, z_prime, z, batch.x, batch.y)
     mean_loss = np.add.reduce(losses, -1) / losses.shape[-1]    # losses.mean(-1), bitwise
     finite = np.isfinite(mean_loss)
     all_finite = finite.all()
@@ -382,12 +396,12 @@ def _record_checkpoint(
     report = evaluation.evaluate(theta, ds_val, weights)
     return Checkpoint(
         iteration=state.t,
-        group_losses=group_mean_losses(theta, ds_train),
         beta=state.beta[i].copy(),
         worst_val_acc=report.worst_group_acc,
         avg_val_acc=report.avg_acc_weighted,
         theta=theta,
         theta_bar=model.row_params(state.theta_bar, i),
+        train=ds_train,
     )
 
 

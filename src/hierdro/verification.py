@@ -169,14 +169,15 @@ def check_gradients(n_cases: int = 100, seed: int = 0, tolerance: float = GRADIE
                     model.grad_wrt_latent(theta, z, y), fd_latent_gradient(theta, z, y)))
                 xs, ys = x[None], np.array([y])
                 for zp in (z, z + 0.1 * rng.normal(size=z.shape)):
-                    _, grads = model.loss_and_param_grads(theta, zp[None], xs, ys)
+                    _, grads = model.loss_and_param_grads(theta, zp[None], z[None], xs, ys)
                     got = model.flatten_params(grads)
                     worst = max(worst, _relative_error(got, fd_param_gradient(theta, zp, x, y)))
                 if k == 2:
                     v = theta.w_out[1] - theta.w_out[0]
                     zp = amb.binary_ball_maximizer(z[None], 2.0 * ys - 1.0, v, ROBUST_RADIUS,
                                                    np.linalg.norm(v))
-                    got = model.flatten_params(model.loss_and_param_grads(theta, zp, xs, ys)[1])
+                    _, grads = model.loss_and_param_grads(theta, zp, z[None], xs, ys)
+                    got = model.flatten_params(grads)
                     want = fd_robust_gradient(theta, xs, ys, ROBUST_RADIUS)
                     robust = max(robust, _relative_error(got, want))
     worst = max(worst, robust)
@@ -290,7 +291,8 @@ def check_simplex_and_degeneracy(steps: int = 10_000, tolerance: float = SIMPLEX
         bitwise = bitwise and model.params_equal(model.row_params(state.theta, 1),
                                                  model.row_params(state.theta, 2))
         erm = erm_sampler.draw(erm_rng)
-        _, grads = model.loss_and_param_grads(theta, model.latent(theta, erm.x), erm.x, erm.y)
+        z = model.latent(theta, erm.x)
+        _, grads = model.loss_and_param_grads(theta, z, z, erm.x, erm.y)
         theta = model.sgd_step(theta, grads, erm_cfg.eta_theta * float(alpha[erm.group]))
         erm_matches = erm_matches and model.params_equal(theta, model.row_params(state.theta, 3))
     bitwise = bitwise and np.array_equal(state.beta[1], state.beta[2])

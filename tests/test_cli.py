@@ -600,11 +600,13 @@ def test_run_refuses_two_radius_flags_and_a_bad_tune_result(tmp_path, capsys):
                      "--tuned-epsilon-from", str(tune_path)]) == 1
     err = capsys.readouterr().err
     assert "--epsilon" in err and "--tuned-epsilon-from" in err
-    for body in ([0.5], "0.5", None, {"chosen_epsilon": None}):
+    for body in ([0.5], "0.5", None, -1, [], {"epsilon": 0.5}, {"chosen_epsilon": None}):
         tune_path.write_text(json.dumps(body))
         assert cli.main(["run", "--config", cfg, "--tuned-epsilon-from", str(tune_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read tuned epsilon") and "Traceback" not in err
+        assert ("must hold a JSON object with a numeric chosen_epsilon" in err) == \
+            (body != {"chosen_epsilon": None})
 
 
 @pytest.mark.parametrize("chosen", [True, "0.5"])

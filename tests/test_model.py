@@ -104,7 +104,7 @@ def test_param_gradient_matches_backprop_when_unperturbed():
     x = rng.normal(size=6)
     y = 1
     z = model.latent(theta, x)
-    grads = loss_and_param_grads(theta, z[None], x[None], [y])[1]
+    grads = loss_and_param_grads(theta, z[None], z[None], x[None], [y])[1]
     fd = fd_param_gradient(theta, z, x, y)
     got = model.flatten_params(grads)
     assert np.linalg.norm(got - fd) / np.linalg.norm(fd) <= 1e-4
@@ -117,8 +117,9 @@ def test_param_gradient_feature_path_flag():
     rng = np.random.default_rng(4)
     theta = random_theta(rng, MLP1)
     x = rng.normal(size=6)
-    z = model.latent(theta, x) + rng.normal(scale=0.2, size=5)
-    grads = loss_and_param_grads(theta, z[None], x[None], [2])[1]
+    z0 = model.latent(theta, x)
+    z = z0 + rng.normal(scale=0.2, size=5)
+    grads = loss_and_param_grads(theta, z[None], z0[None], x[None], [2])[1]
     fd = fd_param_gradient(theta, z, x, 2)
     got = model.flatten_params(grads)
     assert np.linalg.norm(got - fd) / np.linalg.norm(fd) <= 1e-4
@@ -139,9 +140,9 @@ def test_param_gradient_is_the_robust_loss_gradient():
             continue    # a ReLU kink within reach of the finite-difference step
         cases += 1
         v = theta.w_out[1] - theta.w_out[0]
-        zp = amb.binary_ball_maximizer(model.latent(theta, xs), 2.0 * ys - 1.0, v, eps_g,
-                                       np.linalg.norm(v))
-        grads = loss_and_param_grads(theta, zp, xs, ys)[1]
+        z = model.latent(theta, xs)
+        zp = amb.binary_ball_maximizer(z, 2.0 * ys - 1.0, v, eps_g, np.linalg.norm(v))
+        grads = loss_and_param_grads(theta, zp, z, xs, ys)[1]
         fd = fd_robust_gradient(theta, xs, ys, eps_g)
         got = model.flatten_params(grads)
         assert np.linalg.norm(got - fd) / np.linalg.norm(fd) <= 1e-6
@@ -153,7 +154,7 @@ def test_saturated_loss_has_vanishing_gradient():
     z = np.array([10.0, 0.0])
     assert loss_of(theta, z, 0) < 1e-12
     assert np.linalg.norm(grad_wrt_latent(theta, z, 0)) < 1e-10
-    grads = loss_and_param_grads(theta, z[None], z[None], [0])[1]
+    grads = loss_and_param_grads(theta, z[None], z[None], z[None], [0])[1]
     assert np.linalg.norm(model.flatten_params(grads)) < 1e-10
 
 
@@ -283,8 +284,8 @@ def test_batched_param_gradient_is_mean():
     theta = random_theta(rng, LINEAR, k=2)
     xs = rng.normal(size=(5, 6))
     ys = rng.integers(0, 2, size=5)
-    batch = loss_and_param_grads(theta, xs, xs, ys)[1]
-    per = [model.flatten_params(loss_and_param_grads(theta, x, x, y)[1])
+    batch = loss_and_param_grads(theta, xs, xs, xs, ys)[1]
+    per = [model.flatten_params(loss_and_param_grads(theta, x, x, x, y)[1])
            for x, y in zip(xs[:, None], ys[:, None])]
     np.testing.assert_allclose(model.flatten_params(batch), np.mean(per, axis=0), atol=1e-14)
 
@@ -311,7 +312,7 @@ def test_one_example_batch_is_the_outer_product_form(arch, k):
         if arch == MLP1:
             delta = (dlogits @ theta.w_out) * (x @ theta.w_hidden.T + theta.b_hidden > 0)
             want += [np.outer(delta, x), delta]
-        got_loss, grads = loss_and_param_grads(theta, zp[None], x[None], [y])
+        got_loss, grads = loss_and_param_grads(theta, zp[None], z[None], x[None], [y])
         assert got_loss.shape == (1,) and got_loss[0] == loss
         got = [a for a in grads.arrays() if a is not None]
         assert len(got) == len(want)
@@ -325,7 +326,8 @@ def test_flatten_params_of_a_gradient_and_of_stacked_rows_round_trips():
         thetas = [random_theta(rng, arch) for _ in range(3)]
         xs = rng.normal(size=(4, 6))
         ys = rng.integers(0, 3, size=4)
-        grads = [loss_and_param_grads(t, model.latent(t, xs), xs, ys)[1] for t in thetas]
+        zs = [model.latent(t, xs) for t in thetas]
+        grads = [loss_and_param_grads(t, z, z, xs, ys)[1] for t, z in zip(thetas, zs)]
         for g in grads:
             vec = model.flatten_params(g)
             assert vec.ndim == 1

@@ -98,16 +98,27 @@ def run_line(setup_s, round_s, peak_rss_mb, correct=True, failed=0):
                        "metrics": metrics})
 
 
+def pipeline_stderr(tune_s, run_s):
+    """The stderr of an untraced pipeline run of ``perfbench/run.py``."""
+    return ("2 rounds, median wall 4.5 s, reference loop median 1.000 ms over 9 samples\n"
+            f"phases: tune_s {tune_s:.6g} s, run_s {run_s:.6g} s\n")
+
+
 def test_bench_pair_writes_medians_of_canned_runs(tmp_path):
     bench_pair = load_script("bench_pair")
-    runs = [("train", run_line(0.5, 0.40, 80.0)), ("pipeline", run_line(1.0, 4.0, 100.0)),
-            ("train", run_line(0.7, 0.44, 81.0)), ("train", run_line(0.6, 0.50, 79.0)),
-            ("pipeline", run_line(2.0, 5.0, 102.0, correct=False, failed=1))]
+    runs = [("train", run_line(0.5, 0.40, 80.0), ""),
+            ("pipeline", run_line(1.0, 4.0, 100.0), pipeline_stderr(3.0, 1.0)),
+            ("train", run_line(0.7, 0.44, 81.0), ""), ("train", run_line(0.6, 0.50, 79.0), ""),
+            ("pipeline", run_line(2.0, 5.0, 102.0, correct=False, failed=1),
+             pipeline_stderr(3.5, 1.25))]
     summary = bench_pair.summarize(runs)
     assert summary["train"]["median"] == {"setup_s": 0.6, "round_s": 0.44, "peak_rss_mb": 80.0}
     assert summary["train"]["values"]["round_s"] == [0.40, 0.44, 0.50]
+    assert summary["train"]["phase_median"] == {}
     assert (summary["train"]["runs"], summary["train"]["correct"]) == (3, True)
     assert summary["pipeline"]["median"] == {"setup_s": 1.5, "round_s": 4.5, "peak_rss_mb": 101.0}
+    assert summary["pipeline"]["phase_values"] == {"tune_s": [3.0, 3.5], "run_s": [1.0, 1.25]}
+    assert summary["pipeline"]["phase_median"] == {"tune_s": 3.25, "run_s": 1.125}
     assert (summary["pipeline"]["correct"], summary["pipeline"]["failed"]) == (False, 1)
     assert summary["pipeline"]["attempted"] == 20
 

@@ -155,7 +155,7 @@ def test_single_step_matches_hand_composition():
     losses = model.cross_entropy(model.logits_from_latent(theta0, z_prime), batch.y)
     beta = update_beta(ds.alpha, g, float(losses.mean()), config.eta_beta,
                        config.adjustment, int(ds.n_g[g]))
-    grads = model.loss_and_param_grads(theta0, z_prime, batch.x, batch.y)[1]
+    grads = model.loss_and_param_grads(theta0, z_prime, z, batch.x, batch.y)[1]
     theta1 = model.sgd_step(theta0, grads, config.eta_theta * float(beta[g]))
 
     assert model.params_equal(model.row_params(state.theta, 0), theta1)
@@ -175,7 +175,8 @@ def test_erm_step_is_plain_sgd_on_batch_loss():
     state = train_step(state, stack_batches([batch], None, 1))
 
     np.testing.assert_array_equal(state.beta[0], ds.alpha)  # frozen
-    grads = model.loss_and_param_grads(theta0, model.latent(theta0, batch.x), batch.x, batch.y)[1]
+    z = model.latent(theta0, batch.x)
+    grads = model.loss_and_param_grads(theta0, z, z, batch.x, batch.y)[1]
     expected = model.sgd_step(theta0, grads, config.eta_theta * float(ds.alpha[g]))
     assert model.params_equal(model.row_params(state.theta, 0), expected)
 
@@ -246,7 +247,8 @@ def test_erm_equals_frozen_beta_hierarchical_bitwise():
     theta = theta0
     for _ in range(config.iterations):
         batch = sampler.draw(rng)
-        grads = model.loss_and_param_grads(theta, model.latent(theta, batch.x), batch.x, batch.y)[1]
+        z = model.latent(theta, batch.x)
+        grads = model.loss_and_param_grads(theta, z, z, batch.x, batch.y)[1]
         theta = model.sgd_step(theta, grads, config.eta_theta * float(ds.alpha[batch.group]))
     assert model.params_equal(erm.final.theta, theta)
     np.testing.assert_array_equal(erm.final.beta, ds.alpha)
@@ -295,6 +297,23 @@ def test_history_records_requested_fields(tmp_path):
     assert lines[0] == "# h=1"
     assert lines[1].startswith("iteration,loss_g0")
     assert len(lines) == 2 + len(result.history)
+
+
+def test_checkpoint_computes_its_training_losses_when_first_read(monkeypatch):
+    ds, ds_val = small_ds(), small_ds(seed=1)
+    calls = []
+    group_mean_losses = solver.group_mean_losses
+    monkeypatch.setattr(solver, "group_mean_losses",
+                        lambda theta, data: calls.append(data) or group_mean_losses(theta, data))
+    theta0 = init_params(ModelSpec(LINEAR), ds.d, 2, seed=10)
+    result = train(ds, ds_val, theta0, base_config(iterations=100, checkpoint_every=25))
+    assert calls == []
+    cp = result.history[1]
+    losses = cp.group_losses
+    assert len(calls) == 1 and calls[0] is ds
+    assert losses.tobytes() == group_mean_losses(cp.theta, ds).tobytes()
+    assert cp.group_losses is losses and len(calls) == 1
+    assert "train=" not in repr(cp) and repr(ds) not in repr(cp)
 
 
 def test_config_validation():

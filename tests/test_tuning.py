@@ -218,3 +218,12 @@ def test_only_an_mlp1_ordering_trains_a_warmup(monkeypatch, architecture, warmup
     tune_epsilon(ds, [0.2], replace(cfg, model=ModelSpec(architecture, hidden_width=4)))
     assert len(calls) == warmups
 
+
+def test_tuning_computes_no_training_losses(monkeypatch):
+    """Tuning selects on holdout accuracy alone, so no checkpoint of its
+    runs computes its training losses."""
+    ds = make_spurious((40, 20, 15, 40), 0.6, 0.5, 0.15, seed=14)
+    calls = []
+    monkeypatch.setattr(solver, "group_mean_losses", lambda *a: calls.append(a))
+    tune_epsilon(ds, [0.1, 0.3], tune_config())
+    assert calls == []
