@@ -193,10 +193,19 @@ def _grid_max_loss(theta: ModelParams, y: int, n: int, rows) -> tuple:
     for start in range(0, n, _GRID_CHUNK):
         chunk = rows(start, min(start + _GRID_CHUNK, n))
         losses = model.cross_entropy(model.logits_from_latent(theta, chunk), y)
-        k = int(np.argmax(losses))
-        if best_row is None or losses[k] > best or (np.isnan(losses[k]) and not np.isnan(best)):
+        k = _chunk_winner(best, losses)
+        if k is not None:
             best, best_row = float(losses[k]), chunk[k]
     return best, best_row
+
+
+def _chunk_winner(best, losses: np.ndarray):
+    """The index of a chunk's first largest loss if it beats the grid's
+    ``best`` so far (``None`` before the first chunk), else ``None``."""
+    k = int(np.argmax(losses))
+    if best is None or losses[k] > best or (np.isnan(losses[k]) and not np.isnan(best)):
+        return k
+    return None
 
 
 def ball_supremum(theta: ModelParams, z: np.ndarray, y: int, eps: float) -> float:

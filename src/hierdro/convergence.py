@@ -11,10 +11,12 @@ model.  The duality gap of the averaged iterate
 
     gap(T) = max_g f_g(theta_bar_T) - min_theta max_g f_g(theta)
 
-is well defined.  The reference minimum is computed once per instance by
-long-horizon subgradient descent with 1/sqrt(t) steps, tracking the best
-iterate; its accuracy (about 1e-4 on desk-scale instances) bounds how
-negative a measured gap may legitimately be.
+is well defined.  The reference minimum is bracketed once per instance by a
+primal-dual pair (:func:`reference_optimum`): any ``theta`` gives the upper
+bound ``max_g f_g(theta)``, and any ``beta`` on the simplex the lower bound
+``min_theta sum_g beta_g f_g(theta)`` by weak duality.  The bracket's
+measured width, about 1e-9, bounds how negative a measured gap may
+legitimately be.
 
 The averaged iterate of the stochastic solver contracts the gap at the
 canonical rate ``2 m sqrt(10 (B_theta^2 B_grad^2 + B_loss^2 log m) / T)``,
@@ -33,13 +35,16 @@ import numpy as np
 from . import model, solver
 from .ambiguity import binary_ball_maximizer, binary_robust_loss, radius
 from .datagen import GroupedDataset, make_spurious
-from .errors import UnsupportedDiagnosticError
+from .errors import ParameterError, UnsupportedDiagnosticError
 from .model import LINEAR, ModelParams, ModelSpec, init_params
 from .solver import HIERARCHICAL, SolverConfig
 
-REFERENCE_ITERATIONS = 1_000_000
-REFERENCE_STEP0 = 0.5
-REFERENCE_TOLERANCE = 1e-4
+REFERENCE_ITERATIONS = 10_000      # the default cap on reference_optimum's dual rounds
+REFERENCE_WIDTH = 1e-9             # the bracket width at which reference_optimum stops
+# A Newton solve whose decrement lambda^2 is at most this has converged; its
+# value less lambda^2 is then a lower bound on the weighted minimum.
+NEWTON_DECREMENT = 1e-20
+NEWTON_MAX_STEPS = 50
 
 
 def _head(theta: ModelParams):
@@ -73,9 +78,14 @@ class _RobustProblem:
         rows = [ds.group_rows(g) for g in present.tolist()]
         order = np.concatenate(rows)
         self.group_sign, self.group_radii = self.sign[order], self.radii[order]
-        ends = np.cumsum([r.size for r in rows]).tolist()
+        # Each row's slack u = -s (z . v + c) + eps_g ||v|| has gradient
+        # (-s z + eps_g v / ||v||, -s) in (v, c); the -s z part is fixed.
+        self.signed_features = -self.group_sign[:, None] * ds.features[order]
+        self.sizes = np.array([r.size for r in rows])
+        ends = np.cumsum(self.sizes)
+        self.starts = ends - self.sizes
         self.groups = [(g, ds.features[r], slice(end - r.size, end), float(group_radius[g]))
-                       for g, r, end in zip(present.tolist(), rows, ends)]
+                       for g, r, end in zip(present.tolist(), rows, ends.tolist())]
 
     def losses(self, v: np.ndarray, c: float, v_norm: float):
         """The loss and slack of the group-ordered rows, in one closed-form call.
@@ -84,21 +94,50 @@ class _RobustProblem:
         margin = np.concatenate([feats @ v for _, feats, _, _ in self.groups]) + c
         return binary_robust_loss(margin, self.group_sign, self.group_radii, v_norm)
 
-    def value_and_subgrad(self, v: np.ndarray, c: float):
-        """``max_g f_g`` and its subgradient in the (v, c) parametrization;
-        the first group attaining the maximum gives the subgradient."""
-        v_norm = math.sqrt(v.dot(v))
-        v_hat = v / v_norm if v_norm > 0 else np.zeros_like(v)
-        losses, u = self.losses(v, c, v_norm)
-        best = -math.inf
-        for group in self.groups:
-            value = float(_mean(losses[group[2]]))
-            if value > best:
-                best, (_, feats, rows, eps_g) = value, group
-        sig = 1.0 / (1.0 + np.exp(-u[rows]))
-        coeff = sig * (-self.group_sign[rows])
-        d_v = coeff @ feats / feats.shape[0] + _mean(sig) * eps_g * v_hat
-        return best, d_v, float(_mean(coeff))
+    def group_values(self, v: np.ndarray, c: float):
+        """Each present group's ``f_g``, in ``groups`` order, and the rows' slacks."""
+        losses, u = self.losses(v, c, math.sqrt(v.dot(v)))
+        return np.array([_mean(losses[rows]) for _, _, rows, _ in self.groups]), u
+
+    def weighted_minimum(self, beta: np.ndarray, x: np.ndarray):
+        """Damped Newton on ``F = sum_g beta_g f_g`` in ``x = (v, c)``, from ``x``.
+
+        Returns ``(x, f, F, lambda^2, H, J)`` at the last point: the group
+        values, ``F``, the Newton decrement, the Hessian of ``F`` and the
+        Jacobian of the group values, one row per present group.  ``||v||`` is
+        smooth away from ``v = 0``; at ``v = 0`` its subgradient 0 is taken,
+        without curvature.
+        """
+        weights = np.repeat(beta / self.sizes, self.sizes)
+        d = x.size - 1
+        for newton_step in range(NEWTON_MAX_STEPS + 1):
+            v = x[:d]
+            v_norm = math.sqrt(v.dot(v))
+            f, u = self.group_values(v, x[d])
+            current = float(beta @ f)
+            sig = 1.0 / (1.0 + np.exp(-u))
+            du = np.empty((u.size, d + 1))
+            du[:, :d] = self.signed_features
+            du[:, d] = -self.group_sign
+            hessian = np.zeros((d + 1, d + 1))
+            if v_norm > 0:
+                v_hat = v / v_norm
+                du[:, :d] += self.group_radii[:, None] * v_hat
+                hessian[:d, :d] = ((weights * sig) @ self.group_radii / v_norm
+                                   * (np.eye(d) - np.outer(v_hat, v_hat)))
+            grad = (weights * sig) @ du
+            hessian += (du.T * (weights * sig * (1.0 - sig))) @ du
+            step = np.linalg.solve(hessian, -grad)
+            decrement = -float(grad @ step)
+            if decrement <= NEWTON_DECREMENT or newton_step == NEWTON_MAX_STEPS:
+                break
+            t = 1.0                     # backtracking to sufficient decrease, or a vanishing step
+            while (float(beta @ self.group_values(x[:d] + t * step[:d], x[d] + t * step[d])[0])
+                   > current - 0.25 * t * decrement and t > 1e-12):
+                t *= 0.5
+            x = x + t * step
+        jacobian = np.add.reduceat(sig[:, None] * du, self.starts) / self.sizes[:, None]
+        return x, f, current, decrement, hessian, jacobian
 
 
 def objective_value(theta: ModelParams, ds: GroupedDataset, epsilon: float):
@@ -110,47 +149,71 @@ def objective_value(theta: ModelParams, ds: GroupedDataset, epsilon: float):
     ``(f_g, worst)`` where absent groups have ``f_g = nan``.
     """
     problem = _RobustProblem(ds, epsilon)
-    v, c = _head(theta)
-    losses, _ = problem.losses(v, c, np.linalg.norm(v))
     f_g = np.full(ds.num_groups, np.nan)
-    for g, _, rows, _ in problem.groups:
-        f_g[g] = _mean(losses[rows])
+    f_g[[g for g, _, _, _ in problem.groups]] = problem.group_values(*_head(theta))[0]
     return f_g, float(np.nanmax(f_g))
 
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    value: float
+    """``lower <= min_theta max_g f_g <= upper`` after ``rounds`` dual rounds;
+    ``theta`` attains ``upper``, which is also the reference ``value``."""
+
+    lower: float
+    upper: float
     theta: ModelParams
-    iterations: int
-    tolerance: float = REFERENCE_TOLERANCE
+    rounds: int
+
+    @property
+    def value(self) -> float:
+        return self.upper
+
+    @property
+    def width(self) -> float:
+        return self.upper - self.lower
 
 
 def reference_optimum(
     ds: GroupedDataset,
     epsilon: float,
     iterations: int = REFERENCE_ITERATIONS,
-    step0: float = REFERENCE_STEP0,
 ) -> ReferenceSolution:
-    """Best-iterate subgradient descent on ``max_g f_g`` from a zero start.
+    """Bracket ``min_theta max_g f_g`` by weak duality, in at most ``iterations`` rounds.
 
     The objective only depends on the output-row difference ``v = w1 - w0``
-    and bias difference ``c``, so the descent runs in that reduced space.
+    and bias difference ``c``, so each round works in those 11 unknowns.  A
+    round solves ``min sum_g beta_g f_g`` by damped Newton, warm-started at
+    the last round's minimizer: its value less the Newton decrement is a
+    lower bound, and the largest ``f_g`` at its minimizer an upper bound.
+    ``beta`` then takes an exponentiated-gradient step along the Danskin
+    gradient ``f(theta*(beta))``, of length ``2 / trace(P Q)``: ``Q = J H^-1
+    J^T`` is minus the dual's Hessian and ``P = diag(beta) - beta beta^T``
+    maps a log-weight step to ``beta``, so the step stays within the
+    stability limit ``2 / lambda_max(P Q)`` of the dual's quadratic model.
+    The rounds stop once the bracket is at most ``REFERENCE_WIDTH`` wide.
+    Fewer than one round is a ``ParameterError``.
     """
+    if iterations < 1:
+        raise ParameterError(f"reference_optimum needs at least one round, got {iterations}")
     problem = _RobustProblem(ds, epsilon)
-    v, c = np.zeros(ds.d), 0.0
-    best_val, best_v, best_c = math.inf, v, c
-    for t in range(1, iterations + 2):     # the last pass only scores the last iterate
-        value, d_v, d_c = problem.value_and_subgrad(v, c)
-        if value < best_val:
-            best_val, best_v, best_c = value, v, c
-        step = step0 / math.sqrt(t)
-        v, c = v - step * d_v, c - step * d_c
-    theta = ModelParams(
-        w_out=np.stack([-best_v / 2.0, best_v / 2.0]),
-        b_out=np.array([-best_c / 2.0, best_c / 2.0]),
-    )
-    return ReferenceSolution(value=best_val, theta=theta, iterations=iterations)
+    beta = np.full(len(problem.groups), 1.0 / len(problem.groups))
+    best = x = np.zeros(ds.d + 1)
+    lower, upper = -math.inf, math.inf
+    for rounds in range(1, iterations + 1):
+        x, f, value, decrement, hessian, jacobian = problem.weighted_minimum(beta, x)
+        if f.max() < upper:
+            upper, best = float(f.max()), x
+        if decrement <= NEWTON_DECREMENT:
+            lower = max(lower, value - decrement)
+        if upper - lower <= REFERENCE_WIDTH:
+            break
+        curvature = (np.diag(beta) - np.outer(beta, beta)) @ jacobian @ np.linalg.solve(
+            hessian, jacobian.T)
+        beta = beta * np.exp(2.0 / np.trace(curvature) * (f - f.max()))
+        beta /= beta.sum()
+    v, c = best[:-1], best[-1]
+    theta = ModelParams(w_out=np.stack([-v / 2.0, v / 2.0]), b_out=np.array([-c / 2.0, c / 2.0]))
+    return ReferenceSolution(lower=lower, upper=upper, theta=theta, rounds=rounds)
 
 
 def duality_gap(
@@ -207,8 +270,6 @@ class ConvergenceReport:
     gaps: tuple[float, ...]
     bounds: tuple[float, ...]
     constants: tuple[BoundConstants, ...]
-    reference_value: float
-    reference_iterations: int
 
 
 def rate_study(
@@ -247,8 +308,6 @@ def rate_study(
         gaps=tuple(gaps),
         bounds=tuple(bounds),
         constants=tuple(constants),
-        reference_value=reference.value,
-        reference_iterations=reference.iterations,
     )
 
 

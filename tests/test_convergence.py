@@ -5,6 +5,7 @@ import pytest
 
 from hierdro.ambiguity import binary_robust_loss
 from hierdro.convergence import (
+    REFERENCE_ITERATIONS,
     BoundConstants,
     bound_constants,
     canonical_instance,
@@ -193,12 +194,14 @@ def test_diagnostics_refuse_a_bad_radius_scale(epsilon):
         bound_constants(ds, [theta], epsilon)
 
 
-# ------------------------------------------------ reference solve, bitwise
+# ------------------------------------------------ reference solve, bracket
 
 
 def per_group_reference(ds, epsilon, iterations):
-    """The reference loop: ``reference_optimum`` with one closed-form call,
-    one product and one ``np.mean`` per group and iteration."""
+    """An independent primal solve: best-iterate subgradient descent on
+    ``max_g f_g`` with 0.5 / sqrt(t) steps, one closed-form call, one product
+    and one ``np.mean`` per group and iteration.  Its best value is an upper
+    bound on the min-max value."""
     groups = []
     for g in np.flatnonzero(ds.n_g).tolist():
         rows = ds.group_rows(g)
@@ -220,14 +223,13 @@ def per_group_reference(ds, epsilon, iterations):
         return best, d_v, float(coeff.mean())
 
     v, c = np.zeros(ds.d), 0.0
-    best_val, best_v, best_c = math.inf, v, c
+    best_val = math.inf
     for t in range(1, iterations + 2):
         value, d_v, d_c = value_and_subgrad(v, c)
-        if value < best_val:
-            best_val, best_v, best_c = value, v, c
+        best_val = min(best_val, value)
         step = 0.5 / math.sqrt(t)
         v, c = v - step * d_v, c - step * d_c
-    return best_val, best_v, best_c
+    return best_val
 
 
 def absent_group_ds():
@@ -236,23 +238,35 @@ def absent_group_ds():
     return ds.subset(np.flatnonzero(ds.group_of != 1))
 
 
-@pytest.mark.parametrize("instance", ["canonical", "absent_group", "zero_radius"])
-def test_reference_optimum_equals_the_per_group_loop_bitwise(instance):
+def reference_instance(instance):
     if instance == "absent_group":
-        ds, epsilon = absent_group_ds(), 1.0
-    else:
-        ds, config = canonical_instance()
-        epsilon = config.effective_epsilon if instance == "canonical" else 0.0
-    ref = reference_optimum(ds, epsilon, iterations=2000)
-    value, v, c = per_group_reference(ds, epsilon, 2000)
-    assert ref.value == value
-    assert ref.theta.w_out.tobytes() == np.stack([-v / 2.0, v / 2.0]).tobytes()
-    assert ref.theta.b_out.tobytes() == np.array([-c / 2.0, c / 2.0]).tobytes()
-    v, c = ref.theta.w_out[1] - ref.theta.w_out[0], ref.theta.b_out[1] - ref.theta.b_out[0]
-    f_g, _ = objective_value(ref.theta, ds, epsilon)
-    for g in range(ds.num_groups):
-        rows = ds.group_rows(g)
-        if rows.size:
-            losses, _ = binary_robust_loss(ds.features[rows] @ v + c, 2.0 * ds.labels[rows] - 1.0,
-                                           epsilon / math.sqrt(rows.size), np.linalg.norm(v))
-            assert f_g[g] == np.mean(losses)
+        return absent_group_ds(), 1.0
+    ds, config = canonical_instance()
+    return ds, config.effective_epsilon if instance == "canonical" else 0.0
+
+
+@pytest.mark.parametrize("instance", ["canonical", "absent_group", "zero_radius"])
+def test_reference_bracket_closes_and_its_upper_end_is_attained(instance):
+    """The bracket closes to 1e-9 before the round cap, ``theta`` attains its
+    upper end bitwise, and by weak duality an independent primal solve's best
+    value is never below its lower end."""
+    ds, epsilon = reference_instance(instance)
+    ref = reference_optimum(ds, epsilon)
+    assert ref.lower <= ref.upper and ref.width <= 1e-9
+    assert ref.value == ref.upper == objective_value(ref.theta, ds, epsilon)[1]
+    assert 1 <= ref.rounds < REFERENCE_ITERATIONS
+    assert per_group_reference(ds, epsilon, 2000) >= ref.lower
+
+
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_reference_refuses_a_round_cap_below_one(rounds):
+    ds, config = canonical_instance()
+    with pytest.raises(ParameterError, match="at least one round"):
+        reference_optimum(ds, config.effective_epsilon, iterations=rounds)
+
+
+def test_reference_round_cap_stops_an_open_bracket():
+    ds, config = canonical_instance()
+    ref = reference_optimum(ds, config.effective_epsilon, iterations=3)
+    assert ref.rounds == 3 and ref.width > 1e-9
+    assert ref.upper == objective_value(ref.theta, ds, config.effective_epsilon)[1]

@@ -40,14 +40,31 @@ def test_script_runs(name, args):
 
 
 def assert_study_prints_every_bit(stdout, reference_iterations):
-    """The reference value and the gaps are printed with ``repr``, so that
-    parity_pair.py's byte comparison of two trees' outputs covers every bit."""
+    """The reference value, its bracket and the gaps are printed with ``repr``,
+    so that parity_pair.py's byte comparison of two trees' outputs covers
+    every bit."""
     ds, config = convergence.canonical_instance()
     reference = convergence.reference_optimum(ds, config.effective_epsilon,
                                               iterations=reference_iterations)
-    assert f"reference min-max value: {reference.value!r} " in stdout
-    gaps = [line.split()[1] for line in stdout.splitlines() if line.split()[:1] == ["20000"]]
+    lines = stdout.splitlines()
+    assert f"reference min-max value: {reference.value!r}" in lines
+    assert any(line.startswith(f"reference bracket: [{reference.lower!r}, {reference.upper!r}]")
+               for line in lines)
+    gaps = [line.split()[1] for line in lines if line.split()[:1] == ["20000"]]
     assert len(gaps) == 1 and repr(float(gaps[0])) == gaps[0]
+
+
+def test_convergence_study_exit_code_applies_the_check_criteria():
+    """One dual round leaves the reference bracket wider than 1e-4: the
+    study says which criterion failed and exits 2; a round cap below one is
+    an ``error:`` line and exit 1, with no verdict printed."""
+    proc = run_script("convergence_study.py", "--horizons", "20000", "--reference-iterations", "1")
+    assert proc.returncode == 2, proc.stderr
+    assert "bracket width <= 0.0001: False" in proc.stdout.splitlines()
+    proc = run_script("convergence_study.py", "--reference-iterations", "-3")
+    assert proc.returncode == 1
+    assert proc.stderr.strip() == "error: reference_optimum needs at least one round, got -3"
+    assert "True" not in proc.stdout
 
 
 def test_run_benchmark_script_runs(tmp_path):

@@ -124,3 +124,29 @@ def test_stacked_finite_differences_equal_the_per_probe_loop_bitwise(arch, k):
             for xs, ys in ((x[None], np.array([y])), (xb, yb)):
                 assert same_bits(verification.fd_robust_gradient(theta, xs, ys, 0.5),
                                  per_probe_robust(theta, xs, ys, 0.5))
+
+
+# ------------------------------------------------ convergence-rate criteria
+
+
+def test_rate_criteria_judge_each_criterion_alone():
+    gaps, bounds = [0.04, 0.02, 0.01], [1.0, 1.0, 1.0]
+    ratios, verdicts = verification.rate_criteria(gaps, bounds, 1e-9)
+    assert ratios == [0.5, 0.5] and all(verdicts.values())
+    for gaps, bounds, width, failing in (
+            ([0.04, 0.035], [1.0, 1.0], 1e-9, "ratios <= 0.75"),
+            ([0.04, 0.02], [1.0, 0.01], 1e-9, "gaps within bounds"),
+            ([0.04, -2e-9], [1.0, 1.0], 1e-9, "gaps >= -bracket width"),
+            ([0.04, 0.02], [1.0, 1.0], 2e-4, "bracket width <= 0.0001")):
+        _, verdicts = verification.rate_criteria(gaps, bounds, width)
+        assert [name for name, holds in verdicts.items() if not holds] == [failing]
+
+
+def test_a_wide_reference_bracket_fails_the_convergence_rate_check():
+    """One dual round leaves the bracket far wider than 1e-4: the check
+    fails on that alone, whatever the gaps."""
+    result = verification.check_convergence_rate(horizons=(20_000,), reference_iterations=1)
+    d = result.details
+    assert d["reference_width"] > d["max_reference_width"] == 1e-4
+    assert d["reference_lower"] <= d["reference_value"]
+    assert not result.passed
