@@ -37,7 +37,7 @@ def main() -> int:
             ds, config.effective_epsilon, iterations=args.reference_iterations)
     except ParameterError as exc:
         sys.exit(f"error: {exc}")
-    print(f"reference min-max value: {reference.value!r}")
+    print(f"reference min-max value: {reference.upper!r}")
 
     report = convergence.rate_study(ds, config, args.horizons, reference)
     print(f"{'horizon':>9} {'gap':>24} {'bound':>10} {'B_theta':>8} {'B_grad':>8} {'B_loss':>8}")
@@ -45,10 +45,6 @@ def main() -> int:
                                      report.bounds, report.constants):
         print(f"{h:>9} {gap!r:>24} {bound:>10.4f} "
               f"{consts.b_theta:>8.3f} {consts.b_grad:>8.3f} {consts.b_loss:>8.3f}")
-    if not hasattr(verification, "rate_criteria"):
-        # parity_pair.py also runs this script against a parent tree's
-        # package; one from before the bracket has no criteria to share.
-        return 0
     print(f"reference bracket: [{reference.lower!r}, {reference.upper!r}], width "
           f"{reference.width:.2e} after {reference.rounds} dual rounds")
     ratios, verdicts = verification.rate_criteria(report.gaps, report.bounds, reference.width)

@@ -61,7 +61,6 @@ from .convergence import (
     BoundConstants,
     ConvergenceReport,
     bound_constants,
-    duality_gap,
     objective_value,
     rate_study,
     reference_optimum,

@@ -5,9 +5,9 @@ The saddle objective is ``L(theta, beta) = sum_g beta_g f_g(theta)`` with
 ``max_g f_g``.  For a linear binary model each ``f_g`` has a closed form and
 is convex in the parameters.  This module owns that objective: one
 precomputed problem per (dataset, epsilon) serves :func:`objective_value`,
-:func:`duality_gap`, :func:`reference_optimum` and :func:`bound_constants`,
-which take the radius scale ``epsilon`` as a float and refuse any other
-model.  The duality gap of the averaged iterate
+:func:`reference_optimum` and :func:`bound_constants`, which take the radius
+scale ``epsilon`` as a float and refuse any other model.  The duality gap of
+the averaged iterate
 
     gap(T) = max_g f_g(theta_bar_T) - min_theta max_g f_g(theta)
 
@@ -63,9 +63,9 @@ def _mean(a: np.ndarray) -> np.float64:
 
 
 class _RobustProblem:
-    """The robust objective of one (dataset, epsilon): each example's label
-    sign ``s = 2y - 1`` and radius, in dataset order and (``group_``) in group
-    order, and per present group its index, features, slice of the
+    """The robust objective of one (dataset, epsilon): the examples in group
+    order (``group_``), with their features, label signs ``s = 2y - 1`` and
+    radii, and per present group its index, features, slice of the
     group-ordered rows and radius.  A negative or non-finite ``epsilon`` is a
     ``ParameterError`` (:func:`ambiguity.radius`)."""
 
@@ -73,14 +73,14 @@ class _RobustProblem:
         present = np.flatnonzero(ds.n_g)
         group_radius = np.zeros(ds.num_groups)
         group_radius[present] = radius(epsilon, ds.n_g[present])
-        self.sign = 2.0 * ds.labels.astype(np.float64) - 1.0
-        self.radii = group_radius[ds.group_of]
         rows = [ds.group_rows(g) for g in present.tolist()]
         order = np.concatenate(rows)
-        self.group_sign, self.group_radii = self.sign[order], self.radii[order]
+        self.group_features = ds.features[order]
+        self.group_sign = 2.0 * ds.labels[order].astype(np.float64) - 1.0
+        self.group_radii = group_radius[ds.group_of[order]]
         # Each row's slack u = -s (z . v + c) + eps_g ||v|| has gradient
         # (-s z + eps_g v / ||v||, -s) in (v, c); the -s z part is fixed.
-        self.signed_features = -self.group_sign[:, None] * ds.features[order]
+        self.signed_features = -self.group_sign[:, None] * self.group_features
         self.sizes = np.array([r.size for r in rows])
         ends = np.cumsum(self.sizes)
         self.starts = ends - self.sizes
@@ -157,16 +157,12 @@ def objective_value(theta: ModelParams, ds: GroupedDataset, epsilon: float):
 @dataclass(frozen=True)
 class ReferenceSolution:
     """``lower <= min_theta max_g f_g <= upper`` after ``rounds`` dual rounds;
-    ``theta`` attains ``upper``, which is also the reference ``value``."""
+    ``theta`` attains ``upper``, the reference value."""
 
     lower: float
     upper: float
     theta: ModelParams
     rounds: int
-
-    @property
-    def value(self) -> float:
-        return self.upper
 
     @property
     def width(self) -> float:
@@ -216,17 +212,6 @@ def reference_optimum(
     return ReferenceSolution(lower=lower, upper=upper, theta=theta, rounds=rounds)
 
 
-def duality_gap(
-    theta_bar: ModelParams,
-    ds: GroupedDataset,
-    epsilon: float,
-    reference: float,
-) -> float:
-    """``max_g f_g(theta_bar) - reference``; may dip below zero by the reference error."""
-    _, worst = objective_value(theta_bar, ds, epsilon)
-    return worst - reference
-
-
 @dataclass(frozen=True)
 class BoundConstants:
     b_theta: float
@@ -246,11 +231,12 @@ def bound_constants(
     for theta in thetas:
         v, c = _head(theta)
         v_norm = float(np.linalg.norm(v))
-        losses, u = binary_robust_loss(ds.features @ v + c, problem.sign, problem.radii, v_norm)
+        losses, u = problem.losses(v, c, v_norm)
         # Per-example gradient at the maximizing latent z': dlogits has norm
         # sqrt(2)*sigma(u), so the (W, b) gradient norm is
         # sqrt(2)*sigma(u)*sqrt(||z'||^2 + 1).
-        z_prime = binary_ball_maximizer(ds.features, problem.sign, v, problem.radii, v_norm)
+        z_prime = binary_ball_maximizer(problem.group_features, problem.group_sign, v,
+                                        problem.group_radii, v_norm)
         sig = 1.0 / (1.0 + np.exp(-u))
         grad_norms = np.sqrt(2.0) * sig * np.sqrt((z_prime ** 2).sum(axis=1) + 1.0)
         b_theta = max(b_theta, model.params_norm(theta))
@@ -298,7 +284,7 @@ def rate_study(
     gaps, bounds, constants = [], [], []
     for h in horizons:
         cp = by_iteration[h]
-        gaps.append(duality_gap(cp.theta_bar, ds, epsilon, reference.value))
+        gaps.append(objective_value(cp.theta_bar, ds, epsilon)[1] - reference.upper)
         trajectory = [c.theta for c in result.history if c.iteration <= h]
         consts = bound_constants(ds, trajectory, epsilon)
         constants.append(consts)

@@ -3,8 +3,8 @@
 Worst-group accuracy is the minimum over groups present in the evaluation
 set; the weighted average uses caller-supplied weights, conventionally the
 training-set group proportions.  Groups absent from the evaluation set are
-dropped from both statistics (their weight is renormalized away) and listed
-in the report.
+dropped from both statistics (their weight is renormalized away); their
+entries of ``per_group_acc`` are nan.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ class EvalReport:
     per_group_acc: np.ndarray          # nan for groups absent from the eval set
     worst_group_acc: float
     avg_acc_weighted: float
-    group_weights_used: np.ndarray
-    missing_groups: tuple[int, ...] = ()
 
 
 def predictions(theta: ModelParams, ds: GroupedDataset) -> np.ndarray:
@@ -48,7 +46,6 @@ def evaluate(theta: ModelParams, ds: GroupedDataset, training_weights) -> EvalRe
     acc = ds.group_means(predictions(theta, ds) == ds.labels)
 
     present = ~np.isnan(acc)
-    missing = tuple(int(g) for g in np.flatnonzero(~present))
     used = np.where(present, weights, 0.0)
     total = used.sum()
     if total <= 0:
@@ -58,6 +55,4 @@ def evaluate(theta: ModelParams, ds: GroupedDataset, training_weights) -> EvalRe
         per_group_acc=acc,
         worst_group_acc=float(np.nanmin(acc)),
         avg_acc_weighted=float(np.nansum(used * np.where(present, acc, 0.0))),
-        group_weights_used=used,
-        missing_groups=missing,
     )

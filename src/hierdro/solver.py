@@ -178,11 +178,12 @@ class Lockstep:
 
     Row ``i`` of ``theta``, ``beta`` and ``theta_bar`` (each with a leading
     row axis) and of every per-row setting in ``ROWS`` is trajectory
-    ``ids[i]``, trained under ``configs[i]``.  ``radii[i, g]`` is its ball
-    radius for group ``g`` (zero unless hierarchical); ERM rows have
-    ``learns_beta`` false.  ``some_ascent`` says whether any row ascends and
-    ``some_``/``all_learn`` whether any or every row learns ``beta``, so that
-    a step skips a phase no row needs.  A row that diverges leaves every
+    ``ids[i]``.  ``shared`` is the first row's config at the start; only
+    its ``SHARED`` fields, which every row has, are read.  ``radii[i, g]`` is
+    row ``i``'s ball radius for group ``g`` (zero unless hierarchical); ERM
+    rows have ``learns_beta`` false.  ``some_ascent`` says whether any row
+    ascends and ``some_``/``all_learn`` whether any or every row learns
+    ``beta``, so that a step skips a phase no row needs.  A row that diverges leaves every
     array, and its error goes to ``failed`` under its id.
     """
 
@@ -190,7 +191,7 @@ class Lockstep:
     beta: np.ndarray
     theta_bar: ModelParams
     ids: np.ndarray
-    configs: tuple[SolverConfig, ...]
+    shared: SolverConfig
     n_per_group: np.ndarray
     radii: np.ndarray
     eta_beta: np.ndarray
@@ -233,17 +234,12 @@ class Lockstep:
             raise ParameterError("lockstep training needs one initial model per row")
         epsilon = np.array([c.effective_epsilon for c in configs], float)
         return cls(theta=theta, beta=np.tile(ds_train.alpha, (len(configs), 1)), theta_bar=theta,
-                   ids=np.arange(len(configs)), configs=configs, n_per_group=ds_train.n_g,
+                   ids=np.arange(len(configs)), shared=configs[0], n_per_group=ds_train.n_g,
                    radii=amb.radius(epsilon[:, None], ds_train.n_g[None, :]),
                    eta_beta=np.array([c.eta_beta for c in configs], float),
                    eta_theta=np.array([c.eta_theta for c in configs], float),
                    adjustment=np.array([c.adjustment for c in configs], float),
                    learns_beta=np.array([c.mode != ERM for c in configs]))
-
-    @property
-    def shared(self) -> SolverConfig:
-        """The config whose ``SHARED`` fields every row has."""
-        return self.configs[0]
 
     def retire(self, keep: np.ndarray) -> None:
         """Keep only the rows at positions ``keep``, in place."""
@@ -251,7 +247,6 @@ class Lockstep:
             setattr(self, name, getattr(self, name)[keep])
         self.theta = model.row_params(self.theta, keep)
         self.theta_bar = model.row_params(self.theta_bar, keep)
-        self.configs = tuple(self.configs[i] for i in keep)
         self.__post_init__()
 
 
@@ -435,10 +430,11 @@ def train_lockstep(
         empty = np.flatnonzero(ds_train.n_g == 0).tolist()
         raise InvalidDatasetError(f"training groups {empty} are empty")
 
+    configs = tuple(configs)
     state = Lockstep.start(inits, configs, ds_train)
     shared = state.shared
     sampler = GroupSampler(ds_train, shared)
-    seeds = [c.seed for c in state.configs]
+    seeds = [c.seed for c in configs]
     rngs = {seed: np.random.default_rng(seed) for seed in seeds}
     weights = ds_train.alpha.copy()
     histories = [[] for _ in seeds]

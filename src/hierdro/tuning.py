@@ -11,7 +11,9 @@ The projection is the leading principal component, by power iteration, of
 what ``TuneConfig.order_on`` names: the latents of a short ERM warm-up model
 (``"latents"``, the default) or the raw features (``"raw"``).  A linear
 model's latents are its raw features, so for ``linear`` the two agree and no
-warm-up trains: ``warmup_iterations`` matters only for ``mlp1``.
+warm-up trains: ``warmup_iterations`` matters only for ``mlp1``.  Constant
+ordering features, such as an ``mlp1`` warm-up whose every ReLU is dead,
+rank nothing, and tuning stops with a ``TuningInfeasibleError``.
 """
 
 from __future__ import annotations
@@ -37,28 +39,23 @@ NUM_QUANTILES = 5
 POWER_ITERATIONS = 200
 
 
-@dataclass(frozen=True)
-class Ordering:
-    ranks: np.ndarray
-    projection: np.ndarray
-    degenerate: bool = False
-
-
-def order_1d(features: np.ndarray, seed: int = 0, iterations: int = POWER_ITERATIONS) -> Ordering:
-    """Ranks along the leading principal component.
+def order_1d(features: np.ndarray, seed: int = 0, iterations: int = POWER_ITERATIONS) -> np.ndarray:
+    """Each row's rank along the leading principal component.
 
     Power iteration with a seeded start vector; the sign is fixed so the
     projection correlates nonnegatively with coordinate 0.  Ties are broken
-    by original row index.  Constant features raise the ``degenerate`` flag
-    and fall back to index order.
+    by original row index.  Features that are constant, every column's
+    maximum equal to its minimum, order nothing: a ``TuningInfeasibleError``.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ParameterError("order_1d needs at least two rows")
+    if np.array_equal(x.max(axis=0), x.min(axis=0)):
+        raise TuningInfeasibleError(
+            f"the ordering features are constant: each of the {x.shape[1]} columns has one "
+            f"value in all {x.shape[0]} rows, so no direction ranks them")
     n = x.shape[0]
     centered = x - x.mean(axis=0)
-    if not np.any(centered):
-        return Ordering(np.arange(n), np.zeros(n), degenerate=True)
 
     rng = np.random.default_rng(seed)
     v = rng.normal(size=x.shape[1])
@@ -75,14 +72,13 @@ def order_1d(features: np.ndarray, seed: int = 0, iterations: int = POWER_ITERAT
     order = np.argsort(projection, kind="stable")
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(n)
-    return Ordering(ranks=ranks, projection=projection, degenerate=False)
+    return ranks
 
 
 @dataclass(frozen=True)
 class SplitPair:
     train: GroupedDataset
     holdout: GroupedDataset
-    held_quantile: int
 
 
 def _quantile_bounds(n: int) -> list[tuple[int, int]]:
@@ -110,10 +106,8 @@ def quantile_splits(ds: GroupedDataset, ranks: np.ndarray) -> tuple[SplitPair, S
     all_rows = np.arange(ds.n)
     top = np.sort(np.concatenate(top_hold))
     bottom = np.sort(np.concatenate(bottom_hold))
-    setup_a = SplitPair(ds.subset(np.setdiff1d(all_rows, top)), ds.subset(top),
-                        held_quantile=NUM_QUANTILES - 1)
-    setup_b = SplitPair(ds.subset(np.setdiff1d(all_rows, bottom)), ds.subset(bottom),
-                        held_quantile=0)
+    setup_a = SplitPair(ds.subset(np.setdiff1d(all_rows, top)), ds.subset(top))
+    setup_b = SplitPair(ds.subset(np.setdiff1d(all_rows, bottom)), ds.subset(bottom))
     return setup_a, setup_b
 
 
@@ -153,16 +147,22 @@ def minority_group(ds: GroupedDataset) -> int:
     return int(np.argmin(ds.n_g))
 
 
-def _ordering_features(ds: GroupedDataset, cfg: TuneConfig) -> np.ndarray:
+def _ordering_ranks(ds: GroupedDataset, cfg: TuneConfig) -> np.ndarray:
+    """:func:`order_1d` of the features ``cfg.order_on`` names."""
     if cfg.order_on == "raw" or cfg.model.architecture == LINEAR:
-        return ds.features
+        return order_1d(ds.features, seed=cfg.ordering_seed)
     warm_cfg = replace(
         cfg.solver, mode=ERM, epsilon=0.0, iterations=cfg.warmup_iterations,
         checkpoint_every=max(1, cfg.warmup_iterations),
     )
     init = init_params(cfg.model, ds.d, ds.num_labels, seed=warm_cfg.seed)
     warm = solver.train(ds, ds, init, warm_cfg)
-    return latent(warm.final.theta, ds.features)
+    try:
+        return order_1d(latent(warm.final.theta, ds.features), seed=cfg.ordering_seed)
+    except TuningInfeasibleError as exc:
+        raise TuningInfeasibleError(
+            f"{exc}; these are the latents of the {cfg.warmup_iterations}-step ERM warm-up "
+            f"model, and tuning.order_on: \"raw\" orders on the raw features") from None
 
 
 def tune_epsilon(ds_train: GroupedDataset, grid_scale, config: TuneConfig) -> TuneResult:
@@ -191,8 +191,7 @@ def tune_epsilon(ds_train: GroupedDataset, grid_scale, config: TuneConfig) -> Tu
     # Built first, so that a candidate the solver refuses fails before any training.
     run_cfgs = [replace(config.solver, mode=HIERARCHICAL, epsilon=eps) for eps in candidates]
 
-    ordering = order_1d(_ordering_features(ds_train, config), seed=config.ordering_seed)
-    splits = quantile_splits(ds_train, ordering.ranks)
+    splits = quantile_splits(ds_train, _ordering_ranks(ds_train, config))
 
     # One lockstep run per split, one row per candidate; all rows share the
     # seed, so they share the initial model and the minibatch stream.

@@ -12,6 +12,7 @@ gradient in one stacked forward pass that uses only the loss.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -66,6 +67,7 @@ class CheckResult:
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
         result = fn(*args, **kwargs)
@@ -281,9 +283,8 @@ def check_simplex_and_degeneracy(steps: int = 10_000, tolerance: float = SIMPLEX
     rng = np.random.default_rng(base.seed)
     sampler = GroupSampler(ds, base)
     state = solver.Lockstep.start([init] * len(configs), configs, ds)
-    # ERM's row is held to an independent plain-SGD loop over the identical batch stream.
-    erm_cfg = configs[3]
-    erm_rng, erm_sampler, theta = np.random.default_rng(erm_cfg.seed), GroupSampler(ds, erm_cfg), init
+    # ERM's row is held to an independent plain-SGD loop over the same batches.
+    eta_theta, theta = configs[3].eta_theta, init
     alpha = ds.alpha
     residual = 0.0
     bitwise = erm_matches = True
@@ -300,10 +301,10 @@ def check_simplex_and_degeneracy(steps: int = 10_000, tolerance: float = SIMPLEX
             residual = math.inf
         w, b = state.theta.w_out, state.theta.b_out       # linear rows
         bitwise = bitwise and np.array_equal(w[1], w[2]) and np.array_equal(b[1], b[2])
-        erm = erm_sampler.draw(erm_rng)
-        z = model.latent(theta, erm.x)
-        _, grads = model.loss_and_param_grads(theta, z, z, erm.x, erm.y)
-        theta = model.sgd_step(theta, grads, erm_cfg.eta_theta * float(alpha[erm.group]))
+        x, y = batch.x[0], batch.y[0]
+        z = model.latent(theta, x)
+        _, grads = model.loss_and_param_grads(theta, z, z, x, y)
+        theta = model.sgd_step(theta, grads, eta_theta * float(alpha[int(batch.group[0])]))
         erm_matches = (erm_matches and np.array_equal(theta.w_out, w[3])
                        and np.array_equal(theta.b_out, b[3]))
     bitwise = bitwise and np.array_equal(state.beta[1], state.beta[2])
@@ -446,7 +447,7 @@ def check_convergence_rate(
             "bounds": [float(b) for b in report.bounds],
             "ratios": ratios,
             "max_ratio": max_ratio,
-            "reference_value": reference.value,
+            "reference_value": reference.upper,
             "reference_lower": reference.lower,
             "reference_width": reference.width,
             "max_reference_width": REFERENCE_MAX_WIDTH,

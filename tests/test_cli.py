@@ -281,7 +281,8 @@ def test_csv_splits_take_the_training_splits_groups(tmp_path, capsys):
     assert [ds.num_groups for ds in data.values()] == [4, 4, 4, 4]
     np.testing.assert_array_equal(data["val"].n_g, [20, 20, 0, 0])
     theta = model.init_params(model.ModelSpec(), data["train"].d, 2, seed=0)
-    assert evaluate(theta, data["val"], data["train"].alpha).missing_groups == (2, 3)
+    acc = evaluate(theta, data["val"], data["train"].alpha).per_group_acc
+    np.testing.assert_array_equal(np.flatnonzero(np.isnan(acc)), [2, 3])
 
 
 def test_tune_refuses_a_scale_that_overflows_on_the_csv_training_groups(tmp_path, capsys,
@@ -303,6 +304,29 @@ def test_tune_refuses_a_scale_that_overflows_on_the_csv_training_groups(tmp_path
     assert cli.main(["tune", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: grid_scale: scale 1e+308 times sqrt(15)"), err
+
+
+@pytest.mark.parametrize("architecture", ["linear", "mlp1"])
+def test_tune_refuses_constant_training_features(tmp_path, capsys, architecture):
+    """A ``dataset.csv`` training file whose features are all 0.1 gives no
+    ordering to split on: tune exits 1 with one ``error:`` line, which for
+    ``mlp1``, ordering on its warm-up latents, names ``order_on: "raw"``."""
+    cfg = write_config(tmp_path, base_config(tmp_path))
+    out = tmp_path / "out"
+    cli.main(["generate", "--config", cfg])
+    train = load_csv(out / "train.csv")
+    save_csv(dataclasses.replace(train, features=np.full_like(train.features, 0.1)),
+             tmp_path / "constant.csv")
+    raw = base_config(tmp_path, output_dir=str(tmp_path / "csv_out"))
+    raw["solver"]["architecture"] = architecture
+    raw["dataset"]["csv"] = {"train": str(tmp_path / "constant.csv"),
+                             "val": str(out / "val.csv"), "test": str(out / "test.csv")}
+    cfg = write_config(tmp_path, raw, "csv.json")
+    capsys.readouterr()
+    assert cli.main(["tune", "--config", cfg]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "constant" in lines[0], lines
+    assert ('tuning.order_on: "raw"' in lines[0]) == (architecture == "mlp1")
 
 
 def test_tune_single_candidate_passthrough(tmp_path):

@@ -47,7 +47,7 @@ def assert_study_prints_every_bit(stdout, reference_iterations):
     reference = convergence.reference_optimum(ds, config.effective_epsilon,
                                               iterations=reference_iterations)
     lines = stdout.splitlines()
-    assert f"reference min-max value: {reference.value!r}" in lines
+    assert f"reference min-max value: {reference.upper!r}" in lines
     assert any(line.startswith(f"reference bracket: [{reference.lower!r}, {reference.upper!r}]")
                for line in lines)
     gaps = [line.split()[1] for line in lines if line.split()[:1] == ["20000"]]

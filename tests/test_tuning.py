@@ -29,26 +29,24 @@ def test_default_grid_values():
 
 def test_order_1d_recovers_single_coordinate():
     values = np.array([3.0, -1.0, 2.0, 0.0])
-    ordering = order_1d(values[:, None])
-    assert not ordering.degenerate
-    np.testing.assert_array_equal(ordering.ranks, [3, 0, 2, 1])
+    np.testing.assert_array_equal(order_1d(values[:, None]), [3, 0, 2, 1])
 
 
 def test_order_1d_two_blobs_contiguous():
     rng = np.random.default_rng(0)
     low = rng.normal(loc=[-5, 0, 0], scale=0.1, size=(20, 3))
     high = rng.normal(loc=[5, 0, 0], scale=0.1, size=(20, 3))
-    ordering = order_1d(np.concatenate([low, high]))
-    assert set(ordering.ranks[:20]) == set(range(20))
-    assert set(ordering.ranks[20:]) == set(range(20, 40))
+    ranks = order_1d(np.concatenate([low, high]))
+    assert set(ranks[:20]) == set(range(20))
+    assert set(ranks[20:]) == set(range(20, 40))
 
 
 def test_order_1d_permutation_equivariance():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(30, 4))
-    base = order_1d(x).ranks
+    base = order_1d(x)
     perm = rng.permutation(30)
-    permuted = order_1d(x[perm]).ranks
+    permuted = order_1d(x[perm])
     np.testing.assert_array_equal(permuted, base[perm])
 
 
@@ -56,14 +54,16 @@ def test_order_1d_sign_convention():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(50, 3))
     x[:, 0] = np.linspace(-2, 2, 50)  # dominant variance along coordinate 0
-    projection = order_1d(x).projection
-    assert projection @ (x[:, 0] - x[:, 0].mean()) > 0
+    ranks = order_1d(x)
+    assert ranks @ (x[:, 0] - x[:, 0].mean()) > 0
 
 
-def test_order_1d_constant_features_degenerate():
-    ordering = order_1d(np.ones((6, 3)))
-    assert ordering.degenerate
-    np.testing.assert_array_equal(ordering.ranks, np.arange(6))
+@pytest.mark.parametrize("value", [1.0, 0.1])
+def test_order_1d_refuses_constant_features(value):
+    """Constant features rank nothing, whatever their value: at 0.1 the
+    rounded column mean differs from the entries, at 1.0 it does not."""
+    with pytest.raises(TuningInfeasibleError, match="constant"):
+        order_1d(np.full((6, 3), value))
 
 
 def test_order_1d_needs_two_rows():
@@ -86,23 +86,22 @@ def test_quantile_bounds_of_five():
 
 def test_quantile_splits_partition_each_group():
     ds = make_spurious((15, 10, 7, 12), 0.5, 0.5, 0.2, seed=3)
-    ranks = order_1d(ds.features).ranks
+    ranks = order_1d(ds.features)
     setup_a, setup_b = quantile_splits(ds, ranks)
-    for split in (setup_a, setup_b):
+    # Setup A holds out the top quantile of each group, setup B the bottom one.
+    for split, held in ((setup_a, 4), (setup_b, 0)):
         assert split.train.n + split.holdout.n == ds.n
         for g in range(4):
             train_rows = split.train.n_g[g]
             hold_rows = split.holdout.n_g[g]
             assert train_rows + hold_rows == ds.n_g[g]
             bounds = _quantile_bounds(int(ds.n_g[g]))
-            expected = bounds[split.held_quantile][1] - bounds[split.held_quantile][0]
-            assert hold_rows == expected
-    assert setup_a.held_quantile == 4 and setup_b.held_quantile == 0
+            assert hold_rows == bounds[held][1] - bounds[held][0]
 
 
 def test_quantile_splits_share_middle():
     ds = make_spurious((20, 10, 10, 20), 0.5, 0.5, 0.2, seed=4)
-    ranks = order_1d(ds.features).ranks
+    ranks = order_1d(ds.features)
     setup_a, setup_b = quantile_splits(ds, ranks)
     # Rows held by neither setup (the middle 60%) appear in both training sets.
     def row_keys(d):
@@ -114,7 +113,7 @@ def test_quantile_splits_share_middle():
 def test_quantile_splits_reject_tiny_groups():
     ds = make_spurious((10, 10, 4, 10), 0.5, 0.5, 0.2, seed=5)
     with pytest.raises(TuningInfeasibleError, match="group 2"):
-        quantile_splits(ds, order_1d(ds.features).ranks)
+        quantile_splits(ds, order_1d(ds.features))
 
 
 def test_minority_group_tie_break():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hierdro import ambiguity as amb
-from hierdro import model, verification
+from hierdro import model, solver, verification
 from hierdro.model import LINEAR, MLP1
 
 
@@ -23,6 +23,31 @@ def test_check_inner_maximization_holds_the_default_ascent_to_the_grid():
     result = verification.check_inner_maximization()
     assert result.passed, result.details
     assert 0.0 <= result.details["max_loss_gap"] <= result.details["tolerance"]
+
+
+def test_fast_checks_keep_their_names_and_docstrings():
+    """The timing wrapper hands on each check's ``__name__`` and ``__doc__``,
+    so ``help`` shows the check and the name finds it in the module."""
+    for check in verification.FAST_CHECKS:
+        assert getattr(verification, check.__name__) is check
+        assert check.__doc__
+
+
+def test_degeneracy_check_fails_when_the_erm_row_learns_beta(monkeypatch):
+    """An ERM row whose ``beta`` moves is no longer plain SGD at ``alpha``."""
+    start = solver.Lockstep.start.__func__
+
+    def erm_learns_beta(cls, *args):
+        state = start(cls, *args)
+        state.learns_beta[3] = True
+        state.__post_init__()
+        return state
+
+    monkeypatch.setattr(solver.Lockstep, "start", classmethod(erm_learns_beta))
+    result = verification.check_simplex_and_degeneracy(steps=200)
+    assert not result.passed
+    assert not result.details["erm_plain_sgd"]
+    assert result.details["group_dro_bitwise_equal"]
 
 
 # ------------------------------------------------ grid oracles, memory
