@@ -7,7 +7,10 @@ The parent is exported with ``git archive`` into a temporary directory.  In
 each tree this runs, with that tree's ``src`` on ``PYTHONPATH``:
 
 * ``generate -> tune -> run --tuned-epsilon-from`` on the base config of
-  ``tests/test_cli.py``, and on the same config with
+  ``tests/test_cli.py``; on the same config with a ``dataset.csv`` block
+  naming ``test_cli/{train,val,test,test_shifted}.csv``, relative paths, so
+  that each side's ``tune`` and ``run`` read the files its own ``test_cli``
+  run wrote (the ``load_csv`` path); and on the same config with
   ``solver.architecture: "mlp1"``, whose tuning trains the ERM warm-up
   (a linear model's tuning orders on its raw features and trains none);
 * the same on the ``configs/benchmark.json`` dataset block, shortened to
@@ -95,7 +98,8 @@ def source_lines(tree: str) -> int:
 
 
 def configs(out: str) -> dict:
-    """The three pipeline configs, by name, written under ``out``."""
+    """The four pipeline configs, by name, written under ``out``, in the
+    order they run: ``test_cli_csv`` reads the files ``test_cli`` wrote."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
     from test_cli import base_config
 
@@ -104,11 +108,14 @@ def configs(out: str) -> dict:
     bench["seeds"] = [11, 12, 13, 14, 15]
     bench["solver"].update(iterations=500, checkpoint_every=50)
     bench["tuning"].update(iterations=1000, warmup_iterations=1000)
+    csv = base_config(pathlib.Path(out))
+    csv["dataset"]["csv"] = {split: f"test_cli/{split}.csv"
+                             for split in ("train", "val", "test", "test_shifted")}
     mlp1 = base_config(pathlib.Path(out))
     mlp1["solver"]["architecture"] = "mlp1"
     paths = {}
-    for name, raw in (("test_cli", base_config(pathlib.Path(out))), ("test_cli_mlp1", mlp1),
-                      ("benchmark", bench)):
+    for name, raw in (("test_cli", base_config(pathlib.Path(out))), ("test_cli_csv", csv),
+                      ("test_cli_mlp1", mlp1), ("benchmark", bench)):
         raw["output_dir"] = name
         paths[name] = os.path.join(out, f"{name}.json")
         with open(paths[name], "w", encoding="utf-8") as fh:

@@ -238,7 +238,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("tuning.grid_scale: expected a nonempty list")
     n_min = max(min(top["dataset"].n_per_group_train, default=0), 0)
     for scale in grid_scale:
-        if not math.isfinite(scale) or scale < 0:
+        if not math.isfinite(scale) or math.copysign(1.0, scale) < 0:
             raise ConfigError(
                 f"tuning.grid_scale: expected finite nonnegative scales, got {scale!r}")
         if not math.isfinite(scale * math.sqrt(n_min)):
@@ -250,8 +250,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     tune_iterations = tn.get("iterations")
     tune_solver = _build(dataclasses.replace, "tuning", template, iterations=(
         template.iterations if tune_iterations is None else tune_iterations))
-    tune = _build(TuneConfig, "tuning", solver=tune_solver, model=model, ordering_seed=seeds[0],
-                  **_only(TuneConfig, tn))
+    tune = _build(TuneConfig, "tuning", solver=tune_solver, model=model, **_only(TuneConfig, tn))
     return ExperimentConfig(
         output_dir=top["output_dir"], seeds=seeds, dataset=top["dataset"], solver=template,
         model=model, tune=tune, modes=modes,
@@ -463,10 +462,10 @@ def cmd_tune(config: ExperimentConfig, output_dir: str) -> str:
     payload = {
         "config_hash": config.hash,
         "seeds": list(config.seeds),
-        "grid_scale": list(result.grid_scale),
+        "grid_scale": list(config.grid_scale),
         "grid": list(result.grid),
         "table": [[float(v) for v in row] for row in result.table],
-        "aggregation": result.aggregation,
+        "aggregation": config.tune.aggregation,
         "chosen_epsilon": result.chosen_epsilon,
         "chosen_scale": result.chosen_scale,
         "minority_group": result.minority_group,

@@ -28,7 +28,7 @@ measured gaps next to this bound evaluated with measured constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -275,7 +275,7 @@ def rate_study(
             raise UnsupportedDiagnosticError(
                 f"horizon {h} is not a multiple of checkpoint_every={config.checkpoint_every}"
             )
-    run_cfg = SolverConfig(**{**config.__dict__, "iterations": horizons[-1]})
+    run_cfg = replace(config, iterations=horizons[-1])
     epsilon = run_cfg.effective_epsilon
     init = init_params(ModelSpec(LINEAR), ds.d, ds.num_labels, seed=run_cfg.seed)
     result = solver.train(ds, ds, init, run_cfg)

@@ -271,11 +271,9 @@ def load_csv(path, num_labels: int | None = None, num_attributes: int | None = N
     if not lines:
         raise CsvParseError("empty file, expected a header row", 1)
     header = lines[0].split(",")
-    if header[:3] != ["y", "a", "g"] or any(
-        col != f"x{i}" for i, col in enumerate(header[3:])
-    ) or len(header) < 4:
-        raise CsvParseError(f"bad header {lines[0]!r}", 1)
     d = len(header) - 3
+    if d < 1 or header != _expected_header(d):
+        raise CsvParseError(f"bad header {lines[0]!r}", 1)
 
     ys, a_s, gs, xs = [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):

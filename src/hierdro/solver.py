@@ -30,13 +30,15 @@ is ordinary backpropagation.
 
 Trajectories of one shape run in lockstep (:func:`train_lockstep`).  One
 :class:`Lockstep` holds their state: the parameters stacked as
-``(R, K, d)``, ``beta`` as ``(R, m)``, and each row's settings as arrays.
-One :func:`train_step` advances all R rows with one set of numpy calls,
-apart from the latent ascent, which calls :func:`ambiguity.inner_maximize`
-once per row with a positive radius, as a lone run does.  Rows share the
-fields in ``SHARED`` and the architecture; mode, seed, radius, step sizes
-and initial model are set per row, and mode degeneracy becomes a per-row
-mask (a radius-0 row keeps ``z' = z``, an ERM row keeps ``beta``).
+``(R, K, d)``, ``beta`` as ``(R, m)``, and each row's radii and mode as
+arrays.  One :func:`train_step` advances all R rows with one set of numpy
+calls, apart from the latent ascent, which calls
+:func:`ambiguity.inner_maximize` once per row with a positive radius, as a
+lone run does.  Rows differ only in the fields in ``PER_ROW`` (mode, radius
+and seed) and in their initial model; every other config field, the step
+sizes and the adjustment among them, and the architecture are shared.  Mode
+degeneracy becomes a per-row mask (a radius-0 row keeps ``z' = z``, an ERM
+row keeps ``beta``).
 Each row draws from its own ``Generator`` in the order a lone run does, and
 rows with equal seeds share one stream and one gather.  A row that diverges
 is retired with its ``DivergenceError`` while the others go on.  Every row's
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -105,7 +107,8 @@ class SolverConfig:
                 raise ParameterError(f"{name} must be finite, got {value}")
         if self.eta_beta <= 0 or self.eta_theta <= 0:
             raise ParameterError("step sizes must be positive")
-        if self.epsilon < 0 or self.adjustment < 0:
+        # A negative zero counts as negative: a -0.0 radius would be printed as one.
+        if math.copysign(1.0, self.epsilon) < 0 or self.adjustment < 0:
             raise ParameterError("epsilon and adjustment must be nonnegative")
         if self.iterations < 0 or self.batch_size < 1 or self.checkpoint_every < 1:
             raise ParameterError("iterations/batch_size/checkpoint_every out of range")
@@ -167,9 +170,9 @@ class TrainResult:
         return self.history[-1]
 
 
-# The fields that set the shape of the loop: rows trained in lockstep share
-# them.  Every other field, and the initial model, may differ between rows.
-SHARED = ("iterations", "checkpoint_every", "batch_size", "decay_steps", "sampling")
+# The config fields in which rows trained in lockstep may differ, besides
+# their initial model; they must agree on every other field.
+PER_ROW = ("mode", "epsilon", "seed")
 
 
 @dataclass
@@ -178,13 +181,15 @@ class Lockstep:
 
     Row ``i`` of ``theta``, ``beta`` and ``theta_bar`` (each with a leading
     row axis) and of every per-row setting in ``ROWS`` is trajectory
-    ``ids[i]``.  ``shared`` is the first row's config at the start; only
-    its ``SHARED`` fields, which every row has, are read.  ``radii[i, g]`` is
-    row ``i``'s ball radius for group ``g`` (zero unless hierarchical); ERM
-    rows have ``learns_beta`` false.  ``some_ascent`` says whether any row
-    ascends and ``some_``/``all_learn`` whether any or every row learns
-    ``beta``, so that a step skips a phase no row needs.  A row that diverges leaves every
-    array, and its error goes to ``failed`` under its id.
+    ``ids[i]``.  Rows differ only in mode, radius, seed and initial model.
+    ``shared`` is the first row's config at the start; only its fields
+    outside ``PER_ROW``, which every row has, are read, the step sizes and
+    the adjustment among them.  ``radii[i, g]`` is row ``i``'s ball radius
+    for group ``g`` (zero unless hierarchical); ERM rows have
+    ``learns_beta`` false.  ``some_ascent`` says whether any row ascends
+    and ``some_``/``all_learn`` whether any or every row learns ``beta``,
+    so that a step skips a phase no row needs.  A row that diverges leaves
+    every array, and its error goes to ``failed`` under its id.
     """
 
     theta: ModelParams
@@ -194,9 +199,6 @@ class Lockstep:
     shared: SolverConfig
     n_per_group: np.ndarray
     radii: np.ndarray
-    eta_beta: np.ndarray
-    eta_theta: np.ndarray
-    adjustment: np.ndarray
     learns_beta: np.ndarray
     t: int = 0
     failed: dict[int, DivergenceError] = field(default_factory=dict)
@@ -206,7 +208,7 @@ class Lockstep:
     all_learn: bool = field(init=False)
 
     # The arrays with one entry per row along their first axis, besides the models.
-    ROWS = ("beta", "ids", "radii", "eta_beta", "eta_theta", "adjustment", "learns_beta")
+    ROWS = ("beta", "ids", "radii", "learns_beta")
 
     def __post_init__(self):
         self.index = np.arange(self.ids.size)
@@ -218,11 +220,11 @@ class Lockstep:
     def start(cls, inits, configs, ds_train: GroupedDataset) -> Lockstep:
         """Row ``r`` starts from ``inits[r]`` with ``beta = alpha`` under ``configs[r]``.
 
-        Raises ``ParameterError`` unless the rows share the fields in ``SHARED``
-        and the models share one shape.
+        Raises ``ParameterError`` unless the rows agree on every field outside
+        ``PER_ROW`` and the models share one shape.
         """
         configs = tuple(configs)
-        for name in SHARED:
+        for name in (f.name for f in fields(SolverConfig) if f.name not in PER_ROW):
             values = {getattr(c, name) for c in configs}
             if len(values) > 1:
                 raise ParameterError(
@@ -236,9 +238,6 @@ class Lockstep:
         return cls(theta=theta, beta=np.tile(ds_train.alpha, (len(configs), 1)), theta_bar=theta,
                    ids=np.arange(len(configs)), shared=configs[0], n_per_group=ds_train.n_g,
                    radii=amb.radius(epsilon[:, None], ds_train.n_g[None, :]),
-                   eta_beta=np.array([c.eta_beta for c in configs], float),
-                   eta_theta=np.array([c.eta_theta for c in configs], float),
-                   adjustment=np.array([c.adjustment for c in configs], float),
                    learns_beta=np.array([c.mode != ERM for c in configs]))
 
     def retire(self, keep: np.ndarray) -> None:
@@ -299,7 +298,8 @@ def update_beta(
 
     Computed in log space so large losses cannot overflow, in a new array:
     ``beta`` itself is left as it is.  For row-stacked ``beta`` of shape
-    ``(R, m)`` every other argument holds one value per row.
+    ``(R, m)`` every other argument holds one value per row, or one for
+    every row.
     """
     if not np.isfinite(loss_value).all():
         raise DivergenceError(
@@ -328,7 +328,8 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
     """
     g = batch.group
     t_next = state.t + 1
-    scale = 1.0 / math.sqrt(t_next) if state.shared.decay_steps else 1.0
+    shared = state.shared
+    scale = 1.0 / math.sqrt(t_next) if shared.decay_steps else 1.0
     theta = state.theta
 
     z = model.latent(theta, batch.x)
@@ -349,13 +350,13 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
     all_finite = finite.all()
     if state.some_learn:
         loss = mean_loss if all_finite else np.where(finite, mean_loss, 0.0)
-        beta = update_beta(state.beta, g, loss, state.eta_beta * scale, state.adjustment,
+        beta = update_beta(state.beta, g, loss, shared.eta_beta * scale, shared.adjustment,
                            state.n_per_group[g])
         state.beta = beta if state.all_learn else np.where(
             state.learns_beta[:, None], beta, state.beta)
 
     grads_finite = model.grads_finite(grads)
-    state.theta = model.sgd_step(theta, grads, state.eta_theta * scale * state.beta[state.index, g])
+    state.theta = model.sgd_step(theta, grads, shared.eta_theta * scale * state.beta[state.index, g])
     state.t = t_next
     state.theta_bar = model.average_params(state.theta_bar, state.theta, t_next)
     if not (all_finite and grads_finite.all()):
@@ -419,8 +420,8 @@ def train_lockstep(
     ``inits[r]`` under ``configs[r]``.
 
     Each step advances every row with one set of numpy calls (the latent
-    ascent apart, which runs row by row).  Rows must share
-    the fields in ``SHARED`` and the model shape (``ParameterError``
+    ascent apart, which runs row by row).  Rows may differ only in the
+    fields in ``PER_ROW`` and must share the model shape (``ParameterError``
     otherwise); rows with equal seeds share one random stream and one
     minibatch gather.  Returns, in row order, each row's ``TrainResult``,
     bitwise what :func:`train` returns for that row alone, or the

@@ -118,7 +118,6 @@ class TuneConfig:
     aggregation: str = "mean"
     order_on: str = "latents"          # "latents" (warm-up model) or "raw"
     warmup_iterations: int = 500
-    ordering_seed: int = 0
 
     def __post_init__(self):
         if self.aggregation not in ("mean", "min"):
@@ -133,11 +132,9 @@ class TuneConfig:
 @dataclass(frozen=True)
 class TuneResult:
     grid: tuple[float, ...]            # candidate radius parameters (scaled)
-    grid_scale: tuple[float, ...]      # the raw per-minority-group scales
     table: np.ndarray                  # (len(grid), 2) minority holdout accuracy
     chosen_epsilon: float
     chosen_scale: float
-    aggregation: str
     minority_group: int
     n_min: int
 
@@ -148,9 +145,10 @@ def minority_group(ds: GroupedDataset) -> int:
 
 
 def _ordering_ranks(ds: GroupedDataset, cfg: TuneConfig) -> np.ndarray:
-    """:func:`order_1d` of the features ``cfg.order_on`` names."""
+    """:func:`order_1d` of the features ``cfg.order_on`` names, seeded with
+    the tuning runs' seed, ``cfg.solver.seed``."""
     if cfg.order_on == "raw" or cfg.model.architecture == LINEAR:
-        return order_1d(ds.features, seed=cfg.ordering_seed)
+        return order_1d(ds.features, seed=cfg.solver.seed)
     warm_cfg = replace(
         cfg.solver, mode=ERM, epsilon=0.0, iterations=cfg.warmup_iterations,
         checkpoint_every=max(1, cfg.warmup_iterations),
@@ -158,7 +156,7 @@ def _ordering_ranks(ds: GroupedDataset, cfg: TuneConfig) -> np.ndarray:
     init = init_params(cfg.model, ds.d, ds.num_labels, seed=warm_cfg.seed)
     warm = solver.train(ds, ds, init, warm_cfg)
     try:
-        return order_1d(latent(warm.final.theta, ds.features), seed=cfg.ordering_seed)
+        return order_1d(latent(warm.final.theta, ds.features), seed=cfg.solver.seed)
     except TuningInfeasibleError as exc:
         raise TuningInfeasibleError(
             f"{exc}; these are the latents of the {cfg.warmup_iterations}-step ERM warm-up "
@@ -211,11 +209,9 @@ def tune_epsilon(ds_train: GroupedDataset, grid_scale, config: TuneConfig) -> Tu
     best = min(range(len(candidates)), key=lambda i: (-aggregate[i], candidates[i]))
     return TuneResult(
         grid=candidates,
-        grid_scale=grid_scale,
         table=table,
         chosen_epsilon=float(candidates[best]),
         chosen_scale=float(grid_scale[best]),
-        aggregation=config.aggregation,
         minority_group=minority,
         n_min=n_min,
     )

@@ -147,17 +147,18 @@ def test_rerun_into_one_directory_keeps_only_the_last_runs_cell_files(tmp_path):
 
 
 def test_one_diverged_cell_leaves_the_other_cells_as_their_solo_runs(tmp_path, monkeypatch):
-    """Force one row of the lockstep run to diverge; every other cell's
-    artifacts equal those of a run of that cell alone."""
+    """Force one row of the lockstep run to diverge through its initial
+    model, infinite output weights; every other cell's artifacts equal
+    those of a run of that cell alone."""
     raw = base_config(tmp_path)
     cfg = write_config(tmp_path, raw)
     cli.main(["generate", "--config", cfg])
     train_lockstep = cli.solver.train_lockstep
 
     def one_row_diverges(ds_train, ds_val, inits, configs):
-        configs = list(configs)
+        inits = list(inits)
         k = next(i for i, c in enumerate(configs) if c.mode == "group_dro" and c.seed == 1)
-        configs[k] = dataclasses.replace(configs[k], eta_theta=1e308)
+        inits[k] = dataclasses.replace(inits[k], w_out=np.full_like(inits[k].w_out, np.inf))
         return train_lockstep(ds_train, ds_val, inits, configs)
 
     monkeypatch.setattr(cli.solver, "train_lockstep", one_row_diverges)
@@ -203,7 +204,7 @@ def test_repeated_run_cells_are_refused(tmp_path, capsys, key, raw_value):
 
 
 @pytest.mark.parametrize("grid_scale", [[], [-0.1], [0.1, float("inf")], [float("nan")],
-                                        [1e308]])
+                                        [1e308], [-0.0]])
 def test_bad_grid_scale_is_refused_at_load(tmp_path, capsys, grid_scale):
     raw = base_config(tmp_path)
     raw["tuning"]["grid_scale"] = grid_scale
@@ -671,6 +672,24 @@ def test_run_refuses_a_non_finite_epsilon_before_training(tmp_path, capsys, valu
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {flags[0]}: epsilon")
         assert not (tmp_path / "out" / "runs").exists()
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def test_a_negative_zero_epsilon_is_refused(tmp_path, capsys):
+    """``-0.0`` is a negative radius: it would be printed as ``-0.000000``.
+    (``tuning.grid_scale: [-0.0]`` is a case of the grid-scale test.)"""
+    raw = base_config(tmp_path)
+    raw["solver"]["epsilon"] = -0.0
+    assert_refused(tmp_path, capsys, raw, "solver: epsilon and adjustment must be nonnegative")
+    cfg = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["generate", "--config", cfg]) == 0
+    tune_path = tmp_path / "tune_result.json"
+    tune_path.write_text(json.dumps({"chosen_epsilon": -0.0}))
+    capsys.readouterr()
+    for flags in (["--epsilon", "-0.0"], ["--tuned-epsilon-from", str(tune_path)]):
+        assert cli.main(["run", "--config", cfg, *flags]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {flags[0]}: epsilon")
         assert not (tmp_path / "out" / "results.csv").exists()
 
 

@@ -11,6 +11,7 @@ import statistics
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hierdro import cli, convergence
@@ -177,3 +178,20 @@ def test_parity_pair_finds_the_first_difference(tmp_path):
         (tmp_path / "left" / "src" / "hierdro" / name).write_text(body)
     assert parity_pair.source_lines(left) == 3
     assert parity_pair.source_lines(right) == 0
+
+
+def test_parity_pair_csv_pipeline_reads_the_files_of_the_test_cli_pipeline(tmp_path, monkeypatch):
+    """The ``dataset.csv`` config runs after ``test_cli`` and names that run's
+    files relative to the working directory, so each side reads its own."""
+    parity_pair = load_script("parity_pair")
+    paths = parity_pair.configs(str(tmp_path))
+    assert list(paths).index("test_cli") < list(paths).index("test_cli_csv")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["generate", "--config", paths["test_cli"],
+                     "--output-dir", "test_cli"]) == 0
+    config = cli.load_config(paths["test_cli_csv"])
+    read = cli._load_datasets(config)
+    written = cli._load_datasets(cli.load_config(paths["test_cli"]))
+    for split in cli.SPLITS:
+        np.testing.assert_array_equal(read[split].features, written[split].features)
+        np.testing.assert_array_equal(read[split].group_of, written[split].group_of)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hierdro import solver
+from hierdro import solver, tuning
 from hierdro.datagen import GroupedDataset, make_spurious
 from hierdro.errors import ParameterError, TuningInfeasibleError
 from hierdro.model import ModelSpec
@@ -216,6 +216,20 @@ def test_only_an_mlp1_ordering_trains_a_warmup(monkeypatch, architecture, warmup
     monkeypatch.setattr(solver, "train", lambda *a, **k: calls.append(a) or train(*a, **k))
     tune_epsilon(ds, [0.2], replace(cfg, model=ModelSpec(architecture, hidden_width=4)))
     assert len(calls) == warmups
+
+
+@pytest.mark.parametrize("architecture", ["linear", "mlp1"])
+def test_tuning_orders_with_the_solver_seed(monkeypatch, architecture):
+    """The ordering's power iteration starts from ``solver.seed``, the seed
+    of the tuning runs, whether it orders raw features or warm-up latents."""
+    ds = make_spurious((40, 20, 15, 40), 0.6, 0.5, 0.15, seed=13)
+    cfg = tune_config(seed=7, iterations=0)
+    seeds = []
+    order_1d_ = tuning.order_1d
+    monkeypatch.setattr(tuning, "order_1d",
+                        lambda x, seed: seeds.append(seed) or order_1d_(x, seed=seed))
+    tune_epsilon(ds, [0.2], replace(cfg, model=ModelSpec(architecture, hidden_width=4)))
+    assert seeds == [7]
 
 
 def test_tuning_computes_no_training_losses(monkeypatch):
