@@ -2,9 +2,12 @@
 """Run the CLI on a parent revision and on this tree and compare every artifact byte for byte.
 
     python3 scripts/parity_pair.py --parent HEAD
+    python3 scripts/parity_pair.py --coretype Prescott
+    python3 scripts/parity_pair.py --parent HEAD --coretype Prescott
 
 The parent is exported with ``git archive`` into a temporary directory.  In
-each tree this runs, with that tree's ``src`` on ``PYTHONPATH``:
+each tree this runs, with that tree's ``src`` on ``PYTHONPATH`` and OpenBLAS
+on the kernel it picks for this CPU (``OPENBLAS_CORETYPE`` unset):
 
 * ``generate -> tune -> run --tuned-epsilon-from`` on the base config of
   ``tests/test_cli.py``; on the same config with a ``dataset.csv`` block
@@ -28,12 +31,26 @@ wall time of each verification check.  The first difference is printed
 and the exit code is 1; with none it is 0.  Either way the final line also
 gives the line count of ``src/hierdro/*.py`` in the parent and in this
 tree, ``N -> M lines``.
+
+``--coretype NAME`` runs this tree once more with ``OPENBLAS_CORETYPE=NAME``
+(``Prescott``, ``Nehalem``, ``Haswell``, ...: another BLAS kernel on the same
+machine; a name that leaves OpenBLAS on its own kernel is refused with exit
+code 1) and prints the kernel each run used, which files are byte-identical
+to the default kernel's, and, for each file that differs, the largest
+relative and absolute differences between its numbers (text around the
+numbers may differ in whitespace only).  The exit code is then 1 as well
+when a file differs that should not depend on the kernel: every file but
+those that print values at full precision, the parameters of a
+``checkpoint_*.json``, the oracle residuals of ``verify.json`` and the
+reference value and gaps of ``convergence_study.txt``, must be
+byte-identical.
 """
 
 import argparse
 import filecmp
 import glob
 import json
+import math
 import os
 import pathlib
 import re
@@ -44,12 +61,33 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS_LINE = re.compile(rb'^\s*"seconds": [^,\n]*,?$')
 STUDY_ARGS = ("--horizons", "20000", "40000", "--reference-iterations", "20000")
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:Infinity|inf|NaN|nan)")
+# The files whose bytes may depend on the BLAS kernel: values at full precision.
+KERNEL_DEPENDENT = re.compile(r"(^|/)checkpoint_[^/]*\.json$|^verify\.json$|^convergence_study\.txt$")
+# Prints the name of the OpenBLAS kernel that numpy loaded, or "unknown".
+CORE_NAME = """
+import ctypes, numpy
+maps = [line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line]
+name = b"unknown"
+for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+               "openblas_get_corename"):
+    fn = getattr(ctypes.CDLL(maps[0]), symbol, None) if maps else None
+    if fn is not None:
+        fn.argtypes, fn.restype = [], ctypes.c_char_p
+        name = fn()
+        break
+print(name.decode())
+"""
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="git revision of the other side")
-    return parser.parse_args(argv)
+    parser.add_argument("--parent", help="git revision of the other side")
+    parser.add_argument("--coretype", help="an OPENBLAS_CORETYPE to run this tree again under")
+    args = parser.parse_args(argv)
+    if args.parent is None and args.coretype is None:
+        parser.error("give --parent, --coretype or both")
+    return args
 
 
 def comparable_lines(path: str) -> list[bytes]:
@@ -62,13 +100,15 @@ def comparable_lines(path: str) -> list[bytes]:
     return lines
 
 
+def files(root: str) -> list[str]:
+    """The paths of the files under directory ``root``, relative to it, sorted."""
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _, names in os.walk(root) for f in names)
+
+
 def first_difference(left: str, right: str) -> str | None:
     """The first difference between the files under directories ``left`` and
     ``right``, in sorted path order, or ``None`` when they agree."""
-    def files(root):
-        return sorted(os.path.relpath(os.path.join(d, f), root)
-                      for d, _, names in os.walk(root) for f in names)
-
     left_files, right_files = files(left), files(right)
     if left_files != right_files:
         only = sorted(set(left_files) ^ set(right_files))[0]
@@ -86,6 +126,47 @@ def first_difference(left: str, right: str) -> str | None:
         if len(la) != len(lb):
             return f"{rel}: {len(la)} lines != {len(lb)} lines"
     return None
+
+
+def number_differences(left: str, right: str) -> tuple[float, float] | None:
+    """The largest ``|a - b| / max(|a|, |b|)`` and the largest ``|a - b|`` over
+    the numbers of two files, paired in order, when their comparable lines
+    agree outside the numbers up to whitespace; ``None`` when they differ
+    elsewhere too.  A pair that is not finite and differs counts as ``inf``."""
+    texts, numbers = [], []
+    for path in (left, right):
+        data = b"\n".join(comparable_lines(path))
+        texts.append([b" ".join(text.split()) for text in NUMBER.split(data)])
+        numbers.append(NUMBER.findall(data))
+    if texts[0] != texts[1]:
+        return None
+    relative = absolute = 0.0
+    for a, b in zip(*numbers):
+        x, y = float(a), float(b)
+        if x == y:
+            continue
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return math.inf, math.inf
+        relative = max(relative, abs(x - y) / max(abs(x), abs(y)))
+        absolute = max(absolute, abs(x - y))
+    return relative, absolute
+
+
+def kernel_report(default: str, other: str) -> tuple[list[str], dict[str, str]]:
+    """``(identical, differing)``: the files under ``default`` and ``other``
+    whose comparable lines agree, and how each other file differs, by path:
+    its largest differences, or that it is on one side only."""
+    left, right = set(files(default)), set(files(other))
+    identical, differing = [], {rel: "only on one side" for rel in sorted(left ^ right)}
+    for rel in sorted(left & right):
+        a, b = os.path.join(default, rel), os.path.join(other, rel)
+        if comparable_lines(a) == comparable_lines(b):
+            identical.append(rel)
+            continue
+        worst = number_differences(a, b)
+        differing[rel] = ("differs beyond its numbers" if worst is None else
+                          f"largest difference {worst[0]:.3g} relative, {worst[1]:.3g} absolute")
+    return identical, dict(sorted(differing.items()))
 
 
 def source_lines(tree: str) -> int:
@@ -123,9 +204,25 @@ def configs(out: str) -> dict:
     return paths
 
 
-def run_side(tree: str, config_paths: dict, out: str) -> None:
+def side_env(tree: str, coretype: str | None) -> dict:
+    """The environment of one side's runs: ``tree``'s ``src`` first on the path,
+    and OpenBLAS on ``coretype``, or on its own choice when that is ``None``."""
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
     env.pop("HIERDRO_OUT", None)
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    return env
+
+
+def blas_core(env: dict) -> str:
+    """The OpenBLAS kernel a Python process started with ``env`` runs on."""
+    return subprocess.run([sys.executable, "-c", CORE_NAME], env=env, capture_output=True,
+                          text=True).stdout.strip() or "unknown"
+
+
+def run_side(tree: str, config_paths: dict, out: str, coretype: str | None = None) -> None:
+    env = side_env(tree, coretype)
 
     def python(*args) -> str:
         cmd = [sys.executable, *args]
@@ -151,30 +248,56 @@ def run_side(tree: str, config_paths: dict, out: str) -> None:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    revision = subprocess.run(["git", "-C", ROOT, "rev-parse", args.parent], capture_output=True,
-                              text=True, check=True).stdout.strip()
+    if args.coretype is not None:
+        cores = (blas_core(side_env(ROOT, None)), blas_core(side_env(ROOT, args.coretype)))
+        if cores[0] == cores[1]:
+            print(f"OPENBLAS_CORETYPE={args.coretype} leaves OpenBLAS on the kernel "
+                  f"{cores[0]}, as without it: there is no second kernel to compare")
+            return 1
+    status = 0
     with tempfile.TemporaryDirectory(prefix="parity_pair_") as tmp:
-        parent_root = os.path.join(tmp, "parent")
-        os.mkdir(parent_root)
-        archive = subprocess.run(["git", "-C", ROOT, "archive", revision],
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", parent_root], input=archive, check=True)
         config_dir = os.path.join(tmp, "configs")
         os.makedirs(config_dir)
         config_paths = configs(config_dir)
-        outs = {"parent": os.path.join(tmp, "parent_out"), "tree": os.path.join(tmp, "tree_out")}
-        for side, tree in (("parent", parent_root), ("tree", ROOT)):
+        sides = [("tree", ROOT, None)]
+        if args.parent is not None:
+            revision = subprocess.run(["git", "-C", ROOT, "rev-parse", args.parent],
+                                      capture_output=True, text=True, check=True).stdout.strip()
+            parent_root = os.path.join(tmp, "parent")
+            os.mkdir(parent_root)
+            archive = subprocess.run(["git", "-C", ROOT, "archive", revision],
+                                     capture_output=True, check=True).stdout
+            subprocess.run(["tar", "-x", "-C", parent_root], input=archive, check=True)
+            sides.insert(0, ("parent", parent_root, None))
+        if args.coretype is not None:
+            sides.append(("coretype", ROOT, args.coretype))
+        outs = {}
+        for side, tree, coretype in sides:
+            outs[side] = os.path.join(tmp, f"{side}_out")
             os.makedirs(outs[side])
             print(f"running {side} ({tree})", file=sys.stderr)
-            run_side(tree, config_paths, outs[side])
-        difference = first_difference(outs["parent"], outs["tree"])
+            run_side(tree, config_paths, outs[side], coretype)
         count = sum(len(names) for _, _, names in os.walk(outs["tree"]))
-        lines = f"src/hierdro/*.py {source_lines(parent_root)} -> {source_lines(ROOT)} lines"
-    if difference:
-        print(f"parent {revision[:12]} and this tree differ: {difference}; {lines}")
-        return 1
-    print(f"parent {revision[:12]} and this tree agree on all {count} files; {lines}")
-    return 0
+        if args.parent is not None:
+            difference = first_difference(outs["parent"], outs["tree"])
+            lines = f"src/hierdro/*.py {source_lines(parent_root)} -> {source_lines(ROOT)} lines"
+            if difference:
+                print(f"parent {revision[:12]} and this tree differ: {difference}; {lines}")
+                status = 1
+            else:
+                print(f"parent {revision[:12]} and this tree agree on all {count} files; {lines}")
+        if args.coretype is not None:
+            identical, differing = kernel_report(outs["tree"], outs["coretype"])
+            print(f"this tree on OpenBLAS kernel {cores[0]} and on OPENBLAS_CORETYPE="
+                  f"{args.coretype} ({cores[1]}): {len(identical)} of {count} files "
+                  f"byte-identical, {len(differing)} differ")
+            for rel, how in differing.items():
+                print(f"  {rel}: {how}")
+            outside = [rel for rel in differing if not KERNEL_DEPENDENT.search(rel)]
+            if outside:
+                print(f"{len(outside)} of them should not depend on the kernel")
+                status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import ParameterError, UnsupportedInstanceError
+from .errors import DivergenceError, ParameterError, UnsupportedInstanceError
 from .model import ModelParams
 
 SUP_GRID_FRACTION = 100
@@ -49,6 +49,8 @@ CHECK_MAX_SUPPORT = 6
 # Grid rows per chunk.  A power of two, so every chunk boundary is a multiple
 # of BLAS's row block and each row's logits are bitwise the one-shot product's.
 _GRID_CHUNK = 8192
+# Row y holds the sign s = 2y - 1 of label y, as a column that scales a row vector.
+_LABEL_SIGNS = np.array([[-1.0], [1.0]])
 
 
 def radius(epsilon, n_g):
@@ -86,12 +88,15 @@ def project_ball(z_prime: np.ndarray, z_center: np.ndarray, eps: float) -> np.nd
 def inner_maximize(theta: ModelParams, z: np.ndarray, y, eps_g: float) -> np.ndarray:
     """The loss ascent inside the ``eps_g`` ball around each row of ``z``.
 
+    ``z`` is one latent or a ``(B, k)`` batch and ``y`` its label or labels.
     For a binary head (``theta`` unstacked, two classes, linear or ``mlp1``)
-    this is the exact maximizer, the closed form :func:`binary_ball_maximizer`.
-    A head with more classes takes one normalized gradient step to the
-    sphere, ``z + eps_g * g / ||g||``, the first-order maximizer (a row with
-    a zero gradient keeps ``z``).  The loss is convex in the latent, so
-    neither ever decreases it, and neither leaves the ball.
+    this is the exact maximizer, the closed form :func:`binary_ball_maximizer`,
+    with ``||v||`` from :func:`_head_norm`: a ``v = w_1 - w_0`` whose norm is
+    not finite is a ``DivergenceError`` that names the ascent, not a silent
+    step of length zero.  A head with more classes takes one normalized
+    gradient step to the sphere, ``z + eps_g * g / ||g||``, the first-order
+    maximizer (a row with a zero gradient keeps ``z``).  The loss is convex
+    in the latent, so neither ever decreases it, and neither leaves the ball.
     """
     if eps_g < 0:
         raise ParameterError("eps_g must be nonnegative")
@@ -99,18 +104,16 @@ def inner_maximize(theta: ModelParams, z: np.ndarray, y, eps_g: float) -> np.nda
     if eps_g == 0.0:
         return z
 
-    single = z.ndim == 1
-    z_mat = z[None, :] if single else z
-    y_arr = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if theta.num_classes == 2:
-        v = theta.w_out[1] - theta.w_out[0]
-        # ``np.linalg.norm(v)`` of a vector is this sqrt of the same dot product.
-        best = binary_ball_maximizer(z_mat, 2.0 * y_arr - 1.0, v, eps_g, math.sqrt(v.dot(v)))
-        return best[0] if single else best
+    w_out = theta.w_out
+    if w_out.shape[-2] == 2:
+        v = w_out[1] - w_out[0]
+        return binary_ball_maximizer(z, y, v, eps_g, _head_norm(v, "the latent ascent"))
 
     # Dividing by the largest entry first keeps the squared norm from
     # underflowing when the gradient is tiny.
-    grad = model.grad_wrt_latent(theta, z_mat, y_arr)
+    single = z.ndim == 1
+    z_mat = z[None, :] if single else z
+    grad = model.grad_wrt_latent(theta, z_mat, np.atleast_1d(np.asarray(y, dtype=np.int64)))
     step = np.zeros_like(grad)
     top = np.abs(grad).max(axis=-1, keepdims=True)
     np.divide(grad, top, out=step, where=top > 0)
@@ -118,6 +121,21 @@ def inner_maximize(theta: ModelParams, z: np.ndarray, y, eps_g: float) -> np.nda
     np.divide(step, norm, out=step, where=norm > 0)
     best = z_mat + eps_g * step
     return best[0] if single else best
+
+
+def _head_norm(v: np.ndarray, where: str) -> float:
+    """``||v||`` of a binary head's ``v = w_1 - w_0`` as ``sqrt(v . v)``,
+    which is what ``np.linalg.norm`` computes for a vector.
+
+    A norm that is not finite, because ``v`` is not or because ``v . v``
+    overflows (``|v|`` past about 1.3e154), would turn every closed-form
+    step into one of length ``eps_g / inf = 0``; it is a ``DivergenceError``
+    naming ``where`` instead.
+    """
+    v_norm = math.sqrt(v.dot(v))
+    if not v_norm < math.inf:
+        raise DivergenceError(f"non-finite ||w_1 - w_0|| in {where}", snapshot={"v_norm": v_norm})
+    return v_norm
 
 
 def binary_robust_loss(margin, sign, eps_g, v_norm):
@@ -136,10 +154,16 @@ def binary_robust_loss(margin, sign, eps_g, v_norm):
     return np.logaddexp(0.0, u), u
 
 
-def binary_ball_maximizer(z, sign, v, eps_g, v_norm):
-    """The rows ``z' = z - s eps_g v / ||v||`` at which :func:`binary_robust_loss` is attained."""
+def binary_ball_maximizer(z, y, v, eps_g: float, v_norm):
+    """The rows ``z' = z - s eps_g v / ||v||`` at which :func:`binary_robust_loss`
+    is attained, for labels ``y`` (``s = 2y - 1``) and one radius ``eps_g``.
+
+    Label ``y`` picks row ``y`` of ``eps_g v_hat * [[-1], [1]]``.  A product
+    with +-1 is exact, signed zeros included, so this is bitwise
+    ``z - (s eps_g)[:, None] * v_hat``.  ``z`` is one latent or a batch.
+    """
     v_hat = v / v_norm if v_norm > 0 else np.zeros_like(v)
-    return z - (sign * eps_g)[:, None] * v_hat
+    return z - (eps_g * v_hat * _LABEL_SIGNS).take(y, 0)
 
 
 def _ring() -> np.ndarray:

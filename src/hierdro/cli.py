@@ -8,6 +8,8 @@ value of the wrong type is a validation error.  ``tune`` and ``run`` build
 their data from the config alone, never from files ``generate`` wrote.
 Every artifact records the config hash and the seed list, and reruns with an
 identical hash produce byte-identical file bodies (no timestamps anywhere).
+``tune`` also says on stderr, never in ``tune_result.json``, what its result
+says about its own choice (:func:`tuning.diagnostics`).
 
 Exit codes: 0 success, 1 validation error or out of memory, 2 verification
 failure, 3 runtime divergence.  The environment variable ``HIERDRO_OUT``
@@ -473,6 +475,8 @@ def cmd_tune(config: ExperimentConfig, output_dir: str) -> str:
     }
     path = os.path.join(output_dir, "tune_result.json")
     _write_json(path, payload)
+    for line in tuning.diagnostics(result, config.grid_scale):
+        print(f"tune: {line}", file=sys.stderr)
     return path
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model, solver
-from .ambiguity import binary_ball_maximizer, binary_robust_loss, radius
+from .ambiguity import _head_norm, binary_ball_maximizer, binary_robust_loss, radius
 from .datagen import GroupedDataset, make_spurious
 from .errors import ParameterError, UnsupportedDiagnosticError
 from .model import LINEAR, ModelParams, ModelSpec, init_params
@@ -64,10 +64,12 @@ def _mean(a: np.ndarray) -> np.float64:
 
 class _RobustProblem:
     """The robust objective of one (dataset, epsilon): the examples in group
-    order (``group_``), with their features, label signs ``s = 2y - 1`` and
-    radii, and per present group its index, features, slice of the
-    group-ordered rows and radius.  A negative or non-finite ``epsilon`` is a
-    ``ParameterError`` (:func:`ambiguity.radius`)."""
+    order (``group_``), with their features, labels, label signs
+    ``s = 2y - 1`` and radii, and per present group its index, features,
+    slice of the group-ordered rows and radius.  A negative or non-finite
+    ``epsilon`` is a ``ParameterError`` (:func:`ambiguity.radius`), and a
+    ``v`` whose norm is not finite a ``DivergenceError``
+    (:func:`ambiguity._head_norm`)."""
 
     def __init__(self, ds: GroupedDataset, epsilon: float):
         present = np.flatnonzero(ds.n_g)
@@ -76,7 +78,8 @@ class _RobustProblem:
         rows = [ds.group_rows(g) for g in present.tolist()]
         order = np.concatenate(rows)
         self.group_features = ds.features[order]
-        self.group_sign = 2.0 * ds.labels[order].astype(np.float64) - 1.0
+        self.group_labels = ds.labels[order]
+        self.group_sign = 2.0 * self.group_labels.astype(np.float64) - 1.0
         self.group_radii = group_radius[ds.group_of[order]]
         # Each row's slack u = -s (z . v + c) + eps_g ||v|| has gradient
         # (-s z + eps_g v / ||v||, -s) in (v, c); the -s z part is fixed.
@@ -96,7 +99,7 @@ class _RobustProblem:
 
     def group_values(self, v: np.ndarray, c: float):
         """Each present group's ``f_g``, in ``groups`` order, and the rows' slacks."""
-        losses, u = self.losses(v, c, math.sqrt(v.dot(v)))
+        losses, u = self.losses(v, c, _head_norm(v, "the robust objective"))
         return np.array([_mean(losses[rows]) for _, _, rows, _ in self.groups]), u
 
     def weighted_minimum(self, beta: np.ndarray, x: np.ndarray):
@@ -112,7 +115,7 @@ class _RobustProblem:
         d = x.size - 1
         for newton_step in range(NEWTON_MAX_STEPS + 1):
             v = x[:d]
-            v_norm = math.sqrt(v.dot(v))
+            v_norm = _head_norm(v, "the robust objective")
             f, u = self.group_values(v, x[d])
             current = float(beta @ f)
             sig = 1.0 / (1.0 + np.exp(-u))
@@ -230,13 +233,14 @@ def bound_constants(
     b_theta = b_grad = b_loss = 0.0
     for theta in thetas:
         v, c = _head(theta)
-        v_norm = float(np.linalg.norm(v))
+        v_norm = _head_norm(v, "the robust objective")
         losses, u = problem.losses(v, c, v_norm)
         # Per-example gradient at the maximizing latent z': dlogits has norm
         # sqrt(2)*sigma(u), so the (W, b) gradient norm is
         # sqrt(2)*sigma(u)*sqrt(||z'||^2 + 1).
-        z_prime = binary_ball_maximizer(problem.group_features, problem.group_sign, v,
-                                        problem.group_radii, v_norm)
+        z_prime = np.concatenate([
+            binary_ball_maximizer(feats, problem.group_labels[rows], v, eps_g, v_norm)
+            for _, feats, rows, eps_g in problem.groups])
         sig = 1.0 / (1.0 + np.exp(-u))
         grad_norms = np.sqrt(2.0) * sig * np.sqrt((z_prime ** 2).sum(axis=1) + 1.0)
         b_theta = max(b_theta, model.params_norm(theta))

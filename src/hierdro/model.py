@@ -131,7 +131,10 @@ def stack_params(thetas) -> ModelParams:
 
 def row_params(theta: ModelParams, rows) -> ModelParams:
     """Row ``rows`` of a row-stacked model: one model for an int, a stack for an index array."""
-    return ModelParams(*(None if a is None else a[rows] for a in theta.arrays()))
+    if theta.w_hidden is None:
+        return ModelParams(theta.w_out[rows], theta.b_out[rows])
+    return ModelParams(theta.w_out[rows], theta.b_out[rows], theta.w_hidden[rows],
+                       theta.b_hidden[rows])
 
 
 def _mT(a: np.ndarray) -> np.ndarray:

@@ -322,9 +322,10 @@ def update_beta(
 def train_step(state: Lockstep, batch: Batch) -> Lockstep:
     """One iteration of the three-coordinate update for every row; mutates and returns ``state``.
 
-    A row whose batch loss or parameter gradient is not finite is retired
-    from ``state`` with the ``DivergenceError`` a one-row run raises, in
-    ``state.failed``; the other rows' results do not depend on it.
+    A row whose latent ascent fails (a non-finite ``||w_1 - w_0||``) or whose
+    batch loss or parameter gradient is not finite is retired from ``state``
+    with the ``DivergenceError`` a one-row run raises, in ``state.failed``;
+    the other rows' results do not depend on it.
     """
     g = batch.group
     t_next = state.t + 1
@@ -334,19 +335,28 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
 
     z = model.latent(theta, batch.x)
     z_prime = z
+    ascent_failed = {}
     if state.some_ascent:
-        # Row by row, as a lone run ascends; a row with radius zero keeps z' = z.
-        # Row i of ``z`` and ``y`` is ``[i % len]``: they have R rows or one shared row.
+        # z' starts as a copy of z, which a row with radius zero keeps; the
+        # others ascend row by row, as a lone run does.  Row i of ``z`` and
+        # ``y`` is ``[i % len]``: they have R rows or one shared row.
         eps_g = state.radii[state.index, g].tolist()
         z_prime = np.empty((len(eps_g),) + z.shape[1:])
+        z_prime[...] = z
+        y = batch.y
         for i, eps in enumerate(eps_g):
-            z_i, y_i = z[i % len(z)], batch.y[i % len(batch.y)]
-            z_prime[i] = z_i if eps == 0 else amb.inner_maximize(
-                model.row_params(theta, i), z_i, y_i, eps)
+            if eps > 0:
+                try:
+                    z_prime[i] = amb.inner_maximize(
+                        model.row_params(theta, i), z[i % len(z)], y[i % len(y)], eps)
+                except DivergenceError as err:
+                    ascent_failed[i] = err
 
     losses, grads = model.loss_and_param_grads(theta, z_prime, z, batch.x, batch.y)
     mean_loss = np.add.reduce(losses, -1) / losses.shape[-1]    # losses.mean(-1), bitwise
     finite = np.isfinite(mean_loss)
+    if ascent_failed:
+        finite[list(ascent_failed)] = False
     all_finite = finite.all()
     if state.some_learn:
         loss = mean_loss if all_finite else np.where(finite, mean_loss, 0.0)
@@ -361,9 +371,12 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
     state.theta_bar = model.average_params(state.theta_bar, state.theta, t_next)
     if not (all_finite and grads_finite.all()):
         finite &= grads_finite
-        for i in np.flatnonzero(~finite):
+        for i in np.flatnonzero(~finite).tolist():
             snapshot = {"iteration": t_next, "group": int(g[i])}
-            if np.isfinite(mean_loss[i]):
+            if i in ascent_failed:
+                message = str(ascent_failed[i])
+                snapshot.update(ascent_failed[i].snapshot)
+            elif np.isfinite(mean_loss[i]):
                 message = "non-finite parameter gradient"
             else:
                 message = "non-finite batch loss"

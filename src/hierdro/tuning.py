@@ -139,6 +139,40 @@ class TuneResult:
     n_min: int
 
 
+def diagnostics(result: TuneResult, grid_scale) -> list[str]:
+    """What a tuning result says about its own choice, one sentence each.
+
+    The minority group's holdout sizes, which set the resolution of every
+    accuracy in the table; whether the chosen scale is the grid's largest,
+    or scores as the largest does in both setups and wins only the tie-break
+    to the smaller scale, in which case the grid's edge may have chosen
+    rather than the data; and each setup whose column is constant, which
+    therefore ranks no candidate.  With one candidate there is no choice, so
+    only the sizes are given.
+    """
+    (bottom_lo, bottom_hi), *_, (top_lo, top_hi) = _quantile_bounds(result.n_min)
+    held_a, held_b = top_hi - top_lo, bottom_hi - bottom_lo
+    lines = [f"minority group {result.minority_group} ({result.n_min} training rows) holds out "
+             f"{held_a} rows in setup A and {held_b} in setup B, so its holdout accuracies "
+             f"move in steps of 1/{held_a} and 1/{held_b}"]
+    if len(result.grid) < 2:
+        return lines
+    scales = [float(s) for s in grid_scale]
+    top, best = scales.index(max(scales)), scales.index(result.chosen_scale)
+    if top == best:
+        lines.append(f"the chosen scale {scales[best]:.6g} is the largest in grid_scale; "
+                     f"a wider grid may choose a larger radius")
+    elif (result.table[top] == result.table[best]).all():
+        lines.append(f"the largest scale in grid_scale, {scales[top]:.6g}, scores as the chosen "
+                     f"{scales[best]:.6g} does in both setups and loses only the tie-break to "
+                     f"the smaller scale; a wider grid may choose a larger radius")
+    for name, column in zip("AB", result.table.T):
+        if (column == column[0]).all():
+            lines.append(f"setup {name} gives every candidate accuracy {column[0]:.6g}, so it "
+                         f"ranks none of them")
+    return lines
+
+
 def minority_group(ds: GroupedDataset) -> int:
     """Index of the smallest group; ties go to the smallest index."""
     return int(np.argmin(ds.n_g))

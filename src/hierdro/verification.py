@@ -177,7 +177,7 @@ def check_gradients(n_cases: int = 100, seed: int = 0, tolerance: float = GRADIE
                     worst = max(worst, _relative_error(got, fd_param_gradient(theta, zp, x, y)))
                 if k == 2:
                     v = theta.w_out[1] - theta.w_out[0]
-                    zp = amb.binary_ball_maximizer(z[None], 2.0 * ys - 1.0, v, ROBUST_RADIUS,
+                    zp = amb.binary_ball_maximizer(z[None], ys, v, ROBUST_RADIUS,
                                                    np.linalg.norm(v))
                     _, grads = model.loss_and_param_grads(theta, zp, z[None], xs, ys)
                     got = model.flatten_params(grads)

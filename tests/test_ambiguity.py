@@ -16,7 +16,7 @@ from hierdro.ambiguity import (
     taylor_gap,
     w_infty_exact,
 )
-from hierdro.errors import ParameterError, UnsupportedInstanceError
+from hierdro.errors import DivergenceError, ParameterError, UnsupportedInstanceError
 from hierdro.model import ModelParams
 
 
@@ -205,7 +205,7 @@ def test_inner_maximize_binary_head_is_the_closed_form(architecture):
         ys = rng.integers(0, 2, size=7)
         v = theta.w_out[1] - theta.w_out[0]
         eps = float(rng.uniform(0.05, 2.0))
-        want = amb.binary_ball_maximizer(zs, 2.0 * ys - 1.0, v, eps, np.linalg.norm(v))
+        want = amb.binary_ball_maximizer(zs, ys, v, eps, np.linalg.norm(v))
         np.testing.assert_array_equal(inner_maximize(theta, zs, ys, eps), want)
         for i in (0, 6):
             single = inner_maximize(theta, zs[i], int(ys[i]), eps)
@@ -220,11 +220,13 @@ def test_inner_maximize_binary_head_with_zero_weight_difference_keeps_z():
     np.testing.assert_array_equal(inner_maximize(theta, zs[0], 1, 0.8), zs[0])
 
 
-@pytest.mark.parametrize("scale", [1e-160, 1e-5, 1.0, 1e3, 1e155])
+@pytest.mark.parametrize("scale", [1e-160, 1e-5, 1.0, 1e3, 1e150, 1e155])
 def test_inner_maximize_binary_head_norm_is_numpys_vector_norm(scale):
     """The ascent takes ``||v||`` as the sqrt of ``v . v``, which is what
     ``np.linalg.norm`` computes for a vector: the same endpoints bitwise, also
-    where ``v . v`` is subnormal (1e-160) or overflows to inf (1e155)."""
+    where ``v . v`` is subnormal (1e-160) or near the largest float (1e150).
+    Where it overflows to inf (1e155), although ``v`` is finite, the ascent is
+    a ``DivergenceError`` naming it, not a step of length zero."""
     rng = np.random.default_rng(3)
     w_out = rng.normal(size=(2, 6))
     w_out[1] = w_out[0] + scale * rng.normal(size=6)
@@ -233,9 +235,58 @@ def test_inner_maximize_binary_head_norm_is_numpys_vector_norm(scale):
     ys = rng.integers(0, 2, size=9)
     v = theta.w_out[1] - theta.w_out[0]
     with np.errstate(over="ignore"):
-        want = amb.binary_ball_maximizer(zs, 2.0 * ys - 1.0, v, 0.7, np.linalg.norm(v))
-        assert inner_maximize(theta, zs, ys, 0.7).tobytes() == want.tobytes()
-        assert inner_maximize(theta, zs[4], int(ys[4]), 0.7).tobytes() == want[4].tobytes()
+        v_norm = np.linalg.norm(v)
+    if not np.isfinite(v_norm):
+        for z, y in ((zs, ys), (zs[4], int(ys[4]))):
+            with pytest.raises(DivergenceError, match="latent ascent") as err, \
+                    np.errstate(over="ignore"):
+                inner_maximize(theta, z, y, 0.7)
+            assert err.value.snapshot == {"v_norm": math.inf}
+        return
+    want = amb.binary_ball_maximizer(zs, ys, v, 0.7, v_norm)
+    assert inner_maximize(theta, zs, ys, 0.7).tobytes() == want.tobytes()
+    assert inner_maximize(theta, zs[4], int(ys[4]), 0.7).tobytes() == want[4].tobytes()
+
+
+def parent_ball_maximizer(z, y, v, eps_g):
+    """The binary ascent as it was written before it took labels: the signs
+    ``2y - 1`` scale the radius, one row per latent."""
+    v_norm = math.sqrt(v.dot(v))
+    single = z.ndim == 1
+    z_mat = z[None, :] if single else z
+    sign = 2.0 * np.atleast_1d(np.asarray(y, dtype=np.int64)) - 1.0
+    v_hat = v / v_norm if v_norm > 0 else np.zeros_like(v)
+    best = z_mat - (sign * eps_g)[:, None] * v_hat
+    return best[0] if single else best
+
+
+# Finite values of every magnitude whose squares cannot overflow, and both zeros.
+COORDS = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(-1e100, 1e100, allow_nan=False, allow_subnormal=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 4), rows=st.integers(0, 6), data=st.data())
+def test_binary_ascent_is_bitwise_the_sign_scaled_formula(dim, rows, data):
+    """``binary_ball_maximizer`` and ``inner_maximize`` give the bytes of the
+    sign-scaled formula for one latent (``rows == 0``) or a batch, both
+    labels, ``v = 0`` or not, and latents with signed zeros."""
+    draw = data.draw
+    shape = (dim,) if rows == 0 else (rows, dim)
+    z = np.array(draw(st.lists(COORDS, min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))))).reshape(shape)
+    w0 = np.array(draw(st.lists(COORDS, min_size=dim, max_size=dim)))
+    w1 = w0.copy() if draw(st.booleans()) else np.array(
+        draw(st.lists(COORDS, min_size=dim, max_size=dim)))
+    y = draw(st.integers(0, 1)) if rows == 0 else np.array(
+        draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)), dtype=np.int64)
+    eps = draw(st.floats(1e-6, 1e3))
+    theta = ModelParams(w_out=np.stack([w0, w1]), b_out=np.zeros(2))
+    v = w1 - w0
+    want = parent_ball_maximizer(z, y, v, eps)
+    got = amb.binary_ball_maximizer(z, y, v, eps, math.sqrt(v.dot(v)))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert inner_maximize(theta, z, y, eps).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------ binary closed form
@@ -268,7 +319,7 @@ def test_binary_ball_maximizer_matches_one_step_ascent():
         ys = rng.integers(0, 2, size=8)
         sign = 2.0 * ys - 1.0
         eps = float(rng.uniform(0.1, 1.0))
-        z_prime = amb.binary_ball_maximizer(zs, sign, v, eps, v_norm)
+        z_prime = amb.binary_ball_maximizer(zs, ys, v, eps, v_norm)
         grad = model.grad_wrt_latent(theta, zs, ys)
         ascent = project_ball(zs + 1e6 * grad, zs, eps)
         np.testing.assert_allclose(z_prime, ascent, rtol=0.0, atol=1e-9)

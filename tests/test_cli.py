@@ -248,6 +248,36 @@ def test_tune_writes_table_and_is_deterministic(tmp_path):
     assert (tmp_path / "out" / "tune_result.json").read_bytes() == first
 
 
+def test_tune_explains_its_choice_on_stderr_only(tmp_path, capsys):
+    """``tune`` gives the minority holdout sizes on stderr, says when the chosen
+    scale is the grid's largest or ties it and when a setup's column is
+    constant, and writes ``tune_result.json`` with the same keys as before it
+    said anything."""
+    raw = base_config(tmp_path)
+    raw["tuning"]["grid_scale"] = [0.1, 0.2, 0.3]
+    cfg = write_config(tmp_path, raw)
+    cli.main(["generate", "--config", cfg])
+    capsys.readouterr()
+    assert cli.main(["tune", "--config", cfg]) == 0
+    err = capsys.readouterr().err
+    payload = json.loads((tmp_path / "out" / "tune_result.json").read_text())
+    lines = [line for line in err.splitlines() if line.startswith("tune: ")]
+    assert lines[0] == ("tune: minority group 2 (15 training rows) holds out 3 rows in setup A "
+                        "and 3 in setup B, so its holdout accuracies move in steps of 1/3 and 1/3")
+    rows = payload["table"]
+    top = payload["chosen_scale"] == 0.3 or rows[2] == rows[[0.1, 0.2, 0.3].index(
+        payload["chosen_scale"])]
+    assert any("a wider grid may choose" in line for line in lines) == top
+    for j, name in enumerate("AB"):
+        column = {row[j] for row in payload["table"]}
+        assert any(line.startswith(f"tune: setup {name} gives every candidate")
+                   for line in lines) == (len(column) == 1)
+    assert len(lines) == 1 + top + sum(len({row[j] for row in payload["table"]}) == 1
+                                        for j in range(2))
+    assert sorted(payload) == ["aggregation", "chosen_epsilon", "chosen_scale", "config_hash",
+                               "grid", "grid_scale", "minority_group", "n_min", "seeds", "table"]
+
+
 def test_tune_reads_only_the_training_split(tmp_path, capsys):
     """A csv dataset: tune never parses the other splits, run does."""
     cfg = write_config(tmp_path, base_config(tmp_path))

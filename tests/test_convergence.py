@@ -6,6 +6,7 @@ import pytest
 from hierdro.ambiguity import binary_robust_loss
 from hierdro.convergence import (
     REFERENCE_ITERATIONS,
+    _RobustProblem,
     BoundConstants,
     bound_constants,
     canonical_instance,
@@ -15,7 +16,7 @@ from hierdro.convergence import (
     reference_optimum,
 )
 from hierdro.datagen import GroupedDataset, make_spurious
-from hierdro.errors import ParameterError, UnsupportedDiagnosticError
+from hierdro.errors import DivergenceError, ParameterError, UnsupportedDiagnosticError
 from hierdro.model import LINEAR, MLP1, ModelParams, ModelSpec, init_params
 from hierdro.solver import HIERARCHICAL, SolverConfig, group_mean_losses, train
 
@@ -96,6 +97,21 @@ def test_bound_constants_monotone_in_trajectory_prefix():
     # Bounded-trajectory sanity: doubling the horizon keeps constants within 2x.
     assert full.b_theta <= 2.0 * half.b_theta + 1e-9
     assert full.b_loss <= 2.0 * half.b_loss + 1e-9
+
+
+def test_diagnostics_refuse_a_head_whose_norm_overflows():
+    """``v = (1e155, 1e155)`` is finite, but ``v . v`` overflows: the group
+    values, the Newton solve and the bound constants refuse it, naming the
+    robust objective, instead of reading an infinite norm."""
+    ds = mirrored_dataset(d=2)
+    theta = ModelParams(w_out=np.array([[0.0, 0.0], [1e155, 1e155]]), b_out=np.zeros(2))
+    problem = _RobustProblem(ds, 1.0)
+    calls = (lambda: objective_value(theta, ds, 1.0),
+             lambda: problem.weighted_minimum(np.full(2, 0.5), np.array([1e155, 1e155, 0.0])),
+             lambda: bound_constants(ds, [theta], 1.0))
+    for call in calls:
+        with pytest.raises(DivergenceError, match="robust objective"), np.errstate(over="ignore"):
+            call()
 
 
 def test_expected_error_bound_formula():

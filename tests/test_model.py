@@ -141,7 +141,7 @@ def test_param_gradient_is_the_robust_loss_gradient():
         cases += 1
         v = theta.w_out[1] - theta.w_out[0]
         z = model.latent(theta, xs)
-        zp = amb.binary_ball_maximizer(z, 2.0 * ys - 1.0, v, eps_g, np.linalg.norm(v))
+        zp = amb.binary_ball_maximizer(z, ys, v, eps_g, np.linalg.norm(v))
         grads = loss_and_param_grads(theta, zp, z, xs, ys)[1]
         fd = fd_robust_gradient(theta, xs, ys, eps_g)
         got = model.flatten_params(grads)

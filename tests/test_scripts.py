@@ -180,6 +180,45 @@ def test_parity_pair_finds_the_first_difference(tmp_path):
     assert parity_pair.source_lines(right) == 0
 
 
+def test_parity_pair_kernel_report_gives_each_differing_files_largest_differences(
+        tmp_path):
+    parity_pair = load_script("parity_pair")
+    files = {
+        "results.csv": ("eps,acc\n0.5,0.25\n", "eps,acc\n0.5,0.25\n"),
+        "run/checkpoint_hierarchical_seed1.json": ('{"w": [1.0, -2e-3]}', '{"w": [1.0, -2.000001e-3]}'),
+        "run/history.csv": ("1,0.5,inf\n", "1,0.5,nan\n"),
+        "study.txt": ("gap     0.25\nresidual 0.0\n", "gap    0.250001\nresidual 2e-16\n"),
+        "verify.json": ('{\n  "seconds": 1.5,\n  "x": 2\n}', '{\n  "seconds": 9,\n  "x": 2\n}'),
+        "notes.txt": ("a 1\n", "b 1\n"),
+    }
+    for side in (0, 1):
+        for rel, bodies in files.items():
+            path = tmp_path / str(side) / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(bodies[side])
+    (tmp_path / "1" / "extra.csv").write_text("x\n")
+    identical, differing = parity_pair.kernel_report(str(tmp_path / "0"), str(tmp_path / "1"))
+    assert identical == ["results.csv", "verify.json"]
+    assert list(differing.items()) == [
+        ("extra.csv", "only on one side"),
+        ("notes.txt", "differs beyond its numbers"),
+        ("run/checkpoint_hierarchical_seed1.json",
+         "largest difference 5e-07 relative, 1e-09 absolute"),
+        ("run/history.csv", "largest difference inf relative, inf absolute"),
+        ("study.txt", "largest difference 1 relative, 1e-06 absolute"),
+    ]
+    for rel in ("run/checkpoint_hierarchical_seed1.json", "verify.json",
+                "convergence_study.txt"):
+        assert parity_pair.KERNEL_DEPENDENT.search(rel)
+    for rel in ("run/history.csv", "results.csv", "run/verify.json.csv"):
+        assert not parity_pair.KERNEL_DEPENDENT.search(rel)
+    env = parity_pair.side_env(str(tmp_path), "Prescott")
+    assert env["OPENBLAS_CORETYPE"] == "Prescott" and "HIERDRO_OUT" not in env
+    assert "OPENBLAS_CORETYPE" not in parity_pair.side_env(str(tmp_path), None)
+    with pytest.raises(SystemExit):
+        parity_pair.parse_args([])
+
+
 def test_parity_pair_csv_pipeline_reads_the_files_of_the_test_cli_pipeline(tmp_path, monkeypatch):
     """The ``dataset.csv`` config runs after ``test_cli`` and names that run's
     files relative to the working directory, so each side reads its own."""

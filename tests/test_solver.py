@@ -443,6 +443,77 @@ def test_lockstep_retires_a_diverged_row_and_keeps_the_others():
                 assert_same_result(result, expected)
 
 
+def plane_ds():
+    """``small_ds`` on its first two features: 2-D latents for a linear model."""
+    full = small_ds()
+    return GroupedDataset(full.features[:, :2], full.labels, full.attributes, 2, 2)
+
+
+@pytest.mark.parametrize("architecture", [LINEAR, MLP1])
+def test_lockstep_retires_a_row_whose_ascent_norm_overflows(architecture):
+    """A hierarchical row whose output rows are ``(0, 0)`` and ``(1e155, 1e155)``:
+    ``v`` is finite, but ``v . v`` overflows, so its ascent fails loudly at the
+    first step, naming the ascent.  Without the check its latents stayed put
+    and the row trained on as group DRO.  The other rows keep their solo
+    results bitwise."""
+    ds = plane_ds()
+    spec = ModelSpec(architecture, hidden_width=2)
+    shape = dict(iterations=40, checkpoint_every=20)
+    kept = [(base_config(mode=ERM, seed=1, **shape), init_params(spec, 2, 2, seed=3)),
+            (base_config(epsilon=2.0, seed=2, **shape), init_params(spec, 2, 2, seed=4)),
+            (base_config(mode=GROUP_DRO, seed=3, **shape), init_params(spec, 2, 2, seed=5))]
+    bad_init = init_params(spec, 2, 2, seed=6)
+    bad_init = dataclasses.replace(bad_init, w_out=np.array([[0.0, 0.0], [1e155, 1e155]]))
+    bad = (base_config(epsilon=0.5, seed=4, **shape), bad_init)
+    solo = [train(ds, ds, init, config) for config, init in kept]
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as solo_error:
+        train(ds, ds, bad_init, bad[0])
+    assert "latent ascent" in str(solo_error.value)
+    assert solo_error.value.snapshot["iteration"] == 1
+    assert solo_error.value.snapshot["v_norm"] == math.inf
+    rows = kept[:1] + [bad] + kept[1:]
+    with np.errstate(all="ignore"):
+        together = train_lockstep(ds, ds, [init for _, init in rows], [c for c, _ in rows])
+    assert str(together[1]) == str(solo_error.value)
+    assert together[1].snapshot == solo_error.value.snapshot
+    for result, expected in zip(together[:1] + together[2:], solo):
+        assert_same_result(result, expected)
+
+
+def test_mixed_radius_step_keeps_z_bitwise_in_every_radius_zero_row(monkeypatch):
+    """ERM, group DRO and a hierarchical row at radius 0 keep ``z' = z``
+    byte for byte, the sign of every ``-0.0`` latent included, beside a row
+    that ascends."""
+    ds = plane_ds()
+    features = ds.features.copy()
+    features[::2, 1] = -0.0
+    features[1::2, 0] = -0.0
+    ds = GroupedDataset(features, ds.labels, ds.attributes, 2, 2)
+    configs = [base_config(mode=ERM), base_config(mode=GROUP_DRO), base_config(epsilon=0.0),
+               base_config(epsilon=2.0), base_config(mode=ERM, epsilon=3.0)]
+    inits = [init_params(ModelSpec(LINEAR), 2, 2, seed=k) for k in range(len(configs))]
+    seen = []
+    loss_and_param_grads = model.loss_and_param_grads
+
+    def spy(theta, z_prime, z, x, y):
+        seen.append((z_prime.copy(), z.copy()))
+        return loss_and_param_grads(theta, z_prime, z, x, y)
+
+    monkeypatch.setattr(model, "loss_and_param_grads", spy)
+    state = Lockstep.start(inits, configs, ds)
+    rng = np.random.default_rng(0)
+    sampler = GroupSampler(ds, configs[0])
+    for _ in range(5):
+        train_step(state, stack_batches([sampler.draw(rng)], None, len(configs)))
+    assert len(seen) == 5
+    for z_prime, z in seen:
+        assert np.signbit(z).any()
+        for i in (0, 1, 2, 4):
+            assert z_prime[i].tobytes() == z[0].tobytes()
+            np.testing.assert_array_equal(np.signbit(z_prime[i]), np.signbit(z[0]))
+        assert z_prime[3].tobytes() != z[0].tobytes()
+
+
 @pytest.mark.parametrize("field_name,value", [
     ("iterations", 7), ("checkpoint_every", 3), ("batch_size", 2), ("decay_steps", True),
     ("sampling", solver.EMPIRICAL), ("eta_beta", 0.3), ("eta_theta", 0.3), ("adjustment", 0.5),

@@ -240,3 +240,31 @@ def test_tuning_computes_no_training_losses(monkeypatch):
     monkeypatch.setattr(solver, "group_mean_losses", lambda *a: calls.append(a))
     tune_epsilon(ds, [0.1, 0.3], tune_config())
     assert calls == []
+
+
+def test_diagnostics_name_the_grid_edge_and_constant_setups():
+    """The benchmark's tuning table at the default grid: setup A scores 1.0
+    everywhere, and setup B rises to the grid's top, whose tie the smaller
+    scale 84/255 wins.  A win at the top is said as such, a top that scores
+    below the winner not at all; one candidate gives only the sizes."""
+    grid_scale = tuple(k / 255 for k in range(12, 97, 12))
+    table = np.array([[1.0, b] for b in (0, 0, 0, 1, 2, 2, 4, 4)]) / [1.0, 38.0]
+    result = tuning.TuneResult(grid=tuple(s * math.sqrt(190) for s in grid_scale), table=table,
+                               chosen_epsilon=84 / 255 * math.sqrt(190), chosen_scale=84 / 255,
+                               minority_group=3, n_min=190)
+    lines = tuning.diagnostics(result, grid_scale)
+    assert lines == [
+        "minority group 3 (190 training rows) holds out 38 rows in setup A and 38 in setup B, "
+        "so its holdout accuracies move in steps of 1/38 and 1/38",
+        "the largest scale in grid_scale, 0.376471, scores as the chosen 0.329412 does in both "
+        "setups and loses only the tie-break to the smaller scale; a wider grid may choose a "
+        "larger radius",
+        "setup A gives every candidate accuracy 1, so it ranks none of them"]
+    at_top = replace(result, chosen_scale=96 / 255)
+    assert tuning.diagnostics(at_top, grid_scale)[1] == (
+        "the chosen scale 0.376471 is the largest in grid_scale; a wider grid may choose a "
+        "larger radius")
+    below_top = replace(result, table=table[[0, 1, 2, 3, 4, 5, 6, 5]])
+    assert tuning.diagnostics(below_top, grid_scale) == [lines[0], lines[2]]
+    one = replace(result, grid=result.grid[:1], table=np.ones((1, 2)), chosen_scale=grid_scale[0])
+    assert tuning.diagnostics(one, grid_scale[:1]) == lines[:1]
