@@ -7,8 +7,10 @@
 For each workload and seed this runs ``perfbench/run.py --trace 0`` once on
 the parent and once on this working tree, alternating which side goes first
 from one seed to the next so that a drift in the machine's speed falls on
-both sides alike.  The parent is exported with ``git archive`` into a
-temporary directory, which is removed afterwards.  Each side gets one
+both sides alike.  Both sides run from a fresh copy in one temporary
+directory, which is removed afterwards: the parent exported with ``git
+archive``, and this tree's tracked files with their working-tree contents
+(untracked files stay out).  Each side gets one
 ``BENCH_<label>.json`` in ``--out-dir``: per workload, the median of
 ``setup_s``, ``round_s`` and ``peak_rss_mb`` over the seeds, every run's
 value, whether every run was correct and how many operations failed, and
@@ -22,6 +24,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -104,6 +107,18 @@ def git(*args) -> str:
                           check=True).stdout.strip()
 
 
+def export_worktree(root: str, dest: str) -> None:
+    """Copy the files git tracks in ``root``, as they are in its working tree, into ``dest``."""
+    listed = subprocess.run(["git", "-C", root, "ls-files", "-z"], capture_output=True,
+                            text=True, check=True).stdout
+    for path in filter(None, listed.split("\0")):
+        source = os.path.join(root, path)
+        if os.path.isfile(source):          # a tracked file deleted in the working tree stays out
+            target = os.path.join(dest, path)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target)
+
+
 def run_once(side: str, root: str, workload: str, seed: int, seconds: float) -> tuple:
     """One run's ``(workload, last stdout line, stderr)``."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
@@ -135,7 +150,9 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "-C", ROOT, "archive", parent_rev],
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", parent_root], input=archive, check=True)
-        roots = {"parent": parent_root, "tree": ROOT}
+        tree_root = os.path.join(tmp, "tree")
+        export_worktree(ROOT, tree_root)
+        roots = {"parent": parent_root, "tree": tree_root}
         for workload in args.workloads:
             for k, seed in enumerate(args.seeds):
                 for side in (("parent", "tree") if k % 2 == 0 else ("tree", "parent")):

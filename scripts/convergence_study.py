@@ -8,16 +8,18 @@ each horizon next to the measured-constant error bound
 those of ``hierdro verify --level full`` (``verification.rate_criteria``):
 each gap at most 0.75 times the one before it, under its bound and above
 minus the bracket's width, which must be at most 1e-4.  The exit code is 0
-when all hold, 2 when one fails and 1 on a bad argument.  The reference value and the gaps are printed
-with ``repr``, every bit of them, so that two trees' outputs can be compared
-byte for byte (``scripts/parity_pair.py``).
+when all hold, 2 when one fails and 1 on a bad argument, such as a horizon
+below 1, given twice or not a multiple of the instance's checkpoint interval
+(20 000), which is refused before any training step.  The reference value
+and the gaps are printed with ``repr``, every bit of them, so that two
+trees' outputs can be compared byte for byte (``scripts/parity_pair.py``).
 """
 
 import argparse
 import sys
 
 from hierdro import convergence, verification
-from hierdro.errors import ParameterError
+from hierdro.errors import ParameterError, UnsupportedDiagnosticError
 
 
 def main() -> int:
@@ -39,7 +41,10 @@ def main() -> int:
         sys.exit(f"error: {exc}")
     print(f"reference min-max value: {reference.upper!r}")
 
-    report = convergence.rate_study(ds, config, args.horizons, reference)
+    try:
+        report = convergence.rate_study(ds, config, args.horizons, reference)
+    except UnsupportedDiagnosticError as exc:
+        sys.exit(f"error: {exc}")
     print(f"{'horizon':>9} {'gap':>24} {'bound':>10} {'B_theta':>8} {'B_grad':>8} {'B_loss':>8}")
     for h, gap, bound, consts in zip(report.horizons, report.gaps,
                                      report.bounds, report.constants):

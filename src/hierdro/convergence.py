@@ -18,8 +18,10 @@ bound ``max_g f_g(theta)``, and any ``beta`` on the simplex the lower bound
 measured width, about 1e-9, bounds how negative a measured gap may
 legitimately be.
 
-The averaged iterate of the stochastic solver contracts the gap at the
-canonical rate ``2 m sqrt(10 (B_theta^2 B_grad^2 + B_loss^2 log m) / T)``,
+The solver keeps no running average, since training never reads one:
+:func:`rate_study` steps one row by :func:`solver.advance` and averages its
+iterates itself.  The averaged iterate contracts the gap at the canonical
+rate ``2 m sqrt(10 (B_theta^2 B_grad^2 + B_loss^2 log m) / T)``,
 where the three constants bound the parameter norm, per-example gradient
 norm and per-example robust loss along the trajectory.  The study reports
 measured gaps next to this bound evaluated with measured constants.
@@ -270,11 +272,23 @@ def rate_study(
 ) -> ConvergenceReport:
     """Train once to the largest horizon and report gaps alongside bounds.
 
-    ``config.checkpoint_every`` must divide every horizon so the averaged
-    iterate is recorded exactly there.
+    The study drives :func:`solver.advance` on one row from the linear model
+    of seed ``config.seed`` and averages the iterates itself: ``theta_bar``
+    starts at the initial model and takes each step's ``theta`` by
+    :func:`model.average_params`.  ``theta`` and ``theta_bar`` are kept at
+    every multiple of ``config.checkpoint_every``, which must divide every
+    horizon.  An empty horizon list, a horizon below 1 or one given twice
+    is an ``UnsupportedDiagnosticError``, before any step; a row that
+    diverges raises its ``DivergenceError``.
     """
     horizons = tuple(int(h) for h in sorted(horizons))
-    for h in horizons:
+    if not horizons:
+        raise UnsupportedDiagnosticError("the rate study needs at least one horizon")
+    for h, previous in zip(horizons, (None,) + horizons):
+        if h < 1:
+            raise UnsupportedDiagnosticError(f"horizon {h} is below 1")
+        if h == previous:
+            raise UnsupportedDiagnosticError(f"horizon {h} is given twice")
         if h % config.checkpoint_every != 0:
             raise UnsupportedDiagnosticError(
                 f"horizon {h} is not a multiple of checkpoint_every={config.checkpoint_every}"
@@ -282,15 +296,21 @@ def rate_study(
     run_cfg = replace(config, iterations=horizons[-1])
     epsilon = run_cfg.effective_epsilon
     init = init_params(ModelSpec(LINEAR), ds.d, ds.num_labels, seed=run_cfg.seed)
-    result = solver.train(ds, ds, init, run_cfg)
+    state = solver.Lockstep.start([init], [run_cfg], ds)
+    theta_bar = state.theta
+    thetas, averages = {}, {}
+    for _ in solver.advance(state, ds, [run_cfg.seed]):
+        if state.failed:
+            raise state.failed[0]
+        theta_bar = model.average_params(theta_bar, state.theta, state.t)
+        if state.t % run_cfg.checkpoint_every == 0:
+            thetas[state.t] = model.row_params(state.theta, 0)
+            averages[state.t] = model.row_params(theta_bar, 0)
 
-    by_iteration = {cp.iteration: cp for cp in result.history}
     gaps, bounds, constants = [], [], []
     for h in horizons:
-        cp = by_iteration[h]
-        gaps.append(objective_value(cp.theta_bar, ds, epsilon)[1] - reference.upper)
-        trajectory = [c.theta for c in result.history if c.iteration <= h]
-        consts = bound_constants(ds, trajectory, epsilon)
+        gaps.append(objective_value(averages[h], ds, epsilon)[1] - reference.upper)
+        consts = bound_constants(ds, [theta for t, theta in thetas.items() if t <= h], epsilon)
         constants.append(consts)
         bounds.append(expected_error_bound(ds.num_groups, consts, h))
     return ConvergenceReport(

@@ -20,36 +20,35 @@ zero; ``erm`` additionally freezes ``beta`` at the empirical proportions
 ``alpha`` (every mode initializes ``beta = alpha``), which makes the ERM step
 plain stochastic descent on the batch loss scaled by the constant ``alpha_g``.
 
-The returned model is chosen among checkpoints of the last iterate; the
-running average of the iterates is kept beside it for the convergence
-diagnostics, which measure it against the robust objective in
-:mod:`convergence`.  Every step backpropagates the gradient at the
-perturbed latents through the hidden layer of an ``mlp1`` model, which is the
-gradient of the robust objective (see :mod:`model`); a step with a zero radius
-is ordinary backpropagation.
+The returned model is chosen among checkpoints of the last iterate.  A step
+carries only what training reads: no running average of the iterates is
+kept, and the rate study in :mod:`convergence`, which measures the averaged
+iterate, averages the iterates it steps itself.  Every step backpropagates
+the gradient at the perturbed latents through the hidden layer of an
+``mlp1`` model, which is the gradient of the robust objective (see
+:mod:`model`); a step with a zero radius is ordinary backpropagation.
 
-Trajectories of one shape run in lockstep (:func:`train_lockstep`).  One
-:class:`Lockstep` holds their state: the parameters stacked as
-``(R, K, d)``, ``beta`` as ``(R, m)``, and each row's radii and mode as
-arrays.  One :func:`train_step` advances all R rows with one set of numpy
-calls, apart from the latent ascent, which calls
-:func:`ambiguity.inner_maximize` once per row with a positive radius, as a
-lone run does.  Rows differ only in the fields in ``PER_ROW`` (mode, radius
-and seed) and in their initial model; every other config field, the step
-sizes and the adjustment among them, and the architecture are shared.  Mode
-degeneracy becomes a per-row mask (a radius-0 row keeps ``z' = z``, an ERM
-row keeps ``beta``).
-Each row draws from its own ``Generator`` in the order a lone run does, and
-rows with equal seeds share one stream and one gather.  A row that diverges
-is retired with its ``DivergenceError`` while the others go on.  Every row's
-result is bitwise the result of training it alone; :func:`train` is the
-one-row case.  A result's ``final``, where its trajectory ended, is its
-last checkpoint.  A checkpoint computes its per-group training losses when
-they are first read (:attr:`Checkpoint.group_losses`): ``run`` writes them
-to ``history.csv``, and tuning, which selects on holdout accuracy, never
-reads them.
+Trajectories of one shape run in lockstep.  One :class:`Lockstep` holds
+their state: the parameters stacked as ``(R, K, d)``, ``beta`` as
+``(R, m)``, and each row's radii and mode as arrays.  One
+:func:`train_step` advances all R rows with one set of numpy calls, apart
+from the latent ascent, which calls :func:`ambiguity.inner_maximize` once
+per row with a positive radius, as a lone run does.  Rows differ only in
+the fields in ``PER_ROW`` (mode, radius and seed) and in their initial
+model; every other config field, the step sizes and the adjustment among
+them, and the architecture are shared.  Mode degeneracy becomes a per-row
+mask (a radius-0 row keeps ``z' = z``, an ERM row keeps ``beta``).
+:func:`advance` is the one loop that draws the batches and calls
+:func:`train_step`; :func:`train_lockstep` takes checkpoints and selects
+around it, and the oracle checks and the rate study drive it too.  A row
+that diverges is retired with its ``DivergenceError`` while the others go
+on.  Every row's result is bitwise the result of training it alone;
+:func:`train` is the one-row case.  A result's ``final``, where its
+trajectory ended, is its last checkpoint.  A checkpoint computes its
+per-group training losses when they are first read
+(:attr:`Checkpoint.group_losses`): ``run`` writes them to ``history.csv``,
+and tuning, which selects on holdout accuracy, never reads them.
 """
-
 from __future__ import annotations
 
 import functools
@@ -144,7 +143,6 @@ class Checkpoint:
     worst_val_acc: float
     avg_val_acc: float
     theta: ModelParams
-    theta_bar: ModelParams
     train: GroupedDataset = field(repr=False, compare=False)
 
     @functools.cached_property
@@ -179,9 +177,11 @@ PER_ROW = ("mode", "epsilon", "seed")
 class Lockstep:
     """R trajectories of one shape advancing together, one row each, with their settings.
 
-    Row ``i`` of ``theta``, ``beta`` and ``theta_bar`` (each with a leading
-    row axis) and of every per-row setting in ``ROWS`` is trajectory
-    ``ids[i]``.  Rows differ only in mode, radius, seed and initial model.
+    Row ``i`` of ``theta`` and ``beta`` (each with a leading row axis) and
+    of every per-row setting in ``ROWS`` is trajectory ``ids[i]``.  No
+    running average of the iterates is kept, and :func:`advance` is the one
+    loop that steps a ``Lockstep``.  Rows differ only in mode, radius, seed
+    and initial model.
     ``shared`` is the first row's config at the start; only its fields
     outside ``PER_ROW``, which every row has, are read, the step sizes and
     the adjustment among them.  ``radii[i, g]`` is row ``i``'s ball radius
@@ -194,7 +194,6 @@ class Lockstep:
 
     theta: ModelParams
     beta: np.ndarray
-    theta_bar: ModelParams
     ids: np.ndarray
     shared: SolverConfig
     n_per_group: np.ndarray
@@ -220,9 +219,13 @@ class Lockstep:
     def start(cls, inits, configs, ds_train: GroupedDataset) -> Lockstep:
         """Row ``r`` starts from ``inits[r]`` with ``beta = alpha`` under ``configs[r]``.
 
-        Raises ``ParameterError`` unless the rows agree on every field outside
+        Raises ``InvalidDatasetError`` if a training group is empty, and
+        ``ParameterError`` unless the rows agree on every field outside
         ``PER_ROW`` and the models share one shape.
         """
+        if np.any(ds_train.n_g == 0):
+            empty = np.flatnonzero(ds_train.n_g == 0).tolist()
+            raise InvalidDatasetError(f"training groups {empty} are empty")
         configs = tuple(configs)
         for name in (f.name for f in fields(SolverConfig) if f.name not in PER_ROW):
             values = {getattr(c, name) for c in configs}
@@ -235,7 +238,7 @@ class Lockstep:
         if theta.w_out.shape[0] != len(configs):
             raise ParameterError("lockstep training needs one initial model per row")
         epsilon = np.array([c.effective_epsilon for c in configs], float)
-        return cls(theta=theta, beta=np.tile(ds_train.alpha, (len(configs), 1)), theta_bar=theta,
+        return cls(theta=theta, beta=np.tile(ds_train.alpha, (len(configs), 1)),
                    ids=np.arange(len(configs)), shared=configs[0], n_per_group=ds_train.n_g,
                    radii=amb.radius(epsilon[:, None], ds_train.n_g[None, :]),
                    learns_beta=np.array([c.mode != ERM for c in configs]))
@@ -245,7 +248,6 @@ class Lockstep:
         for name in self.ROWS:
             setattr(self, name, getattr(self, name)[keep])
         self.theta = model.row_params(self.theta, keep)
-        self.theta_bar = model.row_params(self.theta_bar, keep)
         self.__post_init__()
 
 
@@ -368,7 +370,6 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
     grads_finite = model.grads_finite(grads)
     state.theta = model.sgd_step(theta, grads, shared.eta_theta * scale * state.beta[state.index, g])
     state.t = t_next
-    state.theta_bar = model.average_params(state.theta_bar, state.theta, t_next)
     if not (all_finite and grads_finite.all()):
         finite &= grads_finite
         for i in np.flatnonzero(~finite).tolist():
@@ -409,7 +410,6 @@ def _record_checkpoint(
         worst_val_acc=report.worst_group_acc,
         avg_val_acc=report.avg_acc_weighted,
         theta=theta,
-        theta_bar=model.row_params(state.theta_bar, i),
         train=ds_train,
     )
 
@@ -423,6 +423,29 @@ def _streams(rngs: dict, seeds: list[int], ids: np.ndarray):
     return [rngs[seed] for seed in order], pos
 
 
+def advance(state: Lockstep, ds_train: GroupedDataset, seeds):
+    """Step ``state`` in place ``state.shared.iterations`` times, yielding each step's batch.
+
+    Row ``i`` draws its minibatches from ``default_rng(seeds[state.ids[i]])``
+    in the order a lone run draws them; rows with equal seeds share one
+    stream and one minibatch gather, also after a retirement.  The loop
+    stops after the step at which every row has retired, with the errors in
+    ``state.failed``.
+    """
+    sampler = GroupSampler(ds_train, state.shared)
+    rngs = {seed: np.random.default_rng(seed) for seed in seeds}
+    streams, pos = _streams(rngs, seeds, state.ids)
+    for _ in range(state.shared.iterations):
+        live = state.ids.size
+        batch = stack_batches([sampler.draw(rng) for rng in streams], pos, live)
+        train_step(state, batch)
+        yield batch
+        if state.ids.size != live:
+            if not state.ids.size:
+                return
+            streams, pos = _streams(rngs, seeds, state.ids)
+
+
 def train_lockstep(
     ds_train: GroupedDataset,
     ds_val: GroupedDataset,
@@ -430,43 +453,25 @@ def train_lockstep(
     configs,
 ) -> list[TrainResult | DivergenceError]:
     """Train R trajectories of one shape in lockstep, row ``r`` from
-    ``inits[r]`` under ``configs[r]``.
+    ``inits[r]`` under ``configs[r]``, by :func:`advance`.
 
-    Each step advances every row with one set of numpy calls (the latent
-    ascent apart, which runs row by row).  Rows may differ only in the
-    fields in ``PER_ROW`` and must share the model shape (``ParameterError``
-    otherwise); rows with equal seeds share one random stream and one
-    minibatch gather.  Returns, in row order, each row's ``TrainResult``,
-    bitwise what :func:`train` returns for that row alone, or the
-    ``DivergenceError`` it would raise.
+    Rows may differ only in the fields in ``PER_ROW`` and must share the
+    model shape (``ParameterError`` otherwise); an empty training group is
+    an ``InvalidDatasetError``.  Returns, in row order, each row's
+    ``TrainResult``, bitwise what :func:`train` returns for that row alone,
+    or the ``DivergenceError`` it would raise.
     """
-    if np.any(ds_train.n_g == 0):
-        empty = np.flatnonzero(ds_train.n_g == 0).tolist()
-        raise InvalidDatasetError(f"training groups {empty} are empty")
-
     configs = tuple(configs)
     state = Lockstep.start(inits, configs, ds_train)
     shared = state.shared
-    sampler = GroupSampler(ds_train, shared)
-    seeds = [c.seed for c in configs]
-    rngs = {seed: np.random.default_rng(seed) for seed in seeds}
     weights = ds_train.alpha.copy()
-    histories = [[] for _ in seeds]
-
-    streams, pos = _streams(rngs, seeds, state.ids)
-    for _ in range(shared.iterations):
-        live = state.ids.size
-        batch = stack_batches([sampler.draw(rng) for rng in streams], pos, live)
-        state = train_step(state, batch)
-        if state.ids.size != live:
-            if not state.ids.size:
-                break
-            streams, pos = _streams(rngs, seeds, state.ids)
+    histories = [[] for _ in configs]
+    for _ in advance(state, ds_train, [c.seed for c in configs]):
         if state.t % shared.checkpoint_every == 0 or state.t == shared.iterations:
             for i, k in enumerate(state.ids):
                 histories[k].append(_record_checkpoint(state, i, ds_train, ds_val, weights))
 
-    results = [state.failed.get(k) for k in range(len(seeds))]
+    results = [state.failed.get(k) for k in range(len(configs))]
     for i, k in enumerate(state.ids):
         history = histories[k] or [_record_checkpoint(state, i, ds_train, ds_val, weights)]
         best = max(history, key=lambda cp: (cp.worst_val_acc, -cp.iteration))

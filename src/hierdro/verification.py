@@ -24,7 +24,7 @@ from . import convergence, model, solver
 from .ambiguity import DiscreteDist
 from .datagen import make_spurious
 from .model import LINEAR, MLP1, ModelParams, ModelSpec, init_params
-from .solver import ERM, GROUP_DRO, HIERARCHICAL, GroupSampler, SolverConfig
+from .solver import ERM, GROUP_DRO, HIERARCHICAL, SolverConfig
 
 FD_STEP = 1e-5
 KINK_MARGIN = 1e-3
@@ -278,19 +278,16 @@ def check_simplex_and_degeneracy(steps: int = 10_000, tolerance: float = SIMPLEX
     ds, base, init = _small_train_setup()
     # hierarchical, hierarchical at radius zero, group DRO and ERM as four
     # rows of one lockstep run; they share the seed and so the batch stream.
+    base = replace(base, iterations=steps)
     configs = [base, replace(base, epsilon=0.0), replace(base, mode=GROUP_DRO),
                replace(base, mode=ERM)]
-    rng = np.random.default_rng(base.seed)
-    sampler = GroupSampler(ds, base)
     state = solver.Lockstep.start([init] * len(configs), configs, ds)
     # ERM's row is held to an independent plain-SGD loop over the same batches.
     eta_theta, theta = configs[3].eta_theta, init
     alpha = ds.alpha
     residual = 0.0
     bitwise = erm_matches = True
-    for _ in range(steps):
-        batch = solver.stack_batches([sampler.draw(rng)], None, len(configs))
-        state = solver.train_step(state, batch)
+    for batch in solver.advance(state, ds, [c.seed for c in configs]):
         if state.failed:
             raise next(iter(state.failed.values()))
         # ERM's beta is checked against alpha below.  Each row sums in

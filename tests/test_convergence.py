@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from hierdro import solver
 from hierdro.ambiguity import binary_robust_loss
 from hierdro.convergence import (
     REFERENCE_ITERATIONS,
@@ -124,24 +126,64 @@ def test_expected_error_bound_formula():
 def test_rate_study_short_horizons():
     ds, config = canonical_instance()
     ref = reference_optimum(ds, config.effective_epsilon, iterations=50_000)
-    short = SolverConfig(**{**config.__dict__, "checkpoint_every": 500})
+    short = dataclasses.replace(config, checkpoint_every=500)
     report = rate_study(ds, short, horizons=(500, 2000), reference=ref)
     assert report.horizons == (500, 2000)
     assert all(g >= -1e-4 for g in report.gaps)
     assert all(g <= b for g, b in zip(report.gaps, report.bounds))
-    with pytest.raises(UnsupportedDiagnosticError):
-        rate_study(ds, short, horizons=(501,), reference=ref)
+
+
+@pytest.mark.parametrize("horizons,message", [
+    ((501,), "horizon 501 is not a multiple of checkpoint_every=500"),
+    ((0, 500), "horizon 0 is below 1"),
+    ((-500,), "horizon -500 is below 1"),
+    ((1000, 500, 1000), "horizon 1000 is given twice"),
+    ((), "at least one horizon"),
+], ids=["not-a-multiple", "zero", "negative", "repeated", "empty"])
+def test_rate_study_refuses_bad_horizons_before_any_step(monkeypatch, horizons, message):
+    ds, config = canonical_instance()
+    ref = reference_optimum(ds, config.effective_epsilon)
+    monkeypatch.setattr(solver, "train_step", lambda *args: pytest.fail("a step was taken"))
+    with pytest.raises(UnsupportedDiagnosticError, match=message):
+        rate_study(ds, dataclasses.replace(config, checkpoint_every=500), horizons, ref)
+
+
+def test_rate_study_gap_is_the_gap_of_the_plain_mean_of_the_iterates():
+    """The study's running average against the plain mean of the iterates
+    of a ``solver.train`` run that checkpoints every step."""
+    ds, config = canonical_instance()
+    ref = reference_optimum(ds, config.effective_epsilon)
+    report = rate_study(ds, dataclasses.replace(config, checkpoint_every=60), (60, 180), ref)
+    init = init_params(ModelSpec(LINEAR), ds.d, ds.num_labels, seed=config.seed)
+    history = train(ds, ds, init, dataclasses.replace(config, iterations=180,
+                                                      checkpoint_every=1)).history
+    assert [cp.iteration for cp in history] == list(range(1, 181))
+    for h, gap in zip(report.horizons, report.gaps):
+        iterates = [cp.theta for cp in history[:h]]
+        mean = ModelParams(w_out=np.mean([t.w_out for t in iterates], axis=0),
+                           b_out=np.mean([t.b_out for t in iterates], axis=0))
+        want = objective_value(mean, ds, config.effective_epsilon)[1] - ref.upper
+        assert abs(gap - want) <= 1e-12
+
+
+def test_rate_study_raises_the_divergence_of_its_row():
+    """The first step's parameters near 1e300 make the second step's ascent
+    fail; the study raises the error the retired row carries, not one from
+    the objective evaluated afterwards."""
+    ds, config = canonical_instance()
+    ref = reference_optimum(ds, config.effective_epsilon)
+    diverging = dataclasses.replace(config, eta_theta=1e300, checkpoint_every=10)
+    with pytest.raises(DivergenceError, match="latent ascent") as err, np.errstate(all="ignore"):
+        rate_study(ds, diverging, (10, 20), ref)
+    assert err.value.snapshot["iteration"] == 2
 
 
 def test_worst_objective_of_average_iterate_nonincreasing_over_doublings():
     ds, config = canonical_instance()
-    short = SolverConfig(**{**config.__dict__, "iterations": 8000, "checkpoint_every": 1000})
-    init = init_params(ModelSpec("linear"), ds.d, 2, seed=short.seed)
-    result = train(ds, ds, init, short)
-    by_iter = {cp.iteration: cp for cp in result.history}
-    values = [objective_value(by_iter[h].theta_bar, ds, short.effective_epsilon)[1]
-              for h in (1000, 2000, 4000, 8000)]
-    for earlier, later in zip(values, values[1:]):
+    ref = reference_optimum(ds, config.effective_epsilon)
+    short = dataclasses.replace(config, checkpoint_every=1000)
+    gaps = rate_study(ds, short, horizons=(1000, 2000, 4000, 8000), reference=ref).gaps
+    for earlier, later in zip(gaps, gaps[1:]):
         assert later <= earlier + 1e-3
 
 

@@ -68,6 +68,19 @@ def test_convergence_study_exit_code_applies_the_check_criteria():
     assert "True" not in proc.stdout
 
 
+@pytest.mark.parametrize("horizons,message", [
+    (["0", "20000"], "horizon 0 is below 1"),
+    (["20001"], "horizon 20001 is not a multiple of checkpoint_every=20000"),
+    (["20000", "20000"], "horizon 20000 is given twice"),
+], ids=["zero", "not-a-multiple", "repeated"])
+def test_convergence_study_refuses_a_bad_horizon_with_one_error_line(horizons, message):
+    proc = run_script("convergence_study.py", "--horizons", *horizons,
+                      "--reference-iterations", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.strip() == f"error: {message}"
+    assert "True" not in proc.stdout and "False" not in proc.stdout
+
+
 def test_run_benchmark_script_runs(tmp_path):
     cfg = write_config(tmp_path, base_config(tmp_path))
     proc = run_script("run_benchmark.py", "--config", cfg)
@@ -146,6 +159,32 @@ def test_bench_pair_writes_medians_of_canned_runs(tmp_path):
     bench_pair.write_bench(path, "x", "abc123", summary, environment)
     written = json.loads(path.read_text())
     assert written == {"label": "x", "revision": "abc123", **environment, "workloads": summary}
+
+
+def test_bench_pair_exports_the_working_tree_without_untracked_files(tmp_path):
+    """This tree runs from a copy, as the parent does: tracked files with
+    their uncommitted edits, no untracked file, no deleted file."""
+    bench_pair = load_script("bench_pair")
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    for name in ("src/a.py", "b.txt", "gone.txt"):
+        (repo / name).write_text("committed\n")
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "c")
+    (repo / "src" / "a.py").write_text("edited\n")
+    (repo / "gone.txt").unlink()
+    (repo / "untracked.txt").write_text("new\n")
+    bench_pair.export_worktree(str(repo), str(tmp_path / "out"))
+    exported = sorted(p.relative_to(tmp_path / "out").as_posix()
+                      for p in (tmp_path / "out").rglob("*") if p.is_file())
+    assert exported == ["b.txt", "src/a.py"]
+    assert (tmp_path / "out" / "src" / "a.py").read_text() == "edited\n"
 
 
 def test_parity_pair_finds_the_first_difference(tmp_path):

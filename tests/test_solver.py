@@ -162,7 +162,6 @@ def test_single_step_matches_hand_composition():
     assert model.params_equal(model.row_params(state.theta, 0), theta1)
     np.testing.assert_array_equal(state.beta[0], beta)
     assert state.t == 1
-    assert model.params_equal(model.row_params(state.theta_bar, 0), theta1)
 
 
 def test_erm_step_is_plain_sgd_on_batch_loss():
@@ -196,6 +195,41 @@ def test_divergence_error_carries_snapshot():
     assert state.ids.size == 0 and state.beta.shape == (0, ds.num_groups)
 
 
+def test_advance_yields_each_step_and_stops_once_every_row_has_retired():
+    """A diverging row retires at the first step and the other row draws on
+    from its own stream, alone; with every row diverging, the loop ends after
+    that first step with both errors in ``state.failed``."""
+    ds = small_ds()
+    configs = [base_config(mode=ERM, iterations=30, seed=1), base_config(iterations=30, seed=2)]
+    good = init_params(ModelSpec(LINEAR), ds.d, 2, seed=0)
+    bad = dataclasses.replace(good, w_out=np.full_like(good.w_out, np.inf))
+    sampler, rng = GroupSampler(ds, configs[0]), np.random.default_rng(2)
+    state = Lockstep.start([bad, good], configs, ds)
+    with np.errstate(all="ignore"):
+        batches = list(solver.advance(state, ds, [1, 2]))
+    assert len(batches) == 30 and state.t == 30
+    assert list(state.failed) == [0] and state.ids.tolist() == [1]
+    assert [len(b.x) for b in batches] == [2] + [1] * 29
+    for batch in batches:
+        draw = sampler.draw(rng)
+        assert batch.group[-1] == draw.group
+        np.testing.assert_array_equal(batch.x[-1], draw.x)
+
+    state = Lockstep.start([bad, bad], configs, ds)
+    with np.errstate(all="ignore"):
+        batches = list(solver.advance(state, ds, [1, 2]))
+    assert len(batches) == 1 and state.t == 1 and state.ids.size == 0
+    assert sorted(state.failed) == [0, 1]
+    assert all(isinstance(err, DivergenceError) for err in state.failed.values())
+
+
+def test_lockstep_start_refuses_an_empty_training_group():
+    ds = small_ds().subset(np.flatnonzero(small_ds().group_of != 1))
+    theta0 = init_params(ModelSpec(LINEAR), ds.d, 2, seed=0)
+    with pytest.raises(InvalidDatasetError, match=r"\[1\]"):
+        Lockstep.start([theta0], [base_config()], ds)
+
+
 # ------------------------------------------------------------------- train
 
 
@@ -206,6 +240,17 @@ def test_train_zero_iterations_returns_initial_state():
     assert model.params_equal(result.final.theta, theta0)
     assert model.params_equal(result.best, theta0)
     assert result.final.iteration == 0
+
+
+def test_train_lockstep_without_steps_returns_each_rows_initial_checkpoint():
+    ds = small_ds()
+    inits = [init_params(ModelSpec(LINEAR), ds.d, 2, seed=k) for k in (4, 5)]
+    configs = [base_config(iterations=0), base_config(mode=ERM, iterations=0, seed=9)]
+    for result, init in zip(train_lockstep(ds, ds, inits, configs), inits):
+        assert [cp.iteration for cp in result.history] == [0]
+        assert model.params_equal(result.final.theta, init)
+        np.testing.assert_array_equal(result.final.beta, ds.alpha)
+        assert result.best_iteration == 0
 
 
 def test_train_rejects_empty_groups():
@@ -356,7 +401,6 @@ def assert_same_result(a, b):
         assert cp_a.worst_val_acc == cp_b.worst_val_acc
         assert cp_a.avg_val_acc == cp_b.avg_val_acc
         assert model.params_equal(cp_a.theta, cp_b.theta)
-        assert model.params_equal(cp_a.theta_bar, cp_b.theta_bar)
     assert model.params_equal(a.final.theta, b.final.theta)
     np.testing.assert_array_equal(a.final.beta, b.final.beta)
     assert a.final.iteration == b.final.iteration
