@@ -107,6 +107,14 @@ def git(*args) -> str:
                           check=True).stdout.strip()
 
 
+def export_revision(root: str, revision: str, dest: str) -> None:
+    """Write the files of git ``revision`` in ``root`` into the new directory ``dest``."""
+    os.mkdir(dest)
+    archive = subprocess.run(["git", "-C", root, "archive", revision],
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
 def export_worktree(root: str, dest: str) -> None:
     """Copy the files git tracks in ``root``, as they are in its working tree, into ``dest``."""
     listed = subprocess.run(["git", "-C", root, "ls-files", "-z"], capture_output=True,
@@ -146,10 +154,7 @@ def main(argv=None) -> int:
     runs = {"parent": [], "tree": []}
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         parent_root = os.path.join(tmp, "parent")
-        os.mkdir(parent_root)
-        archive = subprocess.run(["git", "-C", ROOT, "archive", parent_rev],
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", parent_root], input=archive, check=True)
+        export_revision(ROOT, parent_rev, parent_root)
         tree_root = os.path.join(tmp, "tree")
         export_worktree(ROOT, tree_root)
         roots = {"parent": parent_root, "tree": tree_root}

@@ -5,9 +5,12 @@
     python3 scripts/parity_pair.py --coretype Prescott
     python3 scripts/parity_pair.py --parent HEAD --coretype Prescott
 
-The parent is exported with ``git archive`` into a temporary directory.  In
-each tree this runs, with that tree's ``src`` on ``PYTHONPATH`` and OpenBLAS
-on the kernel it picks for this CPU (``OPENBLAS_CORETYPE`` unset):
+Both sides run from a copy in one temporary directory, made as
+``bench_pair.py`` makes its copies: the parent exported with ``git archive``,
+and the files git tracks in this tree with their working-tree contents, so
+that an untracked file neither runs nor counts.  In each copy this runs,
+with that copy's ``src`` on ``PYTHONPATH`` and OpenBLAS on the kernel it
+picks for this CPU (``OPENBLAS_CORETYPE`` unset):
 
 * ``generate -> tune -> run --tuned-epsilon-from`` on the base config of
   ``tests/test_cli.py``; on the same config with a ``dataset.csv`` block
@@ -24,7 +27,7 @@ on the kernel it picks for this CPU (``OPENBLAS_CORETYPE`` unset):
   --reference-iterations 20000``, which prints the reference value and the
   gaps with ``repr``; its output is kept as ``convergence_study.txt``.
 
-Both sides read the same config files and run this tree's copy of the
+Both sides read the same config files and run the copy of this tree's
 study script.  Every file the runs write is then compared byte for byte;
 the only bytes ignored are the ``"seconds"`` lines of a JSON file, the
 wall time of each verification check.  The first difference is printed
@@ -57,6 +60,9 @@ import re
 import subprocess
 import sys
 import tempfile
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from bench_pair import export_revision, export_worktree  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS_LINE = re.compile(rb'^\s*"seconds": [^,\n]*,?$')
@@ -178,6 +184,19 @@ def source_lines(tree: str) -> int:
     return total
 
 
+def export_sides(root: str, tmp: str, revision: str | None) -> dict:
+    """The copies the sides run from, by side, as new directories under
+    ``tmp``: ``tree``, the files git tracks in ``root`` as they are in its
+    working tree, and, unless ``revision`` is ``None``, ``parent``, the
+    files of that revision."""
+    trees = {"tree": os.path.join(tmp, "tree")}
+    export_worktree(root, trees["tree"])
+    if revision is not None:
+        trees["parent"] = os.path.join(tmp, "parent")
+        export_revision(root, revision, trees["parent"])
+    return trees
+
+
 def configs(out: str) -> dict:
     """The four pipeline configs, by name, written under ``out``, in the
     order they run: ``test_cli_csv`` reads the files ``test_cli`` wrote."""
@@ -221,7 +240,8 @@ def blas_core(env: dict) -> str:
                           text=True).stdout.strip() or "unknown"
 
 
-def run_side(tree: str, config_paths: dict, out: str, coretype: str | None = None) -> None:
+def run_side(tree: str, config_paths: dict, out: str, study_script: str,
+             coretype: str | None = None) -> None:
     env = side_env(tree, coretype)
 
     def python(*args) -> str:
@@ -241,7 +261,7 @@ def run_side(tree: str, config_paths: dict, out: str, coretype: str | None = Non
         hierdro("run", *common, "--tuned-epsilon-from",
                 os.path.join(out, name, "tune_result.json"))
     hierdro("verify", "--level", "fast", "--output", os.path.join(out, "verify.json"))
-    study = python(os.path.join(ROOT, "scripts", "convergence_study.py"), *STUDY_ARGS)
+    study = python(study_script, *STUDY_ARGS)
     with open(os.path.join(out, "convergence_study.txt"), "w", encoding="utf-8") as fh:
         fh.write(study)
 
@@ -259,28 +279,28 @@ def main(argv=None) -> int:
         config_dir = os.path.join(tmp, "configs")
         os.makedirs(config_dir)
         config_paths = configs(config_dir)
-        sides = [("tree", ROOT, None)]
+        revision = None
         if args.parent is not None:
             revision = subprocess.run(["git", "-C", ROOT, "rev-parse", args.parent],
                                       capture_output=True, text=True, check=True).stdout.strip()
-            parent_root = os.path.join(tmp, "parent")
-            os.mkdir(parent_root)
-            archive = subprocess.run(["git", "-C", ROOT, "archive", revision],
-                                     capture_output=True, check=True).stdout
-            subprocess.run(["tar", "-x", "-C", parent_root], input=archive, check=True)
-            sides.insert(0, ("parent", parent_root, None))
+        trees = export_sides(ROOT, tmp, revision)
+        study_script = os.path.join(trees["tree"], "scripts", "convergence_study.py")
+        sides = [("tree", trees["tree"], None)]
+        if revision is not None:
+            sides.insert(0, ("parent", trees["parent"], None))
         if args.coretype is not None:
-            sides.append(("coretype", ROOT, args.coretype))
+            sides.append(("coretype", trees["tree"], args.coretype))
         outs = {}
         for side, tree, coretype in sides:
             outs[side] = os.path.join(tmp, f"{side}_out")
             os.makedirs(outs[side])
             print(f"running {side} ({tree})", file=sys.stderr)
-            run_side(tree, config_paths, outs[side], coretype)
+            run_side(tree, config_paths, outs[side], study_script, coretype)
         count = sum(len(names) for _, _, names in os.walk(outs["tree"]))
-        if args.parent is not None:
+        if revision is not None:
             difference = first_difference(outs["parent"], outs["tree"])
-            lines = f"src/hierdro/*.py {source_lines(parent_root)} -> {source_lines(ROOT)} lines"
+            lines = (f"src/hierdro/*.py {source_lines(trees['parent'])} -> "
+                     f"{source_lines(trees['tree'])} lines")
             if difference:
                 print(f"parent {revision[:12]} and this tree differ: {difference}; {lines}")
                 status = 1

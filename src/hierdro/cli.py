@@ -231,11 +231,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
     for key, seed in [*(("seeds", s) for s in seeds), ("dataset.seed", top["dataset"].seed)]:
         if seed < 0:
             raise ConfigError(f"{key}: expected nonnegative integers, got {seed}")
-    for key, values in (("solver.modes", modes), ("seeds", seeds)):
+    grid_scale = tn.get("grid_scale", DEFAULT_GRID_SCALE)
+    for key, values in (("solver.modes", modes), ("seeds", seeds),
+                        ("tuning.grid_scale", grid_scale)):
         repeated = sorted({v for v in values if values.count(v) > 1}, key=str)
         if repeated:
-            raise ConfigError(f"{key}: repeated entries {repeated}; each run cell must be unique")
-    grid_scale = tn.get("grid_scale", DEFAULT_GRID_SCALE)
+            raise ConfigError(f"{key}: repeated entries {repeated}; each entry must be unique")
     if not grid_scale:
         raise ConfigError("tuning.grid_scale: expected a nonempty list")
     n_min = max(min(top["dataset"].n_per_group_train, default=0), 0)

@@ -272,14 +272,14 @@ def rate_study(
 ) -> ConvergenceReport:
     """Train once to the largest horizon and report gaps alongside bounds.
 
-    The study drives :func:`solver.advance` on one row from the linear model
-    of seed ``config.seed`` and averages the iterates itself: ``theta_bar``
-    starts at the initial model and takes each step's ``theta`` by
-    :func:`model.average_params`.  ``theta`` and ``theta_bar`` are kept at
-    every multiple of ``config.checkpoint_every``, which must divide every
-    horizon.  An empty horizon list, a horizon below 1 or one given twice
-    is an ``UnsupportedDiagnosticError``, before any step; a row that
-    diverges raises its ``DivergenceError``.
+    The study starts one row on ``ds`` under ``config`` from the linear model
+    of seed ``config.seed``, drives :func:`solver.advance` on it and averages
+    the iterates itself: ``theta_bar`` starts at the initial model and takes
+    each step's ``theta`` by :func:`model.average_params`.  ``theta`` and
+    ``theta_bar`` are kept at every multiple of ``config.checkpoint_every``,
+    which must divide every horizon.  An empty horizon list, a horizon below 1
+    or one given twice is an ``UnsupportedDiagnosticError``, before any step; a
+    row that diverges raises its ``DivergenceError``.
     """
     horizons = tuple(int(h) for h in sorted(horizons))
     if not horizons:
@@ -299,7 +299,7 @@ def rate_study(
     state = solver.Lockstep.start([init], [run_cfg], ds)
     theta_bar = state.theta
     thetas, averages = {}, {}
-    for _ in solver.advance(state, ds, [run_cfg.seed]):
+    for _ in solver.advance(state):
         if state.failed:
             raise state.failed[0]
         theta_bar = model.average_params(theta_bar, state.theta, state.t)

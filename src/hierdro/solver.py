@@ -29,18 +29,20 @@ the gradient at the perturbed latents through the hidden layer of an
 :mod:`model`); a step with a zero radius is ordinary backpropagation.
 
 Trajectories of one shape run in lockstep.  One :class:`Lockstep` holds
-their state: the parameters stacked as ``(R, K, d)``, ``beta`` as
-``(R, m)``, and each row's radii and mode as arrays.  One
-:func:`train_step` advances all R rows with one set of numpy calls, apart
-from the latent ascent, which calls :func:`ambiguity.inner_maximize` once
-per row with a positive radius, as a lone run does.  Rows differ only in
-the fields in ``PER_ROW`` (mode, radius and seed) and in their initial
-model; every other config field, the step sizes and the adjustment among
-them, and the architecture are shared.  Mode degeneracy becomes a per-row
-mask (a radius-0 row keeps ``z' = z``, an ERM row keeps ``beta``).
-:func:`advance` is the one loop that draws the batches and calls
-:func:`train_step`; :func:`train_lockstep` takes checkpoints and selects
-around it, and the oracle checks and the rate study drive it too.  A row
+their state and what they draw from: the parameters stacked as
+``(R, K, d)``, ``beta`` as ``(R, m)``, each row's radii, mode and seed as
+arrays, and the training split.  One :func:`train_step` advances all R
+rows with one set of numpy calls, apart from the latent ascent, which
+calls :func:`ambiguity.inner_maximize` once per row with a positive
+radius, as a lone run does.  Rows differ only in the fields in
+``PER_ROW`` (mode, radius and seed) and in their initial model; every
+other config field, the step sizes and the adjustment among them, and the
+architecture are shared.  Mode degeneracy becomes a per-row mask (a
+radius-0 row keeps ``z' = z``, an ERM row keeps ``beta``).
+:func:`advance`, given only the ``Lockstep``, is the one loop that draws
+the batches and calls :func:`train_step`; :func:`train_lockstep` takes
+checkpoints and selects around it, and the oracle checks and the rate
+study drive it too.  A row
 that diverges is retired with its ``DivergenceError`` while the others go
 on.  Every row's result is bitwise the result of training it alone;
 :func:`train` is the one-row case.  A result's ``final``, where its
@@ -120,12 +122,11 @@ class SolverConfig:
 
 @dataclass
 class Batch:
-    """One minibatch per row: ``group`` holds a group per row; ``x`` and
-    ``y`` are ``(R, B, d)`` and ``(R, B)``, or ``(1, B, d)`` and ``(1, B)``
-    when every row shares them.  :meth:`GroupSampler.draw` returns the
-    unstacked form of one row: an int group, ``(B, d)`` and ``(B,)``."""
+    """One step's minibatch for R rows: ``group`` holds a group per row; ``x``
+    and ``y`` are ``(R, B, d)`` and ``(R, B)``, or ``(1, B, d)`` and
+    ``(1, B)`` when every row shares them."""
 
-    group: int | np.ndarray
+    group: np.ndarray
     x: np.ndarray
     y: np.ndarray
 
@@ -177,26 +178,27 @@ PER_ROW = ("mode", "epsilon", "seed")
 class Lockstep:
     """R trajectories of one shape advancing together, one row each, with their settings.
 
-    Row ``i`` of ``theta`` and ``beta`` (each with a leading row axis) and
-    of every per-row setting in ``ROWS`` is trajectory ``ids[i]``.  No
-    running average of the iterates is kept, and :func:`advance` is the one
-    loop that steps a ``Lockstep``.  Rows differ only in mode, radius, seed
-    and initial model.
-    ``shared`` is the first row's config at the start; only its fields
-    outside ``PER_ROW``, which every row has, are read, the step sizes and
-    the adjustment among them.  ``radii[i, g]`` is row ``i``'s ball radius
-    for group ``g`` (zero unless hierarchical); ERM rows have
-    ``learns_beta`` false.  ``some_ascent`` says whether any row ascends
-    and ``some_``/``all_learn`` whether any or every row learns ``beta``,
-    so that a step skips a phase no row needs.  A row that diverges leaves
-    every array, and its error goes to ``failed`` under its id.
+    Row ``i`` of ``theta`` and ``beta`` (each with a leading row axis) and of
+    every per-row setting in ``ROWS`` is trajectory ``ids[i]``.  No running
+    average of the iterates is kept, and :func:`advance` is the one loop that
+    steps a ``Lockstep``, drawing from ``train``, the training split, with
+    ``seeds[i]``, row ``i``'s seed as the exact int of its config (an object
+    array: a seed may exceed int64).  ``shared`` is the first row's config at
+    the start; only its fields outside ``PER_ROW``, which every row has, are
+    read, the step sizes and the adjustment among them.  ``radii[i, g]`` is row
+    ``i``'s ball radius for group ``g`` (zero unless hierarchical); ERM rows
+    have ``learns_beta`` false.  ``some_ascent`` says whether any row ascends
+    and ``some_``/``all_learn`` whether any or every row learns ``beta``, so
+    that a step skips a phase no row needs.  A row that diverges leaves every
+    array, and its error goes to ``failed`` under its id.
     """
 
     theta: ModelParams
     beta: np.ndarray
     ids: np.ndarray
+    seeds: np.ndarray
     shared: SolverConfig
-    n_per_group: np.ndarray
+    train: GroupedDataset
     radii: np.ndarray
     learns_beta: np.ndarray
     t: int = 0
@@ -207,7 +209,7 @@ class Lockstep:
     all_learn: bool = field(init=False)
 
     # The arrays with one entry per row along their first axis, besides the models.
-    ROWS = ("beta", "ids", "radii", "learns_beta")
+    ROWS = ("beta", "ids", "seeds", "radii", "learns_beta")
 
     def __post_init__(self):
         self.index = np.arange(self.ids.size)
@@ -239,7 +241,8 @@ class Lockstep:
             raise ParameterError("lockstep training needs one initial model per row")
         epsilon = np.array([c.effective_epsilon for c in configs], float)
         return cls(theta=theta, beta=np.tile(ds_train.alpha, (len(configs), 1)),
-                   ids=np.arange(len(configs)), shared=configs[0], n_per_group=ds_train.n_g,
+                   ids=np.arange(len(configs)), shared=configs[0], train=ds_train,
+                   seeds=np.array([c.seed for c in configs], dtype=object),
                    radii=amb.radius(epsilon[:, None], ds_train.n_g[None, :]),
                    learns_beta=np.array([c.mode != ERM for c in configs]))
 
@@ -254,8 +257,8 @@ class Lockstep:
 class GroupSampler:
     """Draws (group, minibatch row indices) per the configured sampling mode.
 
-    The sampling mode, the group count, the batch size and the arrays are
-    read once, here, since :meth:`draw` runs once per training step.
+    The sampling mode, the group count, the batch size and each group's
+    rows are read once, here, since :meth:`draw` runs once per training step.
     """
 
     def __init__(self, ds: GroupedDataset, config: SolverConfig):
@@ -263,29 +266,16 @@ class GroupSampler:
         self.num_groups = ds.num_groups
         self.alpha = ds.alpha
         self.batch_size = config.batch_size
-        self.features = ds.features
-        self.labels = ds.labels
         self.group_rows = [ds.group_rows(g) for g in range(ds.num_groups)]
 
-    def draw(self, rng: np.random.Generator) -> Batch:
+    def draw(self, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+        """The next group ``g`` of ``rng``'s stream and its minibatch's ``(B,)`` rows in ``g``."""
         if self.uniform:
             g = int(rng.integers(self.num_groups))
         else:
             g = int(rng.choice(self.num_groups, p=self.alpha))
         rows = self.group_rows[g]
-        idx = rows[rng.integers(0, rows.size, size=self.batch_size)]
-        return Batch(group=g, x=self.features[idx], y=self.labels[idx])
-
-
-def stack_batches(batches: list[Batch], pos: np.ndarray | None, num_rows: int) -> Batch:
-    """Row ``i`` takes ``batches[pos[i]]``; ``pos=None`` means every row
-    shares ``batches[0]``, which then keeps a leading axis of 1."""
-    if pos is None:
-        b = batches[0]
-        return Batch(group=np.array([b.group] * num_rows), x=b.x[None], y=b.y[None])
-    return Batch(group=np.array([b.group for b in batches])[pos],
-                 x=np.stack([b.x for b in batches])[pos],
-                 y=np.stack([b.y for b in batches])[pos])
+        return g, rows[rng.integers(0, rows.size, size=self.batch_size)]
 
 
 def update_beta(
@@ -363,7 +353,7 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
     if state.some_learn:
         loss = mean_loss if all_finite else np.where(finite, mean_loss, 0.0)
         beta = update_beta(state.beta, g, loss, shared.eta_beta * scale, shared.adjustment,
-                           state.n_per_group[g])
+                           state.train.n_g[g])
         state.beta = beta if state.all_learn else np.where(
             state.learns_beta[:, None], beta, state.beta)
 
@@ -394,56 +384,60 @@ def group_mean_losses(theta: ModelParams, ds: GroupedDataset) -> np.ndarray:
     return ds.group_means(model.cross_entropy(model.logits_from_latent(theta, z), ds.labels))
 
 
-def _record_checkpoint(
-    state: Lockstep,
-    i: int,
-    ds_train: GroupedDataset,
-    ds_val: GroupedDataset,
-    weights: np.ndarray,
-) -> Checkpoint:
+def _record_checkpoint(state: Lockstep, i: int, ds_val: GroupedDataset) -> Checkpoint:
     """The checkpoint of the row at position ``i``."""
     theta = model.row_params(state.theta, i)
-    report = evaluation.evaluate(theta, ds_val, weights)
+    report = evaluation.evaluate(theta, ds_val, state.train.alpha)
     return Checkpoint(
         iteration=state.t,
         beta=state.beta[i].copy(),
         worst_val_acc=report.worst_group_acc,
         avg_val_acc=report.avg_acc_weighted,
         theta=theta,
-        train=ds_train,
+        train=state.train,
     )
 
 
-def _streams(rngs: dict, seeds: list[int], ids: np.ndarray):
-    """The random streams the live rows ``ids`` draw from, each once, and
-    each live row's position among them (``None`` when they all share one)."""
-    live = [seeds[i] for i in ids]
-    order = list(dict.fromkeys(live))
-    pos = None if len(order) == 1 else np.array([order.index(s) for s in live])
+def _streams(rngs: dict, seeds: np.ndarray):
+    """The random streams of the live rows' ``seeds``, each once, and each
+    row's position among them (``None`` when they all share one)."""
+    seeds = seeds.tolist()
+    order = list(dict.fromkeys(seeds))
+    pos = None if len(order) == 1 else np.array([order.index(s) for s in seeds])
     return [rngs[seed] for seed in order], pos
 
 
-def advance(state: Lockstep, ds_train: GroupedDataset, seeds):
+def advance(state: Lockstep):
     """Step ``state`` in place ``state.shared.iterations`` times, yielding each step's batch.
 
-    Row ``i`` draws its minibatches from ``default_rng(seeds[state.ids[i]])``
-    in the order a lone run draws them; rows with equal seeds share one
-    stream and one minibatch gather, also after a retirement.  The loop
-    stops after the step at which every row has retired, with the errors in
-    ``state.failed``.
+    Row ``i`` draws its minibatches from ``state.train`` with
+    ``default_rng(state.seeds[i])``, in the order a lone run draws them;
+    rows with equal seeds share one ``Generator``, also after a retirement,
+    the only time the streams are regrouped.  A step gathers its rows once,
+    into a :class:`Batch` with one shared row when all live seeds are one.
+    The loop stops after the step at which every row has retired, with the
+    errors in ``state.failed``.
     """
-    sampler = GroupSampler(ds_train, state.shared)
-    rngs = {seed: np.random.default_rng(seed) for seed in seeds}
-    streams, pos = _streams(rngs, seeds, state.ids)
+    train = state.train
+    sampler = GroupSampler(train, state.shared)
+    rngs = {seed: np.random.default_rng(seed) for seed in state.seeds.tolist()}
+    streams, pos = _streams(rngs, state.seeds)
     for _ in range(state.shared.iterations):
         live = state.ids.size
-        batch = stack_batches([sampler.draw(rng) for rng in streams], pos, live)
+        draws = [sampler.draw(rng) for rng in streams]
+        if pos is None:
+            ((g, rows),) = draws
+            group, rows = np.array([g] * live), rows[None]
+        else:
+            group = np.array([g for g, _ in draws])[pos]
+            rows = np.stack([rows for _, rows in draws])[pos]
+        batch = Batch(group=group, x=train.features[rows], y=train.labels[rows])
         train_step(state, batch)
         yield batch
         if state.ids.size != live:
             if not state.ids.size:
                 return
-            streams, pos = _streams(rngs, seeds, state.ids)
+            streams, pos = _streams(rngs, state.seeds)
 
 
 def train_lockstep(
@@ -464,16 +458,15 @@ def train_lockstep(
     configs = tuple(configs)
     state = Lockstep.start(inits, configs, ds_train)
     shared = state.shared
-    weights = ds_train.alpha.copy()
     histories = [[] for _ in configs]
-    for _ in advance(state, ds_train, [c.seed for c in configs]):
+    for _ in advance(state):
         if state.t % shared.checkpoint_every == 0 or state.t == shared.iterations:
             for i, k in enumerate(state.ids):
-                histories[k].append(_record_checkpoint(state, i, ds_train, ds_val, weights))
+                histories[k].append(_record_checkpoint(state, i, ds_val))
 
     results = [state.failed.get(k) for k in range(len(configs))]
     for i, k in enumerate(state.ids):
-        history = histories[k] or [_record_checkpoint(state, i, ds_train, ds_val, weights)]
+        history = histories[k] or [_record_checkpoint(state, i, ds_val)]
         best = max(history, key=lambda cp: (cp.worst_val_acc, -cp.iteration))
         results[k] = TrainResult(best=best.theta, best_iteration=best.iteration,
                                  best_worst_val_acc=best.worst_val_acc, history=history)

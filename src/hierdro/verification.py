@@ -287,7 +287,7 @@ def check_simplex_and_degeneracy(steps: int = 10_000, tolerance: float = SIMPLEX
     alpha = ds.alpha
     residual = 0.0
     bitwise = erm_matches = True
-    for batch in solver.advance(state, ds, [c.seed for c in configs]):
+    for batch in solver.advance(state):
         if state.failed:
             raise next(iter(state.failed.values()))
         # ERM's beta is checked against alpha below.  Each row sums in

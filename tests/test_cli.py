@@ -204,7 +204,7 @@ def test_repeated_run_cells_are_refused(tmp_path, capsys, key, raw_value):
 
 
 @pytest.mark.parametrize("grid_scale", [[], [-0.1], [0.1, float("inf")], [float("nan")],
-                                        [1e308], [-0.0]])
+                                        [1e308], [-0.0], [0.1, 0.1]])
 def test_bad_grid_scale_is_refused_at_load(tmp_path, capsys, grid_scale):
     raw = base_config(tmp_path)
     raw["tuning"]["grid_scale"] = grid_scale
@@ -381,6 +381,33 @@ def test_run_accepts_tuned_epsilon(tmp_path):
     lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
     hier_rows = [l.split(",") for l in lines[2:] if l.startswith("Hierarchical")]
     assert all(float(r[2]) == pytest.approx(chosen) for r in hier_rows)
+
+
+def test_seeds_are_exact_integers_beyond_int64(tmp_path):
+    """``tune`` and ``run --tuned-epsilon-from`` train seed ``2**64`` as that
+    integer: the result rows and the run directories print it in full, and
+    its runs are not those of seed 0, where an int64 or uint64 wraps it."""
+    raw = base_config(tmp_path, seeds=[2**64, 3])
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert cli.main(["generate", "--config", cfg]) == 0
+    assert cli.main(["tune", "--config", cfg]) == 0
+    assert json.loads((out / "tune_result.json").read_text())["seeds"] == [2**64, 3]
+    assert cli.main(["run", "--config", cfg,
+                     "--tuned-epsilon-from", str(out / "tune_result.json")]) == 0
+    lines = (out / "results.csv").read_text().splitlines()
+    assert lines[0].endswith(f"seeds=[{2**64}, 3]")
+    rows = [line.split(",") for line in lines[2:] if ",summary," not in line]
+    assert [row[1] for row in rows] == [str(2**64), "3"] * 3
+
+    zero = base_config(tmp_path, seeds=[0], output_dir=str(tmp_path / "zero"))
+    zero_cfg = write_config(tmp_path, zero, "zero.json")
+    assert cli.main(["generate", "--config", zero_cfg]) == 0
+    assert cli.main(["run", "--config", zero_cfg]) == 0
+    for mode in ("erm", "group_dro"):
+        big = (out / "runs" / f"{mode}_seed{2**64}" / "history.csv").read_text()
+        wrapped = (tmp_path / "zero" / "runs" / f"{mode}_seed0" / "history.csv").read_text()
+        assert big.splitlines()[1:] != wrapped.splitlines()[1:]
 
 
 def test_default_tuning_grid_in_config(tmp_path):

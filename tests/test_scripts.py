@@ -1,7 +1,8 @@
 """Each script in scripts/ runs to exit 0 on a tiny horizon, convergence_study.py
 printing its reference value and gaps in full; bench_pair.py is
 checked on canned run lines and does not run the benchmark here, and
-parity_pair.py's comparison and line count on hand-made directories."""
+parity_pair.py's comparison and line count on hand-made directories and
+its copies of the two sides on a hand-made git repository."""
 
 import importlib.util
 import json
@@ -161,22 +162,22 @@ def test_bench_pair_writes_medians_of_canned_runs(tmp_path):
     assert written == {"label": "x", "revision": "abc123", **environment, "workloads": summary}
 
 
+def committed_repo(repo, files):
+    """A new git repository at ``repo`` with one commit of ``files``, bodies by path."""
+    for name, body in files.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(body)
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "c"]):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+
 def test_bench_pair_exports_the_working_tree_without_untracked_files(tmp_path):
     """This tree runs from a copy, as the parent does: tracked files with
     their uncommitted edits, no untracked file, no deleted file."""
     bench_pair = load_script("bench_pair")
     repo = tmp_path / "repo"
-    (repo / "src").mkdir(parents=True)
-    for name in ("src/a.py", "b.txt", "gone.txt"):
-        (repo / name).write_text("committed\n")
-
-    def git(*args):
-        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
-                        *args], check=True, capture_output=True)
-
-    git("init", "-q")
-    git("add", "-A")
-    git("commit", "-q", "-m", "c")
+    committed_repo(repo, {name: "committed\n" for name in ("src/a.py", "b.txt", "gone.txt")})
     (repo / "src" / "a.py").write_text("edited\n")
     (repo / "gone.txt").unlink()
     (repo / "untracked.txt").write_text("new\n")
@@ -217,6 +218,23 @@ def test_parity_pair_finds_the_first_difference(tmp_path):
         (tmp_path / "left" / "src" / "hierdro" / name).write_text(body)
     assert parity_pair.source_lines(left) == 3
     assert parity_pair.source_lines(right) == 0
+
+
+def test_parity_pair_runs_and_counts_the_tracked_files_of_this_tree(tmp_path):
+    """Each side runs from a copy: the parent's committed files, and this
+    tree's tracked files with their uncommitted edits.  An untracked module
+    is in neither, so it neither runs nor counts toward ``N -> M lines``."""
+    parity_pair = load_script("parity_pair")
+    repo = tmp_path / "repo"
+    committed_repo(repo, {"src/hierdro/a.py": "x = 1\n"})
+    (repo / "src" / "hierdro" / "a.py").write_text("x = 1\ny = 2\n")
+    (repo / "src" / "hierdro" / "new.py").write_text("z = 3\n" * 5)
+    trees = parity_pair.export_sides(str(repo), str(tmp_path), "HEAD")
+    assert parity_pair.source_lines(trees["parent"]) == 1
+    assert parity_pair.source_lines(trees["tree"]) == 2
+    assert sorted(os.listdir(os.path.join(trees["tree"], "src", "hierdro"))) == ["a.py"]
+    assert parity_pair.source_lines(str(repo)) == 7
+    assert list(parity_pair.export_sides(str(repo), str(tmp_path / "alone"), None)) == ["tree"]
 
 
 def test_parity_pair_kernel_report_gives_each_differing_files_largest_differences(

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from hierdro.solver import (
     GroupSampler,
     Lockstep,
     SolverConfig,
-    stack_batches,
     train,
     train_lockstep,
     train_step,
@@ -37,6 +37,11 @@ def base_config(**overrides):
     )
     defaults.update(overrides)
     return SolverConfig(**defaults)
+
+
+def shared_batch(ds, g, rows, num_rows=1):
+    """The batch that ``num_rows`` rows share: group ``g``, dataset rows ``rows``."""
+    return Batch(group=np.full(num_rows, g), x=ds.features[rows][None], y=ds.labels[rows][None])
 
 
 # ------------------------------------------------------------- update_beta
@@ -145,18 +150,18 @@ def test_single_step_matches_hand_composition():
     state = Lockstep.start([theta0], [config], ds)
     g = 1
     rows = ds.group_rows(g)[:3]
-    batch = Batch(group=g, x=ds.features[rows], y=ds.labels[rows])
+    x, y = ds.features[rows], ds.labels[rows]
 
-    state = train_step(state, stack_batches([batch], None, 1))
+    state = train_step(state, shared_batch(ds, g, rows))
 
     # Reference composition from the three documented sub-updates.
     eps_g = amb.radius(config.epsilon, int(ds.n_g[g]))
-    z = model.latent(theta0, batch.x)
-    z_prime = amb.inner_maximize(theta0, z, batch.y, eps_g)
-    losses = model.cross_entropy(model.logits_from_latent(theta0, z_prime), batch.y)
+    z = model.latent(theta0, x)
+    z_prime = amb.inner_maximize(theta0, z, y, eps_g)
+    losses = model.cross_entropy(model.logits_from_latent(theta0, z_prime), y)
     beta = update_beta(ds.alpha, g, float(losses.mean()), config.eta_beta,
                        config.adjustment, int(ds.n_g[g]))
-    grads = model.loss_and_param_grads(theta0, z_prime, z, batch.x, batch.y)[1]
+    grads = model.loss_and_param_grads(theta0, z_prime, z, x, y)[1]
     theta1 = model.sgd_step(theta0, grads, config.eta_theta * float(beta[g]))
 
     assert model.params_equal(model.row_params(state.theta, 0), theta1)
@@ -171,12 +176,12 @@ def test_erm_step_is_plain_sgd_on_batch_loss():
     state = Lockstep.start([theta0], [config], ds)
     g = 0
     rows = ds.group_rows(g)[:4]
-    batch = Batch(group=g, x=ds.features[rows], y=ds.labels[rows])
-    state = train_step(state, stack_batches([batch], None, 1))
+    x, y = ds.features[rows], ds.labels[rows]
+    state = train_step(state, shared_batch(ds, g, rows))
 
     np.testing.assert_array_equal(state.beta[0], ds.alpha)  # frozen
-    z = model.latent(theta0, batch.x)
-    grads = model.loss_and_param_grads(theta0, z, z, batch.x, batch.y)[1]
+    z = model.latent(theta0, x)
+    grads = model.loss_and_param_grads(theta0, z, z, x, y)[1]
     expected = model.sgd_step(theta0, grads, config.eta_theta * float(ds.alpha[g]))
     assert model.params_equal(model.row_params(state.theta, 0), expected)
 
@@ -187,9 +192,8 @@ def test_divergence_error_carries_snapshot():
     theta = ModelParams(w_out=np.full((2, ds.d), 1e308), b_out=np.zeros(2))
     state = Lockstep.start([theta], [config], ds)
     rows = ds.group_rows(0)[:2]
-    batch = Batch(group=0, x=ds.features[rows], y=ds.labels[rows])
     with np.errstate(all="ignore"):
-        state = train_step(state, stack_batches([batch], None, 1))
+        state = train_step(state, shared_batch(ds, 0, rows))
     assert isinstance(state.failed[0], DivergenceError)
     assert "iteration" in state.failed[0].snapshot
     assert state.ids.size == 0 and state.beta.shape == (0, ds.num_groups)
@@ -206,18 +210,19 @@ def test_advance_yields_each_step_and_stops_once_every_row_has_retired():
     sampler, rng = GroupSampler(ds, configs[0]), np.random.default_rng(2)
     state = Lockstep.start([bad, good], configs, ds)
     with np.errstate(all="ignore"):
-        batches = list(solver.advance(state, ds, [1, 2]))
+        batches = list(solver.advance(state))
     assert len(batches) == 30 and state.t == 30
     assert list(state.failed) == [0] and state.ids.tolist() == [1]
+    assert state.seeds.tolist() == [2]
     assert [len(b.x) for b in batches] == [2] + [1] * 29
     for batch in batches:
-        draw = sampler.draw(rng)
-        assert batch.group[-1] == draw.group
-        np.testing.assert_array_equal(batch.x[-1], draw.x)
+        g, rows = sampler.draw(rng)
+        assert batch.group[-1] == g
+        np.testing.assert_array_equal(batch.x[-1], ds.features[rows])
 
     state = Lockstep.start([bad, bad], configs, ds)
     with np.errstate(all="ignore"):
-        batches = list(solver.advance(state, ds, [1, 2]))
+        batches = list(solver.advance(state))
     assert len(batches) == 1 and state.t == 1 and state.ids.size == 0
     assert sorted(state.failed) == [0, 1]
     assert all(isinstance(err, DivergenceError) for err in state.failed.values())
@@ -292,10 +297,11 @@ def test_erm_equals_frozen_beta_hierarchical_bitwise():
     sampler = GroupSampler(ds, config)
     theta = theta0
     for _ in range(config.iterations):
-        batch = sampler.draw(rng)
-        z = model.latent(theta, batch.x)
-        grads = model.loss_and_param_grads(theta, z, z, batch.x, batch.y)[1]
-        theta = model.sgd_step(theta, grads, config.eta_theta * float(ds.alpha[batch.group]))
+        g, rows = sampler.draw(rng)
+        x, y = ds.features[rows], ds.labels[rows]
+        z = model.latent(theta, x)
+        grads = model.loss_and_param_grads(theta, z, z, x, y)[1]
+        theta = model.sgd_step(theta, grads, config.eta_theta * float(ds.alpha[g]))
     assert model.params_equal(erm.final.theta, theta)
     np.testing.assert_array_equal(erm.final.beta, ds.alpha)
 
@@ -445,31 +451,35 @@ def test_lockstep_rows_equal_solo_runs_bitwise(rows, architecture, num_labels, d
 
 def test_lockstep_retires_a_diverged_row_and_keeps_the_others():
     """The diverging row, diverging through its initial model, goes first,
-    in the middle or last.  The survivors differ in mode, radius, seed and
+    in the middle or last.  The survivors differ in mode, radius and
     initial model, so a setting that retirement leaves unaligned changes
-    some survivor's result.  With one seed for every row and one initial
-    model for every survivor, the rows share one random stream and one
-    batch, and retirement keeps them sharing it."""
+    some survivor's result.  The seed layouts: a stream per row; one
+    stream for every row, which retirement keeps; two survivors sharing a
+    stream beside rows with their own; and every survivor on one stream
+    that the diverging row does not share, so that retirement turns a
+    batch with a row per row into one shared batch.  Survivors with one
+    seed among them share one initial model too."""
     ds = small_ds()
     shape = dict(iterations=60, checkpoint_every=20)
     survivors = [
-        (dict(mode=ERM, seed=1), 3),
-        (dict(epsilon=2.0, seed=2), 4),
-        (dict(mode=GROUP_DRO, seed=3), 5),
-        (dict(epsilon=0.5, seed=4), 6),
+        (dict(mode=ERM), 3),
+        (dict(epsilon=2.0), 4),
+        (dict(mode=GROUP_DRO), 5),
+        (dict(epsilon=0.5), 6),
     ]
-    diverging = (dict(mode=ERM, seed=5), 7)
-    for architecture, shared_stream in ((MLP1, False), (LINEAR, False), (MLP1, True),
-                                        (LINEAR, True)):
+    diverging = (dict(mode=ERM), 7)
+    # The survivors' seeds, then the diverging row's.
+    layouts = [((1, 2, 3, 4), 5), ((3, 3, 3, 3), 3), ((1, 1, 3, 4), 5), ((3, 3, 3, 3), 5)]
+    for architecture, (seeds, bad_seed) in itertools.product((MLP1, LINEAR), layouts):
         spec = ModelSpec(architecture, hidden_width=4)
+        one_init = len(set(seeds)) == 1
 
-        def row(overrides, init_seed):
-            if shared_stream:
-                overrides, init_seed = dict(overrides, seed=3), 3
-            return base_config(**overrides, **shape), init_params(spec, ds.d, 2, seed=init_seed)
+        def row(overrides, init_seed, seed):
+            init = init_params(spec, ds.d, 2, seed=3 if one_init else init_seed)
+            return base_config(**overrides, seed=seed, **shape), init
 
-        kept = [row(*s) for s in survivors]
-        bad_config, bad_init = row(*diverging)
+        kept = [row(*s, seed) for s, seed in zip(survivors, seeds)]
+        bad_config, bad_init = row(*diverging, bad_seed)
         # Infinite output weights make every logit of the first step nan.
         bad_init = dataclasses.replace(bad_init, w_out=np.full_like(bad_init.w_out, np.inf))
         solo = [train(ds, ds, init, config) for config, init in kept]
@@ -548,7 +558,7 @@ def test_mixed_radius_step_keeps_z_bitwise_in_every_radius_zero_row(monkeypatch)
     rng = np.random.default_rng(0)
     sampler = GroupSampler(ds, configs[0])
     for _ in range(5):
-        train_step(state, stack_batches([sampler.draw(rng)], None, len(configs)))
+        train_step(state, shared_batch(ds, *sampler.draw(rng), len(configs)))
     assert len(seen) == 5
     for z_prime, z in seen:
         assert np.signbit(z).any()
@@ -592,8 +602,8 @@ def test_train_step_lands_every_ascending_row_on_the_grid_supremum(monkeypatch, 
     configs = [base_config(mode=ERM), base_config(mode=GROUP_DRO), base_config(epsilon=2.0),
                base_config(epsilon=0.5)]
     state = Lockstep.start([init] * len(configs), configs, ds)
-    batch = stack_batches([GroupSampler(ds, configs[0]).draw(np.random.default_rng(0))],
-                          None, len(configs))
+    batch = shared_batch(ds, *GroupSampler(ds, configs[0]).draw(np.random.default_rng(0)),
+                         len(configs))
     endpoints = []
     inner_maximize = amb.inner_maximize
 
@@ -620,16 +630,18 @@ def test_train_step_lands_every_ascending_row_on_the_grid_supremum(monkeypatch, 
 
 def test_lockstep_step_ascends_each_row_through_inner_maximize(monkeypatch):
     """Every row with a positive radius gets one ``inner_maximize`` call on
-    its own unstacked model, batch and radius, as a lone run makes."""
+    its own unstacked model, batch and radius, as a lone run makes; rows
+    with one seed share its stream's draw."""
     ds = small_ds()
     spec = ModelSpec(MLP1, hidden_width=4)
-    configs = [base_config(mode=ERM, seed=1), base_config(epsilon=2.0, seed=1),
-               base_config(mode=GROUP_DRO, seed=2), base_config(epsilon=0.5, seed=2)]
+    configs = [base_config(mode=ERM, seed=1, iterations=1),
+               base_config(epsilon=2.0, seed=1, iterations=1),
+               base_config(mode=GROUP_DRO, seed=2, iterations=1),
+               base_config(epsilon=0.5, seed=2, iterations=1)]
     inits = [init_params(spec, ds.d, 2, seed=k) for k in range(len(configs))]
     state = solver.Lockstep.start(inits, configs, ds)
     sampler = solver.GroupSampler(ds, configs[0])
     draws = [sampler.draw(np.random.default_rng(seed)) for seed in (1, 2)]
-    batch = solver.stack_batches(draws, np.array([0, 0, 1, 1]), len(configs))
     calls = []
     inner_maximize = amb.inner_maximize
 
@@ -638,11 +650,12 @@ def test_lockstep_step_ascends_each_row_through_inner_maximize(monkeypatch):
         return inner_maximize(theta, z, y, eps_g)
 
     monkeypatch.setattr(amb, "inner_maximize", spy)
-    solver.train_step(state, batch)
+    (batch,) = solver.advance(state)
+    assert batch.group.tolist() == [g for g, _ in draws for _ in range(2)]
     assert len(calls) == 2
     for (theta, z, y, eps_g), k in zip(calls, (1, 3)):
-        draw = draws[k // 2]
+        g, rows = draws[k // 2]
         assert model.params_equal(theta, inits[k]) and theta.w_out.ndim == 2
-        np.testing.assert_array_equal(z, model.latent(inits[k], draw.x))
-        np.testing.assert_array_equal(y, draw.y)
-        assert eps_g == amb.radius(configs[k].epsilon, int(ds.n_g[draw.group]))
+        np.testing.assert_array_equal(z, model.latent(inits[k], ds.features[rows]))
+        np.testing.assert_array_equal(y, ds.labels[rows])
+        assert eps_g == amb.radius(configs[k].epsilon, int(ds.n_g[g]))
