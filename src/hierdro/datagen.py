@@ -163,8 +163,9 @@ class ShiftSpec:
             raise ParameterError("target_group must be nonnegative")
         if self.kind == "rotation" and not (-math.pi < self.magnitude <= math.pi):
             raise ParameterError("rotation magnitude must lie in (-pi, pi]")
-        if self.kind == "offset" and self.magnitude < 0:
-            raise ParameterError("offset magnitude must be nonnegative")
+        if self.kind == "offset" and not 0 <= self.magnitude < math.inf:
+            raise ParameterError(f"offset magnitude must be finite and nonnegative, "
+                                 f"got {self.magnitude!r}")
 
 
 def make_spurious(
@@ -190,8 +191,8 @@ def make_spurious(
         raise ParameterError("n_per_group must have 4 entries (two labels x two attributes)")
     if any(v <= 0 for v in n_per_group):
         raise InvalidDatasetError("every group needs at least one sample")
-    if noise_sd <= 0:
-        raise ParameterError("noise_sd must be positive")
+    if not 0 < noise_sd < math.inf:
+        raise ParameterError(f"noise_sd must be positive and finite, got {noise_sd!r}")
     if not 0.0 <= spurious_strength <= 1.0:
         raise ParameterError("spurious_strength must lie in [0, 1]")
     if not 0.0 <= label_flip_p < 1.0:

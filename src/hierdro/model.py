@@ -328,13 +328,27 @@ def save_params(theta: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
+    """A :func:`save_params` checkpoint.  An unknown architecture tag, a
+    missing array or shapes that do not form one model are a
+    ``ParameterError`` naming the file and the field."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    kwargs = {
-        "w_out": np.asarray(payload["w_out"], dtype=np.float64),
-        "b_out": np.asarray(payload["b_out"], dtype=np.float64),
-    }
-    if payload["architecture"] == MLP1:
-        kwargs["w_hidden"] = np.asarray(payload["w_hidden"], dtype=np.float64)
-        kwargs["b_hidden"] = np.asarray(payload["b_hidden"], dtype=np.float64)
-    return ModelParams(**kwargs)
+    tag = payload.get("architecture") if type(payload) is dict else None
+    if tag not in (LINEAR, MLP1):
+        raise ParameterError(f"{path}: architecture: expected {LINEAR!r} or {MLP1!r}, got {tag!r}")
+    arrays = {}
+    for name in ("w_out", "b_out", "w_hidden", "b_hidden")[:4 if tag == MLP1 else 2]:
+        if name not in payload:
+            raise ParameterError(f"{path}: {name}: missing from a {tag} checkpoint")
+        try:
+            arrays[name] = np.asarray(payload[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:     # ragged, or not numbers
+            raise ParameterError(f"{path}: {name}: expected an array of numbers: {exc}") from exc
+    k, h = (arrays["w_out"].shape + (-1, -1))[:2]      # -1 fits no shape
+    d = arrays["w_hidden"].shape[-1:] if tag == MLP1 else ()
+    fits = {"w_out": (k, h), "b_out": (k,), "w_hidden": (h, *d), "b_hidden": (h,)}
+    for name, value in arrays.items():
+        if value.shape != fits[name]:
+            raise ParameterError(f"{path}: {name}: shape {value.shape} does not form one "
+                                 f"{tag} model; expected {fits[name]}")
+    return ModelParams(**arrays)

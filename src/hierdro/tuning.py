@@ -7,13 +7,14 @@ bottom quantile of every group as validation sets.  The candidate scale that
 maximizes the smallest group's holdout accuracy (aggregated over the two
 setups) wins; ties go to the smaller scale.
 
-The projection is the leading principal component, by power iteration, of
-what ``TuneConfig.order_on`` names: the latents of a short ERM warm-up model
+The projection is the exact leading principal component of what
+``TuneConfig.order_on`` names: the latents of a short ERM warm-up model
 (``"latents"``, the default) or the raw features (``"raw"``).  A linear
 model's latents are its raw features, so for ``linear`` the two agree and no
-warm-up trains: ``warmup_iterations`` matters only for ``mlp1``.  Constant
-ordering features, such as an ``mlp1`` warm-up whose every ReLU is dead,
-rank nothing, and tuning stops with a ``TuningInfeasibleError``.
+warm-up trains: ``warmup_iterations`` matters only for ``mlp1``.  Ordering
+features that are constant, such as an ``mlp1`` warm-up whose every ReLU is
+dead, or so large that their scatter matrix overflows, rank nothing, and
+tuning stops with a ``TuningInfeasibleError``.
 """
 
 from __future__ import annotations
@@ -36,16 +37,15 @@ DEFAULT_GRID_SCALE = (
 )
 
 NUM_QUANTILES = 5
-POWER_ITERATIONS = 200
 
 
-def order_1d(features: np.ndarray, seed: int = 0, iterations: int = POWER_ITERATIONS) -> np.ndarray:
-    """Each row's rank along the leading principal component.
-
-    Power iteration with a seeded start vector; the sign is fixed so the
-    projection correlates nonnegatively with coordinate 0.  Ties are broken
-    by original row index.  Features that are constant, every column's
-    maximum equal to its minimum, order nothing: a ``TuningInfeasibleError``.
+def order_1d(features: np.ndarray) -> np.ndarray:
+    """Each row's rank along the leading principal component: the top
+    eigenvector of the centred scatter matrix, signed so the projection
+    correlates nonnegatively with coordinate 0.  Ties are broken by original
+    row index.  Features that are constant, every column's maximum equal to
+    its minimum, and features whose scatter matrix overflows order nothing:
+    a ``TuningInfeasibleError``.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -55,17 +55,14 @@ def order_1d(features: np.ndarray, seed: int = 0, iterations: int = POWER_ITERAT
             f"the ordering features are constant: each of the {x.shape[1]} columns has one "
             f"value in all {x.shape[0]} rows, so no direction ranks them")
     n = x.shape[0]
-    centered = x - x.mean(axis=0)
-
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=x.shape[1])
-    v /= np.linalg.norm(v)
-    for _ in range(iterations):
-        v_new = centered.T @ (centered @ v)
-        norm = np.linalg.norm(v_new)
-        if norm == 0.0:
-            break
-        v = v_new / norm
+    with np.errstate(over="ignore", invalid="ignore"):     # refused just below
+        centered = x - x.mean(axis=0)
+        scatter = centered.T @ centered
+    if not np.isfinite(scatter).all():
+        raise TuningInfeasibleError(
+            f"the ordering features overflow: the scatter matrix of the {n} centred rows "
+            f"is not finite, so no principal component ranks them")
+    v = np.linalg.eigh(scatter)[1][:, -1]
     projection = centered @ v
     if projection @ centered[:, 0] < 0:
         projection = -projection
@@ -179,10 +176,9 @@ def minority_group(ds: GroupedDataset) -> int:
 
 
 def _ordering_ranks(ds: GroupedDataset, cfg: TuneConfig) -> np.ndarray:
-    """:func:`order_1d` of the features ``cfg.order_on`` names, seeded with
-    the tuning runs' seed, ``cfg.solver.seed``."""
+    """:func:`order_1d` of the features ``cfg.order_on`` names."""
     if cfg.order_on == "raw" or cfg.model.architecture == LINEAR:
-        return order_1d(ds.features, seed=cfg.solver.seed)
+        return order_1d(ds.features)
     warm_cfg = replace(
         cfg.solver, mode=ERM, epsilon=0.0, iterations=cfg.warmup_iterations,
         checkpoint_every=max(1, cfg.warmup_iterations),
@@ -190,7 +186,7 @@ def _ordering_ranks(ds: GroupedDataset, cfg: TuneConfig) -> np.ndarray:
     init = init_params(cfg.model, ds.d, ds.num_labels, seed=warm_cfg.seed)
     warm = solver.train(ds, ds, init, warm_cfg)
     try:
-        return order_1d(latent(warm.final.theta, ds.features), seed=cfg.solver.seed)
+        return order_1d(latent(warm.final.theta, ds.features))
     except TuningInfeasibleError as exc:
         raise TuningInfeasibleError(
             f"{exc}; these are the latents of the {cfg.warmup_iterations}-step ERM warm-up "

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from hierdro import cli, model, verification
+from hierdro import cli, datagen, model, verification
 from hierdro.datagen import ShiftSpec, load_csv, save_csv
 from hierdro.errors import ConfigError
 from hierdro.evaluation import evaluate
@@ -92,6 +92,27 @@ def test_generate_shift_verified_by_manifest_means(tmp_path):
     untouched = manifest["splits"]["test"]["group_means_01"]["0"]
     np.testing.assert_allclose(
         manifest["splits"]["test_shifted"]["group_means_01"]["0"], untouched)
+
+    # A train-side shift moves the training split that every command reads,
+    # and leaves test_shifted equal to test.
+    spec = {"target_group": 1, "kind": "offset", "magnitude": 1.5, "applies_to": "train"}
+    cfg_raw["dataset"]["shifts"] = [spec]
+    cfg = write_config(tmp_path, cfg_raw)
+    config = cli.load_config(cfg)
+    block = config.dataset
+    plain = datagen.make_spurious(block.n_per_group_train, block.spurious_strength,
+                                  block.noise_sd, block.label_flip_p, seed=block.seed)
+    splits = cli._load_datasets(config)
+    assert splits["train"] == datagen.apply_shift(plain, ShiftSpec(**spec)) != plain
+    assert splits["test_shifted"] == splits["test"]
+    cli.main(["generate", "--config", cfg])
+    shifted = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert shifted["shifts"] == [spec]
+    np.testing.assert_allclose(shifted["splits"]["train"]["group_means_01"]["1"],
+                               np.add(manifest["splits"]["train"]["group_means_01"]["1"],
+                                      [0.0, 1.5]), atol=1e-12)
+    assert shifted["splits"]["test_shifted"] == {**shifted["splits"]["test"],
+                                                 "file": "test_shifted.csv"}
 
 
 def test_run_produces_results_table(tmp_path):
@@ -337,17 +358,21 @@ def test_tune_refuses_a_scale_that_overflows_on_the_csv_training_groups(tmp_path
     assert err.startswith("error: grid_scale: scale 1e+308 times sqrt(15)"), err
 
 
-@pytest.mark.parametrize("architecture", ["linear", "mlp1"])
-def test_tune_refuses_constant_training_features(tmp_path, capsys, architecture):
+@pytest.mark.parametrize("architecture,scale", [
+    pytest.param("linear", 0.0, id="linear"), pytest.param("mlp1", 0.0, id="mlp1"),
+    pytest.param("linear", 1e160, id="linear-overflow")])
+def test_tune_refuses_constant_training_features(tmp_path, capsys, architecture, scale):
     """A ``dataset.csv`` training file whose features are all 0.1 gives no
     ordering to split on: tune exits 1 with one ``error:`` line, which for
-    ``mlp1``, ordering on its warm-up latents, names ``order_on: "raw"``."""
+    ``mlp1``, ordering on its warm-up latents, names ``order_on: "raw"``.
+    Features scaled by 1e160, whose scatter matrix overflows, give none
+    either, and the line says that they overflow."""
     cfg = write_config(tmp_path, base_config(tmp_path))
     out = tmp_path / "out"
     cli.main(["generate", "--config", cfg])
     train = load_csv(out / "train.csv")
-    save_csv(dataclasses.replace(train, features=np.full_like(train.features, 0.1)),
-             tmp_path / "constant.csv")
+    features = train.features * scale if scale else np.full_like(train.features, 0.1)
+    save_csv(dataclasses.replace(train, features=features), tmp_path / "constant.csv")
     raw = base_config(tmp_path, output_dir=str(tmp_path / "csv_out"))
     raw["solver"]["architecture"] = architecture
     raw["dataset"]["csv"] = {"train": str(tmp_path / "constant.csv"),
@@ -356,7 +381,8 @@ def test_tune_refuses_constant_training_features(tmp_path, capsys, architecture)
     capsys.readouterr()
     assert cli.main(["tune", "--config", cfg]) == 1
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and "constant" in lines[0], lines
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert ("overflow" if scale else "constant") in lines[0], lines
     assert ('tuning.order_on: "raw"' in lines[0]) == (architecture == "mlp1")
 
 
@@ -782,11 +808,24 @@ def test_tune_and_run_never_read_the_csvs_in_the_output_dir(tmp_path):
             assert filecmp.cmp(fresh / name, out / name, shallow=False), (out, name)
 
 
-def test_invalid_shift_in_config(tmp_path):
-    raw = base_config(tmp_path)
-    raw["dataset"]["shifts"] = [{"target_group": 0, "kind": "rotation", "magnitude": 9.0}]
-    cfg = write_config(tmp_path, raw)
-    assert cli.main(["generate", "--config", cfg]) == 1
+def test_invalid_shift_in_config(tmp_path, capsys):
+    """A bad shift, or a non-finite generator value, which ``json.load``
+    reads from ``NaN`` and ``Infinity``, stops generate and tune with one
+    ``error:`` line naming the key."""
+    rotation = {"target_group": 0, "kind": "rotation", "magnitude": 9.0}
+    cases = [("shifts", [rotation], "dataset.shifts[0]")]
+    for value in (math.nan, math.inf):
+        cases += [("shifts", [{"target_group": 0, "kind": "offset", "magnitude": value}],
+                   "dataset.shifts[0]"), ("noise_sd", value, "noise_sd")]
+    for key, value, name in cases:
+        raw = base_config(tmp_path)
+        raw["dataset"][key] = value
+        cfg = write_config(tmp_path, raw)
+        for command in ("generate", "tune"):
+            capsys.readouterr()
+            assert cli.main([command, "--config", cfg]) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0], lines
 
 
 def test_output_root_env(tmp_path, monkeypatch):

@@ -52,6 +52,9 @@ def test_generator_rejects_bad_parameters():
         make_spurious((10, 0, 10, 10), 0.5, 0.5, 0.1, seed=0)
     with pytest.raises(ParameterError):
         make_spurious((10, 10, 10, 10), 0.5, 0.0, 0.1, seed=0)
+    for noise_sd in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="noise_sd"):
+            make_spurious((10, 10, 10, 10), 0.5, noise_sd, 0.1, seed=0)
     with pytest.raises(ParameterError):
         make_spurious((10, 10, 10, 10), 1.5, 0.5, 0.1, seed=0)
     with pytest.raises(ParameterError):
@@ -145,6 +148,10 @@ def test_shift_spec_validation():
         ShiftSpec(target_group=0, kind="offset", magnitude=-1.0)
     with pytest.raises(ParameterError):
         ShiftSpec(target_group=0, kind="scale", magnitude=1.0)
+    for kind in ("rotation", "offset"):
+        for magnitude in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match="magnitude"):
+                ShiftSpec(target_group=0, kind=kind, magnitude=magnitude)
     ds = make_spurious((5, 5, 5, 5), 0.5, 0.5, 0.1, seed=0)
     with pytest.raises(ParameterError):
         apply_shift(ds, ShiftSpec(target_group=7, kind="offset", magnitude=1.0))

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -363,6 +365,26 @@ def test_checkpoint_roundtrip(tmp_path):
         loaded = model.load_params(path)
         assert model.params_equal(theta, loaded)
         assert loaded.architecture == arch
+
+
+@pytest.mark.parametrize("arch,edit,field", [
+    (MLP1, lambda p: {**p, "architecture": "mlp2"}, "architecture"),
+    (MLP1, lambda p: {k: v for k, v in p.items() if k != "w_hidden"}, "w_hidden"),
+    (LINEAR, lambda p: {**p, "w_out": [[0.0, 1.0], [1.0, 0.0]], "b_out": [0.0] * 3}, "b_out"),
+    (MLP1, lambda p: {**p, "b_hidden": [0.0]}, "b_hidden"),
+    (MLP1, lambda p: {**p, "w_out": [[0.0], [1.0, 2.0]]}, "w_out"),
+    (LINEAR, lambda p: [p], "architecture"),
+], ids=["unknown-tag", "no-w_hidden", "b_out-shape", "b_hidden-shape", "ragged-w_out",
+        "not-an-object"])
+def test_load_params_refuses_what_is_not_one_models_checkpoint(tmp_path, arch, edit, field):
+    """An unknown architecture tag (which loaded as a linear model, dropping
+    ``w_hidden``), a missing array, or arrays whose shapes do not form one
+    model are refused by file and field."""
+    path = tmp_path / "theta.json"
+    model.save_params(init_params(ModelSpec(arch, hidden_width=4), 3, 2, seed=1), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}: {field}: "):
+        model.load_params(path)
 
 
 def test_shape_errors():

@@ -1,4 +1,8 @@
 import math
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -64,6 +68,14 @@ def test_order_1d_refuses_constant_features(value):
     rounded column mean differs from the entries, at 1.0 it does not."""
     with pytest.raises(TuningInfeasibleError, match="constant"):
         order_1d(np.full((6, 3), value))
+
+
+def test_order_1d_refuses_features_whose_scatter_matrix_overflows():
+    """Past about 1e154 / sqrt(n) the centred scatter matrix is not finite,
+    and no principal component of it ranks the rows."""
+    x = np.random.default_rng(3).normal(size=(20, 3)) * 1e160
+    with pytest.raises(TuningInfeasibleError, match="overflow"):
+        order_1d(x)
 
 
 def test_order_1d_needs_two_rows():
@@ -218,20 +230,6 @@ def test_only_an_mlp1_ordering_trains_a_warmup(monkeypatch, architecture, warmup
     assert len(calls) == warmups
 
 
-@pytest.mark.parametrize("architecture", ["linear", "mlp1"])
-def test_tuning_orders_with_the_solver_seed(monkeypatch, architecture):
-    """The ordering's power iteration starts from ``solver.seed``, the seed
-    of the tuning runs, whether it orders raw features or warm-up latents."""
-    ds = make_spurious((40, 20, 15, 40), 0.6, 0.5, 0.15, seed=13)
-    cfg = tune_config(seed=7, iterations=0)
-    seeds = []
-    order_1d_ = tuning.order_1d
-    monkeypatch.setattr(tuning, "order_1d",
-                        lambda x, seed: seeds.append(seed) or order_1d_(x, seed=seed))
-    tune_epsilon(ds, [0.2], replace(cfg, model=ModelSpec(architecture, hidden_width=4)))
-    assert seeds == [7]
-
-
 def test_tuning_computes_no_training_losses(monkeypatch):
     """Tuning selects on holdout accuracy alone, so no checkpoint of its
     runs computes its training losses."""
@@ -268,3 +266,23 @@ def test_diagnostics_name_the_grid_edge_and_constant_setups():
     assert tuning.diagnostics(below_top, grid_scale) == [lines[0], lines[2]]
     one = replace(result, grid=result.grid[:1], table=np.ones((1, 2)), chosen_scale=grid_scale[0])
     assert tuning.diagnostics(one, grid_scale[:1]) == lines[:1]
+
+
+def test_readme_tuning_snippet_prints_the_numbers_it_quotes():
+    """README's tuning paragraph quotes the numbers that its python block
+    prints, also in the block's comments; the block runs here, so neither
+    can drift from the code it explains."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    prose, block = re.search(r"(.*?)```python\n(.*?)```",
+                             text[text.index("## The benchmark"):], re.S).groups()
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.path.join(root, "src")})
+    assert proc.returncode == 0, proc.stderr
+    number = r"-?\d+\.\d+"
+    printed = re.findall(number, proc.stdout)
+    assert len(printed) == 5, proc.stdout
+    assert printed == re.findall(number, " ".join(re.findall(r"#(.*)", block)))
+    for value in printed:
+        assert value in prose, value
