@@ -16,7 +16,8 @@ picks for this CPU (``OPENBLAS_CORETYPE`` unset):
   ``tests/test_cli.py``; on the same config with a ``dataset.csv`` block
   naming ``test_cli/{train,val,test,test_shifted}.csv``, relative paths, so
   that each side's ``tune`` and ``run`` read the files its own ``test_cli``
-  run wrote (the ``load_csv`` path); and on the same config with
+  run wrote (the ``load_csv`` path), in place of the shifts, which no
+  command applies to files; and on the same config with
   ``solver.architecture: "mlp1"``, whose tuning trains the ERM warm-up
   (a linear model's tuning orders on its raw features and trains none);
 * the same on the ``configs/benchmark.json`` dataset block, shortened to
@@ -27,8 +28,10 @@ picks for this CPU (``OPENBLAS_CORETYPE`` unset):
   --reference-iterations 20000``, which prints the reference value and the
   gaps with ``repr``; its output is kept as ``convergence_study.txt``.
 
-Both sides read the same config files and run the copy of this tree's
-study script.  Every file the runs write is then compared byte for byte;
+Both sides read the same config files; each runs its own copy of the study
+script, which prints what its side's rate check returns, so the two outputs
+agree only when the check and the script's printing both do.  Every file
+the runs write is then compared byte for byte;
 the only bytes ignored are the ``"seconds"`` lines of a JSON file, the
 wall time of each verification check.  The first difference is printed
 and the exit code is 1; with none it is 0.  Either way the final line also
@@ -201,16 +204,15 @@ def configs(out: str) -> dict:
     """The four pipeline configs, by name, written under ``out``, in the
     order they run: ``test_cli_csv`` reads the files ``test_cli`` wrote."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
-    from test_cli import base_config
+    from test_cli import base_config, csv_config
 
     with open(os.path.join(ROOT, "configs", "benchmark.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     bench["seeds"] = [11, 12, 13, 14, 15]
     bench["solver"].update(iterations=500, checkpoint_every=50)
     bench["tuning"].update(iterations=1000, warmup_iterations=1000)
-    csv = base_config(pathlib.Path(out))
-    csv["dataset"]["csv"] = {split: f"test_cli/{split}.csv"
-                             for split in ("train", "val", "test", "test_shifted")}
+    csv = csv_config(pathlib.Path(out), {split: f"test_cli/{split}.csv"
+                                         for split in ("train", "val", "test", "test_shifted")})
     mlp1 = base_config(pathlib.Path(out))
     mlp1["solver"]["architecture"] = "mlp1"
     paths = {}
@@ -240,8 +242,7 @@ def blas_core(env: dict) -> str:
                           text=True).stdout.strip() or "unknown"
 
 
-def run_side(tree: str, config_paths: dict, out: str, study_script: str,
-             coretype: str | None = None) -> None:
+def run_side(tree: str, config_paths: dict, out: str, coretype: str | None = None) -> None:
     env = side_env(tree, coretype)
 
     def python(*args) -> str:
@@ -261,7 +262,7 @@ def run_side(tree: str, config_paths: dict, out: str, study_script: str,
         hierdro("run", *common, "--tuned-epsilon-from",
                 os.path.join(out, name, "tune_result.json"))
     hierdro("verify", "--level", "fast", "--output", os.path.join(out, "verify.json"))
-    study = python(study_script, *STUDY_ARGS)
+    study = python(os.path.join(tree, "scripts", "convergence_study.py"), *STUDY_ARGS)
     with open(os.path.join(out, "convergence_study.txt"), "w", encoding="utf-8") as fh:
         fh.write(study)
 
@@ -284,7 +285,6 @@ def main(argv=None) -> int:
             revision = subprocess.run(["git", "-C", ROOT, "rev-parse", args.parent],
                                       capture_output=True, text=True, check=True).stdout.strip()
         trees = export_sides(ROOT, tmp, revision)
-        study_script = os.path.join(trees["tree"], "scripts", "convergence_study.py")
         sides = [("tree", trees["tree"], None)]
         if revision is not None:
             sides.insert(0, ("parent", trees["parent"], None))
@@ -295,7 +295,7 @@ def main(argv=None) -> int:
             outs[side] = os.path.join(tmp, f"{side}_out")
             os.makedirs(outs[side])
             print(f"running {side} ({tree})", file=sys.stderr)
-            run_side(tree, config_paths, outs[side], study_script, coretype)
+            run_side(tree, config_paths, outs[side], coretype)
         count = sum(len(names) for _, _, names in os.walk(outs["tree"]))
         if revision is not None:
             difference = first_difference(outs["parent"], outs["tree"])

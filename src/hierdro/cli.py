@@ -37,12 +37,13 @@ from .errors import (
     ConfigError,
     DivergenceError,
     HierdroError,
+    InvalidDatasetError,
     ParameterError,
 )
 from .evaluation import evaluate
 from .model import ModelSpec, init_params, save_params
 from .solver import HIERARCHICAL, MODE_LABELS, MODES, SolverConfig
-from .tuning import DEFAULT_GRID_SCALE, TuneConfig
+from .tuning import TuneConfig
 
 OUTPUT_ROOT_ENV = "HIERDRO_OUT"
 # numpy refuses an array of more bytes than this.  The keys that size arrays
@@ -99,7 +100,6 @@ class ExperimentConfig:
     model: ModelSpec
     tune: TuneConfig
     modes: tuple[str, ...]
-    grid_scale: tuple[float, ...]
     raw: dict = field(default_factory=dict)
 
     @property
@@ -129,8 +129,7 @@ SOLVER_KEYS = {
     **_types(ExperimentConfig, "modes"),
 }
 TUNING_KEYS = {
-    **_types(TuneConfig, "aggregation", "order_on", "warmup_iterations"),
-    **_types(ExperimentConfig, "grid_scale"),
+    **_types(TuneConfig, "aggregation", "order_on", "warmup_iterations", "grid_scale"),
     "iterations": SOLVER_KEYS["iterations"] | None,
 }
 
@@ -185,11 +184,13 @@ def _block(value, where: str, schema: dict, required=()) -> dict:
 
 
 def _build(make, where: str, *args, **kwargs):
-    """``make(*args, **kwargs)``; a value it refuses is a ``ConfigError`` naming ``where``."""
+    """``make(*args, **kwargs)``; a value it refuses is a ``ConfigError`` naming
+    ``where``, or ``where.key`` when the refusal starts ``key: ``."""
     try:
         return make(*args, **kwargs)
-    except ParameterError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    except (ParameterError, InvalidDatasetError) as exc:
+        key, sep, _ = str(exc).partition(": ")
+        raise ConfigError(f"{where}{'.' if sep and key.isidentifier() else ': '}{exc}") from exc
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -200,8 +201,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
     absent key takes that field's default, which is written there and
     nowhere else.  A wrong type, an unknown key or a value those dataclasses
     refuse is a ``ConfigError`` here, so the CLI exits 1 before it computes
-    anything.  The ``ambiguity`` and ``evaluation`` blocks have no settings
-    and must be empty.
+    anything.  So is a generator key that ``datagen.make_spurious`` refuses,
+    even beside a ``dataset.csv`` block, and a shift beside one, which no
+    command would apply.  The ``ambiguity`` and ``evaluation`` blocks have
+    no settings and must be empty.
     """
     top = _block(raw, "", CONFIG_KEYS, required=("output_dir", "seeds", "dataset", "solver"))
     if not top["seeds"]:
@@ -219,34 +222,29 @@ def validate_config(raw: dict) -> ExperimentConfig:
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"solver.modes: unknown mode {mode!r}")
-    seeds = top["seeds"]
+    seeds, dataset = top["seeds"], top["dataset"]
+    size_keys = ("n_per_group_train", "n_per_group_val", "n_per_group_test")
+    for name in size_keys:
+        _build(datagen.check_group_sizes, "dataset", getattr(dataset, name), name)
+    _build(datagen.check_feature_law, "dataset",
+           dataset.spurious_strength, dataset.noise_sd, dataset.label_flip_p)
+    if dataset.csv is not None and dataset.shifts:
+        raise ConfigError("dataset.shifts: no command shifts the dataset.csv files; "
+                          "give shifts or a csv block, not both")
     sizes = [("solver.batch_size", sv["batch_size"]),
              ("solver.hidden_width", sv.get("hidden_width", 0)),
-             *((f"dataset.{name}", sum(n for n in getattr(top["dataset"], name) if n > 0))
-               for name in ("n_per_group_train", "n_per_group_val", "n_per_group_test"))]
+             *((f"dataset.{name}", sum(getattr(dataset, name))) for name in size_keys)]
     for key, size in sizes:
         if size > MAX_FEATURE_ROWS:
             raise ConfigError(f"{key}: {size} rows of {datagen.FEATURE_DIM} float64 features "
                               f"are more bytes than an array can hold ({MAX_ARRAY_BYTES})")
-    for key, seed in [*(("seeds", s) for s in seeds), ("dataset.seed", top["dataset"].seed)]:
+    for key, seed in [*(("seeds", s) for s in seeds), ("dataset.seed", dataset.seed)]:
         if seed < 0:
             raise ConfigError(f"{key}: expected nonnegative integers, got {seed}")
-    grid_scale = tn.get("grid_scale", DEFAULT_GRID_SCALE)
-    for key, values in (("solver.modes", modes), ("seeds", seeds),
-                        ("tuning.grid_scale", grid_scale)):
+    for key, values in (("solver.modes", modes), ("seeds", seeds)):
         repeated = sorted({v for v in values if values.count(v) > 1}, key=str)
         if repeated:
             raise ConfigError(f"{key}: repeated entries {repeated}; each entry must be unique")
-    if not grid_scale:
-        raise ConfigError("tuning.grid_scale: expected a nonempty list")
-    n_min = max(min(top["dataset"].n_per_group_train, default=0), 0)
-    for scale in grid_scale:
-        if not math.isfinite(scale) or math.copysign(1.0, scale) < 0:
-            raise ConfigError(
-                f"tuning.grid_scale: expected finite nonnegative scales, got {scale!r}")
-        if not math.isfinite(scale * math.sqrt(n_min)):
-            raise ConfigError(f"tuning.grid_scale: scale {scale!r} times sqrt({n_min}), the "
-                              "smallest training group, is not a finite epsilon")
     template = _build(SolverConfig, "solver", mode=HIERARCHICAL, seed=seeds[0],
                       **_only(SolverConfig, sv))
     model = _build(ModelSpec, "solver", **_only(ModelSpec, sv))
@@ -254,10 +252,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
     tune_solver = _build(dataclasses.replace, "tuning", template, iterations=(
         template.iterations if tune_iterations is None else tune_iterations))
     tune = _build(TuneConfig, "tuning", solver=tune_solver, model=model, **_only(TuneConfig, tn))
+    n_min = min(dataset.n_per_group_train)
+    for scale in tune.grid_scale:
+        if not math.isfinite(scale * math.sqrt(n_min)):
+            raise ConfigError(f"tuning.grid_scale: scale {scale!r} times sqrt({n_min}), the "
+                              "smallest training group, is not a finite epsilon")
     return ExperimentConfig(
-        output_dir=top["output_dir"], seeds=seeds, dataset=top["dataset"], solver=template,
-        model=model, tune=tune, modes=modes,
-        grid_scale=grid_scale, raw=raw,
+        output_dir=top["output_dir"], seeds=seeds, dataset=dataset, solver=template,
+        model=model, tune=tune, modes=modes, raw=raw,
     )
 
 
@@ -347,12 +349,30 @@ def _load_datasets(config: ExperimentConfig, splits=SPLITS):
     if paths is None:
         generated = _generate_datasets(config)
         return {name: generated[name] for name in splits}
-    train = datagen.load_csv(paths.train)
+    train = _load_split(paths.train)
     where = {"val": paths.val, "test": paths.test,
              "test_shifted": paths.test_shifted or paths.test}
-    return {name: train if name == "train"
-            else datagen.load_csv(where[name], train.num_labels, train.num_attributes)
+    return {name: train if name == "train" else _load_split(where[name], train)
             for name in splits}
+
+
+def _load_split(path: str, train=None):
+    """The split in the file ``path``; a file that does not load is an error
+    that starts with its path.  So is a split other than the training one
+    with no rows, or with another number of feature columns than ``train``,
+    the training split, whose labels and attribute values it takes."""
+    try:
+        if train is None:
+            return datagen.load_csv(path)
+        ds = datagen.load_csv(path, train.num_labels, train.num_attributes)
+        if ds.d != train.d:
+            raise InvalidDatasetError(f"{ds.d} feature columns, but the training file has "
+                                      f"{train.d}")
+        if ds.n == 0:
+            raise InvalidDatasetError("no rows to evaluate on")
+        return ds
+    except (HierdroError, UnicodeDecodeError) as exc:
+        raise InvalidDatasetError(f"{path}: {exc}") from exc
 
 
 # -------------------------------------------------------------------- run
@@ -461,11 +481,11 @@ def _init_seed(seed: int) -> int:
 
 def cmd_tune(config: ExperimentConfig, output_dir: str) -> str:
     data = _load_datasets(config, ("train",))
-    result = tuning.tune_epsilon(data["train"], config.grid_scale, config.tune)
+    result = tuning.tune_epsilon(data["train"], config.tune)
     payload = {
         "config_hash": config.hash,
         "seeds": list(config.seeds),
-        "grid_scale": list(config.grid_scale),
+        "grid_scale": list(config.tune.grid_scale),
         "grid": list(result.grid),
         "table": [[float(v) for v in row] for row in result.table],
         "aggregation": config.tune.aggregation,
@@ -476,7 +496,7 @@ def cmd_tune(config: ExperimentConfig, output_dir: str) -> str:
     }
     path = os.path.join(output_dir, "tune_result.json")
     _write_json(path, payload)
-    for line in tuning.diagnostics(result, config.grid_scale):
+    for line in tuning.diagnostics(result, config.tune):
         print(f"tune: {line}", file=sys.stderr)
     return path
 

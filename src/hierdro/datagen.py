@@ -168,6 +168,32 @@ class ShiftSpec:
                                  f"got {self.magnitude!r}")
 
 
+def check_group_sizes(n_per_group, name: str = "n_per_group") -> tuple[int, ...]:
+    """``n_per_group`` as :func:`make_spurious` takes it: one positive size
+    for each of the four (label, attribute) groups.  A refusal starts with
+    ``name:``."""
+    sizes = tuple(int(v) for v in n_per_group)
+    if len(sizes) != 4:
+        raise ParameterError(f"{name}: expected 4 group sizes (two labels x two attributes), "
+                             f"got {len(sizes)}")
+    if min(sizes) <= 0:
+        raise InvalidDatasetError(f"{name}: every group needs at least one sample, "
+                                  f"got {list(sizes)}")
+    return sizes
+
+
+def check_feature_law(spurious_strength: float, noise_sd: float, label_flip_p: float) -> None:
+    """:func:`make_spurious`'s rules for the values that shape its rows; a
+    refusal starts with the parameter's name."""
+    if not 0 < noise_sd < math.inf:
+        raise ParameterError(f"noise_sd: expected a positive finite value, got {noise_sd!r}")
+    if not 0.0 <= spurious_strength <= 1.0:
+        raise ParameterError(f"spurious_strength: expected a value in [0, 1], "
+                             f"got {spurious_strength!r}")
+    if not 0.0 <= label_flip_p < 1.0:
+        raise ParameterError(f"label_flip_p: expected a value in [0, 1), got {label_flip_p!r}")
+
+
 def make_spurious(
     n_per_group,
     spurious_strength: float,
@@ -186,17 +212,8 @@ def make_spurious(
     features, so label noise leaves group counts exact while flipped rows
     carry the opposite class's feature law.
     """
-    n_per_group = tuple(int(v) for v in n_per_group)
-    if len(n_per_group) != 4:
-        raise ParameterError("n_per_group must have 4 entries (two labels x two attributes)")
-    if any(v <= 0 for v in n_per_group):
-        raise InvalidDatasetError("every group needs at least one sample")
-    if not 0 < noise_sd < math.inf:
-        raise ParameterError(f"noise_sd must be positive and finite, got {noise_sd!r}")
-    if not 0.0 <= spurious_strength <= 1.0:
-        raise ParameterError("spurious_strength must lie in [0, 1]")
-    if not 0.0 <= label_flip_p < 1.0:
-        raise ParameterError("label_flip_p must lie in [0, 1)")
+    n_per_group = check_group_sizes(n_per_group)
+    check_feature_law(spurious_strength, noise_sd, label_flip_p)
 
     rng = np.random.default_rng(seed)
     num_labels = num_attributes = 2

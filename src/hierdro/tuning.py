@@ -5,7 +5,8 @@ each group's members along a one-dimensional projection of their latents,
 cut the ranking into five quantiles, and alternately hold out the top and
 bottom quantile of every group as validation sets.  The candidate scale that
 maximizes the smallest group's holdout accuracy (aggregated over the two
-setups) wins; ties go to the smaller scale.
+setups) wins; ties go to the smaller scale.  The candidate scales are
+``TuneConfig.grid_scale``: nonempty, distinct, finite and nonnegative.
 
 The projection is the exact leading principal component of what
 ``TuneConfig.order_on`` names: the latents of a short ERM warm-up model
@@ -115,6 +116,7 @@ class TuneConfig:
     aggregation: str = "mean"
     order_on: str = "latents"          # "latents" (warm-up model) or "raw"
     warmup_iterations: int = 500
+    grid_scale: tuple[float, ...] = DEFAULT_GRID_SCALE
 
     def __post_init__(self):
         if self.aggregation not in ("mean", "min"):
@@ -124,6 +126,15 @@ class TuneConfig:
         if self.warmup_iterations < 0:
             raise ParameterError(
                 f"warmup_iterations must be nonnegative, got {self.warmup_iterations}")
+        if not self.grid_scale:
+            raise ParameterError("grid_scale: expected a nonempty list")
+        for scale in self.grid_scale:
+            if not math.isfinite(scale) or math.copysign(1.0, scale) < 0:     # -0.0 too
+                raise ParameterError(
+                    f"grid_scale: expected finite nonnegative scales, got {scale!r}")
+        repeated = sorted({s for s in self.grid_scale if self.grid_scale.count(s) > 1})
+        if repeated:
+            raise ParameterError(f"grid_scale: repeated entries {repeated}; each must be unique")
 
 
 @dataclass(frozen=True)
@@ -136,7 +147,7 @@ class TuneResult:
     n_min: int
 
 
-def diagnostics(result: TuneResult, grid_scale) -> list[str]:
+def diagnostics(result: TuneResult, config: TuneConfig) -> list[str]:
     """What a tuning result says about its own choice, one sentence each.
 
     The minority group's holdout sizes, which set the resolution of every
@@ -154,7 +165,7 @@ def diagnostics(result: TuneResult, grid_scale) -> list[str]:
              f"move in steps of 1/{held_a} and 1/{held_b}"]
     if len(result.grid) < 2:
         return lines
-    scales = [float(s) for s in grid_scale]
+    scales = config.grid_scale
     top, best = scales.index(max(scales)), scales.index(result.chosen_scale)
     if top == best:
         lines.append(f"the chosen scale {scales[best]:.6g} is the largest in grid_scale; "
@@ -193,26 +204,23 @@ def _ordering_ranks(ds: GroupedDataset, cfg: TuneConfig) -> np.ndarray:
             f"model, and tuning.order_on: \"raw\" orders on the raw features") from None
 
 
-def tune_epsilon(ds_train: GroupedDataset, grid_scale, config: TuneConfig) -> TuneResult:
+def tune_epsilon(ds_train: GroupedDataset, config: TuneConfig) -> TuneResult:
     """Pick the radius parameter maximizing minority-group holdout accuracy.
 
-    Candidates are ``scale * sqrt(n_min)`` for each entry of ``grid_scale``.
+    Candidates are ``scale * sqrt(n_min)`` for each of ``config.grid_scale``.
     Every candidate trains the hierarchical solver on both quantile splits,
     all candidates of a split in one lockstep run; selection within each run
     follows the usual worst-group-validation rule with the holdout acting as
     the validation set.  A diverging candidate raises its ``DivergenceError``
     (the first in candidate-then-split order).
     """
-    grid_scale = tuple(float(s) for s in grid_scale)
-    if not grid_scale:
-        raise ParameterError("grid_scale must be nonempty")
     if np.any(ds_train.n_g == 0):
         raise InvalidDatasetError("tuning requires every group to be nonempty")
 
     minority = minority_group(ds_train)
     n_min = int(ds_train.n_g[minority])
-    candidates = tuple(s * math.sqrt(n_min) for s in grid_scale)
-    for scale, eps in zip(grid_scale, candidates):
+    candidates = tuple(s * math.sqrt(n_min) for s in config.grid_scale)
+    for scale, eps in zip(config.grid_scale, candidates):
         if not math.isfinite(eps):
             raise ParameterError(f"grid_scale: scale {scale!r} times sqrt({n_min}), the smallest "
                                  f"training group: epsilon must be finite, got {eps}")
@@ -241,7 +249,7 @@ def tune_epsilon(ds_train: GroupedDataset, grid_scale, config: TuneConfig) -> Tu
         grid=candidates,
         table=table,
         chosen_epsilon=float(candidates[best]),
-        chosen_scale=float(grid_scale[best]),
+        chosen_scale=float(config.grid_scale[best]),
         minority_group=minority,
         n_min=n_min,
     )

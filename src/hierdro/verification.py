@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -448,6 +448,9 @@ def check_convergence_rate(
             "reference_lower": reference.lower,
             "reference_width": reference.width,
             "max_reference_width": REFERENCE_MAX_WIDTH,
+            "reference_rounds": reference.rounds,
+            "bound_constants": [asdict(c) for c in report.constants],
+            "criteria": verdicts,
         },
     )
 

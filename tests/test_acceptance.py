@@ -138,17 +138,17 @@ def test_criterion_8_radius_and_tuning_contracts():
     cfg = TuneConfig(
         solver=SolverConfig(mode=HIERARCHICAL, eta_beta=0.2, eta_theta=0.3,
                             iterations=0, batch_size=8, seed=0, checkpoint_every=10),
-        model=ModelSpec("linear"), warmup_iterations=10,
+        model=ModelSpec("linear"), warmup_iterations=10, grid_scale=(0.3, 0.1, 0.2),
     )
-    tie = tune_epsilon(ds, [0.3, 0.1, 0.2], cfg)
+    tie = tune_epsilon(ds, cfg)
     ties_ok = tie.chosen_scale == 0.1  # identical scores, smallest wins
     run_cfg = TuneConfig(
         solver=SolverConfig(mode=HIERARCHICAL, eta_beta=0.2, eta_theta=0.3,
                             iterations=100, batch_size=8, seed=3, checkpoint_every=50),
-        model=ModelSpec("linear"), warmup_iterations=30,
+        model=ModelSpec("linear"), warmup_iterations=30, grid_scale=(0.1, 0.3),
     )
-    a = tune_epsilon(ds, [0.1, 0.3], run_cfg)
-    b = tune_epsilon(ds, [0.1, 0.3], run_cfg)
+    a = tune_epsilon(ds, run_cfg)
+    b = tune_epsilon(ds, run_cfg)
     deterministic = (a.chosen_epsilon == b.chosen_epsilon
                      and np.array_equal(a.table, b.table))
     report(

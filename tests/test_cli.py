@@ -51,6 +51,25 @@ def base_config(tmp_path, **overrides):
     return raw
 
 
+def csv_config(tmp_path, files, **overrides):
+    """The base config reading its splits from ``files``, split name -> path,
+    through a ``dataset.csv`` block, and without the ``shifts`` that no
+    command applies to files."""
+    raw = base_config(tmp_path, **overrides)
+    del raw["dataset"]["shifts"]
+    raw["dataset"]["csv"] = {split: str(path) for split, path in files.items()}
+    return raw
+
+
+def empty_files(tmp_path, splits=("train", "val", "test")):
+    """An empty file for each split, by name: enough for a ``dataset.csv``
+    block to load."""
+    files = {split: tmp_path / f"{split}.csv" for split in splits}
+    for path in files.values():
+        path.write_text("")
+    return files
+
+
 def write_config(tmp_path, raw, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -304,11 +323,11 @@ def test_tune_reads_only_the_training_split(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(tmp_path))
     out = tmp_path / "out"
     cli.main(["generate", "--config", cfg])
-    raw = base_config(tmp_path, output_dir=str(tmp_path / "csv_out"))
-    raw["dataset"]["csv"] = {"train": str(out / "train.csv")}
     for split in ("val", "test"):
         (tmp_path / f"{split}.csv").write_text("not,a,dataset\n")
-        raw["dataset"]["csv"][split] = str(tmp_path / f"{split}.csv")
+    raw = csv_config(tmp_path, {"train": out / "train.csv", "val": tmp_path / "val.csv",
+                                "test": tmp_path / "test.csv"},
+                     output_dir=str(tmp_path / "csv_out"))
     cfg = write_config(tmp_path, raw, "csv.json")
     assert cli.main(["tune", "--config", cfg]) == 0
     assert cli.main(["run", "--config", cfg]) == 1
@@ -324,9 +343,8 @@ def test_csv_splits_take_the_training_splits_groups(tmp_path, capsys):
     val = load_csv(out / "val.csv")
     save_csv(val.subset(np.flatnonzero(val.labels == 0)), tmp_path / "val_y0.csv")
     assert load_csv(tmp_path / "val_y0.csv").num_groups == 2
-    raw = base_config(tmp_path, output_dir=str(tmp_path / "csv_out"))
-    raw["dataset"]["csv"] = {"train": str(out / "train.csv"), "val": str(tmp_path / "val_y0.csv"),
-                             "test": str(out / "test.csv")}
+    raw = csv_config(tmp_path, {"train": out / "train.csv", "val": tmp_path / "val_y0.csv",
+                                "test": out / "test.csv"}, output_dir=str(tmp_path / "csv_out"))
     cfg = write_config(tmp_path, raw, "csv.json")
     assert cli.main(["run", "--config", cfg]) == 0, capsys.readouterr().err
     data = cli._load_datasets(cli.load_config(cfg))
@@ -345,9 +363,9 @@ def test_tune_refuses_a_scale_that_overflows_on_the_csv_training_groups(tmp_path
     cfg = write_config(tmp_path, base_config(tmp_path))
     out = tmp_path / "out"
     cli.main(["generate", "--config", cfg])
-    raw = base_config(tmp_path, output_dir=str(tmp_path / "csv_out"))
+    raw = csv_config(tmp_path, {split: out / f"{split}.csv" for split in ("train", "val", "test")},
+                     output_dir=str(tmp_path / "csv_out"))
     raw["dataset"]["n_per_group_train"] = [1, 1, 1, 1]
-    raw["dataset"]["csv"] = {split: str(out / f"{split}.csv") for split in ("train", "val", "test")}
     raw["tuning"]["grid_scale"] = [1e308]
     cfg = write_config(tmp_path, raw, "csv.json")
     for name in ("train", "train_lockstep"):
@@ -373,10 +391,9 @@ def test_tune_refuses_constant_training_features(tmp_path, capsys, architecture,
     train = load_csv(out / "train.csv")
     features = train.features * scale if scale else np.full_like(train.features, 0.1)
     save_csv(dataclasses.replace(train, features=features), tmp_path / "constant.csv")
-    raw = base_config(tmp_path, output_dir=str(tmp_path / "csv_out"))
+    raw = csv_config(tmp_path, {"train": tmp_path / "constant.csv", "val": out / "val.csv",
+                                "test": out / "test.csv"}, output_dir=str(tmp_path / "csv_out"))
     raw["solver"]["architecture"] = architecture
-    raw["dataset"]["csv"] = {"train": str(tmp_path / "constant.csv"),
-                             "val": str(out / "val.csv"), "test": str(out / "test.csv")}
     cfg = write_config(tmp_path, raw, "csv.json")
     capsys.readouterr()
     assert cli.main(["tune", "--config", cfg]) == 1
@@ -440,7 +457,7 @@ def test_default_tuning_grid_in_config(tmp_path):
     raw = base_config(tmp_path)
     del raw["tuning"]["grid_scale"]
     cfg_obj = cli.validate_config(raw)
-    assert cfg_obj.grid_scale == tuple(
+    assert cfg_obj.tune.grid_scale == tuple(
         k / 255 for k in (12, 24, 36, 48, 60, 72, 84, 96))
 
 
@@ -516,18 +533,19 @@ WRONG_TYPE = {"string": 5, "int": "7", "number": "x", "bool": "no", "object": []
 
 
 def config_with(tmp_path, block, key, value):
-    """The base config, with an ``ambiguity``, ``evaluation`` and ``csv`` block,
-    and ``block.key`` set to ``value``; also its error name for the key."""
-    raw = base_config(tmp_path, ambiguity={}, evaluation={})
-    raw["dataset"]["csv"] = {}
-    for split in ("train", "val", "test", "test_shifted"):
-        (tmp_path / f"{split}.csv").write_text("")
-        raw["dataset"]["csv"][split] = str(tmp_path / f"{split}.csv")
-    target, name = {
-        "": (raw, key),
-        "shift": (raw["dataset"]["shifts"][0], f"dataset.shifts[0].{key}"),
-        "csv": (raw["dataset"]["csv"], f"dataset.csv.{key}"),
-    }.get(block, (raw.get(block), f"{block}.{key}"))
+    """The base config, with an ``ambiguity`` and ``evaluation`` block and,
+    unless ``block`` is a shift, a ``csv`` block in place of the shifts, and
+    ``block.key`` set to ``value``; also its error name for the key."""
+    if block == "shift":
+        raw = base_config(tmp_path, ambiguity={}, evaluation={})
+        target, name = raw["dataset"]["shifts"][0], f"dataset.shifts[0].{key}"
+    else:
+        files = empty_files(tmp_path, ("train", "val", "test", "test_shifted"))
+        raw = csv_config(tmp_path, files, ambiguity={}, evaluation={})
+        target, name = {
+            "": (raw, key),
+            "csv": (raw["dataset"]["csv"], f"dataset.csv.{key}"),
+        }.get(block, (raw.get(block), f"{block}.{key}"))
     target[key] = value
     return raw, name
 
@@ -604,11 +622,89 @@ def test_a_missing_shifted_test_file_is_refused_at_load(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(tmp_path))
     out = tmp_path / "out"
     cli.main(["generate", "--config", cfg])
-    raw = base_config(tmp_path, output_dir=str(tmp_path / "csv_out"))
-    raw["dataset"]["csv"] = {split: str(out / f"{split}.csv") for split in ("train", "val", "test")}
-    raw["dataset"]["csv"]["test_shifted"] = str(tmp_path / "missing.csv")
+    files = {split: out / f"{split}.csv" for split in ("train", "val", "test")}
+    raw = csv_config(tmp_path, {**files, "test_shifted": tmp_path / "missing.csv"},
+                     output_dir=str(tmp_path / "csv_out"))
     assert_refused(tmp_path, capsys, raw, "dataset.csv: file not found")
     assert cli.main(["tune", "--config", write_config(tmp_path, raw, "csv.json")]) == 1
+
+
+@pytest.mark.parametrize("key,value", [
+    ("noise_sd", math.nan), ("noise_sd", -3.0), ("spurious_strength", 7.0),
+    ("label_flip_p", 1.0), ("n_per_group_val", [1, 2]), ("n_per_group_test", [5, 0, 5, 5]),
+])
+@pytest.mark.parametrize("files", [False, True], ids=["generated", "csv"])
+def test_generator_keys_are_checked_at_load(tmp_path, capsys, key, value, files):
+    """``make_spurious``'s rules hold for the ``dataset`` block when the
+    config loads, also beside a ``dataset.csv`` block, where no command
+    generates a split: generate and tune each print one ``error:`` line
+    that names ``dataset.<key>``."""
+    raw = csv_config(tmp_path, empty_files(tmp_path)) if files else base_config(tmp_path)
+    raw["dataset"][key] = value
+    assert_refused(tmp_path, capsys, raw, f"dataset.{key}: ")
+    assert cli.main(["tune", "--config", write_config(tmp_path, raw)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: dataset.{key}: "), err
+
+
+@pytest.mark.parametrize("applies_to", ["test", "train"])
+def test_shifts_beside_csv_files_are_refused_at_load(tmp_path, capsys, applies_to):
+    """No command shifts a split it reads from a file, so a shift beside a
+    ``dataset.csv`` block, which would be ignored, is refused."""
+    raw = csv_config(tmp_path, empty_files(tmp_path))
+    raw["dataset"]["shifts"] = [{"target_group": 1, "kind": "offset", "magnitude": 1.5,
+                                 "applies_to": applies_to}]
+    assert_refused(tmp_path, capsys, raw, "dataset.shifts: ")
+
+
+def _bad_val_columns(lines):
+    return [",".join(line.split(",")[:-1]) for line in lines]
+
+
+def _val_label_two(lines):
+    features = lines[1].split(",")[3:]
+    return [lines[0], ",".join(["2", "0", "4", *features]), *lines[2:]]
+
+
+@pytest.mark.parametrize("split,edit,message", [
+    ("val", _bad_val_columns, "9 feature columns, but the training file has 10"),
+    ("val", _val_label_two, "group index out of range"),
+    ("val", lambda lines: lines[:1], "no rows"),
+    ("test", lambda lines: lines[:1], "no rows"),
+    ("test_shifted", lambda lines: lines[:1], "no rows"),
+], ids=["val-columns", "val-label", "val-empty", "test-empty", "test_shifted-empty"])
+def test_run_refuses_a_split_file_that_does_not_fit_before_training(tmp_path, capsys,
+                                                                  monkeypatch, split, edit,
+                                                                  message):
+    """A ``val``, ``test`` or ``test_shifted`` file with another number of
+    feature columns than the training file, a label past the training
+    file's, or no rows stops ``run`` before it trains, with one ``error:``
+    line that starts with the file's path."""
+    cfg = write_config(tmp_path, base_config(tmp_path))
+    out = tmp_path / "out"
+    cli.main(["generate", "--config", cfg])
+    bad = tmp_path / f"bad_{split}.csv"
+    bad.write_text("\n".join(edit((out / f"{split}.csv").read_text().splitlines())) + "\n")
+    paths = {name: out / f"{name}.csv" for name in ("train", "val", "test", "test_shifted")}
+    raw = csv_config(tmp_path, {**paths, split: bad}, output_dir=str(tmp_path / "csv_out"))
+    monkeypatch.setattr(cli.solver, "train_lockstep", lambda *a, **k: pytest.fail("trained"))
+    capsys.readouterr()
+    assert cli.main(["run", "--config", write_config(tmp_path, raw, "csv.json")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), lines
+    assert message in lines[0], lines
+
+
+def test_tune_names_a_training_file_that_is_not_utf8(tmp_path, capsys):
+    """A training file that does not decode is one ``error:`` line that
+    starts with its path, not a traceback."""
+    paths = {split: tmp_path / f"{split}.csv" for split in ("train", "val", "test")}
+    for path in paths.values():
+        path.write_bytes(b"y,a,g,x0\n\xff,0,0,0.5\n")
+    capsys.readouterr()
+    assert cli.main(["tune", "--config", write_config(tmp_path, csv_config(tmp_path, paths))]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {paths['train']}: "), lines
 
 
 @pytest.mark.parametrize("block,key,value", [

@@ -136,7 +136,7 @@ def test_minority_group_tie_break():
 # ------------------------------------------------------------ tune_epsilon
 
 
-def tune_config(seed=0, iterations=150):
+def tune_config(grid_scale, seed=0, iterations=150):
     return TuneConfig(
         solver=SolverConfig(
             mode=HIERARCHICAL, eta_beta=0.2, eta_theta=0.3, epsilon=0.0,
@@ -144,12 +144,13 @@ def tune_config(seed=0, iterations=150):
         ),
         model=ModelSpec("linear"),
         warmup_iterations=50,
+        grid_scale=grid_scale,
     )
 
 
 def test_tune_single_candidate_passthrough():
     ds = make_spurious((40, 20, 15, 40), 0.6, 0.5, 0.15, seed=7)
-    result = tune_epsilon(ds, [0.1], tune_config())
+    result = tune_epsilon(ds, tune_config((0.1,)))
     assert result.chosen_scale == 0.1
     assert result.chosen_epsilon == pytest.approx(0.1 * math.sqrt(15))
     assert result.table.shape == (1, 2)
@@ -158,14 +159,14 @@ def test_tune_single_candidate_passthrough():
 
 def test_tune_scales_by_sqrt_n_min():
     ds = make_spurious((40, 20, 15, 40), 0.6, 0.5, 0.15, seed=8)
-    result = tune_epsilon(ds, [0.2, 0.4], tune_config())
+    result = tune_epsilon(ds, tune_config((0.2, 0.4)))
     np.testing.assert_allclose(result.grid,
                                [0.2 * math.sqrt(15), 0.4 * math.sqrt(15)])
 
 
 def test_tune_tie_breaks_to_smaller_epsilon():
     ds = make_spurious((40, 20, 15, 40), 0.6, 0.5, 0.15, seed=9)
-    cfg = tune_config()
+    cfg = tune_config((0.4, 0.1, 0.2))
     # Zero-length training runs make every candidate score identically.
     degenerate = TuneConfig(
         solver=SolverConfig(
@@ -174,24 +175,40 @@ def test_tune_tie_breaks_to_smaller_epsilon():
         ),
         model=cfg.model,
         warmup_iterations=10,
+        grid_scale=cfg.grid_scale,
     )
-    result = tune_epsilon(ds, [0.4, 0.1, 0.2], degenerate)
+    result = tune_epsilon(ds, degenerate)
     assert np.all(result.table == result.table[0])  # identical aggregate per candidate
     assert result.chosen_scale == 0.1
 
 
 def test_tune_deterministic():
     ds = make_spurious((40, 20, 15, 40), 0.6, 0.5, 0.15, seed=10)
-    a = tune_epsilon(ds, [0.1, 0.3], tune_config(seed=1))
-    b = tune_epsilon(ds, [0.1, 0.3], tune_config(seed=1))
+    a = tune_epsilon(ds, tune_config((0.1, 0.3), seed=1))
+    b = tune_epsilon(ds, tune_config((0.1, 0.3), seed=1))
     assert a.chosen_epsilon == b.chosen_epsilon
     np.testing.assert_array_equal(a.table, b.table)
 
 
 def test_tune_empty_grid_rejected():
     ds = make_spurious((10, 10, 10, 10), 0.5, 0.5, 0.1, seed=11)
-    with pytest.raises(ParameterError):
-        tune_epsilon(ds, [], tune_config())
+    with pytest.raises(ParameterError, match="^grid_scale: expected a nonempty list"):
+        tune_epsilon(ds, tune_config(()))
+
+
+@pytest.mark.parametrize("grid_scale", [(-0.1,), (0.1, math.inf), (math.nan,), (-0.0,),
+                                        (0.1, 0.1), (0.3, 0.1, 0.3)],
+                         ids=["negative", "inf", "nan", "negative-zero", "repeated",
+                              "repeated-apart"])
+def test_tune_config_refuses_a_grid_the_cli_refuses(grid_scale):
+    """``TuneConfig`` holds the grid's rules, so no grid that a config file
+    may not give reaches ``tune_epsilon``, whether the config is built or
+    replaced; the message starts with ``grid_scale``.  A repeated scale
+    would train one candidate twice, and ``-0.0`` is a negative scale."""
+    with pytest.raises(ParameterError, match="^grid_scale: "):
+        tune_config(grid_scale)
+    with pytest.raises(ParameterError, match="^grid_scale: "):
+        replace(tune_config((0.1,)), grid_scale=grid_scale)
 
 
 def test_tune_refuses_an_overflowing_candidate_before_training(monkeypatch):
@@ -202,16 +219,16 @@ def test_tune_refuses_an_overflowing_candidate_before_training(monkeypatch):
 
     monkeypatch.setattr(solver, "train_lockstep", no_training)
     with pytest.raises(ParameterError, match="epsilon must be finite"):
-        tune_epsilon(ds, [0.1, 1e308], tune_config())
+        tune_epsilon(ds, tune_config((0.1, 1e308)))
 
 
 def test_tune_raw_ordering_flag():
     """A linear model's latents are its raw features: both orderings tune
     bitwise alike."""
     ds = make_spurious((40, 20, 15, 40), 0.6, 0.5, 0.15, seed=12)
-    cfg = tune_config()
-    latents = tune_epsilon(ds, [0.1, 0.3], cfg)
-    raw = tune_epsilon(ds, [0.1, 0.3], replace(cfg, order_on="raw"))
+    cfg = tune_config((0.1, 0.3))
+    latents = tune_epsilon(ds, cfg)
+    raw = tune_epsilon(ds, replace(cfg, order_on="raw"))
     assert cfg.order_on == "latents"
     np.testing.assert_array_equal(latents.table, raw.table)
     assert latents.chosen_epsilon == raw.chosen_epsilon
@@ -222,11 +239,11 @@ def test_only_an_mlp1_ordering_trains_a_warmup(monkeypatch, architecture, warmup
     """A linear model's latents are its raw features, so ordering on them
     trains nothing; an ``mlp1`` ordering trains one ERM warm-up."""
     ds = make_spurious((40, 20, 15, 40), 0.6, 0.5, 0.15, seed=13)
-    cfg = tune_config()
+    cfg = tune_config((0.2,))
     calls = []
     train = solver.train
     monkeypatch.setattr(solver, "train", lambda *a, **k: calls.append(a) or train(*a, **k))
-    tune_epsilon(ds, [0.2], replace(cfg, model=ModelSpec(architecture, hidden_width=4)))
+    tune_epsilon(ds, replace(cfg, model=ModelSpec(architecture, hidden_width=4)))
     assert len(calls) == warmups
 
 
@@ -236,7 +253,7 @@ def test_tuning_computes_no_training_losses(monkeypatch):
     ds = make_spurious((40, 20, 15, 40), 0.6, 0.5, 0.15, seed=14)
     calls = []
     monkeypatch.setattr(solver, "group_mean_losses", lambda *a: calls.append(a))
-    tune_epsilon(ds, [0.1, 0.3], tune_config())
+    tune_epsilon(ds, tune_config((0.1, 0.3)))
     assert calls == []
 
 
@@ -245,12 +262,13 @@ def test_diagnostics_name_the_grid_edge_and_constant_setups():
     everywhere, and setup B rises to the grid's top, whose tie the smaller
     scale 84/255 wins.  A win at the top is said as such, a top that scores
     below the winner not at all; one candidate gives only the sizes."""
-    grid_scale = tuple(k / 255 for k in range(12, 97, 12))
+    cfg = tune_config(DEFAULT_GRID_SCALE)
+    grid_scale = cfg.grid_scale
     table = np.array([[1.0, b] for b in (0, 0, 0, 1, 2, 2, 4, 4)]) / [1.0, 38.0]
     result = tuning.TuneResult(grid=tuple(s * math.sqrt(190) for s in grid_scale), table=table,
                                chosen_epsilon=84 / 255 * math.sqrt(190), chosen_scale=84 / 255,
                                minority_group=3, n_min=190)
-    lines = tuning.diagnostics(result, grid_scale)
+    lines = tuning.diagnostics(result, cfg)
     assert lines == [
         "minority group 3 (190 training rows) holds out 38 rows in setup A and 38 in setup B, "
         "so its holdout accuracies move in steps of 1/38 and 1/38",
@@ -259,13 +277,13 @@ def test_diagnostics_name_the_grid_edge_and_constant_setups():
         "larger radius",
         "setup A gives every candidate accuracy 1, so it ranks none of them"]
     at_top = replace(result, chosen_scale=96 / 255)
-    assert tuning.diagnostics(at_top, grid_scale)[1] == (
+    assert tuning.diagnostics(at_top, cfg)[1] == (
         "the chosen scale 0.376471 is the largest in grid_scale; a wider grid may choose a "
         "larger radius")
     below_top = replace(result, table=table[[0, 1, 2, 3, 4, 5, 6, 5]])
-    assert tuning.diagnostics(below_top, grid_scale) == [lines[0], lines[2]]
+    assert tuning.diagnostics(below_top, cfg) == [lines[0], lines[2]]
     one = replace(result, grid=result.grid[:1], table=np.ones((1, 2)), chosen_scale=grid_scale[0])
-    assert tuning.diagnostics(one, grid_scale[:1]) == lines[:1]
+    assert tuning.diagnostics(one, replace(cfg, grid_scale=grid_scale[:1])) == lines[:1]
 
 
 def test_readme_tuning_snippet_prints_the_numbers_it_quotes():
