@@ -10,8 +10,8 @@ Two exact oracles validate the optimization machinery at toy scale:
   between equal-mass empirical distributions as a bottleneck matching, with
   cost = latent l2 distance for equal labels and infinity otherwise.
 * :func:`robust_risk_check` compares the per-point ball-supremum risk with
-  the risk of the worst same-size displacement of the empirical measure,
-  which must coincide.
+  the largest risk of a displaced empirical measure that :func:`w_infty_exact`
+  certifies within the radius, which must coincide.
 
 For a binary affine output layer the ball supremum has a closed form,
 :func:`binary_robust_loss`; every exact robust loss in the package goes
@@ -19,16 +19,18 @@ through it, and :mod:`convergence` builds the robust objective from it.
 :func:`inner_maximize` returns its maximizer, :func:`binary_ball_maximizer`,
 so training ascends to the exact ball supremum for binary heads.
 
-Grid-based suprema use step ``eps / SUP_GRID_FRACTION`` (documented in every
-report).  Cross-entropy composed with an affine layer is convex in the
-latent, so ball suprema are attained on the sphere; boundary grids therefore
-cover the maximizer.  The grid oracles (:func:`ball_supremum`,
-:func:`taylor_gap`, :func:`robust_risk_check`) are exact up to that step for
-latent dimension <= 2 and raise ``UnsupportedInstanceError`` above it.  Each
-grid, like the 200,000-point ring of
-:func:`verification.check_inner_maximization`, is built and evaluated in
-fixed-size chunks of rows: memory stays bounded by the chunk, never the grid,
-and the maximum and its first maximizer are bitwise those of the whole grid.
+Every grid supremum is one ring maximum, :func:`_grid_max_loss`: the largest
+loss over a 2-D latent and equally spaced points of the circle around it.
+Cross-entropy composed with an affine layer is convex in the latent, so ball
+suprema are attained on the sphere and the circle covers the maximizer.  The
+grid oracles (:func:`ball_supremum`, :func:`taylor_gap`,
+:func:`robust_risk_check`) use arc step ``eps / SUP_GRID_FRACTION``
+(documented in every report), are exact up to that step, and raise
+``UnsupportedInstanceError`` for a latent dimension other than 2;
+:func:`verification.check_inner_maximization` asks for 200,000 points.  The
+circle is built and evaluated in fixed-size chunks of angles: memory stays
+bounded by the chunk, never the grid, and the maximum and its first
+maximizer are bitwise those of the whole grid.
 """
 
 from __future__ import annotations
@@ -46,9 +48,11 @@ from .model import ModelParams
 SUP_GRID_FRACTION = 100
 ORACLE_MAX_SUPPORT = 8
 CHECK_MAX_SUPPORT = 6
-# Grid rows per chunk.  A power of two, so every chunk boundary is a multiple
-# of BLAS's row block and each row's logits are bitwise the one-shot product's.
+# Circle points per chunk.  A power of two, so every chunk boundary is a multiple
+# of BLAS's row block and each point's logits are bitwise the whole circle's.
 _GRID_CHUNK = 8192
+# Points on the circle of a grid supremum: arc step at most eps / SUP_GRID_FRACTION.
+_SPHERE_ANGLES = math.ceil(2.0 * math.pi * SUP_GRID_FRACTION)
 # Row y holds the sign s = 2y - 1 of label y, as a column that scales a row vector.
 _LABEL_SIGNS = np.array([[-1.0], [1.0]])
 
@@ -166,86 +170,44 @@ def binary_ball_maximizer(z, y, v, eps_g: float, v_norm):
     return z - (eps_g * v_hat * _LABEL_SIGNS).take(y, 0)
 
 
-def _ring() -> np.ndarray:
-    """Unit circle points at arc step ``1 / SUP_GRID_FRACTION``."""
-    n_angles = int(math.ceil(2.0 * math.pi * SUP_GRID_FRACTION))
-    angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
-    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+def _grid_max_loss(theta: ModelParams, z: np.ndarray, y: int, eps: float,
+                   n_angles: int) -> tuple:
+    """The largest loss at label ``y`` over the 2-D latent ``z`` and
+    ``n_angles`` equally spaced points of the ``eps`` circle around it, and
+    the first point that attains it (a view: copy it to keep it).
 
-
-def _sphere_grid(center: np.ndarray, eps: float) -> np.ndarray:
-    """Boundary grid with arc step ``eps / SUP_GRID_FRACTION`` (dims 1-2)."""
-    if center.shape[0] == 1:
-        return np.array([center - eps, center + eps])
-    return center + eps * _ring()
-
-
-def _ball_grid(center: np.ndarray, eps: float):
-    """Polar/linear grid over the full ball at step ``eps / SUP_GRID_FRACTION``,
-    as ``(n, rows)``: its row count and ``rows(start, stop)``, which builds rows
-    ``start:stop``.  Row 0 is the centre, then each radius's circle in turn."""
-    if center.shape[0] == 1:
-        offsets = np.linspace(-eps, eps, 2 * SUP_GRID_FRACTION + 1)
-        grid = center[None, :] + offsets[:, None]
-        return grid.shape[0], lambda start, stop: grid[start:stop]
-    radii = np.linspace(0.0, eps, SUP_GRID_FRACTION + 1)[1:]
-    ring = _ring()
-    m = ring.shape[0]
-
-    def rows(start: int, stop: int) -> np.ndarray:
-        # Row r > 0 is point (r - 1) % m of circle (r - 1) // m: build the
-        # circles that rows start:stop touch, then slice them.
-        lo, hi = max(start, 1) - 1, stop - 1
-        first, last = lo // m, -(-hi // m)
-        circles = (radii[first:last, None, None] * ring).reshape(-1, 2)
-        pts = center + circles[lo - first * m:hi - first * m]
-        return pts if start else np.concatenate([center[None, :], pts])
-
-    return 1 + radii.size * m, rows
-
-
-def _grid_max_loss(theta: ModelParams, y: int, n: int, rows) -> tuple:
-    """The largest loss at label ``y`` over the ``n`` rows of a grid, and the
-    first row that attains it (a view: copy it to keep it).
-
-    ``rows(start, stop)`` builds grid rows ``start:stop``; they are built and
-    evaluated ``_GRID_CHUNK`` at a time, so the whole grid never exists.  A
-    later chunk wins only on a strictly greater loss, or on the first nan,
-    which gives ``np.max`` and ``np.argmax`` of the whole grid's losses.
+    The circle is built ``_GRID_CHUNK`` angles at a time, each chunk's cos
+    and sin as it goes, so the whole ring never exists.  A later chunk wins
+    only on a strictly greater loss, or on the first nan, which gives
+    ``np.max`` and ``np.argmax`` of the losses of ``z`` and then the ring.
     """
-    best = best_row = None
-    for start in range(0, n, _GRID_CHUNK):
-        chunk = rows(start, min(start + _GRID_CHUNK, n))
-        losses = model.cross_entropy(model.logits_from_latent(theta, chunk), y)
-        k = _chunk_winner(best, losses)
-        if k is not None:
-            best, best_row = float(losses[k]), chunk[k]
-    return best, best_row
-
-
-def _chunk_winner(best, losses: np.ndarray):
-    """The index of a chunk's first largest loss if it beats the grid's
-    ``best`` so far (``None`` before the first chunk), else ``None``."""
-    k = int(np.argmax(losses))
-    if best is None or losses[k] > best or (np.isnan(losses[k]) and not np.isnan(best)):
-        return k
-    return None
+    # Angle j is j * (2 pi / n_angles), as np.linspace(0, 2 pi, n_angles,
+    # endpoint=False) computes it, one chunk of j at a time.
+    step = 2.0 * math.pi / n_angles
+    chunks = (np.arange(i, min(i + _GRID_CHUNK, n_angles)) * step
+              for i in range(0, n_angles, _GRID_CHUNK))
+    ring = (z + eps * np.stack([np.cos(a), np.sin(a)], axis=1) for a in chunks)
+    best = best_point = None
+    for points in itertools.chain([z[None, :]], ring):
+        losses = model.cross_entropy(model.logits_from_latent(theta, points), y)
+        k = int(np.argmax(losses))
+        if best is None or losses[k] > best or (np.isnan(losses[k]) and not np.isnan(best)):
+            best, best_point = float(losses[k]), points[k]
+    return best, best_point
 
 
 def ball_supremum(theta: ModelParams, z: np.ndarray, y: int, eps: float) -> float:
     """Supremum of the loss over the ``eps`` ball around ``z``.
 
-    Exact up to the grid step: the centre and a dense boundary grid (the
-    loss is convex in the latent, so the maximum lies on the sphere).  Latent
-    dimension above 2 is an ``UnsupportedInstanceError``.
+    Exact up to the grid step: the largest loss over the centre and the
+    circle at arc step ``eps / SUP_GRID_FRACTION`` (the loss is convex in the
+    latent, so the maximum lies on the sphere).  A latent dimension other
+    than 2 is an ``UnsupportedInstanceError``.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.shape[0] > 2:
-        raise UnsupportedInstanceError("ball supremum supports latent dimension <= 2")
-    if eps == 0.0:
-        return float(model.cross_entropy(model.logits_from_latent(theta, z), y))
-    points = np.concatenate([z[None, :], _sphere_grid(z, eps)])
-    return _grid_max_loss(theta, y, points.shape[0], lambda start, stop: points[start:stop])[0]
+    if z.shape != (2,):
+        raise UnsupportedInstanceError("ball supremum supports latent dimension 2 only")
+    return _grid_max_loss(theta, z, y, eps, _SPHERE_ANGLES)[0]
 
 
 def taylor_gap(theta: ModelParams, z: np.ndarray, y: int, eps: float) -> float:
@@ -341,40 +303,35 @@ def w_infty_exact(p: DiscreteDist, q: DiscreteDist) -> float:
 def robust_risk_check(p: DiscreteDist, theta: ModelParams, eps: float):
     """Two routes to the worst-case risk of ``p`` under per-point ``eps`` balls.
 
-    ``lhs`` averages the per-atom ball supremum over a dense grid;
-    ``rhs`` builds the displaced distribution from the same grid's per-atom
-    maximizers, verifies via :func:`w_infty_exact` that it lies within
-    transport distance ``eps`` of ``p``, and evaluates its risk.  The two
-    must agree up to grid resolution.
+    ``lhs`` averages each atom's ball supremum, the largest loss over the
+    atom and its circle at arc step ``eps / SUP_GRID_FRACTION`` (as in
+    :func:`ball_supremum`).  ``rhs`` is the largest risk of a displaced
+    distribution that :func:`w_infty_exact` certifies within transport
+    distance ``eps`` of ``p``, among three candidates: every atom at its
+    circle maximizer, and at its :func:`inner_maximize` endpoint at ``eps``
+    and at ``1.5 eps``; it is ``-inf`` when none is certified.  The two must
+    agree up to grid resolution: a certified candidate above ``lhs`` means
+    the pointwise side missed a supremum or the certificate admitted a
+    distribution outside the ambiguity set, and an uncertified set of
+    maximizers leaves ``rhs`` below ``lhs``.  A latent dimension other than
+    2 is an ``UnsupportedInstanceError``.
     """
     if eps < 0:
         raise ParameterError("eps must be nonnegative")
     _require_support_within(p, CHECK_MAX_SUPPORT)
-    if p.points.shape[1] > 2:
-        raise UnsupportedInstanceError("risk check supports latent dimension <= 2")
+    if p.points.shape[1] != 2:
+        raise UnsupportedInstanceError("risk check supports latent dimension 2 only")
 
-    sup_values = []
-    arg_points = []
-    for i in range(p.support_size):
-        z = p.points[i]
-        n, rows = (1, lambda start, stop: z[None, :]) if eps == 0.0 else _ball_grid(z, eps)
-        sup, point = _grid_max_loss(theta, int(p.labels[i]), n, rows)
-        sup_values.append(sup)
-        arg_points.append(point.copy())
-
-    lhs = float(np.mean(sup_values))
-    displaced = DiscreteDist(np.asarray(arg_points), p.labels.copy())
-    transport = w_infty_exact(displaced, p)
-    if transport > eps * (1.0 + 1e-9) + 1e-12:
-        raise AssertionError(
-            f"displaced distribution left the ball: W_inf={transport} > eps={eps}"
-        )
-    rhs_losses = [
-        float(model.cross_entropy(model.logits_from_latent(theta, displaced.points[i]),
-                                  int(displaced.labels[i])))
-        for i in range(displaced.support_size)
-    ]
-    rhs = float(np.mean(rhs_losses))
+    sups, maximizers = zip(*(_grid_max_loss(theta, z, int(y), eps, _SPHERE_ANGLES)
+                             for z, y in zip(p.points, p.labels)))
+    lhs = float(np.mean(sups))
+    candidates = [np.asarray(maximizers)] + [
+        inner_maximize(theta, p.points, p.labels, scale * eps) for scale in (1.0, 1.5)]
+    rhs = -math.inf
+    for points in candidates:
+        if w_infty_exact(DiscreteDist(points, p.labels), p) <= eps * (1.0 + 1e-9) + 1e-12:
+            losses = model.cross_entropy(model.logits_from_latent(theta, points), p.labels)
+            rhs = max(rhs, float(np.mean(losses)))
     return lhs, rhs
 
 

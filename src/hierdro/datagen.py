@@ -282,7 +282,9 @@ def load_csv(path, num_labels: int | None = None, num_attributes: int | None = N
 
     ``num_labels`` / ``num_attributes`` default to the maxima observed in the
     file plus one (and to 2 for an empty file); pass them explicitly when a
-    label or attribute value may be entirely absent.
+    label or attribute value may be entirely absent.  A label or attribute
+    outside ``[0, count)`` is a ``CsvParseError`` that names its line and
+    value.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -321,6 +323,11 @@ def load_csv(path, num_labels: int | None = None, num_attributes: int | None = N
     groups = np.asarray(gs, dtype=np.int64)
     k = num_labels if num_labels is not None else int(labels.max()) + 1
     a_count = num_attributes if num_attributes is not None else int(attributes.max()) + 1
+    for name, values, count in (("label", labels, k), ("attribute", attributes, a_count)):
+        outside = np.flatnonzero((values < 0) | (values >= count))
+        if outside.size:
+            row = int(outside[0])
+            raise CsvParseError(f"{name} {values[row]} out of range [0, {count})", row + 2)
     expected = labels * a_count + attributes
     bad = np.flatnonzero(groups != expected)
     if bad.size:
@@ -329,8 +336,6 @@ def load_csv(path, num_labels: int | None = None, num_attributes: int | None = N
             f"line {row + 2}: group index {groups[row]} does not match "
             f"(y={labels[row]}, a={attributes[row]}) under {a_count} attribute values"
         )
-    if groups.max() >= k * a_count:
-        raise CsvSchemaError("group index out of range")
     return GroupedDataset(np.asarray(xs), labels, attributes, k, a_count)
 
 

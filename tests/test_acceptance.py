@@ -22,12 +22,28 @@ from hierdro.solver import HIERARCHICAL, SolverConfig
 from hierdro.tuning import DEFAULT_GRID_SCALE, TuneConfig, tune_epsilon
 
 BENCHMARK_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.json")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+README_METHODS = {"ERM": "ERM", "group DRO": "GroupDRO", "hierarchical": "Hierarchical"}
 
 
 def report(number: int, name: str, passed: bool, detail: str = ""):
     status = "PASS" if passed else "FAIL"
     print(f"\ncriterion {number} ({name}): {status}  {detail}")
     assert passed, f"criterion {number} ({name}) failed: {detail}"
+
+
+def readme_means_table() -> dict:
+    """README's table of criterion 7's means, by ``results.csv`` method: the
+    shifted worst-group, unshifted worst-group and unshifted average cells."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## What the paper claims and what this repo shows", 1)[1]
+    rows = {}
+    for line in section.split("\n## ", 1)[0].splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if cells[0] in README_METHODS:
+            rows[README_METHODS[cells[0]]] = cells[1:]
+    return rows
 
 
 def test_criterion_1_gradient_correctness():
@@ -111,11 +127,13 @@ def test_criterion_7_benchmark_ordering(tmp_path):
     rows = [l.split(",") for l in lines[2:]]
     per_seed = [r for r in rows if r[1] not in ("summary",)]
     assert len(per_seed) == 15, "3 methods x 5 seeds"
-    means = {}
+    means, unshifted = {}, {}
     for method in ("ERM", "GroupDRO", "Hierarchical"):
-        cells = [float(r[5]) for r in per_seed if r[0] == method]
+        cells = [r for r in per_seed if r[0] == method]
         assert len(cells) == 5
-        means[method] = float(np.mean(cells))
+        means[method] = float(np.mean([float(r[5]) for r in cells]))
+        # worst_acc_orig and avg_acc_orig: reported beside the gates, not gated.
+        unshifted[method] = [float(np.mean([float(r[i]) for r in cells])) for i in (3, 4)]
     elapsed = time.perf_counter() - start
     ordered = (means["Hierarchical"] >= means["GroupDRO"] + 0.03
                and means["GroupDRO"] + 0.03 >= means["ERM"] + 0.10)
@@ -124,8 +142,13 @@ def test_criterion_7_benchmark_ordering(tmp_path):
         f"worst-group means on shifted test: hierarchical {means['Hierarchical']:.3f} "
         f">= group_dro {means['GroupDRO']:.3f} + 0.03 and group_dro >= erm {means['ERM']:.3f} + 0.07; "
         f"tuned eps {tune_payload['chosen_epsilon']:.3f} "
-        f"(scale {tune_payload['chosen_scale']:.3f}), {elapsed:.0f}s (budget 900s)",
+        f"(scale {tune_payload['chosen_scale']:.3f}), {elapsed:.0f}s (budget 900s); "
+        f"unshifted worst-group means, no gate: hierarchical "
+        f"{unshifted['Hierarchical'][0]:.3f}, group_dro {unshifted['GroupDRO'][0]:.3f}, "
+        f"erm {unshifted['ERM'][0]:.3f}",
     )
+    table = {m: [f"{v:.3f}" for v in (means[m], *unshifted[m])] for m in means}
+    assert readme_means_table() == table, f"README's means table disagrees: {table}"
 
 
 def test_criterion_8_radius_and_tuning_contracts():

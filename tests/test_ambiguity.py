@@ -524,7 +524,12 @@ def test_robust_risk_check_single_atom_equals_ball_supremum():
     eps = 0.3
     lhs, rhs = robust_risk_check(p, theta, eps)
     sup = amb.ball_supremum(theta, z, 1, eps)
-    assert abs(lhs - sup) < 1e-12 and abs(rhs - sup) < 1e-12
+    assert abs(lhs - sup) < 1e-12
+    # The largest certified candidate is the atom moved to the exact maximizer,
+    # whose risk is the closed form, a grid step above the circle's maximum.
+    v = theta.w_out[1] - theta.w_out[0]
+    closed, _ = amb.binary_robust_loss(z @ v + 0.2, 1.0, eps, np.linalg.norm(v))
+    assert abs(rhs - closed) < 1e-12 and 0.0 <= rhs - lhs <= 1e-5
 
 
 def test_robust_risk_check_four_atoms_agrees():
@@ -556,21 +561,25 @@ def test_robust_risk_check_rejects_big_instances():
         robust_risk_check(wide, ModelParams(w_out=np.zeros((2, 3)), b_out=np.zeros(2)), 0.1)
 
 
-# --------------------------------------------------- chunked grid maximum
+# ------------------------------------------------------------ ring maximum
 
 
 CHUNK = amb._GRID_CHUNK
 
 
+def one_shot_grid(z, eps, n_angles):
+    """The reference grid in one array: the centre, then the whole circle."""
+    angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+    ring = z + eps * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return np.concatenate([z[None, :], ring])
+
+
 def one_shot_max(theta, y, grid):
-    """The reference: every row's loss in one pass, then ``np.max`` and ``np.argmax``."""
-    losses = model.cross_entropy(model.logits_from_latent(theta, grid),
-                                 np.full(grid.shape[0], y, dtype=np.int64))
+    """The reference: the centre's loss and every circle point's in one pass,
+    then ``np.max`` and ``np.argmax``."""
+    losses = np.concatenate([model.cross_entropy(model.logits_from_latent(theta, rows), y)
+                             for rows in (grid[:1], grid[1:])])
     return losses.max(), grid[np.argmax(losses)]
-
-
-def chunked_max(theta, y, grid):
-    return amb._grid_max_loss(theta, y, grid.shape[0], lambda start, stop: grid[start:stop])
 
 
 def same_bits(a, b):
@@ -581,87 +590,79 @@ def same_bits(a, b):
 @pytest.mark.parametrize("n", [1, 630, CHUNK - 1, CHUNK, CHUNK + 1, 62_901, 200_000])
 @pytest.mark.parametrize("k", [2, 3])
 def test_grid_max_loss_is_the_one_shot_maximum_bitwise(n, k):
-    """Grids below, at, one over and far past the chunk size, among them the
-    ball grid's 62,901 and the inner-maximization ring's 200,000 rows."""
+    """Circles below, at, one over and far past the chunk size, among them
+    the inner-maximization check's 200,000 points."""
     rng = np.random.default_rng(n + k)
     for _ in range(3):
         theta = ModelParams(w_out=rng.normal(size=(k, 2)), b_out=rng.normal(size=k))
         y = int(rng.integers(k))
-        grid = rng.normal(scale=3.0, size=(n, 2))
-        best, row = chunked_max(theta, y, grid)
-        want, want_row = one_shot_max(theta, y, grid)
+        z, eps = rng.normal(scale=3.0, size=2), float(rng.uniform(0.1, 3.0))
+        best, row = amb._grid_max_loss(theta, z, y, eps, n)
+        want, want_row = one_shot_max(theta, y, one_shot_grid(z, eps, n))
         assert type(best) is float and same_bits(best, want) and same_bits(row, want_row)
 
 
 def test_grid_max_loss_of_a_ring_built_per_chunk_is_the_whole_rings():
-    """The inner-maximization check builds its ring's cos and sin one chunk
-    of angles at a time; the rows and the maximum are those of the whole ring."""
+    """The circle's angles, cos and sin are built one chunk at a time; the
+    maximum and its point are those of the unit ring from ``np.linspace``,
+    built whole and then scaled."""
     angles = np.linspace(0.0, 2.0 * math.pi, 200_000, endpoint=False)
     whole = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     rng = np.random.default_rng(17)
     for _ in range(5):
         theta = ModelParams(w_out=rng.normal(size=(2, 2)), b_out=rng.normal(size=2))
         z, eps, y = rng.normal(size=2), float(rng.uniform(0.1, 0.8)), int(rng.integers(2))
-
-        def ring(start, stop):
-            a = angles[start:stop]
-            return z + eps * np.stack([np.cos(a), np.sin(a)], axis=1)
-
-        best, row = amb._grid_max_loss(theta, y, angles.size, ring)
-        want, want_row = one_shot_max(theta, y, z + eps * whole)
+        best, row = amb._grid_max_loss(theta, z, y, eps, angles.size)
+        want, want_row = one_shot_max(theta, y, np.concatenate([z[None, :], z + eps * whole]))
         assert same_bits(best, want) and same_bits(row, want_row)
 
 
 def test_grid_max_loss_keeps_the_first_of_tied_maxima_across_chunks():
-    """The second latent coordinate has zero weight, so rows that differ only
-    there tie bitwise; the first one, in an earlier chunk, must win."""
-    theta = ModelParams(w_out=np.array([[0.0, 0.0], [1.0, 0.0]]), b_out=np.zeros(2))
-    grid = np.zeros((3 * CHUNK + 5, 2))
-    grid[:, 0] = np.linspace(-1.0, 1.0, grid.shape[0])
-    for at, marker in ((7, 1.0), (CHUNK + 3, 2.0), (2 * CHUNK + 9, 3.0)):
-        grid[at] = (-5.0, marker)
-    best, row = chunked_max(theta, 1, grid)
-    want, want_row = one_shot_max(theta, 1, grid)
+    """With a bias of 1e10 the loss at label 0 is ``1e10 + x``, whose spacing
+    (2e-6) hides the circle's curvature near angle 0: the last chunk's points
+    just below 2 pi tie bitwise with the first chunk's, and the first one,
+    at angle 0, must win."""
+    theta = ModelParams(w_out=np.array([[0.0, 0.0], [1.0, 0.0]]), b_out=np.array([0.0, 1e10]))
+    z, n = np.zeros(2), 3 * CHUNK + 5
+    grid = one_shot_grid(z, 1.0, n)
+    losses = model.cross_entropy(model.logits_from_latent(theta, grid), 0)
+    tied = np.flatnonzero(losses == losses.max())
+    assert tied[0] == 1 and tied[-1] > 1 + 3 * CHUNK
+    best, row = amb._grid_max_loss(theta, z, 0, 1.0, n)
+    want, want_row = one_shot_max(theta, 0, grid)
     assert same_bits(best, want) and same_bits(row, want_row)
-    assert tuple(row) == (-5.0, 1.0)
+    assert tuple(row) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("nan_at", [5, CHUNK + 5])
-def test_grid_max_loss_takes_the_first_nan_like_argmax(nan_at):
+def test_grid_max_loss_takes_the_first_nan_like_argmax(monkeypatch, nan_at):
+    """Logits that are nan at two circle points, the second in the last
+    chunk: the first nan wins, as ``np.argmax`` of all the losses picks it."""
     rng = np.random.default_rng(nan_at)
     theta = ModelParams(w_out=rng.normal(size=(2, 2)), b_out=rng.normal(size=2))
-    grid = rng.normal(size=(3 * CHUNK, 2))
-    grid[nan_at] = np.nan
-    grid[2 * CHUNK + 1] = np.nan
-    best, row = chunked_max(theta, 0, grid)
+    z, n = rng.normal(size=2), 3 * CHUNK
+    grid = one_shot_grid(z, 0.5, n)
+    marked = grid[[1 + nan_at, 2 + 2 * CHUNK]]
+    logits = model.logits_from_latent
+
+    def poisoned(theta, points):
+        out = logits(theta, points)
+        out[(points[:, None, :] == marked).all(-1).any(-1)] = np.nan
+        return out
+
+    monkeypatch.setattr(model, "logits_from_latent", poisoned)
+    best, row = amb._grid_max_loss(theta, z, 0, 0.5, n)
     want, want_row = one_shot_max(theta, 0, grid)
     assert math.isnan(best) and math.isnan(want)
-    assert np.shares_memory(row, grid[nan_at]) and np.isnan(want_row).all()
+    assert same_bits(row, grid[1 + nan_at]) and same_bits(want_row, row)
 
 
-def one_shot_ball_grid(center, eps):
-    """The reference: the whole polar/linear ball grid in one array."""
-    if center.shape[0] == 1:
-        offsets = np.linspace(-eps, eps, 2 * amb.SUP_GRID_FRACTION + 1)
-        return center[None, :] + offsets[:, None]
-    radii = np.linspace(0.0, eps, amb.SUP_GRID_FRACTION + 1)[1:]
-    angles = np.linspace(0.0, 2.0 * math.pi, math.ceil(2.0 * math.pi * amb.SUP_GRID_FRACTION),
-                         endpoint=False)
-    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    pts = (radii[:, None, None] * ring[None, :, :]).reshape(-1, 2)
-    return np.concatenate([center[None, :], center + pts])
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_ball_grid_rows_are_the_one_shot_grid_bitwise(dim):
-    rng = np.random.default_rng(dim)
-    for _ in range(3):
-        center, eps = rng.normal(size=dim), float(rng.uniform(0.1, 2.0))
-        want = one_shot_ball_grid(center, eps)
-        n, rows = amb._ball_grid(center, eps)
-        assert n == want.shape[0] == (201 if dim == 1 else 62_901)
-        assert same_bits(rows(0, n), want)
-        for size in (CHUNK, 629, 1000):
-            parts = [rows(s, min(s + size, n)) for s in range(0, n, size)]
-            assert same_bits(np.concatenate(parts), want)
-
+def test_grid_oracles_refuse_a_latent_dimension_other_than_two():
+    """The grid oracles search a circle, so a 1-D or a 3-D latent is refused,
+    not searched on a grid of another shape."""
+    for dim in (1, 3):
+        theta = ModelParams(w_out=np.zeros((2, dim)), b_out=np.zeros(2))
+        with pytest.raises(UnsupportedInstanceError, match="dimension 2 only"):
+            amb.ball_supremum(theta, np.zeros(dim), 1, 0.3)
+        with pytest.raises(UnsupportedInstanceError, match="dimension 2 only"):
+            robust_risk_check(DiscreteDist(np.zeros((2, dim)), [0, 1]), theta, 0.3)

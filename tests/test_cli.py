@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from hierdro import ambiguity as amb
 from hierdro import cli, datagen, model, verification
 from hierdro.datagen import ShiftSpec, load_csv, save_csv
 from hierdro.errors import ConfigError
@@ -668,7 +669,7 @@ def _val_label_two(lines):
 
 @pytest.mark.parametrize("split,edit,message", [
     ("val", _bad_val_columns, "9 feature columns, but the training file has 10"),
-    ("val", _val_label_two, "group index out of range"),
+    ("val", _val_label_two, "line 2: label 2 out of range [0, 2)"),
     ("val", lambda lines: lines[:1], "no rows"),
     ("test", lambda lines: lines[:1], "no rows"),
     ("test_shifted", lambda lines: lines[:1], "no rows"),
@@ -994,6 +995,19 @@ def test_verify_exit_code_on_failure(monkeypatch):
     monkeypatch.setattr(verification, "FAST_CHECKS",
                         (lambda: verification.check_gradients(n_cases=5),))
     assert cli.main(["verify", "--level", "fast"]) == 2
+
+
+def test_verify_prints_fail_and_exits_2_when_the_transport_oracle_doubles(monkeypatch, capsys):
+    """A certificate that doubles each distance certifies none of the
+    displaced distributions: criterion 3 fails with a FAIL line and exit
+    code 2, not an exception out of ``main``."""
+    w_infty = amb.w_infty_exact
+    monkeypatch.setattr(amb, "w_infty_exact", lambda p, q: 2 * w_infty(p, q))
+    monkeypatch.setattr(verification, "FAST_CHECKS",
+                        (lambda: verification.check_lemma_oracle(n_cases=3),))
+    capsys.readouterr()
+    assert cli.main(["verify", "--level", "fast"]) == 2
+    assert capsys.readouterr().out.startswith("FAIL pointwise_vs_distributional_risk ")
 
 
 def test_module_entrypoint_runs():

@@ -272,6 +272,22 @@ def test_csv_schema_error_on_wrong_group(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("row,counts,message", [
+    ("2,0,4,1.0", {"num_labels": 2}, "line 3: label 2 out of range [0, 2)"),
+    ("0,2,2,1.0", {"num_attributes": 2}, "line 3: attribute 2 out of range [0, 2)"),
+    ("-1,0,-2,1.0", {}, "line 3: label -1 out of range [0, 2)"),
+], ids=["label-past-num-labels", "attribute-past-num-attributes", "label-negative"])
+def test_csv_names_the_line_of_an_out_of_range_label_or_attribute(tmp_path, row, counts,
+                                                                   message):
+    """Each bad row's group index fits its label and attribute, so the range
+    check, not the group check, must find it, and name its line and value."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"y,a,g,x0\n0,1,1,1.0\n{row}\n1,0,2,1.0\n")
+    with pytest.raises(CsvParseError) as info:
+        load_csv(path, **counts)
+    assert str(info.value) == message and info.value.line_number == 3
+
+
 def test_dataset_validation():
     with pytest.raises(InvalidDatasetError):
         GroupedDataset(np.zeros((2, 3)), np.array([0, 5]), np.array([0, 0]), 2, 2)

@@ -591,14 +591,10 @@ def test_lockstep_rows_must_share_the_architecture():
         train_lockstep(ds, ds, [], [])
 
 
-@pytest.mark.parametrize("architecture", [LINEAR, MLP1])
-def test_train_step_lands_every_ascending_row_on_the_grid_supremum(monkeypatch, architecture):
-    """One step on 2-D binary latents: every row with a positive radius, a
-    large one or a small one, ends on the supremum of the loss over its
-    ball, as a 200k-point boundary grid measures it."""
-    full = small_ds()
-    ds = GroupedDataset(full.features[:, :2], full.labels, full.attributes, 2, 2)
-    init = init_params(ModelSpec(architecture, hidden_width=2), 2, 2, seed=4)
+def ascent_endpoints_of_one_step(monkeypatch, ds, init):
+    """``(theta, z, y, eps_g, z_prime)`` of every ``inner_maximize`` call in
+    one step of four rows from ``init``: ERM, group DRO and two hierarchical
+    rows, one with a large radius and one with a small one."""
     configs = [base_config(mode=ERM), base_config(mode=GROUP_DRO), base_config(epsilon=2.0),
                base_config(epsilon=0.5)]
     state = Lockstep.start([init] * len(configs), configs, ds)
@@ -615,6 +611,18 @@ def test_train_step_lands_every_ascending_row_on_the_grid_supremum(monkeypatch, 
     monkeypatch.setattr(amb, "inner_maximize", spy)
     train_step(state, batch)
     assert len(endpoints) == 2
+    return endpoints
+
+
+@pytest.mark.parametrize("architecture", [LINEAR, MLP1])
+def test_train_step_lands_every_ascending_row_on_the_grid_supremum(monkeypatch, architecture):
+    """One step on 2-D binary latents: every row with a positive radius, a
+    large one or a small one, ends on the supremum of the loss over its
+    ball, as a 200k-point boundary grid measures it."""
+    full = small_ds()
+    ds = GroupedDataset(full.features[:, :2], full.labels, full.attributes, 2, 2)
+    init = init_params(ModelSpec(architecture, hidden_width=2), 2, 2, seed=4)
+    endpoints = ascent_endpoints_of_one_step(monkeypatch, ds, init)
     angles = np.linspace(0.0, 2.0 * math.pi, 200_000, endpoint=False)
     ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     for theta, z, y, eps_g, z_prime in endpoints:
@@ -626,6 +634,25 @@ def test_train_step_lands_every_ascending_row_on_the_grid_supremum(monkeypatch, 
             got = model.cross_entropy(model.logits_from_latent(theta, zp_i), y_i)
             assert abs(got - brute) <= 1e-9
             assert np.linalg.norm(zp_i - z_i) <= eps_g * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("architecture", [LINEAR, MLP1], ids=["linear-d10", "mlp1-h32"])
+def test_train_step_lands_every_ascending_row_on_the_closed_form_supremum(monkeypatch,
+                                                                          architecture):
+    """One step at the benchmark's latent dimensions, which no grid reaches:
+    10 for ``linear`` (its features) and 32 for an ``mlp1`` of width 32.
+    Every row with a positive radius ends where the loss equals the exact
+    ball supremum ``binary_robust_loss``, to 1e-12 relative, on the sphere."""
+    ds = small_ds()
+    init = init_params(ModelSpec(architecture, hidden_width=32), ds.d, 2, seed=4)
+    for theta, z, y, eps_g, z_prime in ascent_endpoints_of_one_step(monkeypatch, ds, init):
+        assert eps_g > 0 and z.shape[-1] == (10 if architecture == LINEAR else 32)
+        v, c = theta.w_out[1] - theta.w_out[0], theta.b_out[1] - theta.b_out[0]
+        exact, _ = amb.binary_robust_loss(z @ v + c, 2.0 * y - 1.0, eps_g, np.linalg.norm(v))
+        got = model.cross_entropy(model.logits_from_latent(theta, z_prime), y)
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(np.linalg.norm(z_prime - z, axis=-1), eps_g,
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_lockstep_step_ascends_each_row_through_inner_maximize(monkeypatch):

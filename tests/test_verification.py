@@ -68,9 +68,9 @@ def traced_peak(fn):
 
 
 def test_grid_oracles_run_in_bounded_memory():
-    """The 200,000-point ring and the 62,901-point ball grid are evaluated in
-    chunks: neither oracle's allocation peak grows with its grid (built
-    whole, the ring check peaked at 21 MB)."""
+    """Every grid oracle evaluates its circle in chunks: no oracle's
+    allocation peak grows with its grid (built whole, the 200,000-point ring
+    check peaked at 21 MB)."""
     result, peak = traced_peak(lambda: verification.check_inner_maximization(n_cases=2))
     assert result.passed and peak < GRID_PEAK_BOUND, peak
     rng = np.random.default_rng(7)
@@ -79,6 +79,33 @@ def test_grid_oracles_run_in_bounded_memory():
                          rng.integers(0, 2, size=amb.CHECK_MAX_SUPPORT))
     (lhs, rhs), peak = traced_peak(lambda: amb.robust_risk_check(p, theta, 0.4))
     assert abs(lhs - rhs) <= verification.LEMMA_TOLERANCE and peak < GRID_PEAK_BOUND, peak
+    sup, peak = traced_peak(lambda: amb.ball_supremum(theta, p.points[0], 1, 0.4))
+    assert sup > model.cross_entropy(model.logits_from_latent(theta, p.points[0]), 1)
+    assert peak < GRID_PEAK_BOUND, peak
+
+
+# ------------------------------------------------ criterion 3 can fail
+
+
+def test_lemma_oracle_fails_when_the_transport_oracle_halves_distances(monkeypatch):
+    """A certificate that reports half of each distance admits the candidate
+    moved 1.5 eps, whose risk is far above the per-point suprema."""
+    w_infty = amb.w_infty_exact
+    monkeypatch.setattr(amb, "w_infty_exact", lambda p, q: w_infty(p, q) / 2)
+    result = verification.check_lemma_oracle()
+    assert not result.passed
+    assert result.details["max_abs_difference"] > 0.1
+
+
+def test_lemma_oracle_fails_when_the_pointwise_side_searches_only_the_centre(monkeypatch):
+    """A pointwise side that never leaves the centre is beaten by the
+    certified candidate at the exact maximizers."""
+    grid_max_loss = amb._grid_max_loss
+    monkeypatch.setattr(amb, "_grid_max_loss",
+                        lambda theta, z, y, eps, n_angles: grid_max_loss(theta, z, y, 0.0, 1))
+    result = verification.check_lemma_oracle()
+    assert not result.passed
+    assert result.details["max_abs_difference"] > 0.1
 
 
 # ------------------------------------------- finite differences, bitwise
