@@ -319,7 +319,16 @@ def _generate_datasets(config: ExperimentConfig):
 
 
 def cmd_generate(config: ExperimentConfig, output_dir: str) -> dict:
-    """Write the four generated splits and their manifest; nothing reads them back."""
+    """Write the four generated splits and their manifest.
+
+    ``split_summary`` reads each file once, to hash it; ``tune`` and ``run``
+    never read them.  An earlier run's manifest is removed before the first
+    file is written, so a run that fails part way leaves no manifest of
+    files it did not write.
+    """
+    manifest_path = os.path.join(output_dir, "manifest.json")
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
     summaries = {}
     for name, ds in _generate_datasets(config).items():
         filename = f"{name}.csv"
@@ -331,7 +340,7 @@ def cmd_generate(config: ExperimentConfig, output_dir: str) -> dict:
     manifest = datagen.generator_manifest(params, summaries, list(config.dataset.shifts))
     manifest["config_hash"] = config.hash
     manifest["seeds"] = list(config.seeds)
-    _write_json(os.path.join(output_dir, "manifest.json"), manifest)
+    _write_json(manifest_path, manifest)
     return manifest
 
 

@@ -34,6 +34,10 @@ ROTATION_AXES = (0, 1)
 OFFSET_AXIS = 1
 
 CSV_FLOAT_FORMAT = "%.17g"
+# Rows that save_csv formats at once: its memory is one block's, whatever n.
+_CSV_BLOCK_ROWS = 1024
+# Bytes that split_summary reads at once to hash a file.
+_HASH_READ_BYTES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,15 +270,20 @@ def _expected_header(d: int) -> list[str]:
 def save_csv(ds: GroupedDataset, path) -> None:
     """Write the dataset with header ``y,a,g,x0..x{d-1}``.
 
-    The body is one ``%`` operation on a row format repeated ``n`` times.
-    Labels, attributes and groups pass through float64 on the way, which is
-    exact for any integer below 2**53.
+    The body is written in blocks of ``_CSV_BLOCK_ROWS`` rows, each one
+    ``%`` operation on a row format repeated for the block's rows, so the
+    memory it takes is one block's at any ``n``.  Labels, attributes and
+    groups pass through float64 on the way, which is exact for any integer
+    below 2**53.
     """
     row = "%d,%d,%d," + ",".join([CSV_FLOAT_FORMAT] * ds.d) + "\n"
-    cells = np.column_stack([ds.labels, ds.attributes, ds.group_of, ds.features])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_expected_header(ds.d)) + "\n")
-        fh.write(row * ds.n % tuple(cells.ravel().tolist()))
+        for start in range(0, ds.n, _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            cells = np.column_stack([ds.labels[block], ds.attributes[block],
+                                     ds.group_of[block], ds.features[block]])
+            fh.write(row * len(cells) % tuple(cells.ravel().tolist()))
 
 
 def load_csv(path, num_labels: int | None = None, num_attributes: int | None = None) -> GroupedDataset:
@@ -343,8 +352,9 @@ def generator_manifest(params: dict, splits: dict, shifts: list) -> dict:
     """Manifest recorded beside generated CSVs.
 
     ``splits`` maps split name to a dict with the file name, sha256 of the
-    file body, per-group sizes, and per-group means of the (core, spurious)
-    coordinates, which is enough to verify shifts without reloading data.
+    whole file (header included), per-group sizes, and per-group means of
+    the (core, spurious) coordinates, which is enough to verify shifts
+    without reloading data.
     """
     return {
         "generator": dict(params),
@@ -362,13 +372,17 @@ def generator_manifest(params: dict, splits: dict, shifts: list) -> dict:
 
 
 def split_summary(ds: GroupedDataset, filename: str, path) -> dict:
+    """The manifest entry of the split ``ds`` written to ``path``: the file
+    is hashed in reads of ``_HASH_READ_BYTES``, never held whole."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+        while chunk := fh.read(_HASH_READ_BYTES):
+            digest.update(chunk)
     means = {str(g): [float(v) for v in m]
              for g, m in enumerate(ds.group_means(ds.features[:, :2])) if ds.n_g[g]}
     return {
         "file": filename,
-        "sha256": digest,
+        "sha256": digest.hexdigest(),
         "n_g": [int(v) for v in ds.n_g],
         "group_means_01": means,
     }

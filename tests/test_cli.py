@@ -100,6 +100,27 @@ def test_generate_idempotent_bytes(tmp_path):
         assert (tmp_path / "out" / name).read_bytes() == body
 
 
+def test_generate_that_fails_part_way_leaves_no_manifest(tmp_path, monkeypatch):
+    """A ``generate`` whose second file fails to write removes the earlier
+    run's manifest, whose digests no longer match the files beside it."""
+    cfg = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["generate", "--config", cfg]) == 0
+    assert (tmp_path / "out" / "manifest.json").exists()
+    calls = []
+    real_save_csv = datagen.save_csv
+
+    def failing_save_csv(ds, path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        real_save_csv(ds, path)
+
+    monkeypatch.setattr(datagen, "save_csv", failing_save_csv)
+    assert cli.main(["generate", "--config", cfg]) == 1
+    assert len(calls) == 2
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_generate_shift_verified_by_manifest_means(tmp_path):
     cfg_raw = base_config(tmp_path)
     cfg = write_config(tmp_path, cfg_raw)
