@@ -17,7 +17,9 @@ For a binary affine output layer the ball supremum has a closed form,
 :func:`binary_robust_loss`; every exact robust loss in the package goes
 through it, and :mod:`convergence` builds the robust objective from it.
 :func:`inner_maximize` returns its maximizer, :func:`binary_ball_maximizer`,
-so training ascends to the exact ball supremum for binary heads.
+so training ascends to the exact ball supremum for binary heads.  Training
+ascends all its rows in one call; :func:`inner_maximize` is that call's
+one-model case, and the two share every formula.
 
 Every grid supremum is one ring maximum, :func:`_grid_max_loss`: the largest
 loss over a 2-D latent and equally spaced points of the circle around it.
@@ -92,39 +94,71 @@ def project_ball(z_prime: np.ndarray, z_center: np.ndarray, eps: float) -> np.nd
 def inner_maximize(theta: ModelParams, z: np.ndarray, y, eps_g: float) -> np.ndarray:
     """The loss ascent inside the ``eps_g`` ball around each row of ``z``.
 
-    ``z`` is one latent or a ``(B, k)`` batch and ``y`` its label or labels.
-    For a binary head (``theta`` unstacked, two classes, linear or ``mlp1``)
-    this is the exact maximizer, the closed form :func:`binary_ball_maximizer`,
-    with ``||v||`` from :func:`_head_norm`: a ``v = w_1 - w_0`` whose norm is
-    not finite is a ``DivergenceError`` that names the ascent, not a silent
-    step of length zero.  A head with more classes takes one normalized
-    gradient step to the sphere, ``z + eps_g * g / ||g||``, the first-order
-    maximizer (a row with a zero gradient keeps ``z``).  The loss is convex
-    in the latent, so neither ever decreases it, and neither leaves the ball.
+    ``z`` is one latent or a ``(B, k)`` batch of an unstacked ``theta`` and
+    ``y`` its label or labels.  This is the one-model case of the ascent
+    that training makes for all its ascending rows in one call, and each
+    endpoint is bitwise that call's: for a binary head (two classes, linear
+    or ``mlp1``) the exact maximizer, the closed form
+    :func:`binary_ball_maximizer`, with ``||v||`` as :func:`_head_norm`
+    takes it, so that a ``v = w_1 - w_0`` whose norm is not finite is a
+    ``DivergenceError`` that names the ascent, not a silent step of length
+    zero.  A head with more classes takes one normalized gradient step to
+    the sphere, ``z + eps_g * g / ||g||``, the first-order maximizer (a row
+    with a zero gradient keeps ``z``).  The loss is convex in the latent,
+    so neither ever decreases it, and neither leaves the ball.
     """
     if eps_g < 0:
         raise ParameterError("eps_g must be nonnegative")
     z = np.asarray(z, dtype=np.float64)
     if eps_g == 0.0:
         return z
+    ends, failed = _ascend(theta.w_out[None], theta.b_out[None], z.reshape(1, -1, z.shape[-1]),
+                           np.broadcast_to(y, z.shape[:-1]).reshape(1, -1), np.array([eps_g]))
+    if failed:
+        raise failed[0]
+    return ends.reshape(z.shape)
 
-    w_out = theta.w_out
+
+def _ascend(w_out: np.ndarray, b_out: np.ndarray, z: np.ndarray, y: np.ndarray,
+            eps: np.ndarray) -> tuple:
+    """The latent ascent of A row-stacked output layers in one call, row
+    ``i`` inside the ball of radius ``eps[i] > 0``.
+
+    ``w_out`` and ``b_out`` are ``(A, K, k)`` and ``(A, K)``; ``z`` is
+    ``(A, B, k)``, or ``(1, B, k)`` when every row shares it, and ``y``
+    ``(A, B)`` or ``(1, B)`` alike.  Returns the ``(A, B, k)`` endpoints,
+    each row's bitwise what one model alone gets, and ``{i: error}`` for
+    the rows whose ``||v||`` is not finite, with the ``DivergenceError``
+    that :func:`_head_norm` raises; such a row's endpoints are ``z`` up to
+    signed zeros and mean nothing.  A binary head's ``||v||`` is one scalar
+    ``sqrt(v_i . v_i)`` per row, not a stacked reduction, whose sum may run
+    in another order.
+    """
     if w_out.shape[-2] == 2:
-        v = w_out[1] - w_out[0]
-        return binary_ball_maximizer(z, y, v, eps_g, _head_norm(v, "the latent ascent"))
+        v = w_out[:, 1] - w_out[:, 0]
+        norms = [math.sqrt(row.dot(row)) for row in v]
+        failed = {}
+        if 0.0 in norms or not sum(norms) < math.inf:
+            # A zero v takes no step, as in binary_ball_maximizer; a norm
+            # that is not finite fails its row, which then takes none either.
+            for i, v_norm in enumerate(norms):
+                if not v_norm < math.inf:
+                    failed[i] = _norm_error(v_norm, "the latent ascent")
+                if not 0.0 < v_norm < math.inf:
+                    v[i], norms[i] = 0.0, 1.0
+        v /= np.array(norms)[:, None]
+        step = _signed_steps(y, v, eps[:, None, None])
+        return np.subtract(z, step, out=step), failed
 
     # Dividing by the largest entry first keeps the squared norm from
     # underflowing when the gradient is tiny.
-    single = z.ndim == 1
-    z_mat = z[None, :] if single else z
-    grad = model.grad_wrt_latent(theta, z_mat, np.atleast_1d(np.asarray(y, dtype=np.int64)))
+    grad = model.grad_wrt_latent(ModelParams(w_out, b_out), z, y)
     step = np.zeros_like(grad)
     top = np.abs(grad).max(axis=-1, keepdims=True)
     np.divide(grad, top, out=step, where=top > 0)
     norm = np.linalg.norm(step, axis=-1, keepdims=True)
     np.divide(step, norm, out=step, where=norm > 0)
-    best = z_mat + eps_g * step
-    return best[0] if single else best
+    return z + eps[:, None, None] * step, {}
 
 
 def _head_norm(v: np.ndarray, where: str) -> float:
@@ -138,8 +172,30 @@ def _head_norm(v: np.ndarray, where: str) -> float:
     """
     v_norm = math.sqrt(v.dot(v))
     if not v_norm < math.inf:
-        raise DivergenceError(f"non-finite ||w_1 - w_0|| in {where}", snapshot={"v_norm": v_norm})
+        raise _norm_error(v_norm, where)
     return v_norm
+
+
+def _norm_error(v_norm: float, where: str) -> DivergenceError:
+    return DivergenceError(f"non-finite ||w_1 - w_0|| in {where}", snapshot={"v_norm": v_norm})
+
+
+def _signed_steps(y, v_hat, eps):
+    """The steps ``s eps v_hat`` that move latents of labels ``y`` (label
+    signs ``s = 2y - 1``) to the binary ball maximizer ``z - s eps v_hat``:
+    for one unit vector ``v_hat`` and one radius ``eps``, or for one
+    ``(A, k)`` row and one radius in ``(A, 1, 1)`` per row of ``y``.
+
+    Label ``y`` of row ``i`` picks row ``2i + y`` of
+    ``(eps_i [[-1], [1]]) v_hat_i``.  A product with +-1 is exact and
+    rounding is symmetric in sign, so this is bitwise ``s (eps v_hat)``,
+    signed zeros included; and a gather of whole rows costs less than a
+    product that broadcasts over a short last axis.
+    """
+    table = (eps * _LABEL_SIGNS * v_hat[..., None, :]).reshape(-1, v_hat.shape[-1])
+    if v_hat.ndim == 2 and len(v_hat) != 1:
+        y = y + np.arange(0, 2 * len(v_hat), 2)[:, None]
+    return table.take(y, 0)
 
 
 def binary_robust_loss(margin, sign, eps_g, v_norm):
@@ -162,12 +218,12 @@ def binary_ball_maximizer(z, y, v, eps_g: float, v_norm):
     """The rows ``z' = z - s eps_g v / ||v||`` at which :func:`binary_robust_loss`
     is attained, for labels ``y`` (``s = 2y - 1``) and one radius ``eps_g``.
 
-    Label ``y`` picks row ``y`` of ``eps_g v_hat * [[-1], [1]]``.  A product
-    with +-1 is exact, signed zeros included, so this is bitwise
+    A zero ``v`` takes no step.  The sign scales ``eps_g v_hat``, exactly,
+    signed zeros included, so this is bitwise
     ``z - (s eps_g)[:, None] * v_hat``.  ``z`` is one latent or a batch.
     """
     v_hat = v / v_norm if v_norm > 0 else np.zeros_like(v)
-    return z - (eps_g * v_hat * _LABEL_SIGNS).take(y, 0)
+    return z - _signed_steps(y, v_hat, eps_g)
 
 
 def _grid_max_loss(theta: ModelParams, z: np.ndarray, y: int, eps: float,

@@ -231,6 +231,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if dataset.csv is not None and dataset.shifts:
         raise ConfigError("dataset.shifts: no command shifts the dataset.csv files; "
                           "give shifts or a csv block, not both")
+    groups = len(dataset.n_per_group_train)
+    for i, spec in enumerate(dataset.shifts):
+        if spec.target_group >= groups:
+            raise ConfigError(f"dataset.shifts[{i}]: target_group {spec.target_group} out of "
+                              f"range for {groups} groups")
     sizes = [("solver.batch_size", sv["batch_size"]),
              ("solver.hidden_width", sv.get("hidden_width", 0)),
              *((f"dataset.{name}", sum(getattr(dataset, name))) for name in size_keys)]
@@ -296,26 +301,30 @@ def _write_json(path: str, payload, allow_nan: bool = True) -> None:
 # ---------------------------------------------------------------- generate
 
 
-def _generate_datasets(config: ExperimentConfig):
+SPLITS = ("train", "val", "test", "test_shifted")
+
+
+def _generate_datasets(config: ExperimentConfig, splits=SPLITS):
+    """The splits named in ``splits``, generated from the ``dataset`` block.
+
+    Each split draws from its own seed, ``dataset.seed`` plus its offset,
+    and ``test_shifted`` is ``test`` with the test-side shifts, so a split
+    is bitwise the same whichever others are asked for.
+    """
     ds_block = config.dataset
-    splits = {}
-    for name, counts, offset in (
-        ("train", ds_block.n_per_group_train, 0),
-        ("val", ds_block.n_per_group_val, 1),
-        ("test", ds_block.n_per_group_test, 2),
-    ):
-        splits[name] = datagen.make_spurious(
-            counts, ds_block.spurious_strength, ds_block.noise_sd,
-            ds_block.label_flip_p, seed=ds_block.seed + offset,
-        )
-    shifted_test = splits["test"]
+    wanted = set(splits) | ({"test"} if "test_shifted" in splits else set())
+    drawn = {name: datagen.make_spurious(counts, ds_block.spurious_strength, ds_block.noise_sd,
+                                         ds_block.label_flip_p, seed=ds_block.seed + offset)
+             for name, counts, offset in (("train", ds_block.n_per_group_train, 0),
+                                          ("val", ds_block.n_per_group_val, 1),
+                                          ("test", ds_block.n_per_group_test, 2))
+             if name in wanted}
+    drawn["test_shifted"] = drawn.get("test")
     for spec in ds_block.shifts:
-        if spec.applies_to == "test":
-            shifted_test = datagen.apply_shift(shifted_test, spec)
-        else:
-            splits["train"] = datagen.apply_shift(splits["train"], spec)
-    splits["test_shifted"] = shifted_test
-    return splits
+        name = "test_shifted" if spec.applies_to == "test" else "train"
+        if drawn.get(name) is not None:
+            drawn[name] = datagen.apply_shift(drawn[name], spec)
+    return {name: drawn[name] for name in splits}
 
 
 def cmd_generate(config: ExperimentConfig, output_dir: str) -> dict:
@@ -344,20 +353,16 @@ def cmd_generate(config: ExperimentConfig, output_dir: str) -> dict:
     return manifest
 
 
-SPLITS = ("train", "val", "test", "test_shifted")
-
-
 def _load_datasets(config: ExperimentConfig, splits=SPLITS):
     """The datasets named in ``splits``, from the config alone: read from the
-    ``dataset.csv`` files when it names them, each only if it is asked for,
-    else generated from the ``dataset`` block.  The files ``generate`` writes
+    ``dataset.csv`` files when it names them, else generated from the
+    ``dataset`` block, each only if it is asked for.  The files ``generate`` writes
     are never read back.  The training split fixes the number of labels and
     attribute values of every split, so a group absent from another file is
     an empty group there."""
     paths = config.dataset.csv
     if paths is None:
-        generated = _generate_datasets(config)
-        return {name: generated[name] for name in splits}
+        return _generate_datasets(config, splits)
     train = _load_split(paths.train)
     where = {"val": paths.val, "test": paths.test,
              "test_shifted": paths.test_shifted or paths.test}

@@ -32,9 +32,10 @@ Trajectories of one shape run in lockstep.  One :class:`Lockstep` holds
 their state and what they draw from: the parameters stacked as
 ``(R, K, d)``, ``beta`` as ``(R, m)``, each row's radii, mode and seed as
 arrays, and the training split.  One :func:`train_step` advances all R
-rows with one set of numpy calls, apart from the latent ascent, which
-calls :func:`ambiguity.inner_maximize` once per row with a positive
-radius, as a lone run does.  Rows differ only in the fields in
+rows with one set of numpy calls, the latent ascent among them: one call
+ascends every row with a positive radius at once, and each row's
+endpoints are bitwise those of :func:`ambiguity.inner_maximize` on that
+row's own model, latents, labels and radius.  Rows differ only in the fields in
 ``PER_ROW`` (mode, radius and seed) and in their initial model; every
 other config field, the step sizes and the adjustment among them, and the
 architecture are shared.  Mode degeneracy becomes a per-row mask (a
@@ -187,8 +188,11 @@ class Lockstep:
     the start; only its fields outside ``PER_ROW``, which every row has, are
     read, the step sizes and the adjustment among them.  ``radii[i, g]`` is row
     ``i``'s ball radius for group ``g`` (zero unless hierarchical); ERM rows
-    have ``learns_beta`` false.  ``some_ascent`` says whether any row ascends
-    and ``some_``/``all_learn`` whether any or every row learns ``beta``, so
+    have ``learns_beta`` false.  ``ascending`` indexes the rows with a
+    positive radius, the rows that ascend: ``None`` when there are none, a
+    slice when they are consecutive, as in every layout the package trains,
+    so that the ascent reads and writes views of them, else an index array.
+    ``some_``/``all_learn`` say whether any or every row learns ``beta``, so
     that a step skips a phase no row needs.  A row that diverges leaves every
     array, and its error goes to ``failed`` under its id.
     """
@@ -204,7 +208,7 @@ class Lockstep:
     t: int = 0
     failed: dict[int, DivergenceError] = field(default_factory=dict)
     index: np.ndarray = field(init=False)
-    some_ascent: bool = field(init=False)
+    ascending: slice | np.ndarray | None = field(init=False)
     some_learn: bool = field(init=False)
     all_learn: bool = field(init=False)
 
@@ -213,7 +217,12 @@ class Lockstep:
 
     def __post_init__(self):
         self.index = np.arange(self.ids.size)
-        self.some_ascent = bool((self.radii > 0).any())
+        ascending = np.flatnonzero((self.radii > 0).any(axis=1))
+        self.ascending = ascending
+        if not ascending.size:
+            self.ascending = None
+        elif ascending[-1] - ascending[0] == ascending.size - 1:
+            self.ascending = slice(int(ascending[0]), int(ascending[-1]) + 1)
         self.some_learn = bool(self.learns_beta.any())
         self.all_learn = bool(self.learns_beta.all())
 
@@ -328,21 +337,27 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
     z = model.latent(theta, batch.x)
     z_prime = z
     ascent_failed = {}
-    if state.some_ascent:
-        # z' starts as a copy of z, which a row with radius zero keeps; the
-        # others ascend row by row, as a lone run does.  Row i of ``z`` and
-        # ``y`` is ``[i % len]``: they have R rows or one shared row.
-        eps_g = state.radii[state.index, g].tolist()
-        z_prime = np.empty((len(eps_g),) + z.shape[1:])
-        z_prime[...] = z
+    rows = state.ascending
+    if rows is not None:
+        # ``z`` and ``y`` have a row per row, or one row that every row
+        # shares, and then every row has its group.
         y = batch.y
-        for i, eps in enumerate(eps_g):
-            if eps > 0:
-                try:
-                    z_prime[i] = amb.inner_maximize(
-                        model.row_params(theta, i), z[i % len(z)], y[i % len(y)], eps)
-                except DivergenceError as err:
-                    ascent_failed[i] = err
+        eps = state.radii[rows, int(g[0])] if len(y) == 1 else state.radii[state.index, g][rows]
+        if 0.0 in eps.tolist():      # a tiny epsilon's radius can underflow to 0 in a large group
+            rows, eps = state.index[rows][eps > 0], eps[eps > 0]
+        ends, failed = amb._ascend(theta.w_out[rows], theta.b_out[rows],
+                                   z if len(z) == 1 else z[rows],
+                                   y if len(y) == 1 else y[rows], eps)
+        if len(ends) == len(state.ids):
+            z_prime = ends
+        else:
+            # A row with radius zero keeps ``z``, byte for byte.
+            z_prime = np.empty((len(state.ids),) + z.shape[1:])
+            z_prime[...] = z
+            z_prime[rows] = ends
+        if failed:
+            at = state.index[rows]
+            ascent_failed = {int(at[i]): err for i, err in failed.items()}
 
     losses, grads = model.loss_and_param_grads(theta, z_prime, z, batch.x, batch.y)
     mean_loss = np.add.reduce(losses, -1) / losses.shape[-1]    # losses.mean(-1), bitwise

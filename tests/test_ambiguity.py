@@ -279,7 +279,8 @@ def test_one_step_attains_ball_maximum_binary_linear():
 
 
 def test_inner_maximize_batched_matches_loop():
-    """The normalized step on a three-class head: a batch is its rows one by one."""
+    """The normalized step on a three-class head: a batch is its rows one by
+    one, and one label for the batch is that label for every row."""
     rng = np.random.default_rng(2)
     theta = ModelParams(w_out=rng.normal(size=(3, 3)), b_out=rng.normal(size=3))
     zs = rng.normal(size=(6, 3))
@@ -288,12 +289,15 @@ def test_inner_maximize_batched_matches_loop():
     for i in range(6):
         single = inner_maximize(theta, zs[i], int(ys[i]), 0.4)
         np.testing.assert_allclose(batch[i], single, atol=1e-14)
+    np.testing.assert_array_equal(inner_maximize(theta, zs, 2, 0.4),
+                                  inner_maximize(theta, zs, np.full(6, 2), 0.4))
 
 
 @pytest.mark.parametrize("architecture", [model.LINEAR, model.MLP1])
 def test_inner_maximize_binary_head_is_the_closed_form(architecture):
     """On a binary head the ascent is bitwise the closed-form ball maximizer,
-    for single rows and batches."""
+    for single rows and batches; one label for a batch is that label for
+    every row."""
     rng = np.random.default_rng(12)
     spec = model.ModelSpec(architecture, hidden_width=5)
     for case in range(10):
@@ -304,6 +308,8 @@ def test_inner_maximize_binary_head_is_the_closed_form(architecture):
         eps = float(rng.uniform(0.05, 2.0))
         want = amb.binary_ball_maximizer(zs, ys, v, eps, np.linalg.norm(v))
         np.testing.assert_array_equal(inner_maximize(theta, zs, ys, eps), want)
+        np.testing.assert_array_equal(inner_maximize(theta, zs, 1, eps),
+                                      inner_maximize(theta, zs, np.ones(7, dtype=int), eps))
         for i in (0, 6):
             single = inner_maximize(theta, zs[i], int(ys[i]), eps)
             assert single.shape == zs[i].shape

@@ -356,6 +356,31 @@ def test_tune_reads_only_the_training_split(tmp_path, capsys):
     assert "bad header" in capsys.readouterr().err
 
 
+def test_tune_generates_only_the_training_split(tmp_path, monkeypatch):
+    """Without ``dataset.csv`` files, ``tune`` draws one split, the training
+    one, with its train-side shift; every split is bitwise the same whichever
+    others are generated beside it."""
+    raw = base_config(tmp_path)
+    raw["dataset"]["shifts"].append(
+        {"target_group": 1, "kind": "offset", "magnitude": 1.5, "applies_to": "train"})
+    cfg = write_config(tmp_path, raw)
+    config = cli.load_config(cfg)
+    every = cli._generate_datasets(config)
+    assert every["test_shifted"] != every["test"]
+    for splits in (("train",), ("val",), ("test_shifted",), ("test", "train")):
+        assert cli._generate_datasets(config, splits) == {name: every[name] for name in splits}
+    seeds = []
+    make_spurious = datagen.make_spurious
+
+    def spy(*args, seed, **kwargs):
+        seeds.append(seed)
+        return make_spurious(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(datagen, "make_spurious", spy)
+    assert cli.main(["tune", "--config", cfg]) == 0
+    assert seeds == [config.dataset.seed]
+
+
 def test_csv_splits_take_the_training_splits_groups(tmp_path, capsys):
     """A val.csv with no y = 1 row still has the training split's four groups;
     the two absent ones are left out of the validation accuracy."""
@@ -927,11 +952,14 @@ def test_tune_and_run_never_read_the_csvs_in_the_output_dir(tmp_path):
 
 
 def test_invalid_shift_in_config(tmp_path, capsys):
-    """A bad shift, or a non-finite generator value, which ``json.load``
-    reads from ``NaN`` and ``Infinity``, stops generate and tune with one
-    ``error:`` line naming the key."""
+    """A bad shift, one whose target group does not exist among them, or a
+    non-finite generator value, which ``json.load`` reads from ``NaN`` and
+    ``Infinity``, stops generate and tune with one ``error:`` line naming
+    the key."""
     rotation = {"target_group": 0, "kind": "rotation", "magnitude": 9.0}
-    cases = [("shifts", [rotation], "dataset.shifts[0]")]
+    past_the_groups = {"target_group": 4, "kind": "offset", "magnitude": 1.0}
+    cases = [("shifts", [rotation], "dataset.shifts[0]"),
+             ("shifts", [past_the_groups], "dataset.shifts[0]")]
     for value in (math.nan, math.inf):
         cases += [("shifts", [{"target_group": 0, "kind": "offset", "magnitude": value}],
                    "dataset.shifts[0]"), ("noise_sd", value, "noise_sd")]

@@ -534,6 +534,19 @@ def test_lockstep_retires_a_row_whose_ascent_norm_overflows(architecture):
         assert_same_result(result, expected)
 
 
+def steps_seen_by_the_loss(monkeypatch):
+    """``(theta, z_prime, z)`` of every ``loss_and_param_grads`` call from now on."""
+    seen = []
+    loss_and_param_grads = model.loss_and_param_grads
+
+    def spy(theta, z_prime, z, x, y):
+        seen.append((theta, z_prime.copy(), z.copy()))
+        return loss_and_param_grads(theta, z_prime, z, x, y)
+
+    monkeypatch.setattr(model, "loss_and_param_grads", spy)
+    return seen
+
+
 def test_mixed_radius_step_keeps_z_bitwise_in_every_radius_zero_row(monkeypatch):
     """ERM, group DRO and a hierarchical row at radius 0 keep ``z' = z``
     byte for byte, the sign of every ``-0.0`` latent included, beside a row
@@ -546,21 +559,14 @@ def test_mixed_radius_step_keeps_z_bitwise_in_every_radius_zero_row(monkeypatch)
     configs = [base_config(mode=ERM), base_config(mode=GROUP_DRO), base_config(epsilon=0.0),
                base_config(epsilon=2.0), base_config(mode=ERM, epsilon=3.0)]
     inits = [init_params(ModelSpec(LINEAR), 2, 2, seed=k) for k in range(len(configs))]
-    seen = []
-    loss_and_param_grads = model.loss_and_param_grads
-
-    def spy(theta, z_prime, z, x, y):
-        seen.append((z_prime.copy(), z.copy()))
-        return loss_and_param_grads(theta, z_prime, z, x, y)
-
-    monkeypatch.setattr(model, "loss_and_param_grads", spy)
+    seen = steps_seen_by_the_loss(monkeypatch)
     state = Lockstep.start(inits, configs, ds)
     rng = np.random.default_rng(0)
     sampler = GroupSampler(ds, configs[0])
     for _ in range(5):
         train_step(state, shared_batch(ds, *sampler.draw(rng), len(configs)))
     assert len(seen) == 5
-    for z_prime, z in seen:
+    for _, z_prime, z in seen:
         assert np.signbit(z).any()
         for i in (0, 1, 2, 4):
             assert z_prime[i].tobytes() == z[0].tobytes()
@@ -592,26 +598,21 @@ def test_lockstep_rows_must_share_the_architecture():
 
 
 def ascent_endpoints_of_one_step(monkeypatch, ds, init):
-    """``(theta, z, y, eps_g, z_prime)`` of every ``inner_maximize`` call in
-    one step of four rows from ``init``: ERM, group DRO and two hierarchical
-    rows, one with a large radius and one with a small one."""
+    """``(theta, z, y, eps_g, z_prime)`` of each row with a positive radius
+    in one step of four rows from ``init``: ERM, group DRO and two
+    hierarchical rows, one with a large radius and one with a small one.
+    ``theta`` is the row's own model and ``z_prime`` its endpoints, as the
+    step hands them to ``loss_and_param_grads``."""
     configs = [base_config(mode=ERM), base_config(mode=GROUP_DRO), base_config(epsilon=2.0),
                base_config(epsilon=0.5)]
     state = Lockstep.start([init] * len(configs), configs, ds)
-    batch = shared_batch(ds, *GroupSampler(ds, configs[0]).draw(np.random.default_rng(0)),
-                         len(configs))
-    endpoints = []
-    inner_maximize = amb.inner_maximize
-
-    def spy(theta, z, y, eps_g):
-        z_prime = inner_maximize(theta, z, y, eps_g)
-        endpoints.append((theta, z, y, eps_g, z_prime))
-        return z_prime
-
-    monkeypatch.setattr(amb, "inner_maximize", spy)
+    g, rows = GroupSampler(ds, configs[0]).draw(np.random.default_rng(0))
+    batch = shared_batch(ds, g, rows, len(configs))
+    seen = steps_seen_by_the_loss(monkeypatch)
     train_step(state, batch)
-    assert len(endpoints) == 2
-    return endpoints
+    ((theta, z_prime, z),) = seen
+    return [(model.row_params(theta, i), z[i % len(z)], batch.y[0],
+             amb.radius(configs[i].epsilon, int(ds.n_g[g])), z_prime[i]) for i in (2, 3)]
 
 
 @pytest.mark.parametrize("architecture", [LINEAR, MLP1])
@@ -655,34 +656,68 @@ def test_train_step_lands_every_ascending_row_on_the_closed_form_supremum(monkey
                                    rtol=1e-12, atol=0.0)
 
 
-def test_lockstep_step_ascends_each_row_through_inner_maximize(monkeypatch):
-    """Every row with a positive radius gets one ``inner_maximize`` call on
-    its own unstacked model, batch and radius, as a lone run makes; rows
-    with one seed share its stream's draw."""
-    ds = small_ds()
-    spec = ModelSpec(MLP1, hidden_width=4)
-    configs = [base_config(mode=ERM, seed=1, iterations=1),
-               base_config(epsilon=2.0, seed=1, iterations=1),
-               base_config(mode=GROUP_DRO, seed=2, iterations=1),
-               base_config(epsilon=0.5, seed=2, iterations=1)]
-    inits = [init_params(spec, ds.d, 2, seed=k) for k in range(len(configs))]
-    state = solver.Lockstep.start(inits, configs, ds)
-    sampler = solver.GroupSampler(ds, configs[0])
-    draws = [sampler.draw(np.random.default_rng(seed)) for seed in (1, 2)]
-    calls = []
-    inner_maximize = amb.inner_maximize
+# Rows as (mode, epsilon, seed), the group of each seed's batch, the rows
+# that ascend, and a row whose output rows are all equal (v = 0), if any.
+ASCENT_LAYOUTS = {
+    "all-ascend-shared": ([(HIERARCHICAL, 0.5, 1), (HIERARCHICAL, 1.0, 1), (HIERARCHICAL, 2.0, 1),
+                           (HIERARCHICAL, 4.0, 1)], {1: 2}, [0, 1, 2, 3], 2),
+    "mixed-per-seed": ([(ERM, 2.0, 1), (HIERARCHICAL, 2.0, 2), (GROUP_DRO, 1.0, 3),
+                        (HIERARCHICAL, 0.5, 1), (HIERARCHICAL, 1.0, 3)],
+                       {1: 0, 2: 1, 3: 3}, [1, 3, 4], None),
+    "one-row": ([(HIERARCHICAL, 2.0, 1)], {1: 1}, [0], None),
+    "1-of-4": ([(HIERARCHICAL, 2.0, 1), (HIERARCHICAL, 0.0, 1), (GROUP_DRO, 0.0, 1),
+                (ERM, 0.0, 1)], {1: 0}, [0], None),
+    # 5e-324 / sqrt(n_g) is 0 for n_g >= 4: the smallest epsilon ascends in
+    # group 3 (3 rows) and not in group 0 (9 rows).
+    "radius-underflow": ([(HIERARCHICAL, 5e-324, 1), (HIERARCHICAL, 5e-324, 2),
+                          (HIERARCHICAL, 1.0, 3)], {1: 3, 2: 0, 3: 2}, [0, 2], None),
+    "radius-underflow-alone": ([(HIERARCHICAL, 5e-324, 1)], {1: 0}, [], None),
+}
 
-    def spy(theta, z, y, eps_g):
-        calls.append((theta, z, y, eps_g))
-        return inner_maximize(theta, z, y, eps_g)
 
-    monkeypatch.setattr(amb, "inner_maximize", spy)
-    (batch,) = solver.advance(state)
-    assert batch.group.tolist() == [g for g, _ in draws for _ in range(2)]
-    assert len(calls) == 2
-    for (theta, z, y, eps_g), k in zip(calls, (1, 3)):
-        g, rows = draws[k // 2]
-        assert model.params_equal(theta, inits[k]) and theta.w_out.ndim == 2
-        np.testing.assert_array_equal(z, model.latent(inits[k], ds.features[rows]))
-        np.testing.assert_array_equal(y, ds.labels[rows])
-        assert eps_g == amb.radius(configs[k].epsilon, int(ds.n_g[g]))
+@pytest.mark.parametrize("architecture", [LINEAR, MLP1])
+@pytest.mark.parametrize("num_labels", [2, 3])
+@pytest.mark.parametrize("layout", sorted(ASCENT_LAYOUTS))
+def test_lockstep_ascent_is_bitwise_each_rows_inner_maximize(monkeypatch, layout, num_labels,
+                                                            architecture):
+    """One step's ``z'``, as ``loss_and_param_grads`` receives it: every
+    ascending row's is byte for byte ``inner_maximize`` on that row's own
+    model, latents, labels and radius, and every other row's is ``z``
+    (``inner_maximize`` returns ``z`` itself at radius 0).  The layouts:
+    every row ascending on one shared batch, mixed radii with a batch per
+    seed and ascending rows that are not consecutive, one row, one
+    ascending row of four, and a radius that underflows to 0 in one group
+    only, beside other rows or alone; one head has ``v = 0``.  Every other
+    dataset row is ``-0.0``, whose sign ``z - 0 v_hat`` would flip."""
+    settings_, groups, ascending, zero_head = ASCENT_LAYOUTS[layout]
+    ds = grouped_ds(num_labels, 0)
+    features = ds.features.copy()
+    features[::2] = -0.0
+    ds = GroupedDataset(features, ds.labels, ds.attributes, num_labels, 2)
+    spec = ModelSpec(architecture, hidden_width=4)
+    inits = [init_params(spec, ds.d, num_labels, seed=10 + i) for i in range(len(settings_))]
+    if zero_head is not None:
+        w_out = inits[zero_head].w_out
+        inits[zero_head] = dataclasses.replace(
+            inits[zero_head], w_out=np.broadcast_to(w_out[0], w_out.shape).copy())
+    configs = [base_config(mode=mode, epsilon=eps, seed=seed) for mode, eps, seed in settings_]
+    state = Lockstep.start(inits, configs, ds)
+    draws = {seed: (g, np.random.default_rng(seed).choice(ds.group_rows(g), size=4))
+             for seed, g in groups.items()}
+    if len(draws) == 1:
+        ((g, rows),) = draws.values()
+        batch = shared_batch(ds, g, rows, len(configs))
+    else:
+        picked = [draws[c.seed] for c in configs]
+        batch = Batch(group=np.array([g for g, _ in picked]),
+                      x=np.stack([ds.features[rows] for _, rows in picked]),
+                      y=np.stack([ds.labels[rows] for _, rows in picked]))
+    seen = steps_seen_by_the_loss(monkeypatch)
+    train_step(state, batch)
+    ((theta, z_prime, z),) = seen
+    radii = [amb.radius(c.effective_epsilon, int(ds.n_g[g])) for c, g in zip(configs, batch.group)]
+    assert [i for i, eps in enumerate(radii) if eps > 0] == ascending
+    for i, eps in enumerate(radii):
+        z_i, y_i = z[i % len(z)], batch.y[i % len(batch.y)]
+        want = amb.inner_maximize(model.row_params(theta, i), z_i, y_i, eps)
+        assert z_prime[i].tobytes() == want.tobytes()
