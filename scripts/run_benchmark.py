@@ -8,7 +8,8 @@ Equivalent to:
     hierdro run      --config configs/benchmark.json --tuned-epsilon-from <tune_result>
     hierdro report   --results <results.csv>
 
-Takes about a minute and a half on a 2-vCPU Intel Xeon (Python 3.11, numpy 2.4).
+Takes about half a minute (30-37 s over three runs) on a 2-vCPU Intel Xeon
+(Python 3.11, numpy 2.4).
 """
 
 import argparse

@@ -16,10 +16,10 @@ Two exact oracles validate the optimization machinery at toy scale:
 For a binary affine output layer the ball supremum has a closed form,
 :func:`binary_robust_loss`; every exact robust loss in the package goes
 through it, and :mod:`convergence` builds the robust objective from it.
-:func:`inner_maximize` returns its maximizer, :func:`binary_ball_maximizer`,
-so training ascends to the exact ball supremum for binary heads.  Training
-ascends all its rows in one call; :func:`inner_maximize` is that call's
-one-model case, and the two share every formula.
+:func:`inner_maximize` returns its maximizer, so training ascends to the
+exact ball supremum for binary heads.  Training ascends all its rows in one
+call, :func:`_ascend`, where the formula is written; :func:`inner_maximize`
+is that call's one-model case, through which every other caller ascends.
 
 Every grid supremum is one ring maximum, :func:`_grid_max_loss`: the largest
 loss over a 2-D latent and equally spaced points of the circle around it.
@@ -28,7 +28,8 @@ suprema are attained on the sphere and the circle covers the maximizer.  The
 grid oracles (:func:`ball_supremum`, :func:`taylor_gap`,
 :func:`robust_risk_check`) use arc step ``eps / SUP_GRID_FRACTION``
 (documented in every report), are exact up to that step, and raise
-``UnsupportedInstanceError`` for a latent dimension other than 2;
+``UnsupportedInstanceError`` for a latent dimension other than 2, which
+:func:`_grid_max_loss` checks;
 :func:`verification.check_inner_maximization` asks for 200,000 points.  The
 circle is built and evaluated in fixed-size chunks of angles: memory stays
 bounded by the chunk, never the grid, and the maximum and its first
@@ -59,14 +60,16 @@ _SPHERE_ANGLES = math.ceil(2.0 * math.pi * SUP_GRID_FRACTION)
 _LABEL_SIGNS = np.array([[-1.0], [1.0]])
 
 
-def radius(epsilon, n_g):
-    """Per-group radius ``epsilon / sqrt(n_g)``; elementwise for arrays.
+def _require_radius(eps, name: str) -> None:
+    """The one check on a radius or radius scale, elementwise for arrays: a
+    negative, nan or infinite ``eps`` is a ``ParameterError`` naming ``name``."""
+    if not np.all(np.isfinite(eps)) or np.any(np.less(eps, 0)):
+        raise ParameterError(f"{name} must be finite and nonnegative")
 
-    The one check on the radius scale: a negative, nan or infinite
-    ``epsilon`` is a ``ParameterError``.
-    """
-    if not np.all(np.isfinite(epsilon)) or np.any(np.less(epsilon, 0)):
-        raise ParameterError("epsilon must be finite and nonnegative")
+
+def radius(epsilon, n_g):
+    """Per-group radius ``epsilon / sqrt(n_g)``; elementwise for arrays."""
+    _require_radius(epsilon, "epsilon")
     if np.any(np.less_equal(n_g, 0)):
         raise ParameterError("group size must be positive")
     return epsilon / (np.sqrt(n_g) if np.ndim(n_g) else math.sqrt(n_g))
@@ -77,8 +80,7 @@ def project_ball(z_prime: np.ndarray, z_center: np.ndarray, eps: float) -> np.nd
 
     Batched over leading axes when the inputs are 2-D.
     """
-    if eps < 0:
-        raise ParameterError("ball radius must be nonnegative")
+    _require_radius(eps, "ball radius")
     z_prime = np.asarray(z_prime, dtype=np.float64)
     z_center = np.asarray(z_center, dtype=np.float64)
     if z_prime.shape != z_center.shape:
@@ -98,17 +100,16 @@ def inner_maximize(theta: ModelParams, z: np.ndarray, y, eps_g: float) -> np.nda
     ``y`` its label or labels.  This is the one-model case of the ascent
     that training makes for all its ascending rows in one call, and each
     endpoint is bitwise that call's: for a binary head (two classes, linear
-    or ``mlp1``) the exact maximizer, the closed form
-    :func:`binary_ball_maximizer`, with ``||v||`` as :func:`_head_norm`
-    takes it, so that a ``v = w_1 - w_0`` whose norm is not finite is a
-    ``DivergenceError`` that names the ascent, not a silent step of length
-    zero.  A head with more classes takes one normalized gradient step to
-    the sphere, ``z + eps_g * g / ||g||``, the first-order maximizer (a row
-    with a zero gradient keeps ``z``).  The loss is convex in the latent,
-    so neither ever decreases it, and neither leaves the ball.
+    or ``mlp1``) the exact maximizer in closed form, with ``||v||`` as
+    :func:`_head_norm` takes it, so that a ``v = w_1 - w_0`` whose norm is
+    not finite is a ``DivergenceError`` that names the ascent, not a silent
+    step of length zero.  A head with more classes takes one normalized
+    gradient step to the sphere, ``z + eps_g * g / ||g||``, the first-order
+    maximizer (a row with a zero gradient keeps ``z``).  The loss is convex
+    in the latent, so neither ever decreases it, and neither leaves the
+    ball.
     """
-    if eps_g < 0:
-        raise ParameterError("eps_g must be nonnegative")
+    _require_radius(eps_g, "eps_g")
     z = np.asarray(z, dtype=np.float64)
     if eps_g == 0.0:
         return z
@@ -123,6 +124,11 @@ def _ascend(w_out: np.ndarray, b_out: np.ndarray, z: np.ndarray, y: np.ndarray,
             eps: np.ndarray) -> tuple:
     """The latent ascent of A row-stacked output layers in one call, row
     ``i`` inside the ball of radius ``eps[i] > 0``.
+
+    For a binary head, with ``v = w_1 - w_0`` and label sign ``s = 2y - 1``,
+    the loss grows fastest along ``-s v``, so the endpoint is the exact
+    maximizer ``z - s eps v / ||v||``; a zero ``v`` takes no step.  A head
+    with more classes takes one normalized gradient step to the sphere.
 
     ``w_out`` and ``b_out`` are ``(A, K, k)`` and ``(A, K)``; ``z`` is
     ``(A, B, k)``, or ``(1, B, k)`` when every row shares it, and ``y``
@@ -139,15 +145,23 @@ def _ascend(w_out: np.ndarray, b_out: np.ndarray, z: np.ndarray, y: np.ndarray,
         norms = [math.sqrt(row.dot(row)) for row in v]
         failed = {}
         if 0.0 in norms or not sum(norms) < math.inf:
-            # A zero v takes no step, as in binary_ball_maximizer; a norm
-            # that is not finite fails its row, which then takes none either.
+            # A zero v takes no step; a norm that is not finite fails its
+            # row, which then takes none either.
             for i, v_norm in enumerate(norms):
                 if not v_norm < math.inf:
                     failed[i] = _norm_error(v_norm, "the latent ascent")
                 if not 0.0 < v_norm < math.inf:
                     v[i], norms[i] = 0.0, 1.0
         v /= np.array(norms)[:, None]
-        step = _signed_steps(y, v, eps[:, None, None])
+        # The step s (eps v_hat): label y of row i picks row 2i + y of
+        # (eps_i [[-1], [1]]) v_hat_i.  A product with +-1 is exact and
+        # rounding is symmetric in sign, so this is bitwise s (eps v_hat),
+        # signed zeros included; and a gather of whole rows costs less than a
+        # product that broadcasts over a short last axis.
+        table = (eps[:, None, None] * _LABEL_SIGNS * v[:, None, :]).reshape(-1, v.shape[-1])
+        if len(v) != 1:
+            y = y + np.arange(0, 2 * len(v), 2)[:, None]
+        step = table.take(y, 0)
         return np.subtract(z, step, out=step), failed
 
     # Dividing by the largest entry first keeps the squared norm from
@@ -180,50 +194,20 @@ def _norm_error(v_norm: float, where: str) -> DivergenceError:
     return DivergenceError(f"non-finite ||w_1 - w_0|| in {where}", snapshot={"v_norm": v_norm})
 
 
-def _signed_steps(y, v_hat, eps):
-    """The steps ``s eps v_hat`` that move latents of labels ``y`` (label
-    signs ``s = 2y - 1``) to the binary ball maximizer ``z - s eps v_hat``:
-    for one unit vector ``v_hat`` and one radius ``eps``, or for one
-    ``(A, k)`` row and one radius in ``(A, 1, 1)`` per row of ``y``.
-
-    Label ``y`` of row ``i`` picks row ``2i + y`` of
-    ``(eps_i [[-1], [1]]) v_hat_i``.  A product with +-1 is exact and
-    rounding is symmetric in sign, so this is bitwise ``s (eps v_hat)``,
-    signed zeros included; and a gather of whole rows costs less than a
-    product that broadcasts over a short last axis.
-    """
-    table = (eps * _LABEL_SIGNS * v_hat[..., None, :]).reshape(-1, v_hat.shape[-1])
-    if v_hat.ndim == 2 and len(v_hat) != 1:
-        y = y + np.arange(0, 2 * len(v_hat), 2)[:, None]
-    return table.take(y, 0)
-
-
 def binary_robust_loss(margin, sign, eps_g, v_norm):
     """Closed-form ball supremum of the loss for a binary affine output layer.
 
     With ``v = w_1 - w_0``, ``c = b_1 - b_0`` and label sign ``s = 2y - 1``
     the loss at latent ``z`` is ``logaddexp(0, -s m)`` in the margin
     ``m = z . v + c``, and it grows fastest along ``-s v``.  Over the
-    ``eps_g`` ball it is therefore maximal at ``z' = z - s eps_g v / ||v||``
-    (:func:`binary_ball_maximizer`), where the slack is
-    ``u = -s m + eps_g ||v||``.  The caller passes the margin, taking the
-    product ``z . v`` as its rows need, and ``v_norm`` (``||v||``); ``eps_g``
-    may be a scalar or one radius per row.  Returns ``(loss, u)`` per example.
+    ``eps_g`` ball it is therefore maximal at the endpoint of :func:`_ascend`,
+    where the slack is ``u = -s m + eps_g ||v||``.  The caller passes the
+    margin, taking the product ``z . v`` as its rows need, and ``v_norm``
+    (``||v||``); ``eps_g`` may be a scalar or one radius per row.  Returns
+    ``(loss, u)`` per example.
     """
     u = -sign * margin + eps_g * v_norm
     return np.logaddexp(0.0, u), u
-
-
-def binary_ball_maximizer(z, y, v, eps_g: float, v_norm):
-    """The rows ``z' = z - s eps_g v / ||v||`` at which :func:`binary_robust_loss`
-    is attained, for labels ``y`` (``s = 2y - 1``) and one radius ``eps_g``.
-
-    A zero ``v`` takes no step.  The sign scales ``eps_g v_hat``, exactly,
-    signed zeros included, so this is bitwise
-    ``z - (s eps_g)[:, None] * v_hat``.  ``z`` is one latent or a batch.
-    """
-    v_hat = v / v_norm if v_norm > 0 else np.zeros_like(v)
-    return z - _signed_steps(y, v_hat, eps_g)
 
 
 def _grid_max_loss(theta: ModelParams, z: np.ndarray, y: int, eps: float,
@@ -236,7 +220,10 @@ def _grid_max_loss(theta: ModelParams, z: np.ndarray, y: int, eps: float,
     and sin as it goes, so the whole ring never exists.  A later chunk wins
     only on a strictly greater loss, or on the first nan, which gives
     ``np.max`` and ``np.argmax`` of the losses of ``z`` and then the ring.
+    A latent dimension other than 2 is an ``UnsupportedInstanceError``.
     """
+    if z.shape != (2,):
+        raise UnsupportedInstanceError("the grid oracles support latent dimension 2 only")
     # Angle j is j * (2 pi / n_angles), as np.linspace(0, 2 pi, n_angles,
     # endpoint=False) computes it, one chunk of j at a time.
     step = 2.0 * math.pi / n_angles
@@ -260,10 +247,8 @@ def ball_supremum(theta: ModelParams, z: np.ndarray, y: int, eps: float) -> floa
     latent, so the maximum lies on the sphere).  A latent dimension other
     than 2 is an ``UnsupportedInstanceError``.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (2,):
-        raise UnsupportedInstanceError("ball supremum supports latent dimension 2 only")
-    return _grid_max_loss(theta, z, y, eps, _SPHERE_ANGLES)[0]
+    _require_radius(eps, "eps")
+    return _grid_max_loss(theta, np.asarray(z, dtype=np.float64), y, eps, _SPHERE_ANGLES)[0]
 
 
 def taylor_gap(theta: ModelParams, z: np.ndarray, y: int, eps: float) -> float:
@@ -272,7 +257,8 @@ def taylor_gap(theta: ModelParams, z: np.ndarray, y: int, eps: float) -> float:
     The linear term uses the l2 norm because it is its own dual.  The gap
     shrinks quadratically as ``eps`` decreases.
     """
-    if eps <= 0:
+    _require_radius(eps, "eps")
+    if eps == 0:
         raise ParameterError("eps must be positive")
     z = np.asarray(z, dtype=np.float64)
     base = float(model.cross_entropy(model.logits_from_latent(theta, z), y))
@@ -372,11 +358,8 @@ def robust_risk_check(p: DiscreteDist, theta: ModelParams, eps: float):
     maximizers leaves ``rhs`` below ``lhs``.  A latent dimension other than
     2 is an ``UnsupportedInstanceError``.
     """
-    if eps < 0:
-        raise ParameterError("eps must be nonnegative")
+    _require_radius(eps, "eps")
     _require_support_within(p, CHECK_MAX_SUPPORT)
-    if p.points.shape[1] != 2:
-        raise UnsupportedInstanceError("risk check supports latent dimension 2 only")
 
     sups, maximizers = zip(*(_grid_max_loss(theta, z, int(y), eps, _SPHERE_ANGLES)
                              for z, y in zip(p.points, p.labels)))

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model, solver
-from .ambiguity import _head_norm, binary_ball_maximizer, binary_robust_loss, radius
+from .ambiguity import _head_norm, binary_robust_loss, inner_maximize, radius
 from .datagen import GroupedDataset, make_spurious
 from .errors import ParameterError, UnsupportedDiagnosticError
 from .model import LINEAR, ModelParams, ModelSpec, init_params
@@ -241,7 +241,7 @@ def bound_constants(
         # sqrt(2)*sigma(u), so the (W, b) gradient norm is
         # sqrt(2)*sigma(u)*sqrt(||z'||^2 + 1).
         z_prime = np.concatenate([
-            binary_ball_maximizer(feats, problem.group_labels[rows], v, eps_g, v_norm)
+            inner_maximize(theta, feats, problem.group_labels[rows], eps_g)
             for _, feats, rows, eps_g in problem.groups])
         sig = 1.0 / (1.0 + np.exp(-u))
         grad_norms = np.sqrt(2.0) * sig * np.sqrt((z_prime ** 2).sum(axis=1) + 1.0)

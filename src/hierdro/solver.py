@@ -4,10 +4,9 @@ Each iteration samples one group, draws a with-replacement minibatch from it,
 and then performs in order:
 
 1. latent ascent: every example's latent is moved to the loss maximizer
-   inside its group's perturbation ball, exactly for a binary head (the
-   closed form :func:`ambiguity.binary_ball_maximizer`) and to first order,
-   by one normalized gradient step to the sphere, for more classes (skipped
-   when the ball radius is zero);
+   inside its group's perturbation ball, exactly for a binary head (in
+   closed form) and to first order, by one normalized gradient step to the
+   sphere, for more classes (skipped when the ball radius is zero);
 2. mixture ascent: the sampled group's simplex weight is scaled by
    ``exp(eta_beta * (batch loss + C / sqrt(n_g)))`` and the weights are
    renormalized (exponentiated-gradient / mirror ascent on the simplex);

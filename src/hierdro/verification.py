@@ -162,28 +162,28 @@ def check_gradients(n_cases: int = 100, seed: int = 0, tolerance: float = GRADIE
     robust objective minimizes.
     """
     rng = np.random.default_rng(seed)
-    worst = robust = 0.0
+    errors, robust_errors = [], []
     for arch in (LINEAR, MLP1):
         for k in (2, 3):
             for _ in range(n_cases // 2):
                 theta, x, y = _random_instance(rng, arch, k=k)
                 z = model.latent(theta, x)
-                worst = max(worst, _relative_error(
+                errors.append(_relative_error(
                     model.grad_wrt_latent(theta, z, y), fd_latent_gradient(theta, z, y)))
                 xs, ys = x[None], np.array([y])
                 for zp in (z, z + 0.1 * rng.normal(size=z.shape)):
                     _, grads = model.loss_and_param_grads(theta, zp[None], z[None], xs, ys)
                     got = model.flatten_params(grads)
-                    worst = max(worst, _relative_error(got, fd_param_gradient(theta, zp, x, y)))
+                    errors.append(_relative_error(got, fd_param_gradient(theta, zp, x, y)))
                 if k == 2:
-                    v = theta.w_out[1] - theta.w_out[0]
-                    zp = amb.binary_ball_maximizer(z[None], ys, v, ROBUST_RADIUS,
-                                                   np.linalg.norm(v))
+                    zp = amb.inner_maximize(theta, z[None], ys, ROBUST_RADIUS)
                     _, grads = model.loss_and_param_grads(theta, zp, z[None], xs, ys)
                     got = model.flatten_params(grads)
                     want = fd_robust_gradient(theta, xs, ys, ROBUST_RADIUS)
-                    robust = max(robust, _relative_error(got, want))
-    worst = max(worst, robust)
+                    robust_errors.append(_relative_error(got, want))
+    # np.max, not max: a nan error must fail the check, not be skipped.
+    robust = float(np.max(robust_errors, initial=0.0))
+    worst = float(np.max(errors + robust_errors, initial=0.0))
     return CheckResult(
         name="gradient_finite_differences",
         passed=worst <= tolerance,
@@ -210,7 +210,7 @@ def check_inner_maximization(
     that of the whole ring.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    gaps = []
     monotone = inside = True
     for _ in range(n_cases):
         theta, z, y = _random_binary_linear(rng)
@@ -219,9 +219,11 @@ def check_inner_maximization(
         brute = amb._grid_max_loss(theta, z, y, eps, 200_000)[0]
         z_prime = amb.inner_maximize(theta, z, y, eps)
         got = model.cross_entropy(model.logits_from_latent(theta, z_prime), y)
-        worst = max(worst, abs(got - brute))
+        gaps.append(abs(got - brute))
         monotone = monotone and got >= base - 1e-12
         inside = inside and np.linalg.norm(z_prime - z) <= eps + 1e-12
+    # np.max, not max: a nan gap must fail the check, not be skipped.
+    worst = float(np.max(gaps, initial=0.0))
     return CheckResult(
         name="inner_maximization_exact",
         passed=worst <= tolerance and monotone and inside,
@@ -376,8 +378,7 @@ def check_wasserstein_axioms(n_triples: int = 100, seed: int = 6,
     """Symmetry, identity, triangle inequality, and cross-label infinities."""
     rng = np.random.default_rng(seed)
     ok = True
-    worst_symmetry = 0.0
-    worst_triangle = -math.inf
+    symmetry, triangle = [], []
     for _ in range(n_triples):
         n_atoms = int(rng.integers(2, 7))
         p, q, r = _random_same_label_dists(rng, n_atoms)
@@ -385,12 +386,15 @@ def check_wasserstein_axioms(n_triples: int = 100, seed: int = 6,
         d_qp = amb.w_infty_exact(q, p)
         d_qr = amb.w_infty_exact(q, r)
         d_pr = amb.w_infty_exact(p, r)
-        worst_symmetry = max(worst_symmetry, abs(d_pq - d_qp))
-        worst_triangle = max(worst_triangle, d_pr - (d_pq + d_qr))
+        symmetry.append(abs(d_pq - d_qp))
+        triangle.append(d_pr - (d_pq + d_qr))
         ok = ok and amb.w_infty_exact(p, p) == 0.0
         flipped = DiscreteDist(q.points, 1 - q.labels)
         if not amb.all_label_matchings_finite(p, flipped):
             ok = ok and math.isinf(amb.w_infty_exact(p, flipped))
+    # np.max, not max: a nan violation must fail the check, not be skipped.
+    worst_symmetry = float(np.max(symmetry, initial=0.0))
+    worst_triangle = float(np.max(triangle, initial=-math.inf))
     ok = ok and worst_symmetry <= tolerance and worst_triangle <= tolerance
     return CheckResult(
         name="wasserstein_metric_axioms",

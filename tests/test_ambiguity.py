@@ -293,6 +293,20 @@ def test_inner_maximize_batched_matches_loop():
                                   inner_maximize(theta, zs, np.full(6, 2), 0.4))
 
 
+def parent_ball_maximizer(z, y, v, eps_g, v_norm=None):
+    """The binary ascent as it was written before it took labels: the signs
+    ``2y - 1`` scale the radius, one row per latent.  ``||v||`` is
+    ``sqrt(v . v)`` unless ``v_norm`` gives it."""
+    if v_norm is None:
+        v_norm = math.sqrt(v.dot(v))
+    single = z.ndim == 1
+    z_mat = z[None, :] if single else z
+    sign = 2.0 * np.atleast_1d(np.asarray(y, dtype=np.int64)) - 1.0
+    v_hat = v / v_norm if v_norm > 0 else np.zeros_like(v)
+    best = z_mat - (sign * eps_g)[:, None] * v_hat
+    return best[0] if single else best
+
+
 @pytest.mark.parametrize("architecture", [model.LINEAR, model.MLP1])
 def test_inner_maximize_binary_head_is_the_closed_form(architecture):
     """On a binary head the ascent is bitwise the closed-form ball maximizer,
@@ -306,7 +320,7 @@ def test_inner_maximize_binary_head_is_the_closed_form(architecture):
         ys = rng.integers(0, 2, size=7)
         v = theta.w_out[1] - theta.w_out[0]
         eps = float(rng.uniform(0.05, 2.0))
-        want = amb.binary_ball_maximizer(zs, ys, v, eps, np.linalg.norm(v))
+        want = parent_ball_maximizer(zs, ys, v, eps)
         np.testing.assert_array_equal(inner_maximize(theta, zs, ys, eps), want)
         np.testing.assert_array_equal(inner_maximize(theta, zs, 1, eps),
                                       inner_maximize(theta, zs, np.ones(7, dtype=int), eps))
@@ -346,21 +360,9 @@ def test_inner_maximize_binary_head_norm_is_numpys_vector_norm(scale):
                 inner_maximize(theta, z, y, 0.7)
             assert err.value.snapshot == {"v_norm": math.inf}
         return
-    want = amb.binary_ball_maximizer(zs, ys, v, 0.7, v_norm)
+    want = parent_ball_maximizer(zs, ys, v, 0.7, v_norm)
     assert inner_maximize(theta, zs, ys, 0.7).tobytes() == want.tobytes()
     assert inner_maximize(theta, zs[4], int(ys[4]), 0.7).tobytes() == want[4].tobytes()
-
-
-def parent_ball_maximizer(z, y, v, eps_g):
-    """The binary ascent as it was written before it took labels: the signs
-    ``2y - 1`` scale the radius, one row per latent."""
-    v_norm = math.sqrt(v.dot(v))
-    single = z.ndim == 1
-    z_mat = z[None, :] if single else z
-    sign = 2.0 * np.atleast_1d(np.asarray(y, dtype=np.int64)) - 1.0
-    v_hat = v / v_norm if v_norm > 0 else np.zeros_like(v)
-    best = z_mat - (sign * eps_g)[:, None] * v_hat
-    return best[0] if single else best
 
 
 # Finite values of every magnitude whose squares cannot overflow, and both zeros.
@@ -371,9 +373,9 @@ COORDS = st.one_of(st.sampled_from([0.0, -0.0]),
 @settings(max_examples=300, deadline=None)
 @given(dim=st.integers(1, 4), rows=st.integers(0, 6), data=st.data())
 def test_binary_ascent_is_bitwise_the_sign_scaled_formula(dim, rows, data):
-    """``binary_ball_maximizer`` and ``inner_maximize`` give the bytes of the
-    sign-scaled formula for one latent (``rows == 0``) or a batch, both
-    labels, ``v = 0`` or not, and latents with signed zeros."""
+    """``inner_maximize`` gives the bytes of the sign-scaled formula for one
+    latent (``rows == 0``) or a batch, both labels, ``v = 0`` or not, and
+    latents with signed zeros."""
     draw = data.draw
     shape = (dim,) if rows == 0 else (rows, dim)
     z = np.array(draw(st.lists(COORDS, min_size=int(np.prod(shape)),
@@ -387,9 +389,8 @@ def test_binary_ascent_is_bitwise_the_sign_scaled_formula(dim, rows, data):
     theta = ModelParams(w_out=np.stack([w0, w1]), b_out=np.zeros(2))
     v = w1 - w0
     want = parent_ball_maximizer(z, y, v, eps)
-    got = amb.binary_ball_maximizer(z, y, v, eps, math.sqrt(v.dot(v)))
+    got = inner_maximize(theta, z, y, eps)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert inner_maximize(theta, z, y, eps).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------ binary closed form
@@ -414,7 +415,7 @@ def test_binary_robust_loss_matches_grid_supremum():
         assert grid - 1e-12 <= loss <= grid + 1e-3
 
 
-def test_binary_ball_maximizer_matches_one_step_ascent():
+def test_inner_maximize_binary_head_matches_one_step_ascent():
     rng = np.random.default_rng(11)
     for _ in range(25):
         theta, v, c, v_norm = random_binary_head(rng)
@@ -422,7 +423,7 @@ def test_binary_ball_maximizer_matches_one_step_ascent():
         ys = rng.integers(0, 2, size=8)
         sign = 2.0 * ys - 1.0
         eps = float(rng.uniform(0.1, 1.0))
-        z_prime = amb.binary_ball_maximizer(zs, ys, v, eps, v_norm)
+        z_prime = inner_maximize(theta, zs, ys, eps)
         grad = model.grad_wrt_latent(theta, zs, ys)
         ascent = project_ball(zs + 1e6 * grad, zs, eps)
         np.testing.assert_allclose(z_prime, ascent, rtol=0.0, atol=1e-9)
@@ -490,6 +491,25 @@ def test_ball_supremum_refuses_latent_dimension_above_two():
 def test_taylor_gap_requires_positive_eps():
     with pytest.raises(ParameterError):
         taylor_gap(binary_theta([1.0, 0.0]), np.zeros(2), 0, 0.0)
+
+
+RADIUS_TAKERS = {
+    "inner_maximize": lambda eps: inner_maximize(binary_theta([1.0, 0.0]), np.zeros(2), 1, eps),
+    "project_ball": lambda eps: project_ball(np.ones(2), np.zeros(2), eps),
+    "ball_supremum": lambda eps: amb.ball_supremum(binary_theta([1.0, 0.0]), np.zeros(2), 1, eps),
+    "taylor_gap": lambda eps: taylor_gap(binary_theta([1.0, 0.0]), np.zeros(2), 1, eps),
+    "robust_risk_check": lambda eps: robust_risk_check(
+        DiscreteDist(np.zeros((2, 2)), [0, 1]), binary_theta([1.0, 0.0]), eps),
+}
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", sorted(RADIUS_TAKERS))
+def test_every_radius_taker_refuses_a_nan_infinite_or_negative_radius(name, eps):
+    """Each entry point that takes a radius checks it as ``radius`` checks
+    its scale, instead of returning nan or infinite endpoints and risks."""
+    with pytest.raises(ParameterError, match="must be finite and nonnegative"):
+        RADIUS_TAKERS[name](eps)
 
 
 # --------------------------------------------------------- transport oracle
@@ -744,3 +764,5 @@ def test_grid_oracles_refuse_a_latent_dimension_other_than_two():
             amb.ball_supremum(theta, np.zeros(dim), 1, 0.3)
         with pytest.raises(UnsupportedInstanceError, match="dimension 2 only"):
             robust_risk_check(DiscreteDist(np.zeros((2, dim)), [0, 1]), theta, 0.3)
+        with pytest.raises(UnsupportedInstanceError, match="dimension 2 only"):
+            amb._grid_max_loss(theta, np.zeros(dim), 1, 0.3, 8)

@@ -83,6 +83,44 @@ def test_bound_constants_zero_model():
     assert constants.b_theta == 0.0
 
 
+def sign_scaled_maximizer(z, y, v, eps_g):
+    """The binary ball maximizer ``z - (s eps_g) v / ||v||``, label signs
+    ``s = 2y - 1``; a zero ``v`` takes no step."""
+    v_norm = np.linalg.norm(v)
+    v_hat = v / v_norm if v_norm > 0 else np.zeros_like(v)
+    return z - ((2.0 * y - 1.0) * eps_g)[:, None] * v_hat
+
+
+@pytest.mark.parametrize("epsilon", [0.0, None, 7.5], ids=["zero", "canonical", "wide"])
+def test_bound_constants_are_bitwise_an_independent_recomputation(epsilon):
+    """``b_grad`` and ``b_loss`` rebuilt group by group from the sign-scaled
+    maximizer and ``np.logaddexp``, for a zero model, two drawn models and a
+    large one, at radius scale 0, the canonical one and a wide one."""
+    ds, config = canonical_instance()
+    epsilon = config.effective_epsilon if epsilon is None else epsilon
+    thetas = [ModelParams(w_out=np.zeros((2, ds.d)), b_out=np.zeros(2)),
+              init_params(ModelSpec(LINEAR), ds.d, 2, seed=1),
+              init_params(ModelSpec(LINEAR), ds.d, 2, seed=2)]
+    thetas.append(ModelParams(w_out=30.0 * thetas[1].w_out, b_out=30.0 * thetas[1].b_out))
+    b_grad = b_loss = 0.0
+    for theta in thetas:
+        v, c = theta.w_out[1] - theta.w_out[0], theta.b_out[1] - theta.b_out[0]
+        z_prime, slack = [], []
+        for g in np.flatnonzero(ds.n_g).tolist():
+            rows = ds.group_rows(g)
+            z, y = ds.features[rows], ds.labels[rows]
+            eps_g = epsilon / math.sqrt(ds.n_g[g])
+            z_prime.append(sign_scaled_maximizer(z, y, v, eps_g))
+            slack.append(-(2.0 * y - 1.0) * (z @ v + c) + eps_g * np.linalg.norm(v))
+        u, z_prime = np.concatenate(slack), np.concatenate(z_prime)
+        sigmoid = 1.0 / (1.0 + np.exp(-u))
+        grad_norms = np.sqrt(2.0) * sigmoid * np.sqrt((z_prime ** 2).sum(axis=1) + 1.0)
+        b_grad = max(b_grad, float(grad_norms.max()))
+        b_loss = max(b_loss, float(np.logaddexp(0.0, u).max()))
+    got = bound_constants(ds, thetas, epsilon)
+    assert (got.b_grad, got.b_loss) == (b_grad, b_loss)
+
+
 def test_bound_constants_monotone_in_trajectory_prefix():
     ds = make_spurious((20, 10, 8, 18), 0.5, 0.5, 0.15, seed=5)
     config = SolverConfig(mode="hierarchical", eta_beta=0.2, eta_theta=0.2,

@@ -141,9 +141,8 @@ def test_param_gradient_is_the_robust_loss_gradient():
         if np.abs(xs @ theta.w_hidden.T + theta.b_hidden).min() < 1e-3:
             continue    # a ReLU kink within reach of the finite-difference step
         cases += 1
-        v = theta.w_out[1] - theta.w_out[0]
         z = model.latent(theta, xs)
-        zp = amb.binary_ball_maximizer(z, ys, v, eps_g, np.linalg.norm(v))
+        zp = amb.inner_maximize(theta, z, ys, eps_g)
         grads = loss_and_param_grads(theta, zp, z, xs, ys)[1]
         fd = fd_robust_gradient(theta, xs, ys, eps_g)
         got = model.flatten_params(grads)

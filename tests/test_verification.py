@@ -1,5 +1,7 @@
 """The self-checks behind ``hierdro verify`` on inputs that once fooled them."""
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -106,6 +108,38 @@ def test_lemma_oracle_fails_when_the_pointwise_side_searches_only_the_centre(mon
     result = verification.check_lemma_oracle()
     assert not result.passed
     assert result.details["max_abs_difference"] > 0.1
+
+
+# ------------------------------------------------ a nan fails every check
+
+
+def test_gradient_check_fails_on_a_nan_latent_gradient(monkeypatch):
+    """A nan error is the worst error, not one that the running maximum skips."""
+    monkeypatch.setattr(model, "grad_wrt_latent", lambda theta, z, y: np.full(np.shape(z), np.nan))
+    result = verification.check_gradients(n_cases=4)
+    assert not result.passed
+    assert math.isnan(result.details["max_relative_error"])
+
+
+def test_inner_maximization_check_fails_on_a_nan_grid_maximum(monkeypatch):
+    """A grid maximum of nan is a nan gap, which fails the check."""
+    monkeypatch.setattr(amb, "_grid_max_loss", lambda theta, z, y, eps, n_angles: (math.nan, z))
+    result = verification.check_inner_maximization(n_cases=4)
+    assert not result.passed
+    assert math.isnan(result.details["max_loss_gap"])
+
+
+def test_wasserstein_check_fails_on_one_nan_distance(monkeypatch):
+    """One nan distance among the first triple's is a nan symmetry and
+    triangle violation, which fails the check."""
+    w_infty = amb.w_infty_exact
+    calls = itertools.count()
+    monkeypatch.setattr(amb, "w_infty_exact",
+                        lambda p, q: math.nan if next(calls) == 0 else w_infty(p, q))
+    result = verification.check_wasserstein_axioms(n_triples=4)
+    assert not result.passed
+    assert math.isnan(result.details["max_symmetry_violation"])
+    assert math.isnan(result.details["max_triangle_violation"])
 
 
 # ------------------------------------------- finite differences, bitwise
