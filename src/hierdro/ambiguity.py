@@ -33,7 +33,9 @@ grid oracles (:func:`ball_supremum`, :func:`taylor_gap`,
 :func:`verification.check_inner_maximization` asks for 200,000 points.  The
 circle is built and evaluated in fixed-size chunks of angles: memory stays
 bounded by the chunk, never the grid, and the maximum and its first
-maximizer are bitwise those of the whole grid.
+maximizer are bitwise those of the whole grid.  :func:`_grid_max_losses`
+searches several cases on each chunk, so that a check of many cases builds
+each chunk's cos and sin once.
 """
 
 from __future__ import annotations
@@ -214,29 +216,46 @@ def _grid_max_loss(theta: ModelParams, z: np.ndarray, y: int, eps: float,
                    n_angles: int) -> tuple:
     """The largest loss at label ``y`` over the 2-D latent ``z`` and
     ``n_angles`` equally spaced points of the ``eps`` circle around it, and
-    the first point that attains it (a view: copy it to keep it).
+    the first point that attains it: :func:`_grid_max_losses` of one case."""
+    return _grid_max_losses([(theta, z, y, eps)], n_angles)[0]
 
-    The circle is built ``_GRID_CHUNK`` angles at a time, each chunk's cos
-    and sin as it goes, so the whole ring never exists.  A later chunk wins
-    only on a strictly greater loss, or on the first nan, which gives
-    ``np.max`` and ``np.argmax`` of the losses of ``z`` and then the ring.
+
+def _grid_max_losses(cases, n_angles: int) -> list:
+    """:func:`_grid_max_loss` of each ``(theta, z, y, eps)`` in ``cases``,
+    as a list of ``(maximum, first maximizer)``.
+
+    The unit circle is built ``_GRID_CHUNK`` angles at a time, each chunk's
+    cos and sin once for every case, so the whole ring never exists: each
+    case scales and shifts the chunk and keeps its running maximum before
+    the next chunk.  A later chunk wins only on a strictly greater loss, or
+    on the first nan, which gives ``np.max`` and ``np.argmax`` of the losses
+    of ``z`` and then the ring, for each case alike whatever the others are.
     A latent dimension other than 2 is an ``UnsupportedInstanceError``.
     """
-    if z.shape != (2,):
-        raise UnsupportedInstanceError("the grid oracles support latent dimension 2 only")
+    cases = list(cases)
+    best = [None] * len(cases)
+
+    def keep(i, theta, points, y):
+        losses = model.cross_entropy(model.logits_from_latent(theta, points), y)
+        k = int(np.argmax(losses))
+        top = best[i]
+        if top is None or losses[k] > top[0] or (np.isnan(losses[k]) and not np.isnan(top[0])):
+            # A copy: a view would hold the chunk's points for as long as it wins.
+            best[i] = float(losses[k]), points[k].copy()
+
+    for i, (theta, z, y, eps) in enumerate(cases):
+        if z.shape != (2,):
+            raise UnsupportedInstanceError("the grid oracles support latent dimension 2 only")
+        keep(i, theta, z[None, :], y)
     # Angle j is j * (2 pi / n_angles), as np.linspace(0, 2 pi, n_angles,
     # endpoint=False) computes it, one chunk of j at a time.
     step = 2.0 * math.pi / n_angles
-    chunks = (np.arange(i, min(i + _GRID_CHUNK, n_angles)) * step
-              for i in range(0, n_angles, _GRID_CHUNK))
-    ring = (z + eps * np.stack([np.cos(a), np.sin(a)], axis=1) for a in chunks)
-    best = best_point = None
-    for points in itertools.chain([z[None, :]], ring):
-        losses = model.cross_entropy(model.logits_from_latent(theta, points), y)
-        k = int(np.argmax(losses))
-        if best is None or losses[k] > best or (np.isnan(losses[k]) and not np.isnan(best)):
-            best, best_point = float(losses[k]), points[k]
-    return best, best_point
+    for start in range(0, n_angles, _GRID_CHUNK):
+        angles = np.arange(start, min(start + _GRID_CHUNK, n_angles)) * step
+        unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        for i, (theta, z, y, eps) in enumerate(cases):
+            keep(i, theta, z + eps * unit, y)
+    return best
 
 
 def ball_supremum(theta: ModelParams, z: np.ndarray, y: int, eps: float) -> float:

@@ -34,8 +34,18 @@ Label indexing: the loss and ``softmax - onehot(y)`` find each example's
 label entry through one integer array of flat positions into the scores
 read with ``reshape(-1)``, ``K * (example number) + y`` for ``K`` classes,
 for one example, a batch and a batch per row alike.  A label must lie in
-``[0, K)``, as :class:`datagen.GroupedDataset` checks; an index past ``K``
-would read the next example's entry instead of raising.
+``[0, K)``, as :class:`datagen.GroupedDataset` and a model of at least its
+label count ensure; an index past ``K`` would read the next example's entry
+instead of raising.
+
+Checked wrappers and kernels: each public function converts and checks its
+inputs, then calls a private kernel that does the arithmetic
+(:func:`_latent`, :func:`_logits`, :func:`_label_loss`, :func:`_param_grads`,
+:func:`_sgd_step`, :func:`_rows_finite`), where each formula is written
+once.  A training step calls the kernels on arrays that
+:meth:`solver.Lockstep.start` has checked once, with the label positions'
+``K * (example number)`` part, :func:`_label_base`, computed once per
+lockstep, and the gradient as the tuple of its arrays.
 """
 
 from __future__ import annotations
@@ -147,6 +157,12 @@ def _bias(b: np.ndarray) -> np.ndarray:
     return b if b.ndim == 1 else b[:, None, :]
 
 
+def _label_base(lead: tuple, k: int) -> np.ndarray:
+    """``K * (example number)`` for every example of scores with leading
+    shape ``lead`` and ``k`` classes: the flat position of its class 0."""
+    return np.arange(0, math.prod(lead) * k, k).reshape(lead)
+
+
 def _label_index(shape: tuple, y):
     """Position of each example's label entry in scores of ``shape`` read
     flat, through ``reshape(-1)``: one example, a batch, or a batch per row.
@@ -156,8 +172,7 @@ def _label_index(shape: tuple, y):
     """
     if len(shape) == 1:
         return int(y)
-    lead, k = shape[:-1], shape[-1]
-    return np.arange(0, math.prod(lead) * k, k).reshape(lead) + np.asarray(y, dtype=np.int64)
+    return _label_base(shape[:-1], shape[-1]) + np.asarray(y, dtype=np.int64)
 
 
 def latent(theta: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -165,15 +180,30 @@ def latent(theta: ModelParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != theta.input_dim:
         raise ParameterError(f"expected input dim {theta.input_dim}, got {x.shape[-1]}")
+    return _latent(theta, x)
+
+
+def _latent(theta: ModelParams, x: np.ndarray) -> np.ndarray:
+    """:func:`latent` of a float ``x`` already known to fit ``theta``."""
     if theta.w_hidden is None:
         return x
-    return np.maximum(0.0, x @ _mT(theta.w_hidden) + _bias(theta.b_hidden))
+    # In place: one ``(R, B, h)`` array, not three.  At tuning's 8 x 64 x 32
+    # each is 128 KiB, glibc's trim threshold, and with three of them a run
+    # could trim and fault in the heap at every step.
+    h = x @ _mT(theta.w_hidden)
+    h += _bias(theta.b_hidden)
+    return np.maximum(0.0, h, out=h)
 
 
 def logits_from_latent(theta: ModelParams, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] != theta.latent_dim:
         raise ParameterError(f"expected latent dim {theta.latent_dim}, got {z.shape[-1]}")
+    return _logits(theta, z)
+
+
+def _logits(theta: ModelParams, z: np.ndarray) -> np.ndarray:
+    """:func:`logits_from_latent` of a float ``z`` already known to fit ``theta``."""
     return z @ _mT(theta.w_out) + _bias(theta.b_out)
 
 
@@ -211,12 +241,17 @@ def cross_entropy(logits: np.ndarray, y) -> float | np.ndarray:
 def _loss_and_dlogits(theta: ModelParams, z: np.ndarray, y):
     """The loss at ``z`` and softmax(logits) - onehot(y), from one forward pass."""
     ls = log_softmax(logits_from_latent(theta, z))
-    at = _label_index(ls.shape, y)
+    loss, dlogits = _label_loss(ls, _label_index(ls.shape, y))
+    return (float(loss) if ls.ndim == 1 else loss), dlogits
+
+
+def _label_loss(ls: np.ndarray, at):
+    """The loss ``-ls[y]`` and ``softmax - onehot(y)`` from log-softmax
+    scores ``ls`` and the flat positions ``at`` of the labels' entries."""
     flat = ls.reshape(-1)
     dlogits = np.exp(flat)
     dlogits[at] -= 1.0
-    loss = -flat[at]
-    return (float(loss) if ls.ndim == 1 else loss), dlogits.reshape(ls.shape)
+    return -flat[at], dlogits.reshape(ls.shape)
 
 
 def grad_wrt_latent(theta: ModelParams, z: np.ndarray, y) -> np.ndarray:
@@ -238,29 +273,41 @@ def loss_and_param_grads(theta: ModelParams, z_prime: np.ndarray, z: np.ndarray,
     z_prime = np.asarray(z_prime, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     loss, dlogits = _loss_and_dlogits(theta, z_prime, y)
+    return loss, ModelParams(*_param_grads(theta, dlogits, z_prime, z, x))
+
+
+def _param_grads(theta: ModelParams, dlogits: np.ndarray, z_prime: np.ndarray, z: np.ndarray,
+                 x: np.ndarray) -> tuple:
+    """The batch-mean parameter gradient of :func:`loss_and_param_grads`, as
+    the tuple of its arrays (two for a linear model, four for ``mlp1``),
+    given the ``dlogits`` of the loss at ``z_prime``."""
     batch = z_prime.shape[-2]
     g_w_out = _mT(dlogits) @ z_prime / batch
     # ``a.mean(axis)`` computes this sum and division behind a Python wrapper.
     g_b_out = np.add.reduce(dlogits, -2) / batch
     if theta.w_hidden is None:
-        return loss, ModelParams(w_out=g_w_out, b_out=g_b_out)
-
-    delta = (dlogits @ theta.w_out) * (z > 0)
-    return loss, ModelParams(w_out=g_w_out, b_out=g_b_out, w_hidden=_mT(delta) @ x / batch,
-                             b_hidden=np.add.reduce(delta, -2) / batch)
+        return g_w_out, g_b_out
+    delta = dlogits @ theta.w_out
+    delta *= z > 0      # in place, as in :func:`_latent`
+    return g_w_out, g_b_out, _mT(delta) @ x / batch, np.add.reduce(delta, -2) / batch
 
 
 def sgd_step(theta: ModelParams, grads: ModelParams, step) -> ModelParams:
     """``theta - step * grads``; ``step`` is a scalar or, for stacked rows, one per row."""
+    return _sgd_step(theta, grads.arrays(), step)
+
+
+def _sgd_step(theta: ModelParams, grads: tuple, step) -> ModelParams:
+    """:func:`sgd_step` with the gradient as the tuple of its arrays, in
+    :meth:`ModelParams.arrays` order."""
     w_step = b_step = step
     if isinstance(step, np.ndarray):
         w_step, b_step = step[:, None, None], step[:, None]
-    return ModelParams(
-        w_out=theta.w_out - w_step * grads.w_out,
-        b_out=theta.b_out - b_step * grads.b_out,
-        w_hidden=None if theta.w_hidden is None else theta.w_hidden - w_step * grads.w_hidden,
-        b_hidden=None if theta.b_hidden is None else theta.b_hidden - b_step * grads.b_hidden,
-    )
+    w_out, b_out = theta.w_out - w_step * grads[0], theta.b_out - b_step * grads[1]
+    if theta.w_hidden is None:
+        return ModelParams(w_out, b_out)
+    return ModelParams(w_out, b_out, theta.w_hidden - w_step * grads[2],
+                       theta.b_hidden - b_step * grads[3])
 
 
 def average_params(avg: ModelParams, new: ModelParams, count: int) -> ModelParams:
@@ -276,9 +323,13 @@ def average_params(avg: ModelParams, new: ModelParams, count: int) -> ModelParam
 
 def flatten_params(theta: ModelParams) -> np.ndarray:
     """The parameters, or a gradient, as one vector; one row per model for stacked rows."""
-    lead = theta.w_out.shape[:-2]
-    return np.concatenate([a.reshape(lead + (-1,)) for a in theta.arrays() if a is not None],
-                          axis=-1)
+    return _flat([a for a in theta.arrays() if a is not None], theta.w_out.shape[:-2])
+
+
+def _flat(arrays, lead: tuple) -> np.ndarray:
+    """``arrays`` of models with leading shape ``lead``, each model's read
+    into one vector, in order."""
+    return np.concatenate([a.reshape(lead + (-1,)) for a in arrays], axis=-1)
 
 
 def unflatten_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
@@ -304,8 +355,14 @@ def params_norm(theta: ModelParams) -> float:
 
 def grads_finite(grads: ModelParams):
     """Whether every gradient entry is finite; one bool per row for stacked rows."""
-    finite = np.isfinite(flatten_params(grads)).all(axis=-1)
+    finite = _rows_finite([a for a in grads.arrays() if a is not None], grads.w_out.shape[:-2])
     return finite if finite.ndim else bool(finite)
+
+
+def _rows_finite(arrays, lead: tuple):
+    """Whether every entry of each model's ``arrays`` is finite, per model
+    of leading shape ``lead``."""
+    return np.logical_and.reduce(np.isfinite(_flat(arrays, lead)), axis=-1)
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:

@@ -42,7 +42,12 @@ radius-0 row keeps ``z' = z``, an ERM row keeps ``beta``).
 :func:`advance`, given only the ``Lockstep``, is the one loop that draws
 the batches and calls :func:`train_step`; :func:`train_lockstep` takes
 checkpoints and selects around it, and the oracle checks and the rate
-study drive it too.  A row
+study drive it too.  :meth:`Lockstep.start` checks the rows' models against
+the training split once, and a step calls the model's and the simplex
+update's unchecked kernels, with the constants it would otherwise rebuild
+(the labels' flat positions, each group's adjustment) read from the
+``Lockstep``; the public functions are checked wrappers over the same
+kernels, so each formula is written once.  A row
 that diverges is retired with its ``DivergenceError`` while the others go
 on.  Every row's result is bitwise the result of training it alone;
 :func:`train` is the one-row case.  A result's ``final``, where its
@@ -192,8 +197,13 @@ class Lockstep:
     slice when they are consecutive, as in every layout the package trains,
     so that the ascent reads and writes views of them, else an index array.
     ``some_``/``all_learn`` say whether any or every row learns ``beta``, so
-    that a step skips a phase no row needs.  A row that diverges leaves every
-    array, and its error goes to ``failed`` under its id.
+    that a step skips a phase no row needs.  ``label_base`` holds the flat
+    position of class 0 of every example of a step's ``(R, B, K)`` scores,
+    so that the labels' entries are ``label_base + y``, and ``penalty[g]``
+    group ``g``'s adjustment ``C / sqrt(n_g)``: what every step would
+    otherwise rebuild.  A row that diverges leaves every array, and its
+    error goes to ``failed`` under its id; :meth:`retire` then recomputes
+    these fields.
     """
 
     theta: ModelParams
@@ -210,6 +220,8 @@ class Lockstep:
     ascending: slice | np.ndarray | None = field(init=False)
     some_learn: bool = field(init=False)
     all_learn: bool = field(init=False)
+    label_base: np.ndarray = field(init=False, repr=False)
+    penalty: np.ndarray = field(init=False, repr=False)
 
     # The arrays with one entry per row along their first axis, besides the models.
     ROWS = ("beta", "ids", "seeds", "radii", "learns_beta")
@@ -224,6 +236,9 @@ class Lockstep:
             self.ascending = slice(int(ascending[0]), int(ascending[-1]) + 1)
         self.some_learn = bool(self.learns_beta.any())
         self.all_learn = bool(self.learns_beta.all())
+        self.label_base = model._label_base((self.ids.size, self.shared.batch_size),
+                                            self.theta.num_classes)
+        self.penalty = _group_penalty(self.shared.adjustment, self.train.n_g)
 
     @classmethod
     def start(cls, inits, configs, ds_train: GroupedDataset) -> Lockstep:
@@ -231,7 +246,11 @@ class Lockstep:
 
         Raises ``InvalidDatasetError`` if a training group is empty, and
         ``ParameterError`` unless the rows agree on every field outside
-        ``PER_ROW`` and the models share one shape.
+        ``PER_ROW``, the models share one shape, and that shape fits
+        ``ds_train``: its input dimension, a hidden layer as wide as the
+        output layer reads, and at least as many classes as labels.  These
+        are the checks that the model's public functions make, made here
+        once, since a step calls their kernels.
         """
         if np.any(ds_train.n_g == 0):
             empty = np.flatnonzero(ds_train.n_g == 0).tolist()
@@ -247,6 +266,15 @@ class Lockstep:
         theta = model.stack_params(inits)
         if theta.w_out.shape[0] != len(configs):
             raise ParameterError("lockstep training needs one initial model per row")
+        # What a step's model kernels no longer check, checked once.
+        if theta.input_dim != ds_train.d:
+            raise ParameterError(f"expected input dim {theta.input_dim}, got {ds_train.d}")
+        if theta.w_hidden is not None and theta.w_hidden.shape[-2] != theta.latent_dim:
+            raise ParameterError(f"expected latent dim {theta.latent_dim}, "
+                                 f"got {theta.w_hidden.shape[-2]}")
+        if theta.num_classes < ds_train.num_labels:
+            raise ParameterError(f"a model with {theta.num_classes} classes cannot train on "
+                                 f"{ds_train.num_labels} labels")
         epsilon = np.array([c.effective_epsilon for c in configs], float)
         return cls(theta=theta, beta=np.tile(ds_train.alpha, (len(configs), 1)),
                    ids=np.arange(len(configs)), shared=configs[0], train=ds_train,
@@ -308,11 +336,24 @@ def update_beta(
                       "beta": np.asarray(beta).tolist()},
         )
     beta = np.asarray(beta, dtype=np.float64)
+    at = g if beta.ndim == 1 else (np.arange(beta.shape[0]), g)
+    return _update_beta(beta, at, loss_value, eta_beta, _group_penalty(adjustment, n_g))
+
+
+def _group_penalty(adjustment, n_g):
+    """The adjustment ``C / sqrt(n_g)`` that the simplex step adds to a
+    group's loss; elementwise for arrays."""
+    return adjustment / np.sqrt(n_g)
+
+
+def _update_beta(beta: np.ndarray, at, loss_value, eta_beta, penalty) -> np.ndarray:
+    """:func:`update_beta` at the index ``at`` of ``beta`` (``g``, or a
+    tuple of a row index and ``g`` per row), with a finite ``loss_value``
+    and the penalty ``_group_penalty(adjustment, n_g)`` of its groups."""
     with np.errstate(divide="ignore"):
         log_beta = np.log(beta)
-    at = g if beta.ndim == 1 else (np.arange(beta.shape[0]), g)
     # One entry per row: ``add.at`` adds as ``log_beta[at] +=`` does, at half its dispatch cost.
-    np.add.at(log_beta, at, eta_beta * (loss_value + adjustment / np.sqrt(n_g)))
+    np.add.at(log_beta, at, eta_beta * (loss_value + penalty))
     log_beta -= np.maximum.reduce(log_beta, -1, keepdims=True)
     out = np.exp(log_beta, out=log_beta)
     out /= np.add.reduce(out, -1, keepdims=True)
@@ -326,14 +367,23 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
     batch loss or parameter gradient is not finite is retired from ``state``
     with the ``DivergenceError`` a one-row run raises, in ``state.failed``;
     the other rows' results do not depend on it.
+
+    The step checks nothing that :meth:`Lockstep.start` has checked: it
+    calls the model's kernels, which take ``batch.x`` as rows of
+    ``state.train`` and as fitting the model, and it reads the labels' flat
+    positions and each group's penalty as :class:`Lockstep` holds them.  A
+    batch of another size than ``batch_size`` is a ``ParameterError``.
     """
     g = batch.group
     t_next = state.t + 1
     shared = state.shared
+    if batch.y.shape[-1] != shared.batch_size:
+        raise ParameterError(f"a batch must hold batch_size={shared.batch_size} examples, "
+                             f"got {batch.y.shape[-1]}")
     scale = 1.0 / math.sqrt(t_next) if shared.decay_steps else 1.0
     theta = state.theta
 
-    z = model.latent(theta, batch.x)
+    z = model._latent(theta, batch.x)
     z_prime = z
     ascent_failed = {}
     rows = state.ascending
@@ -358,24 +408,26 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
             at = state.index[rows]
             ascent_failed = {int(at[i]): err for i, err in failed.items()}
 
-    losses, grads = model.loss_and_param_grads(theta, z_prime, z, batch.x, batch.y)
+    ls = model.log_softmax(model._logits(theta, z_prime))
+    losses, dlogits = model._label_loss(ls, state.label_base + batch.y)
+    grads = model._param_grads(theta, dlogits, z_prime, z, batch.x)
     mean_loss = np.add.reduce(losses, -1) / losses.shape[-1]    # losses.mean(-1), bitwise
-    finite = np.isfinite(mean_loss)
+    # A row whose loss or gradient is not finite retires: its beta is never read.
+    finite = np.isfinite(mean_loss) & model._rows_finite(grads, state.index.shape)
     if ascent_failed:
         finite[list(ascent_failed)] = False
     all_finite = finite.all()
     if state.some_learn:
         loss = mean_loss if all_finite else np.where(finite, mean_loss, 0.0)
-        beta = update_beta(state.beta, g, loss, shared.eta_beta * scale, shared.adjustment,
-                           state.train.n_g[g])
+        beta = _update_beta(state.beta, (state.index, g), loss, shared.eta_beta * scale,
+                            state.penalty[g])
         state.beta = beta if state.all_learn else np.where(
             state.learns_beta[:, None], beta, state.beta)
 
-    grads_finite = model.grads_finite(grads)
-    state.theta = model.sgd_step(theta, grads, shared.eta_theta * scale * state.beta[state.index, g])
+    state.theta = model._sgd_step(theta, grads,
+                                  shared.eta_theta * scale * state.beta[state.index, g])
     state.t = t_next
-    if not (all_finite and grads_finite.all()):
-        finite &= grads_finite
+    if not all_finite:
         for i in np.flatnonzero(~finite).tolist():
             snapshot = {"iteration": t_next, "group": int(g[i])}
             if i in ascent_failed:
@@ -445,7 +497,8 @@ def advance(state: Lockstep):
         else:
             group = np.array([g for g, _ in draws])[pos]
             rows = np.stack([rows for _, rows in draws])[pos]
-        batch = Batch(group=group, x=train.features[rows], y=train.labels[rows])
+        # ``take`` gathers the rows as ``features[rows]`` does, at a third of its cost.
+        batch = Batch(group=group, x=train.features.take(rows, 0), y=train.labels[rows])
         train_step(state, batch)
         yield batch
         if state.ids.size != live:

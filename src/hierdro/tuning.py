@@ -101,12 +101,18 @@ def quantile_splits(ds: GroupedDataset, ranks: np.ndarray) -> tuple[SplitPair, S
         bounds = _quantile_bounds(rows.size)
         bottom_hold.append(ordered[bounds[0][0]:bounds[0][1]])
         top_hold.append(ordered[bounds[-1][0]:bounds[-1][1]])
-    all_rows = np.arange(ds.n)
     top = np.sort(np.concatenate(top_hold))
     bottom = np.sort(np.concatenate(bottom_hold))
-    setup_a = SplitPair(ds.subset(np.setdiff1d(all_rows, top)), ds.subset(top))
-    setup_b = SplitPair(ds.subset(np.setdiff1d(all_rows, bottom)), ds.subset(bottom))
-    return setup_a, setup_b
+    return (SplitPair(ds.subset(_complement(top, ds.n)), ds.subset(top)),
+            SplitPair(ds.subset(_complement(bottom, ds.n)), ds.subset(bottom)))
+
+
+def _complement(rows: np.ndarray, n: int) -> np.ndarray:
+    """The sorted rows of ``range(n)`` not in ``rows``, as ``np.setdiff1d``
+    gives them, without the ``numpy.ma`` import that its ``np.unique`` makes."""
+    keep = np.ones(n, dtype=bool)
+    keep[rows] = False
+    return np.flatnonzero(keep)
 
 
 @dataclass(frozen=True)

@@ -205,18 +205,19 @@ def check_inner_maximization(
     """The trainer's latent ascent vs. a dense angular grid on binary linear instances.
 
     Each case's grid is its centre and a 200,000-point circle, the ring
-    maximum of the grid oracles, built and evaluated in fixed-size chunks of
-    angles, so memory is bounded by a chunk while the maximum is bitwise
-    that of the whole ring.
+    maximum of the grid oracles.  Every case is searched on each chunk of
+    the unit circle before the next chunk is built, so memory is bounded by
+    a chunk while each maximum is bitwise that of the whole ring.
     """
     rng = np.random.default_rng(seed)
-    gaps = []
-    monotone = inside = True
+    cases = []
     for _ in range(n_cases):
         theta, z, y = _random_binary_linear(rng)
-        eps = float(rng.uniform(0.1, 0.8))
+        cases.append((theta, z, y, float(rng.uniform(0.1, 0.8))))
+    gaps = []
+    monotone = inside = True
+    for (theta, z, y, eps), (brute, _) in zip(cases, amb._grid_max_losses(cases, 200_000)):
         base = model.cross_entropy(model.logits_from_latent(theta, z), y)
-        brute = amb._grid_max_loss(theta, z, y, eps, 200_000)[0]
         z_prime = amb.inner_maximize(theta, z, y, eps)
         got = model.cross_entropy(model.logits_from_latent(theta, z_prime), y)
         gaps.append(abs(got - brute))

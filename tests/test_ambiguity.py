@@ -700,6 +700,36 @@ def test_grid_max_loss_is_the_one_shot_maximum_bitwise(n, k):
         assert type(best) is float and same_bits(best, want) and same_bits(row, want_row)
 
 
+@pytest.mark.parametrize("n", [630, CHUNK + 1, 3 * CHUNK + 5])
+def test_grid_max_losses_of_many_cases_are_each_cases_own_bitwise(n):
+    """Cases searched together, each chunk of the circle shared by all,
+    give each case the maximum and first maximizer it gets alone and that
+    the one-shot grid gives: models, labels, centres and radii all differ,
+    one case ties on its whole circle (a zero head) and one has a nan
+    logit."""
+    rng = np.random.default_rng(n)
+    cases = []
+    for i in range(6):
+        k = 2 + i % 2
+        theta = ModelParams(w_out=rng.normal(size=(k, 2)), b_out=rng.normal(size=k))
+        if i == 4:
+            theta = ModelParams(w_out=np.zeros((k, 2)), b_out=np.zeros(k))
+        if i == 5:
+            theta = ModelParams(w_out=theta.w_out, b_out=np.r_[np.nan, np.zeros(k - 1)])
+        cases.append((theta, rng.normal(scale=3.0, size=2), int(rng.integers(k)),
+                      float(rng.uniform(0.1, 3.0))))
+    together = amb._grid_max_losses(cases, n)
+    assert len(together) == len(cases)
+    for (theta, z, y, eps), (best, row) in zip(cases, together):
+        alone = amb._grid_max_loss(theta, z, y, eps, n)
+        want, want_row = one_shot_max(theta, y, one_shot_grid(z, eps, n))
+        assert type(best) is float
+        assert same_bits(best, alone[0]) and same_bits(row, alone[1])
+        # ``np.max`` may return another nan's bits than the loss it picks.
+        assert same_bits(best, want) or (math.isnan(best) and math.isnan(want))
+        assert same_bits(row, want_row)
+
+
 def test_grid_max_loss_of_a_ring_built_per_chunk_is_the_whole_rings():
     """The circle's angles, cos and sin are built one chunk at a time; the
     maximum and its point are those of the unit ring from ``np.linspace``,

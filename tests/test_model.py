@@ -255,6 +255,23 @@ def test_flat_label_index_is_bitwise_the_fancy_index(k, case):
     assert np.asarray(ce).tobytes() == np.asarray(want_loss).tobytes()
 
 
+@pytest.mark.parametrize("arch", [LINEAR, MLP1])
+def test_grads_finite_is_one_bool_per_model(arch):
+    """A gradient with one nan or infinite entry is not finite, whichever of
+    its arrays holds it: a bool for one model, one per row for stacked rows."""
+    rng = np.random.default_rng(13)
+    rows = [random_theta(rng, arch) for _ in range(3)]
+    assert model.grads_finite(rows[0]) is True
+    good = [a for a in rows[1].arrays() if a is not None]
+    for k in range(len(good)):
+        parts = [a.copy() for a in good]
+        parts[k].flat[-1] = np.inf if k % 2 else np.nan
+        bad = ModelParams(*parts)
+        assert model.grads_finite(bad) is False
+        got = model.grads_finite(stack_params([rows[0], bad, rows[2]]))
+        assert got.tolist() == [True, False, True]
+
+
 def test_linear_loss_midpoint_convexity():
     rng = np.random.default_rng(5)
     x = rng.normal(size=4)

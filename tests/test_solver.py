@@ -143,30 +143,69 @@ def test_update_beta_rows_are_bitwise_the_reference_and_leave_beta_alone(seed):
 # -------------------------------------------------------------- train_step
 
 
+def composed_step(theta, beta, config, t, x, y, g, n_g):
+    """One row's step from the public functions, applied in the documented
+    order: ``latent``, ``inner_maximize``, ``loss_and_param_grads``,
+    ``update_beta`` (not for ERM) and ``sgd_step`` with the updated
+    ``beta_g``, at step sizes scaled by ``1 / sqrt(t + 1)`` under
+    ``decay_steps``."""
+    scale = 1.0 / math.sqrt(t + 1) if config.decay_steps else 1.0
+    z = model.latent(theta, x)
+    z_prime = amb.inner_maximize(theta, z, y, amb.radius(config.effective_epsilon, int(n_g[g])))
+    losses, grads = model.loss_and_param_grads(theta, z_prime, z, x, y)
+    if config.mode != ERM:
+        beta = update_beta(beta, g, float(losses.mean()), config.eta_beta * scale,
+                           config.adjustment, int(n_g[g]))
+    return model.sgd_step(theta, grads, config.eta_theta * scale * float(beta[g])), beta
+
+
 def test_single_step_matches_hand_composition():
-    ds = small_ds()
-    config = base_config(batch_size=3)
-    theta0 = init_params(ModelSpec(LINEAR), ds.d, 2, seed=1)
-    state = Lockstep.start([theta0], [config], ds)
-    g = 1
-    rows = ds.group_rows(g)[:3]
-    x, y = ds.features[rows], ds.labels[rows]
-
-    state = train_step(state, shared_batch(ds, g, rows))
-
-    # Reference composition from the three documented sub-updates.
-    eps_g = amb.radius(config.epsilon, int(ds.n_g[g]))
-    z = model.latent(theta0, x)
-    z_prime = amb.inner_maximize(theta0, z, y, eps_g)
-    losses = model.cross_entropy(model.logits_from_latent(theta0, z_prime), y)
-    beta = update_beta(ds.alpha, g, float(losses.mean()), config.eta_beta,
-                       config.adjustment, int(ds.n_g[g]))
-    grads = model.loss_and_param_grads(theta0, z_prime, z, x, y)[1]
-    theta1 = model.sgd_step(theta0, grads, config.eta_theta * float(beta[g]))
-
-    assert model.params_equal(model.row_params(state.theta, 0), theta1)
-    np.testing.assert_array_equal(state.beta[0], beta)
-    assert state.t == 1
+    """Every row of every step is bitwise the public functions composed on
+    that row alone (:func:`composed_step`), in a mixed block of ERM, group
+    DRO and two hierarchical rows, with ``adjustment > 0`` and
+    ``decay_steps``: for ``linear`` and ``mlp1``, 2 and 3 classes, a batch
+    that every row shares and a batch per row, and with a row that diverges
+    at the first step, so that the survivors' next steps are the first
+    after a retirement.  A constant that the step reads pre-computed (a
+    label position, a group's penalty) and that drifts from the public
+    formula fails here."""
+    for architecture, num_labels, per_row, diverging in itertools.product(
+            (LINEAR, MLP1), (2, 3), (False, True), (False, True)):
+        ds = grouped_ds(num_labels, 0)
+        spec = ModelSpec(architecture, hidden_width=4)
+        shape = dict(batch_size=3, adjustment=0.7, decay_steps=True, eta_beta=0.3)
+        configs = [base_config(mode=ERM, **shape), base_config(mode=GROUP_DRO, **shape),
+                   base_config(epsilon=1.0, **shape), base_config(epsilon=2.5, **shape)]
+        inits = [init_params(spec, ds.d, num_labels, seed=20 + i) for i in range(4)]
+        if diverging:
+            bad = dataclasses.replace(inits[0], w_out=np.full_like(inits[0].w_out, np.inf))
+            configs.insert(1, base_config(mode=ERM, **shape))
+            inits.insert(1, bad)
+        state = Lockstep.start(inits, configs, ds)
+        rng = np.random.default_rng(num_labels)
+        for _ in range(4):
+            draws = [(g, rng.choice(ds.group_rows(g), size=3))
+                     for g in rng.integers(0, ds.num_groups, size=len(state.ids) if per_row else 1)]
+            batch = Batch(group=np.array([g for g, _ in draws] * (1 if per_row else len(state.ids))),
+                          x=np.stack([ds.features[rows] for _, rows in draws]),
+                          y=np.stack([ds.labels[rows] for _, rows in draws]))
+            before = [(k, model.row_params(state.theta, i), state.beta[i].copy())
+                      for i, k in enumerate(state.ids.tolist())]
+            t = state.t
+            with np.errstate(all="ignore"):
+                train_step(state, batch)
+            setting = (architecture, num_labels, per_row, diverging, t)
+            assert state.failed.keys() == ({1} if diverging else set()), setting
+            for i, (k, theta, beta) in enumerate(before):
+                if k not in state.ids:
+                    continue
+                at = state.ids.tolist().index(k)
+                j = i if per_row else 0
+                want_theta, want_beta = composed_step(theta, beta, configs[k], t, batch.x[j],
+                                                      batch.y[j], int(batch.group[i]), ds.n_g)
+                assert model.params_equal(model.row_params(state.theta, at), want_theta), setting
+                assert state.beta[at].tobytes() == want_beta.tobytes(), setting
+            assert state.t == t + 1
 
 
 def test_erm_step_is_plain_sgd_on_batch_loss():
@@ -188,7 +227,7 @@ def test_erm_step_is_plain_sgd_on_batch_loss():
 
 def test_divergence_error_carries_snapshot():
     ds = small_ds()
-    config = base_config(mode=GROUP_DRO)
+    config = base_config(mode=GROUP_DRO, batch_size=2)
     theta = ModelParams(w_out=np.full((2, ds.d), 1e308), b_out=np.zeros(2))
     state = Lockstep.start([theta], [config], ds)
     rows = ds.group_rows(0)[:2]
@@ -233,6 +272,27 @@ def test_lockstep_start_refuses_an_empty_training_group():
     theta0 = init_params(ModelSpec(LINEAR), ds.d, 2, seed=0)
     with pytest.raises(InvalidDatasetError, match=r"\[1\]"):
         Lockstep.start([theta0], [base_config()], ds)
+
+
+def test_lockstep_start_checks_what_a_step_no_longer_checks():
+    """A model whose input dimension, hidden width or class count does not
+    fit the training split is refused at the start, as the model's public
+    functions refuse it, since a step calls their unchecked kernels; a
+    batch of another size than ``batch_size`` is refused by the step."""
+    ds = small_ds()
+    wide = init_params(ModelSpec(LINEAR), ds.d + 1, 2, seed=0)
+    with pytest.raises(ParameterError, match="input dim"):
+        Lockstep.start([wide], [base_config()], ds)
+    mlp = init_params(ModelSpec(MLP1, hidden_width=4), ds.d, 2, seed=0)
+    for bad, match in [(dataclasses.replace(mlp, w_out=np.zeros((2, 5))), "latent dim"),
+                       (init_params(ModelSpec(LINEAR), ds.d, 1, seed=0), "1 classes")]:
+        with pytest.raises(ParameterError, match=match):
+            Lockstep.start([bad], [base_config()], ds)
+    state = Lockstep.start([init_params(ModelSpec(LINEAR), ds.d, 2, seed=0)],
+                           [base_config(batch_size=4)], ds)
+    with pytest.raises(ParameterError, match="batch_size=4"):
+        train_step(state, shared_batch(ds, 0, ds.group_rows(0)[:3]))
+    assert state.t == 0
 
 
 # ------------------------------------------------------------------- train
@@ -535,15 +595,17 @@ def test_lockstep_retires_a_row_whose_ascent_norm_overflows(architecture):
 
 
 def steps_seen_by_the_loss(monkeypatch):
-    """``(theta, z_prime, z)`` of every ``loss_and_param_grads`` call from now on."""
+    """``(theta, z_prime, z)`` of every parameter gradient taken from now
+    on: each call of ``model._param_grads``, the kernel of
+    ``loss_and_param_grads`` that a step calls."""
     seen = []
-    loss_and_param_grads = model.loss_and_param_grads
+    param_grads = model._param_grads
 
-    def spy(theta, z_prime, z, x, y):
+    def spy(theta, dlogits, z_prime, z, x):
         seen.append((theta, z_prime.copy(), z.copy()))
-        return loss_and_param_grads(theta, z_prime, z, x, y)
+        return param_grads(theta, dlogits, z_prime, z, x)
 
-    monkeypatch.setattr(model, "loss_and_param_grads", spy)
+    monkeypatch.setattr(model, "_param_grads", spy)
     return seen
 
 
@@ -602,7 +664,7 @@ def ascent_endpoints_of_one_step(monkeypatch, ds, init):
     in one step of four rows from ``init``: ERM, group DRO and two
     hierarchical rows, one with a large radius and one with a small one.
     ``theta`` is the row's own model and ``z_prime`` its endpoints, as the
-    step hands them to ``loss_and_param_grads``."""
+    step hands them to the parameter gradient."""
     configs = [base_config(mode=ERM), base_config(mode=GROUP_DRO), base_config(epsilon=2.0),
                base_config(epsilon=0.5)]
     state = Lockstep.start([init] * len(configs), configs, ds)
@@ -680,7 +742,7 @@ ASCENT_LAYOUTS = {
 @pytest.mark.parametrize("layout", sorted(ASCENT_LAYOUTS))
 def test_lockstep_ascent_is_bitwise_each_rows_inner_maximize(monkeypatch, layout, num_labels,
                                                             architecture):
-    """One step's ``z'``, as ``loss_and_param_grads`` receives it: every
+    """One step's ``z'``, as the parameter gradient receives it: every
     ascending row's is byte for byte ``inner_maximize`` on that row's own
     model, latents, labels and radius, and every other row's is ``z``
     (``inner_maximize`` returns ``z`` itself at radius 0).  The layouts:

@@ -122,6 +122,20 @@ def test_quantile_splits_share_middle():
     assert len(middle) == ds.n - setup_a.holdout.n - setup_b.holdout.n
 
 
+def test_quantile_splits_train_on_the_sorted_complement_of_the_holdout():
+    """Each setup trains on the rows it does not hold out, in dataset order:
+    ``np.setdiff1d`` of all rows and the held-out ones.  The first feature
+    column is the row number, so each split names its rows."""
+    ds = make_spurious((15, 10, 7, 12), 0.5, 0.5, 0.2, seed=3)
+    ranks = order_1d(ds.features)
+    numbered = GroupedDataset(np.column_stack([np.arange(ds.n), ds.features]), ds.labels,
+                              ds.attributes, ds.num_labels, ds.num_attributes)
+    for split in quantile_splits(numbered, ranks):
+        held = split.holdout.features[:, 0].astype(np.int64)
+        train_rows = split.train.features[:, 0].astype(np.int64)
+        assert train_rows.tolist() == np.setdiff1d(np.arange(ds.n), held).tolist()
+
+
 def test_quantile_splits_reject_tiny_groups():
     ds = make_spurious((10, 10, 4, 10), 0.5, 0.5, 0.2, seed=5)
     with pytest.raises(TuningInfeasibleError, match="group 2"):

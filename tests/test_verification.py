@@ -72,8 +72,9 @@ def traced_peak(fn):
 def test_grid_oracles_run_in_bounded_memory():
     """Every grid oracle evaluates its circle in chunks: no oracle's
     allocation peak grows with its grid (built whole, the 200,000-point ring
-    check peaked at 21 MB)."""
-    result, peak = traced_peak(lambda: verification.check_inner_maximization(n_cases=2))
+    check peaked at 21 MB), nor with the inner-maximization check's 50
+    cases, which share each chunk and keep only their maxima."""
+    result, peak = traced_peak(verification.check_inner_maximization)
     assert result.passed and peak < GRID_PEAK_BOUND, peak
     rng = np.random.default_rng(7)
     theta = model.ModelParams(w_out=rng.normal(size=(2, 2)), b_out=rng.normal(size=2))
@@ -123,7 +124,8 @@ def test_gradient_check_fails_on_a_nan_latent_gradient(monkeypatch):
 
 def test_inner_maximization_check_fails_on_a_nan_grid_maximum(monkeypatch):
     """A grid maximum of nan is a nan gap, which fails the check."""
-    monkeypatch.setattr(amb, "_grid_max_loss", lambda theta, z, y, eps, n_angles: (math.nan, z))
+    monkeypatch.setattr(amb, "_grid_max_losses",
+                        lambda cases, n_angles: [(math.nan, z) for _, z, _, _ in cases])
     result = verification.check_inner_maximization(n_cases=4)
     assert not result.passed
     assert math.isnan(result.details["max_loss_gap"])
