@@ -45,7 +45,10 @@ inputs, then calls a private kernel that does the arithmetic
 once.  A training step calls the kernels on arrays that
 :meth:`solver.Lockstep.start` has checked once, with the label positions'
 ``K * (example number)`` part, :func:`_label_base`, computed once per
-lockstep, and the gradient as the tuple of its arrays.
+lockstep.  :func:`_param_grads` writes the gradient into arrays it is
+given: the step's are views of one buffer that the ``Lockstep`` owns, and
+:func:`loss_and_param_grads` passes new ones, so that no public result
+shares memory with another.
 """
 
 from __future__ import annotations
@@ -273,23 +276,34 @@ def loss_and_param_grads(theta: ModelParams, z_prime: np.ndarray, z: np.ndarray,
     z_prime = np.asarray(z_prime, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     loss, dlogits = _loss_and_dlogits(theta, z_prime, y)
-    return loss, ModelParams(*_param_grads(theta, dlogits, z_prime, z, x))
+    lead = dlogits.shape[:-2]
+    shapes = [lead + theta.w_out.shape[-2:], lead + theta.b_out.shape[-1:]]
+    if theta.w_hidden is not None:
+        shapes += [np.broadcast_shapes(lead, x.shape[:-2]) + theta.w_hidden.shape[-2:],
+                   lead + theta.b_hidden.shape[-1:]]
+    out = tuple(np.empty(shape) for shape in shapes)
+    return loss, ModelParams(*_param_grads(theta, dlogits, z_prime, z, x, out))
 
 
 def _param_grads(theta: ModelParams, dlogits: np.ndarray, z_prime: np.ndarray, z: np.ndarray,
-                 x: np.ndarray) -> tuple:
-    """The batch-mean parameter gradient of :func:`loss_and_param_grads`, as
-    the tuple of its arrays (two for a linear model, four for ``mlp1``),
-    given the ``dlogits`` of the loss at ``z_prime``."""
+                 x: np.ndarray, out: tuple) -> tuple:
+    """The batch-mean parameter gradient of :func:`loss_and_param_grads`,
+    given the ``dlogits`` of the loss at ``z_prime``, written into ``out``,
+    the tuple of its arrays (two for a linear model, four for ``mlp1``), and
+    returned.  Each array is a product or a sum divided in place by the
+    batch size, bitwise ``a @ b / batch``."""
     batch = z_prime.shape[-2]
-    g_w_out = _mT(dlogits) @ z_prime / batch
+    np.matmul(_mT(dlogits), z_prime, out=out[0])
     # ``a.mean(axis)`` computes this sum and division behind a Python wrapper.
-    g_b_out = np.add.reduce(dlogits, -2) / batch
-    if theta.w_hidden is None:
-        return g_w_out, g_b_out
-    delta = dlogits @ theta.w_out
-    delta *= z > 0      # in place, as in :func:`_latent`
-    return g_w_out, g_b_out, _mT(delta) @ x / batch, np.add.reduce(delta, -2) / batch
+    np.add.reduce(dlogits, -2, out=out[1])
+    if theta.w_hidden is not None:
+        delta = dlogits @ theta.w_out
+        delta *= z > 0      # in place, as in :func:`_latent`
+        np.matmul(_mT(delta), x, out=out[2])
+        np.add.reduce(delta, -2, out=out[3])
+    for a in out:
+        a /= batch
+    return out
 
 
 def sgd_step(theta: ModelParams, grads: ModelParams, step) -> ModelParams:

@@ -47,7 +47,11 @@ the training split once, and a step calls the model's and the simplex
 update's unchecked kernels, with the constants it would otherwise rebuild
 (the labels' flat positions, each group's adjustment) read from the
 ``Lockstep``; the public functions are checked wrappers over the same
-kernels, so each formula is written once.  A row
+kernels, so each formula is written once.  The step writes its parameter
+gradients and its rows' batch losses into one buffer that the
+``Lockstep`` owns, and one dot product of that buffer with itself screens
+them: the sum of squares is finite only if every entry is, so only a step
+whose sum is not finite, or whose ascent failed, tests each row.  A row
 that diverges is retired with its ``DivergenceError`` while the others go
 on.  Every row's result is bitwise the result of training it alone;
 :func:`train` is the one-row case.  A result's ``final``, where its
@@ -201,7 +205,10 @@ class Lockstep:
     position of class 0 of every example of a step's ``(R, B, K)`` scores,
     so that the labels' entries are ``label_base + y``, and ``penalty[g]``
     group ``g``'s adjustment ``C / sqrt(n_g)``: what every step would
-    otherwise rebuild.  A row that diverges leaves every array, and its
+    otherwise rebuild.  ``screen`` is one float buffer that a step writes
+    and then checks with one dot product: ``grads``, views of it shaped as
+    the arrays of ``theta``, one contiguous block each, then ``mean_loss``,
+    the rows' batch losses.  A row that diverges leaves every array, and its
     error goes to ``failed`` under its id; :meth:`retire` then recomputes
     these fields.
     """
@@ -222,6 +229,9 @@ class Lockstep:
     all_learn: bool = field(init=False)
     label_base: np.ndarray = field(init=False, repr=False)
     penalty: np.ndarray = field(init=False, repr=False)
+    screen: np.ndarray = field(init=False, repr=False)
+    grads: tuple = field(init=False, repr=False)
+    mean_loss: np.ndarray = field(init=False, repr=False)
 
     # The arrays with one entry per row along their first axis, besides the models.
     ROWS = ("beta", "ids", "seeds", "radii", "learns_beta")
@@ -239,6 +249,12 @@ class Lockstep:
         self.label_base = model._label_base((self.ids.size, self.shared.batch_size),
                                             self.theta.num_classes)
         self.penalty = _group_penalty(self.shared.adjustment, self.train.n_g)
+        arrays = [a for a in self.theta.arrays() if a is not None]
+        ends = np.cumsum([a.size for a in arrays]).tolist()
+        self.screen = np.empty(ends[-1] + self.ids.size)
+        self.grads = tuple(self.screen[end - a.size:end].reshape(a.shape)
+                           for a, end in zip(arrays, ends))
+        self.mean_loss = self.screen[ends[-1]:]
 
     @classmethod
     def start(cls, inits, configs, ds_train: GroupedDataset) -> Lockstep:
@@ -371,8 +387,10 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
     The step checks nothing that :meth:`Lockstep.start` has checked: it
     calls the model's kernels, which take ``batch.x`` as rows of
     ``state.train`` and as fitting the model, and it reads the labels' flat
-    positions and each group's penalty as :class:`Lockstep` holds them.  A
-    batch of another size than ``batch_size`` is a ``ParameterError``.
+    positions and each group's penalty as :class:`Lockstep` holds them.  The
+    gradients and batch losses it writes into ``state.screen`` stay there
+    until the next step overwrites them.  A batch of another size than
+    ``batch_size`` is a ``ParameterError``.
     """
     g = batch.group
     t_next = state.t + 1
@@ -410,13 +428,20 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
 
     ls = model.log_softmax(model._logits(theta, z_prime))
     losses, dlogits = model._label_loss(ls, state.label_base + batch.y)
-    grads = model._param_grads(theta, dlogits, z_prime, z, batch.x)
-    mean_loss = np.add.reduce(losses, -1) / losses.shape[-1]    # losses.mean(-1), bitwise
-    # A row whose loss or gradient is not finite retires: its beta is never read.
-    finite = np.isfinite(mean_loss) & model._rows_finite(grads, state.index.shape)
-    if ascent_failed:
+    grads = model._param_grads(theta, dlogits, z_prime, z, batch.x, state.grads)
+    mean_loss = state.mean_loss
+    np.add.reduce(losses, -1, out=mean_loss)
+    mean_loss /= losses.shape[-1]       # losses.mean(-1), bitwise
+    # A row whose loss or gradient is not finite retires: its beta is never
+    # read.  The sum of squares of the gradients and losses is finite only if
+    # every one of them is; when it is not, or the sum overflows, each row is
+    # tested on its own.  ``vdot``, unlike ``ndarray.dot``, does not warn
+    # when the sum overflows.
+    all_finite = not ascent_failed and math.isfinite(np.vdot(state.screen, state.screen))
+    if not all_finite:
+        finite = np.isfinite(mean_loss) & model._rows_finite(grads, state.index.shape)
         finite[list(ascent_failed)] = False
-    all_finite = finite.all()
+        all_finite = finite.all()
     if state.some_learn:
         loss = mean_loss if all_finite else np.where(finite, mean_loss, 0.0)
         beta = _update_beta(state.beta, (state.index, g), loss, shared.eta_beta * scale,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -270,6 +271,27 @@ def test_grads_finite_is_one_bool_per_model(arch):
         assert model.grads_finite(bad) is False
         got = model.grads_finite(stack_params([rows[0], bad, rows[2]]))
         assert got.tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("arch", [LINEAR, MLP1])
+def test_loss_and_param_grads_returns_arrays_of_its_own(arch):
+    """Each call's gradient arrays are new: no two of them, within one call
+    or across two calls, share memory, and a later call leaves an earlier
+    result as it was; for one model and for stacked rows."""
+    rng = np.random.default_rng(14)
+    thetas = [random_theta(rng, arch) for _ in range(2)]
+    xs = rng.normal(size=(4, 6))
+    ys = rng.integers(0, 3, size=4)
+    for theta, x in ((thetas[0], xs), (stack_params(thetas), np.stack([xs, -xs]))):
+        z = model.latent(theta, x)
+        first = [a for a in loss_and_param_grads(theta, z, z, x, ys)[1].arrays() if a is not None]
+        kept = [a.copy() for a in first]
+        second = [a for a in loss_and_param_grads(theta, z, z, x, ys)[1].arrays() if a is not None]
+        arrays = first + second
+        for i, j in itertools.combinations(range(len(arrays)), 2):
+            assert not np.shares_memory(arrays[i], arrays[j])
+        for a, b in zip(first, kept):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_linear_loss_midpoint_convexity():

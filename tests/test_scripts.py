@@ -291,3 +291,23 @@ def test_parity_pair_csv_pipeline_reads_the_files_of_the_test_cli_pipeline(tmp_p
     for split in cli.SPLITS:
         np.testing.assert_array_equal(read[split].features, written[split].features)
         np.testing.assert_array_equal(read[split].group_of, written[split].group_of)
+
+
+def test_step_table_times_every_layout_and_finds_this_tree_bitwise_its_own_copy():
+    """step_table.py with this tree's own ``src`` as the parent, imported
+    under another package name, on a tiny run: one table row per layout,
+    each with both sides' times and marked bitwise."""
+    src = os.path.join(os.path.dirname(SCRIPTS), "src")
+    proc = run_script("step_table.py", "--parent-src", src, "--steps", "3", "--rounds", "2")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split("|")[1:-1] for line in proc.stdout.splitlines()
+            if line.startswith("| ") and not line.startswith("| layout")]
+    names = [row[0].strip() for row in rows]
+    assert len(names) == 14 and len(set(names)) == 14
+    assert sum(name.startswith("canonical") for name in names) == 3
+    assert sum(name.startswith("benchmark") for name in names) == 6
+    assert [int(row[1]) for row in rows].count(1) == 9
+    assert sorted(int(row[1]) for row in rows)[9:] == [4, 8, 8, 15, 15]
+    for row in rows:
+        assert float(row[2]) > 0 and float(row[3]) > 0
+        assert row[5].strip() == "yes"

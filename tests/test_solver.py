@@ -594,6 +594,98 @@ def test_lockstep_retires_a_row_whose_ascent_norm_overflows(architecture):
         assert_same_result(result, expected)
 
 
+def huge_plane_ds(scale):
+    """``plane_ds`` with every feature moved to ``+-scale`` times a factor in
+    ``[0.8, 1]``, the sign following the label, so that for each class's
+    weights every example's ``dlogits . z`` has one sign."""
+    ds = plane_ds()
+    factor = np.random.default_rng(0).uniform(0.8, 1.0, size=ds.features.shape)
+    sign = np.where(ds.labels == 0, 1.0, -1.0)[:, None]
+    return GroupedDataset(sign * scale * factor, ds.labels, ds.attributes, 2, 2)
+
+
+@pytest.mark.parametrize("seeds", [(3,) * 6, (1, 2, 3, 4, 5, 6)])
+def test_lockstep_retires_a_row_whose_gradient_alone_overflows(seeds):
+    """Features near 1.5e308: a zero head keeps every loss at log 2, but
+    ``dlogits^T z'`` sums four terms of one sign near -6e307 and overflows,
+    so the row retires on its gradient.  Beside it a head of 0.4 that
+    mislabels every example overflows its logit differences (loss inf), a
+    hierarchical head with ``v . v`` past the largest float fails its
+    ascent, and three heads that label every example by a margin near 720
+    stay finite: ``exp(-720)`` is subnormal.  Each failing row's message and
+    snapshot are its solo run's, and the survivors are bitwise theirs; with
+    one stream for every row and with a stream per row."""
+    ds = huge_plane_ds(1.5e308)
+    shape = dict(iterations=12, checkpoint_every=5)
+    a = 180.0 / 1.35e308     # logits near +-360
+    heads = {"fit": [[a, a], [-a, -a]], "zero": [[0.0, 0.0], [0.0, 0.0]],
+             "wrong": [[-0.4, -0.4], [0.4, 0.4]], "wide": [[0.0, 0.0], [1e155, 1e155]]}
+    rows = [(dict(mode=ERM), "fit"), (dict(mode=GROUP_DRO), "zero"),
+            (dict(epsilon=2.0), "fit"), (dict(mode=ERM), "wrong"),
+            (dict(epsilon=0.5), "wide"), (dict(mode=GROUP_DRO), "fit")]
+    configs = [base_config(**mode, seed=seed, **shape) for (mode, _), seed in zip(rows, seeds)]
+    inits = [ModelParams(w_out=np.array(heads[head]), b_out=np.zeros(2)) for _, head in rows]
+    solo = []
+    for init, config in zip(inits, configs):
+        with np.errstate(all="ignore"):
+            try:
+                solo.append(train(ds, ds, init, config))
+            except DivergenceError as exc:
+                solo.append(exc)
+    with np.errstate(all="ignore"):
+        together = train_lockstep(ds, ds, inits, configs)
+    failed = {i: str(r) for i, r in enumerate(solo) if isinstance(r, DivergenceError)}
+    assert failed == {1: "non-finite parameter gradient", 3: "non-finite batch loss",
+                      4: "non-finite ||w_1 - w_0|| in the latent ascent"}
+    assert solo[1].snapshot.keys() == {"iteration", "group", "theta_norm"}
+    assert solo[3].snapshot["loss"] == math.inf
+    for result, expected in zip(together, solo):
+        if isinstance(expected, DivergenceError):
+            assert isinstance(result, DivergenceError)
+            assert str(result) == str(expected)
+            assert result.snapshot == expected.snapshot
+        else:
+            assert_same_result(result, expected)
+            assert result.final.iteration == 12
+
+
+@pytest.mark.parametrize("architecture", [LINEAR, MLP1])
+def test_a_gradient_whose_squares_overflow_trains_on_as_its_public_functions_compose(
+        monkeypatch, architecture):
+    """``plane_ds`` scaled by 1e200 and a step size of 1e-200: every loss and
+    gradient entry stays finite, but at most steps their squares overflow,
+    so the step's one sum of squares is not finite.  Each row is then
+    tested on its own, at those steps only; none retires, and every row
+    stays bitwise :func:`composed_step` on it alone."""
+    full = plane_ds()
+    ds = GroupedDataset(full.features * 1e200, full.labels, full.attributes, 2, 2)
+    spec = ModelSpec(architecture, hidden_width=3)
+    configs = [base_config(mode=mode, eta_theta=1e-200) for mode in solver.MODES]
+    inits = [init_params(spec, 2, 2, seed=k) for k in range(3)]
+    exact = []
+    rows_finite = model._rows_finite
+    monkeypatch.setattr(model, "_rows_finite",
+                        lambda *args: exact.append(1) or rows_finite(*args))
+    state = Lockstep.start(inits, configs, ds)
+    thetas, betas = list(inits), [ds.alpha] * 3
+    rng, sampler = np.random.default_rng(5), GroupSampler(ds, configs[0])
+    tripped = 0
+    for t in range(8):
+        g, rows = sampler.draw(rng)
+        batch = shared_batch(ds, g, rows, 3)
+        train_step(state, batch)
+        assert not state.failed and state.ids.tolist() == [0, 1, 2]
+        assert np.isfinite(state.screen).all()
+        tripped += not math.isfinite(np.vdot(state.screen, state.screen))
+        assert len(exact) == tripped
+        for i, config in enumerate(configs):
+            thetas[i], betas[i] = composed_step(thetas[i], betas[i], config, t, batch.x[0],
+                                                batch.y[0], g, ds.n_g)
+            assert model.params_equal(model.row_params(state.theta, i), thetas[i])
+            assert state.beta[i].tobytes() == betas[i].tobytes()
+    assert tripped >= 6
+
+
 def steps_seen_by_the_loss(monkeypatch):
     """``(theta, z_prime, z)`` of every parameter gradient taken from now
     on: each call of ``model._param_grads``, the kernel of
@@ -601,9 +693,9 @@ def steps_seen_by_the_loss(monkeypatch):
     seen = []
     param_grads = model._param_grads
 
-    def spy(theta, dlogits, z_prime, z, x):
+    def spy(theta, dlogits, z_prime, z, x, out):
         seen.append((theta, z_prime.copy(), z.copy()))
-        return param_grads(theta, dlogits, z_prime, z, x)
+        return param_grads(theta, dlogits, z_prime, z, x, out)
 
     monkeypatch.setattr(model, "_param_grads", spy)
     return seen
