@@ -12,12 +12,13 @@ only relative imports; this tree's ``src/hierdro`` is imported as
 ``hierdro``.  Each round starts every layout afresh on each side, the side
 that goes first alternating from round to round, and times ``--steps``
 steps of ``solver.advance``; a side's time is its minimum over the rounds.
-The 14 layouts are the one-row steps of the three modes on the canonical
+The 15 layouts are the one-row steps of the three modes on the canonical
 instance of the convergence study (batch 8, criterion 6's step) and on the
 benchmark setting (``configs/benchmark.json``'s training split, batch 64,
 step decay, radius 96/255 * sqrt(190) for hierarchical rows) with a
-``linear`` and an ``mlp1`` model of width 32, the 4-row step of the
-degeneracy check, the 8-row step of tuning (one hierarchical row per
+``linear`` and an ``mlp1`` model of width 32, the one-row ``linear`` ERM
+step of the benchmark setting under ``empirical`` sampling, the 4-row step
+of the degeneracy check, the 8-row step of tuning (one hierarchical row per
 default grid scale) and the 15-row step of ``run`` (three modes times five
 seeds), each ``linear`` and ``mlp1``.
 
@@ -114,6 +115,8 @@ def layouts(pkg: dict, steps: int) -> list:
             eps = epsilon if mode == solver.HIERARCHICAL else 0.0
             out.append((f"benchmark, {arch}, {mode}", [inits[arch, 0]],
                         [replace(base, mode=mode, epsilon=eps)], ds))
+    out.append(("benchmark, linear, erm, empirical sampling", [inits[model.LINEAR, 0]],
+                [replace(base, sampling=solver.EMPIRICAL)], ds))
 
     small, degenerate, init = pkg["verification"]._small_train_setup()
     degenerate = replace(degenerate, iterations=steps)

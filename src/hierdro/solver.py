@@ -40,14 +40,15 @@ other config field, the step sizes and the adjustment among them, and the
 architecture are shared.  Mode degeneracy becomes a per-row mask (a
 radius-0 row keeps ``z' = z``, an ERM row keeps ``beta``).
 :func:`advance`, given only the ``Lockstep``, is the one loop that draws
-the batches and calls :func:`train_step`; :func:`train_lockstep` takes
-checkpoints and selects around it, and the oracle checks and the rate
-study drive it too.  :meth:`Lockstep.start` checks the rows' models against
-the training split once, and a step calls the model's and the simplex
-update's unchecked kernels, with the constants it would otherwise rebuild
-(the labels' flat positions, each group's adjustment) read from the
-``Lockstep``; the public functions are checked wrappers over the same
-kernels, so each formula is written once.  The step writes its parameter
+the batches, a block of steps per random stream at a time
+(:meth:`GroupSampler.draws`), and calls :func:`train_step`;
+:func:`train_lockstep` takes checkpoints and selects around it, and the
+oracle checks and the rate study drive it too.  :meth:`Lockstep.start`
+checks the rows' models against the training split once, and a step calls
+the model's and the simplex update's unchecked kernels, with the constants
+it would otherwise rebuild (the labels' flat positions, each group's
+adjustment) read from the ``Lockstep``; the public functions are checked
+wrappers over the same kernels, so each formula is written once.  The step writes its parameter
 gradients and its rows' batch losses into one buffer that the
 ``Lockstep`` owns, and one dot product of that buffer with itself screens
 them: the sum of squares is finite only if every entry is, so only a step
@@ -306,11 +307,79 @@ class Lockstep:
         self.__post_init__()
 
 
+# The 32-bit halves of raw words that one block of draws reads at most, whatever the batch size.
+_BLOCK_HALVES = 4096
+_NO_WORDS = np.empty(0, np.uint64)
+
+
+class WordStream:
+    """The raw 64-bit words of ``default_rng(seed)``, handed out as its
+    ``Generator`` hands them to numpy's draws.
+
+    ``Generator.integers`` takes 32-bit halves (numpy's ``next_uint32``):
+    the low half of a fresh word, whose high half is ``held`` for the next
+    half.  ``Generator.random``, and so ``choice`` with probabilities, takes
+    a whole fresh word and leaves a held half in place.  ``words`` are words
+    taken from the generator and not yet handed out.
+    """
+
+    def __init__(self, seed):
+        self._raw = np.random.default_rng(seed).bit_generator.random_raw
+        self.words = _NO_WORDS
+        self.held = None
+
+    def take(self, count: int) -> np.ndarray:
+        """At least ``count`` words, the ones already taken first; ``words`` is left empty."""
+        words = self.words
+        if words.size < count:
+            fresh = self._raw(count - words.size)
+            words = np.concatenate((words, fresh)) if words.size else fresh
+        self.words = _NO_WORDS
+        return words
+
+    def word(self) -> int:
+        words = self.take(1)
+        self.words = words[1:]
+        return int(words[0])
+
+    def half(self) -> int:
+        if self.held is not None:
+            half, self.held = self.held, None
+            return half
+        word = self.word()
+        self.held = word >> 32
+        return word & 0xFFFFFFFF
+
+
+def _bounded(halves: np.ndarray, bound, threshold):
+    """numpy's draw below ``bound`` (Lemire's multiply-shift) from each of the
+    32-bit ``halves``: the values, and which halves it rejects, since
+    ``(u * bound) mod 2**32`` falls below ``threshold = (2**32 - bound) % bound``."""
+    product = halves * bound
+    return (product >> 32).view(np.int64), product.astype(np.uint32) < threshold
+
+
+def _bounded_one(stream: WordStream, bound: int) -> int:
+    """``Generator.integers(bound)`` on ``stream``, drawing again after a
+    rejection; a bound of 1 takes no bits."""
+    if bound == 1:
+        return 0
+    threshold = (2**32 - bound) % bound
+    while True:
+        product = stream.half() * bound
+        if product & 0xFFFFFFFF >= threshold:
+            return product >> 32
+
+
 class GroupSampler:
     """Draws (group, minibatch row indices) per the configured sampling mode.
 
     The sampling mode, the group count, the batch size and each group's
-    rows are read once, here, since :meth:`draw` runs once per training step.
+    rows are read once, here.  :meth:`draw` draws one step from a
+    ``Generator``, as the loop once did, and is the oracle of
+    :meth:`draws`, which draws a block of steps from a :class:`WordStream`
+    of the same seed in a few numpy calls per block, each step bitwise what
+    :meth:`draw` gives.  A group it draws must not be empty.
     """
 
     def __init__(self, ds: GroupedDataset, config: SolverConfig):
@@ -319,6 +388,20 @@ class GroupSampler:
         self.alpha = ds.alpha
         self.batch_size = config.batch_size
         self.group_rows = [ds.group_rows(g) for g in range(ds.num_groups)]
+        n_g = np.array([rows.size for rows in self.group_rows])
+        # Group g's rows are ``rows[start[g]:start[g] + n_g[g]]``.
+        self.rows = np.concatenate(self.group_rows)
+        self.start = np.cumsum(n_g) - n_g
+        self.bound = n_g.astype(np.uint64)
+        self.threshold = (2**32 - n_g) % np.maximum(n_g, 1)
+        # A group of one row draws its rows without bits, so its step takes
+        # fewer than a block's layout assumes.
+        self.irregular = n_g < 2
+        if not self.uniform:
+            self.cdf = np.cumsum(self.alpha)     # as ``Generator.choice`` builds it
+            self.cdf /= self.cdf[-1]
+        self.block_steps = max(1, _BLOCK_HALVES // (self.batch_size + 2))
+        self._layouts = {}
 
     def draw(self, rng: np.random.Generator) -> tuple[int, np.ndarray]:
         """The next group ``g`` of ``rng``'s stream and its minibatch's ``(B,)`` rows in ``g``."""
@@ -328,6 +411,96 @@ class GroupSampler:
             g = int(rng.choice(self.num_groups, p=self.alpha))
         rows = self.group_rows[g]
         return g, rows[rng.integers(0, rows.size, size=self.batch_size)]
+
+    def draws(self, stream: WordStream, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The groups ``(n,)`` and minibatch rows ``(n, B)`` of the next ``n``
+        steps of ``stream``: bitwise what ``n`` calls of :meth:`draw` give on
+        a ``Generator`` of the stream's seed.
+
+        A block takes its words at once, and numpy's bounded draw runs on
+        all of its halves at once (:func:`_bounded`); an ``empirical``
+        group is ``Generator.choice``'s search of a whole word's double in
+        ``cdf``.  The steps up to the first one that rejects a half, or
+        draws a group of fewer than two rows, are kept as drawn; that step
+        is drawn again one value at a time (:meth:`_replay`), and the block
+        resumes after it.
+        """
+        groups, rows = [], []
+        while n:
+            steps = min(n, self.block_steps)
+            whole, halves, used, held = self._layout(stream.held is not None)
+            words = stream.take(used[steps])
+            hh = np.empty(1 + 2 * words.size, np.uint32)
+            hh[0] = stream.held or 0
+            hh[1:] = words.astype("<u8", copy=False).view("<u4")    # low half first
+            group_rejected = False
+            if not self.uniform:
+                g = self.cdf.searchsorted((words[whole[:steps]] >> 11) * 2.0**-53, side="right")
+            elif self.num_groups > 1:
+                g, group_rejected = _bounded(hh[whole[:steps]], np.uint64(self.num_groups),
+                                             (2**32 - self.num_groups) % self.num_groups)
+            else:
+                g = np.zeros(steps, np.int64)
+            at, rejected = _bounded(hh[halves[:steps]], self.bound[g, None],
+                                    self.threshold[g, None])
+            bad = self.irregular[g] | rejected.any(1) | group_rejected
+            k = int(bad.argmax())
+            if not bad[k]:
+                k = steps
+            groups.append(g[:k])
+            rows.append(self.rows[self.start[g[:k], None] + at[:k]])
+            stream.words = words[used[k]:]
+            stream.held = int(hh[2 * used[k]]) if held[k] else None
+            n -= k
+            if k < steps:
+                g, at = self._replay(stream)
+                groups.append(np.array([g]))
+                rows.append(at[None])
+                n -= 1
+        if len(groups) == 1:
+            return groups[0], rows[0]
+        return np.concatenate(groups), np.concatenate(rows)
+
+    def _layout(self, held: bool) -> tuple:
+        """Where the draws of ``block_steps`` steps fall when none rejects a
+        half or draws a group of fewer than two rows, from a stream that
+        starts with or without a ``held`` half.
+
+        A position indexes the held half (0) and then the halves of the
+        block's words, low first (``1 + 2j`` and ``2 + 2j`` for word ``j``).
+        Per step: the group's position (a half's, or a word's when
+        ``empirical``) and the ``(B,)`` positions of its rows; after each
+        number of steps: the words used, and whether the half at ``2 *
+        used`` is held.
+        """
+        layout = self._layouts.get(held)
+        if layout is None:
+            b = self.batch_size
+            t = np.arange(self.block_steps + 1)
+            if self.uniform:
+                per_step = (self.num_groups > 1) + b
+                first = t * per_step + 1 - held             # each step's first half
+                used, held_at = first // 2, first % 2 == 0
+                whole = first[:-1]
+                halves = (whole + per_step - b)[:, None] + np.arange(b)
+            else:
+                cut = t * b - held                          # halves cut from words before step t
+                used, held_at = t + (cut + 1) // 2, cut % 2 == 1
+                whole, held_by = used[:-1], held_at[:-1]
+                # The step's halves follow its group's word; a held one goes first.
+                halves = (2 * whole + 3 - held_by)[:, None] + np.arange(b)
+                halves[held_by, 0] = 2 * whole[held_by]
+            layout = self._layouts[held] = (whole, halves, used.tolist(), held_at.tolist())
+        return layout
+
+    def _replay(self, stream: WordStream) -> tuple[int, np.ndarray]:
+        """One step drawn one value at a time, as :meth:`draw` draws it from a ``Generator``."""
+        if self.uniform:
+            g = _bounded_one(stream, self.num_groups)
+        else:
+            g = int(self.cdf.searchsorted((stream.word() >> 11) * 2.0**-53, side="right"))
+        rows = self.group_rows[g]
+        return g, rows[[_bounded_one(stream, rows.size) for _ in range(self.batch_size)]]
 
 
 def update_beta(
@@ -489,47 +662,65 @@ def _record_checkpoint(state: Lockstep, i: int, ds_val: GroupedDataset) -> Check
     )
 
 
-def _streams(rngs: dict, seeds: np.ndarray):
-    """The random streams of the live rows' ``seeds``, each once, and each
-    row's position among them (``None`` when they all share one)."""
+def _streams(seeds: np.ndarray, num_groups: int):
+    """The live rows' distinct ``seeds`` in order of first appearance and each
+    row's position among them; or, when they are one, ``None`` and per group
+    the read-only ``group`` of a shared batch, one entry per row."""
     seeds = seeds.tolist()
     order = list(dict.fromkeys(seeds))
-    pos = None if len(order) == 1 else np.array([order.index(s) for s in seeds])
-    return [rngs[seed] for seed in order], pos
+    if len(order) > 1:
+        return order, np.array([order.index(s) for s in seeds]), None
+    by_group = [np.full(len(seeds), g) for g in range(num_groups)]
+    for group in by_group:
+        group.flags.writeable = False
+    return order, None, by_group
 
 
 def advance(state: Lockstep):
     """Step ``state`` in place ``state.shared.iterations`` times, yielding each step's batch.
 
-    Row ``i`` draws its minibatches from ``state.train`` with
+    Row ``i`` draws its minibatches from ``state.train`` with the stream of
     ``default_rng(state.seeds[i])``, in the order a lone run draws them;
-    rows with equal seeds share one ``Generator``, also after a retirement,
-    the only time the streams are regrouped.  A step gathers its rows once,
-    into a :class:`Batch` with one shared row when all live seeds are one.
-    The loop stops after the step at which every row has retired, with the
-    errors in ``state.failed``.
+    rows with equal seeds share one :class:`WordStream`.  Each stream draws
+    a block of steps at a time with :meth:`GroupSampler.draws`, bitwise the
+    steps :meth:`GroupSampler.draw` gives one at a time, and a step reads
+    its groups and rows from the block: with one stream, one shared row and
+    a ``group`` array built per group; with several, each row's stream's
+    column.  A retirement, the only time the streams are regrouped, drops
+    the columns of the streams no live row draws from.  A step gathers its
+    rows once, into a :class:`Batch`.  The loop stops after the step at
+    which every row has retired, with the errors in ``state.failed``.
     """
     train = state.train
     sampler = GroupSampler(train, state.shared)
-    rngs = {seed: np.random.default_rng(seed) for seed in state.seeds.tolist()}
-    streams, pos = _streams(rngs, state.seeds)
-    for _ in range(state.shared.iterations):
-        live = state.ids.size
-        draws = [sampler.draw(rng) for rng in streams]
-        if pos is None:
-            ((g, rows),) = draws
-            group, rows = np.array([g] * live), rows[None]
-        else:
-            group = np.array([g for g, _ in draws])[pos]
-            rows = np.stack([rows for _, rows in draws])[pos]
-        # ``take`` gathers the rows as ``features[rows]`` does, at a third of its cost.
-        batch = Batch(group=group, x=train.features.take(rows, 0), y=train.labels[rows])
-        train_step(state, batch)
-        yield batch
-        if state.ids.size != live:
-            if not state.ids.size:
-                return
-            streams, pos = _streams(rngs, state.seeds)
+    streams = {seed: WordStream(seed) for seed in state.seeds.tolist()}
+    order, pos, by_group = _streams(state.seeds, sampler.num_groups)
+    left = state.shared.iterations
+    while left:
+        n = min(left, sampler.block_steps)
+        left -= n
+        drawn = [sampler.draws(streams[seed], n) for seed in order]
+        groups = np.stack([g for g, _ in drawn], 1)      # (n, streams)
+        rows = np.stack([r for _, r in drawn], 1)        # (n, streams, B)
+        first = groups[:, 0].tolist()
+        for j in range(n):
+            live = state.ids.size
+            if pos is None:
+                group, at = by_group[first[j]], rows[j]
+            else:
+                group, at = groups[j, pos], rows[j, pos]
+            # ``take`` gathers the rows as ``features[rows]`` does, at a third of its cost.
+            batch = Batch(group=group, x=train.features.take(at, 0), y=train.labels[at])
+            train_step(state, batch)
+            yield batch
+            if state.ids.size != live:
+                if not state.ids.size:
+                    return
+                kept = order
+                order, pos, by_group = _streams(state.seeds, sampler.num_groups)
+                columns = [kept.index(seed) for seed in order]
+                groups, rows = groups[:, columns], rows[:, columns]
+                first = groups[:, 0].tolist()
 
 
 def train_lockstep(

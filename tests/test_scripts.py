@@ -303,11 +303,12 @@ def test_step_table_times_every_layout_and_finds_this_tree_bitwise_its_own_copy(
     rows = [line.split("|")[1:-1] for line in proc.stdout.splitlines()
             if line.startswith("| ") and not line.startswith("| layout")]
     names = [row[0].strip() for row in rows]
-    assert len(names) == 14 and len(set(names)) == 14
+    assert len(names) == 15 and len(set(names)) == 15
     assert sum(name.startswith("canonical") for name in names) == 3
-    assert sum(name.startswith("benchmark") for name in names) == 6
-    assert [int(row[1]) for row in rows].count(1) == 9
-    assert sorted(int(row[1]) for row in rows)[9:] == [4, 8, 8, 15, 15]
+    assert sum(name.startswith("benchmark") for name in names) == 7
+    assert sum(name.endswith("empirical sampling") for name in names) == 1
+    assert [int(row[1]) for row in rows].count(1) == 10
+    assert sorted(int(row[1]) for row in rows)[10:] == [4, 8, 8, 15, 15]
     for row in rows:
         assert float(row[2]) > 0 and float(row[3]) > 0
         assert row[5].strip() == "yes"

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -238,33 +239,83 @@ def test_divergence_error_carries_snapshot():
     assert state.ids.size == 0 and state.beta.shape == (0, ds.num_groups)
 
 
-def test_advance_yields_each_step_and_stops_once_every_row_has_retired():
-    """A diverging row retires at the first step and the other row draws on
-    from its own stream, alone; with every row diverging, the loop ends after
-    that first step with both errors in ``state.failed``."""
-    ds = small_ds()
-    configs = [base_config(mode=ERM, iterations=30, seed=1), base_config(iterations=30, seed=2)]
+@pytest.mark.parametrize("sampling", solver.SAMPLING)
+@pytest.mark.parametrize("batch_size", [1, 3, 64])
+@pytest.mark.parametrize("counts", [(40, 12, 10, 38), (6, 1, 5, 4)], ids=["groups", "one-row-group"])
+def test_advance_yields_each_step_and_stops_once_every_row_has_retired(sampling, batch_size, counts):
+    """Each live row's batch is its seed's next :meth:`GroupSampler.draw`,
+    under both sampling modes, at batch sizes whose odd ones hold a 32-bit
+    half over from step to step, and on a dataset with a one-row group,
+    whose rows numpy draws without taking bits.  A diverging row retires at
+    the first step; another retires in the middle of the first block of
+    steps, and the last row draws on from its own stream, alone, into the
+    next block.  With every row diverging, the loop ends after that first
+    step with both errors in ``state.failed``."""
+    ds = small_ds(counts=counts)
+    sampler = GroupSampler(ds, base_config(batch_size=batch_size, sampling=sampling))
+    middle = sampler.block_steps // 2
+    shape = dict(iterations=sampler.block_steps + 5, batch_size=batch_size, sampling=sampling)
+    configs = [base_config(mode=ERM, seed=1, **shape), base_config(seed=2, **shape),
+               base_config(mode=GROUP_DRO, seed=3, **shape)]
     good = init_params(ModelSpec(LINEAR), ds.d, 2, seed=0)
     bad = dataclasses.replace(good, w_out=np.full_like(good.w_out, np.inf))
-    sampler, rng = GroupSampler(ds, configs[0]), np.random.default_rng(2)
-    state = Lockstep.start([bad, good], configs, ds)
+    oracle = {seed: np.random.default_rng(seed) for seed in (1, 2, 3)}
+    state = Lockstep.start([bad, good, good], configs, ds)
+    seeds, sizes, groups = state.seeds.tolist(), [], set()
     with np.errstate(all="ignore"):
-        batches = list(solver.advance(state))
-    assert len(batches) == 30 and state.t == 30
-    assert list(state.failed) == [0] and state.ids.tolist() == [1]
-    assert state.seeds.tolist() == [2]
-    assert [len(b.x) for b in batches] == [2] + [1] * 29
-    for batch in batches:
-        g, rows = sampler.draw(rng)
-        assert batch.group[-1] == g
-        np.testing.assert_array_equal(batch.x[-1], ds.features[rows])
+        for batch in solver.advance(state):
+            draws = {seed: sampler.draw(oracle[seed]) for seed in dict.fromkeys(seeds)}
+            for i, seed in enumerate(seeds):
+                g, rows = draws[seed]
+                at = i if len(batch.x) > 1 else 0
+                assert batch.group[i] == g, (state.t, seed)
+                np.testing.assert_array_equal(batch.x[at], ds.features[rows])
+                np.testing.assert_array_equal(batch.y[at], ds.labels[rows])
+                groups.add(g)
+            sizes.append(len(batch.group))
+            if state.t == middle:
+                state.retire(np.array([1]))     # seed 2's row leaves; seed 3's goes on alone
+            seeds = state.seeds.tolist()
+    assert state.t == shape["iterations"] and sizes == [3] + [2] * (middle - 1) + [1] * (
+        shape["iterations"] - middle)
+    assert list(state.failed) == [0] and state.seeds.tolist() == [3]
+    assert groups == set(range(ds.num_groups))
 
-    state = Lockstep.start([bad, bad], configs, ds)
+    state = Lockstep.start([bad, bad], configs[:2], ds)
     with np.errstate(all="ignore"):
         batches = list(solver.advance(state))
     assert len(batches) == 1 and state.t == 1 and state.ids.size == 0
     assert sorted(state.failed) == [0, 1]
     assert all(isinstance(err, DivergenceError) for err in state.failed.values())
+
+
+@pytest.mark.parametrize("sampling", solver.SAMPLING)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_block_draws_replay_a_rejected_half_as_the_generator_draws_again(monkeypatch, sampling, seed):
+    """Groups of 1_000_003 and 5 rows: numpy's bounded draw below 1_000_003
+    rejects a 32-bit half with probability 2**32 % 1_000_003 / 2**32, about
+    2.2e-4, and draws another.  Blocks of any length, across the halves they
+    hold over, give bitwise what ``Generator.integers`` and
+    ``Generator.choice`` give through :meth:`GroupSampler.draw`, and at
+    least one step was replayed for a rejection."""
+    sizes = (1_000_003, 5)
+    ends = np.cumsum(sizes)
+    ds = types.SimpleNamespace(num_groups=2, alpha=np.array(sizes) / ends[-1],
+                               group_rows=lambda g: np.arange(ends[g] - sizes[g], ends[g]))
+    sampler = GroupSampler(ds, base_config(batch_size=16, sampling=sampling))
+    replays = []
+    replay = GroupSampler._replay
+    monkeypatch.setattr(GroupSampler, "_replay",
+                        lambda self, stream: replays.append(1) or replay(self, stream))
+    stream, rng = solver.WordStream(seed), np.random.default_rng(seed)
+    for n in [1, 5, sampler.block_steps + 3, 17] * 20:
+        groups, rows = sampler.draws(stream, n)
+        assert groups.shape == (n,) and rows.shape == (n, 16)
+        for g, at in zip(groups.tolist(), rows):
+            want_g, want_rows = sampler.draw(rng)
+            assert g == want_g
+            np.testing.assert_array_equal(at, want_rows)
+    assert replays
 
 
 def test_lockstep_start_refuses_an_empty_training_group():
