@@ -297,7 +297,7 @@ def rate_study(
     epsilon = run_cfg.effective_epsilon
     init = init_params(ModelSpec(LINEAR), ds.d, ds.num_labels, seed=run_cfg.seed)
     state = solver.Lockstep.start([init], [run_cfg], ds)
-    theta_bar = state.theta
+    theta_bar = model.stack_params([init])     # a step overwrites ``state.theta``
     thetas, averages = {}, {}
     for _ in solver.advance(state):
         if state.failed:

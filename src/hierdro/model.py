@@ -41,14 +41,18 @@ instead of raising.
 Checked wrappers and kernels: each public function converts and checks its
 inputs, then calls a private kernel that does the arithmetic
 (:func:`_latent`, :func:`_logits`, :func:`_label_loss`, :func:`_param_grads`,
-:func:`_sgd_step`, :func:`_rows_finite`), where each formula is written
+:func:`_sgd_rows`, :func:`_rows_finite`), where each formula is written
 once.  A training step calls the kernels on arrays that
 :meth:`solver.Lockstep.start` has checked once, with the label positions'
 ``K * (example number)`` part, :func:`_label_base`, computed once per
-lockstep.  :func:`_param_grads` writes the gradient into arrays it is
-given: the step's are views of one buffer that the ``Lockstep`` owns, and
-:func:`loss_and_param_grads` passes new ones, so that no public result
-shares memory with another.
+lockstep.  :func:`_param_grads` writes the gradient's batch sums into
+arrays it is given: the step's are views of a buffer that the ``Lockstep``
+owns, which the step divides by the batch size at once, and
+:func:`loss_and_param_grads` passes new ones and divides each, so that no
+public result shares memory with another.  :func:`_sgd_rows` updates the
+parameters in place, each model's arrays one row of
+:func:`flatten_params`: the step's are the ``Lockstep``'s own buffer, and
+:func:`sgd_step` passes copies.
 """
 
 from __future__ import annotations
@@ -68,8 +72,13 @@ DEFAULT_HIDDEN_WIDTH = 32
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Immutable parameter bundle, or a gradient in them; ``w_hidden is None``
-    marks the linear model."""
+    """Parameter bundle, or a gradient in them; ``w_hidden is None`` marks
+    the linear model.
+
+    The bundle is frozen, not its arrays: a :class:`solver.Lockstep`'s
+    ``theta`` is views of its parameter buffer, which every step overwrites,
+    so copy what you keep (:func:`row_params` does).
+    """
 
     w_out: np.ndarray
     b_out: np.ndarray
@@ -143,11 +152,9 @@ def stack_params(thetas) -> ModelParams:
 
 
 def row_params(theta: ModelParams, rows) -> ModelParams:
-    """Row ``rows`` of a row-stacked model: one model for an int, a stack for an index array."""
-    if theta.w_hidden is None:
-        return ModelParams(theta.w_out[rows], theta.b_out[rows])
-    return ModelParams(theta.w_out[rows], theta.b_out[rows], theta.w_hidden[rows],
-                       theta.b_hidden[rows])
+    """Row ``rows`` of a row-stacked model, in arrays of its own: one model
+    for an int, a stack for an index array."""
+    return ModelParams(*(None if a is None else a[rows].copy() for a in theta.arrays()))
 
 
 def _mT(a: np.ndarray) -> np.ndarray:
@@ -281,18 +288,19 @@ def loss_and_param_grads(theta: ModelParams, z_prime: np.ndarray, z: np.ndarray,
     if theta.w_hidden is not None:
         shapes += [np.broadcast_shapes(lead, x.shape[:-2]) + theta.w_hidden.shape[-2:],
                    lead + theta.b_hidden.shape[-1:]]
-    out = tuple(np.empty(shape) for shape in shapes)
-    return loss, ModelParams(*_param_grads(theta, dlogits, z_prime, z, x, out))
+    out = _param_grads(theta, dlogits, z_prime, z, x, tuple(np.empty(shape) for shape in shapes))
+    for a in out:
+        a /= z_prime.shape[-2]      # bitwise ``a @ b / batch``
+    return loss, ModelParams(*out)
 
 
 def _param_grads(theta: ModelParams, dlogits: np.ndarray, z_prime: np.ndarray, z: np.ndarray,
                  x: np.ndarray, out: tuple) -> tuple:
-    """The batch-mean parameter gradient of :func:`loss_and_param_grads`,
-    given the ``dlogits`` of the loss at ``z_prime``, written into ``out``,
-    the tuple of its arrays (two for a linear model, four for ``mlp1``), and
-    returned.  Each array is a product or a sum divided in place by the
-    batch size, bitwise ``a @ b / batch``."""
-    batch = z_prime.shape[-2]
+    """The parameter gradient of :func:`loss_and_param_grads` summed over
+    the batch, given the ``dlogits`` of the loss at ``z_prime``, written
+    into ``out``, the tuple of its arrays (two for a linear model, four for
+    ``mlp1``), and returned.  The caller divides the sums by the batch size:
+    a step divides its whole buffer at once."""
     np.matmul(_mT(dlogits), z_prime, out=out[0])
     # ``a.mean(axis)`` computes this sum and division behind a Python wrapper.
     np.add.reduce(dlogits, -2, out=out[1])
@@ -301,27 +309,27 @@ def _param_grads(theta: ModelParams, dlogits: np.ndarray, z_prime: np.ndarray, z
         delta *= z > 0      # in place, as in :func:`_latent`
         np.matmul(_mT(delta), x, out=out[2])
         np.add.reduce(delta, -2, out=out[3])
-    for a in out:
-        a /= batch
     return out
 
 
 def sgd_step(theta: ModelParams, grads: ModelParams, step) -> ModelParams:
-    """``theta - step * grads``; ``step`` is a scalar or, for stacked rows, one per row."""
-    return _sgd_step(theta, grads.arrays(), step)
+    """``theta - step * grads`` in new arrays; ``step`` is a scalar or, for
+    stacked rows, one per row.  ``theta`` and ``grads`` must have one shape."""
+    params, rows = flatten_params(theta), flatten_params(grads)
+    if params.shape != rows.shape:
+        raise ParameterError(f"a gradient of {rows.shape[-1]} entries per model cannot step "
+                             f"parameters of {params.shape[-1]}")
+    _sgd_rows(params, rows, np.asarray(step, dtype=np.float64)[..., None])
+    return unflatten_params(params, theta)
 
 
-def _sgd_step(theta: ModelParams, grads: tuple, step) -> ModelParams:
-    """:func:`sgd_step` with the gradient as the tuple of its arrays, in
-    :meth:`ModelParams.arrays` order."""
-    w_step = b_step = step
-    if isinstance(step, np.ndarray):
-        w_step, b_step = step[:, None, None], step[:, None]
-    w_out, b_out = theta.w_out - w_step * grads[0], theta.b_out - b_step * grads[1]
-    if theta.w_hidden is None:
-        return ModelParams(w_out, b_out)
-    return ModelParams(w_out, b_out, theta.w_hidden - w_step * grads[2],
-                       theta.b_hidden - b_step * grads[3])
+def _sgd_rows(params: np.ndarray, grads: np.ndarray, step: np.ndarray) -> None:
+    """``params -= step * grads`` in place, each model's arrays one row of
+    :func:`flatten_params`, with ``step`` one per row as a column, or one
+    for every row.  ``grads`` is overwritten with the step ``step * grads``
+    (bitwise, since multiplication commutes)."""
+    grads *= step
+    params -= grads
 
 
 def average_params(avg: ModelParams, new: ModelParams, count: int) -> ModelParams:

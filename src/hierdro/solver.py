@@ -28,9 +28,10 @@ the gradient at the perturbed latents through the hidden layer of an
 :mod:`model`); a step with a zero radius is ordinary backpropagation.
 
 Trajectories of one shape run in lockstep.  One :class:`Lockstep` holds
-their state and what they draw from: the parameters stacked as
-``(R, K, d)``, ``beta`` as ``(R, m)``, each row's radii, mode and seed as
-arrays, and the training split.  One :func:`train_step` advances all R
+their state and what they draw from: the parameters as one ``(R, P)``
+buffer with row-stacked ``(R, K, d)`` views into it, ``beta`` as
+``(R, m)``, each row's radii, mode and seed as arrays, and the training
+split.  One :func:`train_step` advances all R
 rows with one set of numpy calls, the latent ascent among them: one call
 ascends every row with a positive radius at once, and each row's
 endpoints are bitwise those of :func:`ambiguity.inner_maximize` on that
@@ -48,13 +49,17 @@ checks the rows' models against the training split once, and a step calls
 the model's and the simplex update's unchecked kernels, with the constants
 it would otherwise rebuild (the labels' flat positions, each group's
 adjustment) read from the ``Lockstep``; the public functions are checked
-wrappers over the same kernels, so each formula is written once.  The step writes its parameter
-gradients and its rows' batch losses into one buffer that the
-``Lockstep`` owns, and one dot product of that buffer with itself screens
-them: the sum of squares is finite only if every entry is, so only a step
-whose sum is not finite, or whose ascent failed, tests each row.  A row
-that diverges is retired with its ``DivergenceError`` while the others go
-on.  Every row's result is bitwise the result of training it alone;
+wrappers over the same kernels, so each formula is written once.  The
+step writes its parameter gradients, in the parameters' ``(R, P)`` layout,
+and its rows' batch losses into one buffer that the ``Lockstep`` owns,
+divides it by the batch size at once, and one dot product of that buffer
+with itself screens it: the sum of squares is finite only if every entry
+is, so only a step whose sum is not finite, or whose ascent failed, tests
+each row.  The descent then updates the parameter buffer in place, two
+numpy calls for every row (:func:`model._sgd_rows`), so a model kept
+across steps is a copy (:func:`model.row_params` makes one).  A row that
+diverges is retired with its ``DivergenceError`` while the others go on.
+Every row's result is bitwise the result of training it alone;
 :func:`train` is the one-row case.  A result's ``final``, where its
 trajectory ended, is its last checkpoint.  A checkpoint computes its
 per-group training losses when they are first read
@@ -188,8 +193,14 @@ PER_ROW = ("mode", "epsilon", "seed")
 class Lockstep:
     """R trajectories of one shape advancing together, one row each, with their settings.
 
-    Row ``i`` of ``theta`` and ``beta`` (each with a leading row axis) and of
-    every per-row setting in ``ROWS`` is trajectory ``ids[i]``.  No running
+    Row ``i`` of every array in ``ROWS`` is trajectory ``ids[i]``.
+    ``params`` holds the models, ``(R, P)``: row ``i`` is row ``i``'s
+    arrays in :meth:`ModelParams.arrays` order, as
+    :func:`model.flatten_params` lays them out.  ``theta`` is views of
+    ``params``, each array with a leading row axis, built by
+    ``__post_init__`` from the shapes of the ``theta`` given; a step
+    updates ``params`` in place, so ``theta`` always holds the current
+    models and a model kept across steps must be copied.  No running
     average of the iterates is kept, and :func:`advance` is the one loop that
     steps a ``Lockstep``, drawing from ``train``, the training split, with
     ``seeds[i]``, row ``i``'s seed as the exact int of its config (an object
@@ -206,14 +217,18 @@ class Lockstep:
     position of class 0 of every example of a step's ``(R, B, K)`` scores,
     so that the labels' entries are ``label_base + y``, and ``penalty[g]``
     group ``g``'s adjustment ``C / sqrt(n_g)``: what every step would
-    otherwise rebuild.  ``screen`` is one float buffer that a step writes
-    and then checks with one dot product: ``grads``, views of it shaped as
-    the arrays of ``theta``, one contiguous block each, then ``mean_loss``,
-    the rows' batch losses.  A row that diverges leaves every array, and its
-    error goes to ``failed`` under its id; :meth:`retire` then recomputes
-    these fields.
+    otherwise rebuild.  ``screen`` is one float buffer that a step writes,
+    divides by the batch size and then checks with one dot product: first
+    ``grad_rows``, the gradient in the ``(R, P)`` layout of ``params``, whose
+    arrays ``grads`` are views shaped as the arrays of ``theta``, then
+    ``mean_loss``, the rows' batch losses.  The descent multiplies
+    ``grad_rows`` by each row's step size in place, so after a step it holds
+    the step ``params`` took.  A row that diverges leaves every array, and
+    its error goes to ``failed`` under its id; :meth:`retire` then
+    recomputes these fields.
     """
 
+    params: np.ndarray
     theta: ModelParams
     beta: np.ndarray
     ids: np.ndarray
@@ -231,11 +246,12 @@ class Lockstep:
     label_base: np.ndarray = field(init=False, repr=False)
     penalty: np.ndarray = field(init=False, repr=False)
     screen: np.ndarray = field(init=False, repr=False)
+    grad_rows: np.ndarray = field(init=False, repr=False)
     grads: tuple = field(init=False, repr=False)
     mean_loss: np.ndarray = field(init=False, repr=False)
 
-    # The arrays with one entry per row along their first axis, besides the models.
-    ROWS = ("beta", "ids", "seeds", "radii", "learns_beta")
+    # The arrays with one entry per row along their first axis.
+    ROWS = ("params", "beta", "ids", "seeds", "radii", "learns_beta")
 
     def __post_init__(self):
         self.index = np.arange(self.ids.size)
@@ -250,12 +266,13 @@ class Lockstep:
         self.label_base = model._label_base((self.ids.size, self.shared.batch_size),
                                             self.theta.num_classes)
         self.penalty = _group_penalty(self.shared.adjustment, self.train.n_g)
-        arrays = [a for a in self.theta.arrays() if a is not None]
-        ends = np.cumsum([a.size for a in arrays]).tolist()
-        self.screen = np.empty(ends[-1] + self.ids.size)
-        self.grads = tuple(self.screen[end - a.size:end].reshape(a.shape)
-                           for a, end in zip(arrays, ends))
-        self.mean_loss = self.screen[ends[-1]:]
+        self.theta = model.unflatten_params(self.params, self.theta)
+        size = self.params.size
+        self.screen = np.empty(size + self.ids.size)
+        self.grad_rows = self.screen[:size].reshape(self.params.shape)
+        self.grads = tuple(a for a in model.unflatten_params(self.grad_rows, self.theta).arrays()
+                           if a is not None)
+        self.mean_loss = self.screen[size:]
 
     @classmethod
     def start(cls, inits, configs, ds_train: GroupedDataset) -> Lockstep:
@@ -293,7 +310,8 @@ class Lockstep:
             raise ParameterError(f"a model with {theta.num_classes} classes cannot train on "
                                  f"{ds_train.num_labels} labels")
         epsilon = np.array([c.effective_epsilon for c in configs], float)
-        return cls(theta=theta, beta=np.tile(ds_train.alpha, (len(configs), 1)),
+        return cls(params=model.flatten_params(theta), theta=theta,
+                   beta=np.tile(ds_train.alpha, (len(configs), 1)),
                    ids=np.arange(len(configs)), shared=configs[0], train=ds_train,
                    seeds=np.array([c.seed for c in configs], dtype=object),
                    radii=amb.radius(epsilon[:, None], ds_train.n_g[None, :]),
@@ -303,7 +321,6 @@ class Lockstep:
         """Keep only the rows at positions ``keep``, in place."""
         for name in self.ROWS:
             setattr(self, name, getattr(self, name)[keep])
-        self.theta = model.row_params(self.theta, keep)
         self.__post_init__()
 
 
@@ -560,10 +577,13 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
     The step checks nothing that :meth:`Lockstep.start` has checked: it
     calls the model's kernels, which take ``batch.x`` as rows of
     ``state.train`` and as fitting the model, and it reads the labels' flat
-    positions and each group's penalty as :class:`Lockstep` holds them.  The
-    gradients and batch losses it writes into ``state.screen`` stay there
-    until the next step overwrites them.  A batch of another size than
-    ``batch_size`` is a ``ParameterError``.
+    positions and each group's penalty as :class:`Lockstep` holds them.  It
+    updates ``state.params``, and so the arrays of ``state.theta``, in
+    place.  After it, ``state.screen`` holds each row's applied step
+    ``step * grad`` and its batch loss until the next step overwrites them.
+    A row's ``DivergenceError`` snapshot, ``theta_norm`` among it, is taken
+    before the update.  A batch of another size than ``batch_size`` is a
+    ``ParameterError``.
     """
     g = batch.group
     t_next = state.t + 1
@@ -604,7 +624,9 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
     grads = model._param_grads(theta, dlogits, z_prime, z, batch.x, state.grads)
     mean_loss = state.mean_loss
     np.add.reduce(losses, -1, out=mean_loss)
-    mean_loss /= losses.shape[-1]       # losses.mean(-1), bitwise
+    # The gradients' and losses' batch means at once: bitwise ``a @ b /
+    # batch`` and ``losses.mean(-1)``.
+    state.screen /= shared.batch_size
     # A row whose loss or gradient is not finite retires: its beta is never
     # read.  The sum of squares of the gradients and losses is finite only if
     # every one of them is; when it is not, or the sum overflows, each row is
@@ -622,10 +644,8 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
         state.beta = beta if state.all_learn else np.where(
             state.learns_beta[:, None], beta, state.beta)
 
-    state.theta = model._sgd_step(theta, grads,
-                                  shared.eta_theta * scale * state.beta[state.index, g])
-    state.t = t_next
     if not all_finite:
+        # Before the step below overwrites the failing rows' models.
         for i in np.flatnonzero(~finite).tolist():
             snapshot = {"iteration": t_next, "group": int(g[i])}
             if i in ascent_failed:
@@ -638,6 +658,11 @@ def train_step(state: Lockstep, batch: Batch) -> Lockstep:
                 snapshot["loss"] = float(mean_loss[i])
             snapshot["theta_norm"] = model.params_norm(model.row_params(theta, i))
             state.failed[int(state.ids[i])] = DivergenceError(message, snapshot=snapshot)
+
+    step = shared.eta_theta * scale * state.beta[state.index, g]
+    model._sgd_rows(state.params, state.grad_rows, step[:, None])
+    state.t = t_next
+    if not all_finite:
         state.retire(np.flatnonzero(finite))
     return state
 

@@ -188,7 +188,10 @@ def test_rate_study_refuses_bad_horizons_before_any_step(monkeypatch, horizons, 
 
 def test_rate_study_gap_is_the_gap_of_the_plain_mean_of_the_iterates():
     """The study's running average against the plain mean of the iterates
-    of a ``solver.train`` run that checkpoints every step."""
+    of a ``solver.train`` run that checkpoints every step, and each bound
+    bitwise the bound of that run's iterates at the multiples of
+    ``checkpoint_every``.  A step updates the study's model in place, so an
+    iterate it kept uncopied would be the last one."""
     ds, config = canonical_instance()
     ref = reference_optimum(ds, config.effective_epsilon)
     report = rate_study(ds, dataclasses.replace(config, checkpoint_every=60), (60, 180), ref)
@@ -202,6 +205,10 @@ def test_rate_study_gap_is_the_gap_of_the_plain_mean_of_the_iterates():
                            b_out=np.mean([t.b_out for t in iterates], axis=0))
         want = objective_value(mean, ds, config.effective_epsilon)[1] - ref.upper
         assert abs(gap - want) <= 1e-12
+    for h, bound in zip(report.horizons, report.bounds):
+        kept = [cp.theta for cp in history[59:h:60]]
+        consts = bound_constants(ds, kept, config.effective_epsilon)
+        assert bound.hex() == expected_error_bound(ds.num_groups, consts, h).hex()
 
 
 def test_rate_study_raises_the_divergence_of_its_row():

@@ -144,6 +144,15 @@ def test_update_beta_rows_are_bitwise_the_reference_and_leave_beta_alone(seed):
 # -------------------------------------------------------------- train_step
 
 
+def composed_loss_and_grads(theta, config, x, y, g, n_g):
+    """One row's batch losses and batch-mean parameter gradient at its
+    perturbed latents, from ``latent``, ``inner_maximize`` and
+    ``loss_and_param_grads``."""
+    z = model.latent(theta, x)
+    z_prime = amb.inner_maximize(theta, z, y, amb.radius(config.effective_epsilon, int(n_g[g])))
+    return model.loss_and_param_grads(theta, z_prime, z, x, y)
+
+
 def composed_step(theta, beta, config, t, x, y, g, n_g):
     """One row's step from the public functions, applied in the documented
     order: ``latent``, ``inner_maximize``, ``loss_and_param_grads``,
@@ -151,9 +160,7 @@ def composed_step(theta, beta, config, t, x, y, g, n_g):
     ``beta_g``, at step sizes scaled by ``1 / sqrt(t + 1)`` under
     ``decay_steps``."""
     scale = 1.0 / math.sqrt(t + 1) if config.decay_steps else 1.0
-    z = model.latent(theta, x)
-    z_prime = amb.inner_maximize(theta, z, y, amb.radius(config.effective_epsilon, int(n_g[g])))
-    losses, grads = model.loss_and_param_grads(theta, z_prime, z, x, y)
+    losses, grads = composed_loss_and_grads(theta, config, x, y, g, n_g)
     if config.mode != ERM:
         beta = update_beta(beta, g, float(losses.mean()), config.eta_beta * scale,
                            config.adjustment, int(n_g[g]))
@@ -237,6 +244,129 @@ def test_divergence_error_carries_snapshot():
     assert isinstance(state.failed[0], DivergenceError)
     assert "iteration" in state.failed[0].snapshot
     assert state.ids.size == 0 and state.beta.shape == (0, ds.num_groups)
+
+
+def model_bytes(theta):
+    return [None if a is None else (a.shape, a.tobytes()) for a in theta.arrays()]
+
+
+@pytest.mark.parametrize("failing", ["gradient", "ascent"])
+@pytest.mark.parametrize("beside", [False, True])
+def test_divergence_snapshot_norms_the_model_before_the_failing_step(failing, beside):
+    """A step updates the models in place, the failing row's included, so
+    its snapshot's ``theta_norm`` must be taken first: it is bitwise
+    ``params_norm`` of the row's model before that step.  The row fails on
+    its gradient alone (a zero head on features near 1.5e308: the loss stays
+    log 2, ``dlogits^T z'`` overflows) or in its ascent (output rows
+    ``-+5.5e153 (1, 1)``: ``v . v`` overflows, the model's norm does not);
+    alone, or beside a row that trains on."""
+    ds = huge_plane_ds(1.5e308)
+    a = 180.0 / 1.35e308
+    fit = ModelParams(w_out=np.array([[a, a], [-a, -a]]), b_out=np.zeros(2))
+    if failing == "gradient":
+        bad = (base_config(mode=GROUP_DRO), ModelParams(w_out=np.zeros((2, 2)), b_out=np.zeros(2)))
+    else:
+        bad = (base_config(epsilon=0.5),
+               ModelParams(w_out=np.array([[-5.5e153] * 2, [5.5e153] * 2]), b_out=np.zeros(2)))
+    rows = [(base_config(mode=ERM), fit), bad] if beside else [bad]
+    state = Lockstep.start([init for _, init in rows], [c for c, _ in rows], ds)
+    rng, sampler = np.random.default_rng(0), GroupSampler(ds, rows[0][0])
+    while not state.failed:
+        before = [model.row_params(state.theta, i) for i in range(state.ids.size)]
+        with np.errstate(all="ignore"):
+            train_step(state, shared_batch(ds, *sampler.draw(rng), state.ids.size))
+    k = len(rows) - 1
+    assert state.failed.keys() == {k} and state.ids.tolist() == list(range(k))
+    message = ("non-finite parameter gradient" if failing == "gradient"
+               else "non-finite ||w_1 - w_0|| in the latent ascent")
+    assert str(state.failed[k]) == message
+    norm = state.failed[k].snapshot["theta_norm"]
+    assert math.isfinite(norm) and norm.hex() == model.params_norm(before[k]).hex()
+
+
+@pytest.mark.parametrize("architecture", [LINEAR, MLP1])
+def test_lockstep_models_and_gradients_are_views_of_its_buffers(architecture):
+    """After ``start``, after a step, after a partial ``retire`` and after a
+    ``retire`` down to zero rows: every array of ``theta`` is a view of
+    ``params`` with its models' shape, and ``params`` row ``r`` is row
+    ``r``'s arrays in ``ModelParams.arrays`` order; every array of
+    ``grads``, and ``mean_loss``, is a view of ``screen``, each gradient
+    array shaped as its ``theta`` array.  A reshape that copied would leave
+    a detached array, and the step would train nothing."""
+    ds = small_ds()
+    spec = ModelSpec(architecture, hidden_width=4)
+    inits = [init_params(spec, ds.d, 2, seed=k) for k in range(3)]
+    configs = [base_config(mode=mode) for mode in solver.MODES]
+    state = Lockstep.start(inits, configs, ds)
+    rng, sampler = np.random.default_rng(0), GroupSampler(ds, configs[0])
+    for stage in ("start", "step", "retire", "retire to zero"):
+        if stage == "step":
+            moved = state.params.copy()
+            train_step(state, shared_batch(ds, *sampler.draw(rng), 3))
+            assert not np.array_equal(moved, state.params)
+        elif stage == "retire":
+            state.retire(np.array([0, 2]))
+        elif stage == "retire to zero":
+            state.retire(np.array([], dtype=int))
+        rows = state.ids.size
+        arrays = [a for a in state.theta.arrays() if a is not None]
+        shapes = [(rows,) + a.shape for a in inits[0].arrays() if a is not None]
+        assert state.params.shape == (rows, model.flatten_params(inits[0]).size), stage
+        assert [a.shape for a in arrays] == shapes, stage
+        assert [g.shape for g in state.grads] == shapes, stage
+        assert all(a.base is state.params for a in arrays), stage
+        assert all(g.base is state.screen for g in state.grads), stage
+        assert state.mean_loss.base is state.screen and state.mean_loss.shape == (rows,), stage
+        assert state.screen.size == state.params.size + rows, stage
+        if rows:
+            assert all(np.shares_memory(a, state.params) for a in arrays), stage
+            assert model.flatten_params(state.theta).tobytes() == state.params.tobytes(), stage
+
+
+def run_trajectories(ds, ds_val, inits, configs):
+    """``train`` for one row, ``train_lockstep`` for several."""
+    if len(configs) == 1:
+        return [train(ds, ds_val, inits[0], configs[0])]
+    return train_lockstep(ds, ds_val, inits, configs)
+
+
+@pytest.mark.parametrize("architecture", [LINEAR, MLP1])
+@pytest.mark.parametrize("num_rows", [1, 3])
+def test_training_keeps_nothing_that_a_later_step_overwrites(monkeypatch, architecture,
+                                                             num_rows):
+    """A step updates the ``Lockstep``'s models in place.  ``train`` (one
+    row) and ``train_lockstep`` (three) leave the ``inits`` they were given
+    bitwise as they were; no checkpoint's model shares memory with another
+    checkpoint's or with the finished ``Lockstep``'s buffers; and the
+    checkpoint taken at iteration ``t`` is bitwise the final model, and
+    ``beta``, of the same run stopped at ``t``."""
+    ds, ds_val = small_ds(), small_ds(seed=1)
+    spec = ModelSpec(architecture, hidden_width=4)
+    configs = [base_config(mode=mode, seed=seed, iterations=12, checkpoint_every=4)
+               for mode, seed in [(HIERARCHICAL, 1), (ERM, 2), (GROUP_DRO, 1)][:num_rows]]
+    inits = [init_params(spec, ds.d, 2, seed=10 + k) for k in range(num_rows)]
+    given = [model_bytes(init) for init in inits]
+    states = []
+    start = Lockstep.start
+    monkeypatch.setattr(Lockstep, "start", lambda *args: states.append(start(*args)) or states[-1])
+    results = run_trajectories(ds, ds_val, inits, configs)
+    assert [model_bytes(init) for init in inits] == given
+    (state,) = states
+    kept = [a for result in results for cp in result.history for a in cp.theta.arrays()
+            if a is not None]
+    assert len(kept) == num_rows * 3 * (2 if architecture == LINEAR else 4)
+    for i, j in itertools.combinations(range(len(kept)), 2):
+        assert not np.shares_memory(kept[i], kept[j])
+    for a in kept:
+        assert not np.shares_memory(a, state.params) and not np.shares_memory(a, state.screen)
+    for t in (4, 8):
+        stopped = run_trajectories(ds, ds_val, inits,
+                                   [dataclasses.replace(c, iterations=t) for c in configs])
+        for result, alone in zip(results, stopped):
+            (cp,) = [cp for cp in result.history if cp.iteration == t]
+            assert alone.final.iteration == t
+            assert model_bytes(cp.theta) == model_bytes(alone.final.theta)
+            assert cp.beta.tobytes() == alone.final.beta.tobytes()
 
 
 @pytest.mark.parametrize("sampling", solver.SAMPLING)
@@ -707,7 +837,10 @@ def test_a_gradient_whose_squares_overflow_trains_on_as_its_public_functions_com
     gradient entry stays finite, but at most steps their squares overflow,
     so the step's one sum of squares is not finite.  Each row is then
     tested on its own, at those steps only; none retires, and every row
-    stays bitwise :func:`composed_step` on it alone."""
+    stays bitwise :func:`composed_step` on it alone.  The step's screen,
+    which the step then overwrites with its applied steps, is rebuilt from
+    each row's :func:`composed_loss_and_grads`: its rows' gradients in
+    ``flatten_params`` order, then their mean losses."""
     full = plane_ds()
     ds = GroupedDataset(full.features * 1e200, full.labels, full.attributes, 2, 2)
     spec = ModelSpec(architecture, hidden_width=3)
@@ -724,10 +857,15 @@ def test_a_gradient_whose_squares_overflow_trains_on_as_its_public_functions_com
     for t in range(8):
         g, rows = sampler.draw(rng)
         batch = shared_batch(ds, g, rows, 3)
+        parts = [composed_loss_and_grads(theta, config, batch.x[0], batch.y[0], g, ds.n_g)
+                 for theta, config in zip(thetas, configs)]
+        screen = np.concatenate([model.flatten_params(grads) for _, grads in parts]
+                                + [np.array([losses.mean() for losses, _ in parts])])
         train_step(state, batch)
         assert not state.failed and state.ids.tolist() == [0, 1, 2]
-        assert np.isfinite(state.screen).all()
-        tripped += not math.isfinite(np.vdot(state.screen, state.screen))
+        assert np.isfinite(screen).all()
+        assert state.mean_loss.tobytes() == screen[-3:].tobytes()
+        tripped += not math.isfinite(np.vdot(screen, screen))
         assert len(exact) == tripped
         for i, config in enumerate(configs):
             thetas[i], betas[i] = composed_step(thetas[i], betas[i], config, t, batch.x[0],
@@ -740,12 +878,14 @@ def test_a_gradient_whose_squares_overflow_trains_on_as_its_public_functions_com
 def steps_seen_by_the_loss(monkeypatch):
     """``(theta, z_prime, z)`` of every parameter gradient taken from now
     on: each call of ``model._param_grads``, the kernel of
-    ``loss_and_param_grads`` that a step calls."""
+    ``loss_and_param_grads`` that a step calls.  Each is a copy: the step
+    then updates its ``theta`` in place."""
     seen = []
     param_grads = model._param_grads
 
     def spy(theta, dlogits, z_prime, z, x, out):
-        seen.append((theta, z_prime.copy(), z.copy()))
+        kept = ModelParams(*(None if a is None else a.copy() for a in theta.arrays()))
+        seen.append((kept, z_prime.copy(), z.copy()))
         return param_grads(theta, dlogits, z_prime, z, x, out)
 
     monkeypatch.setattr(model, "_param_grads", spy)
